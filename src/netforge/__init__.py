@@ -85,7 +85,6 @@ __all__ = [
     "RandomSpec",
     "Subcircuit",
     "UNCONNECTED",
-    "GND",
     "VDD",
     "UnresolvedTemplate",
     "Xoshiro256StarStar",

@@ -23,7 +23,7 @@ from .errors import (
     SchemaError,
     UnknownDialectError,
 )
-from .exporters import export, lint, registered_dialects
+from .exporters import export, exporter_for, lint, registered_dialects, write_atomic
 from .numfmt import format_number
 
 EXIT_OK = 0
@@ -105,23 +105,12 @@ def _cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _check_dialect(dialect: str) -> None:
-    if dialect not in registered_dialects():
-        raise UnknownDialectError(dialect, registered_dialects())
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _cmd_export(args) -> int:
-    _check_dialect(args.dialect)
+    exporter_for(args.dialect)  # an unknown dialect fails before the build
     circuit = _build(args)
     text = export(circuit, args.dialect)
     if args.out:
-        _atomic_write(Path(args.out), text)
+        write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -148,7 +137,7 @@ def _variant_name(stem, corner, var_values, seed, ext) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    _check_dialect(args.dialect)
+    exporter_for(args.dialect)  # an unknown dialect fails before any output
     doc = builddoc.load_doc(args.doc)
     base_vars = _parse_set(args.set)
     base_seed = _default_seed(args)
@@ -198,7 +187,7 @@ def _cmd_sweep(args) -> int:
                     variants[-1]["error"] = str(exc)
                     failure = exc
                     break
-                _atomic_write(out_dir / file_name, text)
+                write_atomic(out_dir / file_name, text)
             if failure:
                 break
         if failure:
@@ -210,7 +199,7 @@ def _cmd_sweep(args) -> int:
         "dialect": args.dialect,
         "variants": variants,
     }
-    _atomic_write(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     if failure is not None:
         sys.stderr.write(f"sweep failed: {failure}\n")
         return EXIT_BUILD

@@ -1,10 +1,17 @@
 """Dialect exporters, the lossless JSON circuit format, and the lint pass.
 
 Built-in dialects: "spice" (NGSpice-compatible), "spectre", and "json-ir".
-The registry is open: register_exporter() plugs in new dialects, which makes
-the engine simulator-agnostic. Text exporters resolve formulas and random
-specs through eval_params with an explicit seed, so equal (circuit, seed)
-pairs always produce byte-identical output, and different seeds can only
+The registry is open: register_exporter(name, fn) plugs in any
+`fn(circuit, seed, options) -> str`, which makes the engine
+simulator-agnostic; exporter_for() is the one lookup, and write_atomic() the
+one file writer, that the library and the CLI share.
+
+The text dialects are tables (_TextDialect) over one traversal,
+_export_text: lint, then models, subcircuits and instances resolved through
+eval_params with one rng seeded explicitly. A table holds only what a dialect
+changes: header, keyword prefix, parameter and net formats, and footer. So
+equal (circuit, seed) pairs always produce byte-identical output, every text
+dialect draws the same values in the same order, and different seeds can only
 change parameter value tokens, never topology lines.
 
 The JSON dialect is different in kind: it round-trips the circuit losslessly,
@@ -16,8 +23,9 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .core import (
@@ -51,6 +59,8 @@ __all__ = [
     "lint",
     "export",
     "export_to_file",
+    "exporter_for",
+    "write_atomic",
     "register_exporter",
     "registered_dialects",
     "export_json",
@@ -106,7 +116,9 @@ class LintReport:
         return "\n".join(str(f) for f in self.findings)
 
 
-def _reachable_subcircuits(circuit: Circuit) -> list[Subcircuit]:
+def _reachable_subcircuits(circuit: Circuit, duplicates=None) -> list[Subcircuit]:
+    """Definitions in emission order (nested first). A second, different
+    definition of a name is added to the set `duplicates`, or raises without it."""
     ordered: list[Subcircuit] = []
     seen: dict[str, Subcircuit] = {}
 
@@ -114,9 +126,11 @@ def _reachable_subcircuits(circuit: Circuit) -> list[Subcircuit]:
         previous = seen.get(sub.name)
         if previous is not None:
             if previous is not sub and previous != sub:
-                raise DuplicateSubcircuitError(
-                    f"two different subcircuit definitions named {sub.name!r}"
-                )
+                if duplicates is None:
+                    raise DuplicateSubcircuitError(
+                        f"two different subcircuit definitions named {sub.name!r}"
+                    )
+                duplicates.add(sub.name)
             return
         seen[sub.name] = sub
         for nested in sub.nested:
@@ -203,13 +217,18 @@ def lint(circuit: Circuit) -> LintReport:
     """Structural connectivity checks; always returns a report, never raises.
 
     Rules: UNCONNECTED (error), DANGLING (warn, single-use non-global net),
-    DUPLICATE_DESIGNATOR (error), UNDEFINED_MASTER (error), and UNUSED_PIN
-    (warn, subcircuit pin that never appears in its body).
+    DUPLICATE_DESIGNATOR (error), UNDEFINED_MASTER (error), DUPLICATE_SUBCKT
+    (error, two different definitions share a name), and UNUSED_PIN (warn,
+    subcircuit pin that never appears in its body).
     """
-    findings: list[Finding] = []
+    duplicates: set[str] = set()
     globals_ = set(circuit.global_nets)
-    subckts = _reachable_subcircuits(circuit)
+    subckts = _reachable_subcircuits(circuit, duplicates)
     known = {sub.name: sub for sub in subckts}
+    findings = [
+        Finding("error", "DUPLICATE_SUBCKT", "two different definitions share this name", name)
+        for name in duplicates
+    ]
 
     _lint_scope(findings, circuit.instances, (), "", globals_, known)
     for sub in subckts:
@@ -227,7 +246,23 @@ def lint(circuit: Circuit) -> LintReport:
     return LintReport(findings)
 
 
-# --- shared text-emission helpers ---------------------------------------------
+# --- text dialects: one traversal, a table of what differs per dialect --------
+
+@dataclass(frozen=True)
+class _TextDialect:
+    header: tuple  # lines before the models; "{title}" takes the title option
+    keyword: str  # prefix of the model/subckt/ends keywords
+    model_params: str  # appended to a model line; "{}" takes the k=v tokens
+    subckt_params: str  # appended to a subckt header; "{}" takes the k=v tokens
+    nets: str  # an instance's nets; "{}" takes the space-joined net names
+    footer: tuple  # lines after the directives
+
+
+_SPICE = _TextDialect(("{title}",), ".", " ({})", " {}", "{}", (".end",))
+_SPECTRE = _TextDialect(
+    ("simulator lang=spectre", "// {title}"), "", " {}", "\nparameters {}", "({})", ()
+)
+
 
 def _fmt_value(value) -> str:
     if isinstance(value, str):
@@ -246,10 +281,6 @@ def _param_tokens(params: Params, rng, context=None) -> list[str]:
     return [f"{name}={_fmt_value(value)}" for name, value in values.items()]
 
 
-def _master_name(inst: Instance) -> str:
-    return inst.template.name
-
-
 def _line_params(inst: Instance) -> Params:
     # subcircuit defaults already live on the definition header, so instance
     # lines pass only the explicit overrides; primitive templates have no
@@ -259,85 +290,44 @@ def _line_params(inst: Instance) -> Params:
     return inst.effective_params()
 
 
-def _require_designator(inst: Instance) -> str:
+def _instance_line(dialect: _TextDialect, inst: Instance, rng) -> str:
     if inst.designator is None:
         raise NetforgeError(
-            f"instance of {_master_name(inst)!r} has no designator; "
+            f"instance of {inst.template.name!r} has no designator; "
             "insert it through a circuit or subcircuit before exporting"
         )
-    return inst.designator
-
-
-# --- SPICE ------------------------------------------------------------------------
-
-def _spice_instance_line(inst: Instance, rng) -> str:
-    parts = [_require_designator(inst)]
-    parts += [_net_text(net) for net in inst.nets]
-    parts.append(_master_name(inst))
+    nets = dialect.nets.format(" ".join([_net_text(net) for net in inst.nets]))
+    parts = [inst.designator, *([nets] if nets else []), inst.template.name]
     parts += _param_tokens(_line_params(inst), rng, inst.context)
     return " ".join(parts)
 
 
-def _export_spice(circuit: Circuit, seed: int, options: dict) -> str:
+def _export_text(dialect: _TextDialect, circuit: Circuit, seed: int, options: dict) -> str:
+    """Lint, then walk models, subcircuits and instances with one rng, so every
+    text dialect draws the same random values in the same order."""
     report = lint(circuit)
     if report.has_errors:
         raise LintErrors(report)
     rng = Xoshiro256StarStar(seed)
-    lines = [str(options.get("title", "Generated netlist"))]
+    kw = dialect.keyword
+
+    def with_params(line, params, fmt):
+        tokens = _param_tokens(params, rng)
+        return line + fmt.format(" ".join(tokens)) if tokens else line
+
+    title = str(options.get("title", "Generated netlist"))
+    lines = [line.format(title=title) for line in dialect.header]
     for model in circuit.models.values():
-        line = f".model {model.name} {model.base_type}"
-        tokens = _param_tokens(model.params, rng)
-        if tokens:
-            line += f" ({' '.join(tokens)})"
-        lines.append(line)
+        line = f"{kw}model {model.name} {model.base_type}"
+        lines.append(with_params(line, model.params, dialect.model_params))
     for sub in _reachable_subcircuits(circuit):
-        header = f".subckt {sub.name} {' '.join(sub.pins)}"
-        tokens = _param_tokens(sub.params, rng)
-        if tokens:
-            header += " " + " ".join(tokens)
-        lines.append(header)
-        for inst in sub.body:
-            lines.append(_spice_instance_line(inst, rng))
-        lines.append(f".ends {sub.name}")
-    for inst in circuit.instances:
-        lines.append(_spice_instance_line(inst, rng))
-    lines.extend(circuit.directives)
-    lines.append(".end")
-    return "\n".join(lines) + "\n"
-
-
-# --- Spectre ------------------------------------------------------------------------
-
-def _spectre_instance_line(inst: Instance, rng) -> str:
-    nets = " ".join(_net_text(net) for net in inst.nets)
-    parts = [f"{_require_designator(inst)} ({nets}) {_master_name(inst)}"]
-    parts += _param_tokens(_line_params(inst), rng, inst.context)
-    return " ".join(parts)
-
-
-def _export_spectre(circuit: Circuit, seed: int, options: dict) -> str:
-    report = lint(circuit)
-    if report.has_errors:
-        raise LintErrors(report)
-    rng = Xoshiro256StarStar(seed)
-    lines = ["simulator lang=spectre", f"// {options.get('title', 'Generated netlist')}"]
-    for model in circuit.models.values():
-        line = f"model {model.name} {model.base_type}"
-        tokens = _param_tokens(model.params, rng)
-        if tokens:
-            line += " " + " ".join(tokens)
-        lines.append(line)
-    for sub in _reachable_subcircuits(circuit):
-        lines.append(f"subckt {sub.name} {' '.join(sub.pins)}")
-        tokens = _param_tokens(sub.params, rng)
-        if tokens:
-            lines.append("parameters " + " ".join(tokens))
-        for inst in sub.body:
-            lines.append(_spectre_instance_line(inst, rng))
-        lines.append(f"ends {sub.name}")
-    for inst in circuit.instances:
-        lines.append(_spectre_instance_line(inst, rng))
-    lines.extend(circuit.directives)
+        line = f"{kw}subckt {sub.name} {' '.join(sub.pins)}"
+        lines.append(with_params(line, sub.params, dialect.subckt_params))
+        lines += [_instance_line(dialect, inst, rng) for inst in sub.body]
+        lines.append(f"{kw}ends {sub.name}")
+    lines += [_instance_line(dialect, inst, rng) for inst in circuit.instances]
+    lines += circuit.directives
+    lines += dialect.footer
     return "\n".join(lines) + "\n"
 
 
@@ -355,14 +345,10 @@ def _params_to_json(params: Params) -> dict:
     return {name: _value_to_json(value) for name, value in params.items()}
 
 
-def _net_to_json(net) -> str:
-    return str(net)
-
-
 def _instance_to_json(inst: Instance) -> dict:
     out = {
-        "template": _master_name(inst),
-        "nets": [_net_to_json(n) for n in inst.nets],
+        "template": inst.template.name,
+        "nets": [str(n) for n in inst.nets],
         "params": _params_to_json(inst.overrides),
         "designator": inst.designator,
     }
@@ -373,7 +359,7 @@ def _instance_to_json(inst: Instance) -> dict:
 
 def _component_to_json(comp: Component) -> dict:
     return {
-        "ports": [_net_to_json(p) for p in comp.ports],
+        "ports": [str(p) for p in comp.ports],
         "params": _params_to_json(comp.params),
         "prefix": comp.prefix,
         "metadata": dict(comp.metadata),
@@ -576,11 +562,11 @@ def write_param_file(param_file: ParamFile) -> str:
     return json.dumps(document, indent=2) + "\n"
 
 
-# --- registry ------------------------------------------------------------------------
+# --- registry and atomic writing ----------------------------------------------------
 
 _REGISTRY = {
-    "spice": _export_spice,
-    "spectre": _export_spectre,
+    "spice": partial(_export_text, _SPICE),
+    "spectre": partial(_export_text, _SPECTRE),
     "json-ir": _export_json_dialect,
 }
 
@@ -596,32 +582,46 @@ def registered_dialects() -> list[str]:
     return sorted(_REGISTRY)
 
 
+def exporter_for(dialect: str):
+    """The exporter registered for `dialect`; UnknownDialectError if none is."""
+    exporter = _REGISTRY.get(dialect)
+    if exporter is None:
+        raise UnknownDialectError(dialect, _REGISTRY)
+    return exporter
+
+
 def export(circuit: Circuit, dialect: str = "spice", seed: int | None = None, options=None) -> str:
     """Render a circuit in the given dialect.
 
     `seed` drives formula/random resolution and defaults to the circuit's own
     rng_seed; text dialects refuse to export when lint finds errors.
     """
-    exporter = _REGISTRY.get(dialect)
-    if exporter is None:
-        raise UnknownDialectError(dialect, _REGISTRY)
+    exporter = exporter_for(dialect)
     if seed is None:
         seed = circuit.rng_seed
     return exporter(circuit, seed, dict(options or {}))
 
 
-def export_to_file(circuit: Circuit, path, dialect: str = "spice", seed=None, options=None) -> None:
-    """Export and write atomically (temp file + rename in the target directory)."""
-    text = export(circuit, dialect, seed, options)
+def write_atomic(path, text: str) -> None:
+    """Write `text` to `path` through a temp file renamed over it.
+
+    The temp file sits in the target's directory under a unique name, so
+    writers sharing a directory never collide, and it is removed on any
+    failure. The result gets the mode a plain `open(path, "w")` gives a new
+    file (0666 less the umask).
+    """
     target = Path(path)
-    handle, tmp_name = tempfile.mkstemp(dir=target.parent or ".", prefix=target.name, suffix=".tmp")
+    tmp = target.parent / f"{target.name}.{secrets.token_hex(8)}.tmp"
+    handle = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(handle, "w") as stream:
             stream.write(text)
-        os.replace(tmp_name, target)
+        os.replace(tmp, target)
     except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
+        tmp.unlink(missing_ok=True)
         raise
+
+
+def export_to_file(circuit: Circuit, path, dialect: str = "spice", seed=None, options=None) -> None:
+    """Export and write atomically (see write_atomic)."""
+    write_atomic(path, export(circuit, dialect, seed, options))

@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-from netforge import Array, Chain, Circuit, Component, Inject, builddoc
+from netforge import Array, Chain, Circuit, Component, Inject, Subcircuit, builddoc
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -37,3 +37,19 @@ def defect_chain_circuit(p: float = 0.7, seed: int = 42) -> Circuit:
 def ro_circuit(**overrides) -> Circuit:
     doc = builddoc.load_doc(DATA_DIR / "ro.json")
     return builddoc.build_circuit(doc, DATA_DIR, set_vars=overrides or None)
+
+
+def duplicate_subckt_circuit() -> Circuit:
+    """WRAP nests one INV while the top level instantiates a different INV."""
+    res = Component("res", ["a", "b"], prefix="R")
+    inner = Subcircuit("INV", ["in", "out"])
+    inner += res @ ["in", "out"]
+    other = Subcircuit("INV", ["in", "out"])
+    other += res @ ["out", "in"]
+    wrap = Subcircuit("WRAP", ["a", "b"])
+    wrap += inner
+    wrap += inner @ ["a", "b"]
+    circuit = Circuit()
+    circuit += wrap @ ["x", "y"]
+    circuit += other @ ["x", "y"]
+    return circuit

@@ -5,7 +5,10 @@ import sys
 
 import pytest
 
+from netforge import builddoc
 from netforge.cli import main
+
+from sample_circuits import duplicate_subckt_circuit
 
 RO_DOC = "ro.json"
 
@@ -110,6 +113,57 @@ def test_export_unknown_dialect_exits_4(doc_dir, capsys):
     code, _, err = run_cli(["export", doc_dir / RO_DOC, "--dialect", "nope"], capsys)
     assert code == 4
     assert "spice" in err and "spectre" in err
+
+
+def test_export_unknown_dialect_checked_before_build(tmp_path, capsys):
+    malformed = tmp_path / "broken.json"
+    malformed.write_text("{not json")
+    cyclic = tmp_path / "cyclic.json"
+    cyclic.write_text(
+        json.dumps(
+            {
+                "version": 1,
+                "components": [
+                    {"name": "r", "ports": ["a", "b"], "params": {"x": {"$formula": "x"}}}
+                ],
+                "circuit": [{"op": "instance", "template": "r", "nets": ["n1", "n1"]}],
+            }
+        )
+    )
+    for doc in (malformed, cyclic):
+        code, _, err = run_cli(["export", doc, "--dialect", "nope"], capsys)
+        assert code == 4
+        assert "unknown dialect" in err
+
+
+def test_export_out_directory_exits_2_without_temp(doc_dir, capsys):
+    target = doc_dir / "taken"
+    target.mkdir()
+    before = sorted(p.name for p in doc_dir.iterdir())
+    code, _, err = run_cli(["export", doc_dir / RO_DOC, "--out", target], capsys)
+    assert code == 2
+    assert "error:" in err
+    assert sorted(p.name for p in doc_dir.iterdir()) == before
+    assert list(target.iterdir()) == []
+
+
+def test_export_leaves_other_writers_temp_alone(doc_dir, capsys):
+    # a temp file some other writer is still filling in the same directory
+    target = doc_dir / "out.sp"
+    foreign = doc_dir / "out.sp.tmp"
+    foreign.write_text("partial")
+    code, _, _ = run_cli(["export", doc_dir / RO_DOC, "--out", target], capsys)
+    assert code == 0
+    assert foreign.read_text() == "partial"
+    assert target.read_text().endswith(".end\n")
+
+
+def test_duplicate_subckt_exits_5_for_lint_and_export(doc_dir, capsys, monkeypatch):
+    monkeypatch.setattr(builddoc, "build_circuit", lambda *a, **k: duplicate_subckt_circuit())
+    for command in ("lint", "export"):
+        code, out, err = run_cli([command, doc_dir / RO_DOC], capsys)
+        assert code == 5
+        assert "DUPLICATE_SUBCKT" in out + err
 
 
 def test_export_lint_errors_exit_5(tmp_path, capsys):
@@ -291,6 +345,16 @@ def test_sweep_failure_records_partial_manifest(doc_dir, tmp_path, capsys):
     failed = [v for v in manifest["variants"] if "error" in v]
     assert len(failed) == 1
     assert failed[0]["corner"] == "SS"
+
+
+def test_sweep_unknown_dialect_exits_4_without_output(doc_dir, tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    code, _, err = run_cli(
+        ["sweep", doc_dir / RO_DOC, "--dialect", "nope", "--out", out_dir], capsys
+    )
+    assert code == 4
+    assert "unknown dialect" in err
+    assert not out_dir.exists()
 
 
 def test_sweep_rejects_bad_vary_spec(doc_dir, tmp_path, capsys):

@@ -1,4 +1,6 @@
 import json
+import os
+import re
 
 import pytest
 
@@ -12,6 +14,7 @@ from netforge.core import (
 )
 from netforge.errors import (
     DuplicateDialectError,
+    DuplicateSubcircuitError,
     LintErrors,
     NetforgeError,
     UnknownDialectError,
@@ -32,7 +35,13 @@ from netforge.io_readers import ParamFile, read_param_file
 from netforge.numfmt import format_number
 from netforge.params import Params, gauss, uniform
 
-from sample_circuits import capacitor_circuit, crossbar_circuit, defect_chain_circuit, ro_circuit
+from sample_circuits import (
+    capacitor_circuit,
+    crossbar_circuit,
+    defect_chain_circuit,
+    duplicate_subckt_circuit,
+    ro_circuit,
+)
 
 
 # --- number formatting ------------------------------------------------------------
@@ -239,6 +248,25 @@ def test_spectre_subckt_parameters_line():
     assert "subckt S p\nparameters gain=2\nends S" in text
 
 
+# --- shared traversal ---------------------------------------------------------------------
+
+_PARAM_TOKEN = re.compile(r"[^\s()=]+=[^\s()]+")
+
+
+@pytest.mark.parametrize(
+    "factory", [capacitor_circuit, crossbar_circuit, defect_chain_circuit, ro_circuit]
+)
+@pytest.mark.parametrize("seed", range(5))
+def test_text_dialects_emit_same_param_tokens_in_same_order(factory, seed):
+    # one walk and one rng per export: both dialects draw the same values in
+    # the same order, so their k=v sequences agree token for token
+    spice = export(factory(), "spice", seed=seed).splitlines()[1:]
+    spectre = export(factory(), "spectre", seed=seed).splitlines()[2:]
+    spice_tokens = _PARAM_TOKEN.findall("\n".join(spice))
+    assert spice_tokens
+    assert spice_tokens == _PARAM_TOKEN.findall("\n".join(spectre))
+
+
 # --- lint rules ---------------------------------------------------------------------------
 
 def test_lint_dangling_single_use_net():
@@ -322,6 +350,19 @@ def test_lint_ordering_deterministic():
 def test_lint_clean_ro_circuit_has_no_errors():
     report = lint(ro_circuit())
     assert not report.has_errors
+
+
+def test_lint_reports_duplicate_subckt_instead_of_raising():
+    report = lint(duplicate_subckt_circuit())
+    assert [(f.severity, f.location) for f in report if f.code == "DUPLICATE_SUBCKT"] == [
+        ("error", "INV")
+    ]
+    for dialect in ("spice", "spectre"):
+        with pytest.raises(LintErrors) as err:
+            export(duplicate_subckt_circuit(), dialect)
+        assert "DUPLICATE_SUBCKT" in str(err.value)
+    with pytest.raises(DuplicateSubcircuitError):
+        export_json(duplicate_subckt_circuit())
 
 
 def test_lint_str_is_stable():
@@ -460,6 +501,27 @@ def test_export_to_file_atomic(tmp_path):
     export_to_file(capacitor_circuit(), target, "spice")
     assert target.read_text() == export(capacitor_circuit(), "spice")
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_export_to_file_mode_matches_plain_open(tmp_path):
+    old = os.umask(0o022)
+    try:
+        export_to_file(capacitor_circuit(), tmp_path / "out.sp", "spice")
+        with open(tmp_path / "plain.sp", "w"):
+            pass
+    finally:
+        os.umask(old)
+    mode = (tmp_path / "out.sp").stat().st_mode & 0o777
+    assert mode == (tmp_path / "plain.sp").stat().st_mode & 0o777 == 0o644
+
+
+def test_export_to_file_failure_leaves_no_temp(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(OSError):
+        export_to_file(capacitor_circuit(), target, "spice")
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
 
 
 # --- parameter file writer ------------------------------------------------------------------
