@@ -548,9 +548,27 @@ class _Builder:
 
 
 def _validate_parameter_graphs(circuit: Circuit) -> None:
-    """Fail the build on parameter cycles instead of waiting for export."""
+    """Fail the build on parameter cycles instead of waiting for export.
+
+    Each distinct Params is checked once: an instance without overrides
+    shares its template's Params, so a chain of N such instances costs one
+    check, whose plan the export then reuses. An instance with overrides is
+    checked on its own merged map."""
+    checked = {}  # id -> Params, holding each alive so no id is reused
+
+    def check(params):
+        if id(params) not in checked:
+            checked[id(params)] = params
+            validate_dependencies(params)
+
+    def check_instance(inst):
+        if inst.overrides:
+            validate_dependencies(inst.effective_params())
+        else:
+            check(inst.template.params)
+
     for model in circuit.models.values():
-        validate_dependencies(model.params)
+        check(model.params)
     seen = set()
     stack = list(circuit.subcircuits.values())
     while stack:
@@ -559,11 +577,11 @@ def _validate_parameter_graphs(circuit: Circuit) -> None:
             continue
         seen.add(id(sub))
         stack.extend(sub.nested)
-        validate_dependencies(sub.params)
+        check(sub.params)
         for inst in sub.body:
-            validate_dependencies(inst.effective_params())
+            check_instance(inst)
     for inst in circuit.instances:
-        validate_dependencies(inst.effective_params())
+        check_instance(inst)
 
 
 def build_circuit(doc: dict, doc_dir, set_vars=None, seed=None, corner=None) -> Circuit:

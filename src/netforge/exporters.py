@@ -284,10 +284,11 @@ def _param_tokens(params: Params, rng, context=None) -> list[str]:
 def _line_params(inst: Instance) -> Params:
     # subcircuit defaults already live on the definition header, so instance
     # lines pass only the explicit overrides; primitive templates have no
-    # other place for their parameters, so they print effective values
+    # other place for their parameters, so they print effective values, and
+    # without overrides those are the template's own Params (and its plan)
     if isinstance(inst.template, Subcircuit):
         return inst.overrides
-    return inst.effective_params()
+    return inst.effective_params() if inst.overrides else inst.template.params
 
 
 def _instance_line(dialect: _TextDialect, inst: Instance, rng) -> str:

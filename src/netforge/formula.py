@@ -11,11 +11,24 @@ Grammar, loosest to tightest binding:
 Unary minus binds looser than '^', so "-x^2" parses as "-(x^2)", while the
 exponent itself may be negated: "2^-3". Known functions: min, max, abs,
 sqrt, exp, ln, log10, pow.
+
+Nesting is capped at MAX_DEPTH levels, counted across parentheses, unary
+minus, '^' and calls while parsing, and over the finished tree's depth, so
+every recursive walk stays far from Python's recursion limit; deeper text
+raises FormulaSyntaxError.
+
+Formula.evaluate compiles its AST once, on first use, into a closure that it
+keeps on the Formula; later calls run the closure instead of walking the tree.
+The closure performs the same arithmetic in the same order, with the same
+checks and error types (finiteness, division by zero, unresolved or text
+identifiers), as the tree-walking evaluate(node, context), which stays the
+reference.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -29,6 +42,9 @@ from .errors import (
 from .numfmt import format_number
 
 __all__ = ["Formula", "parse_formula", "Num", "Var", "Neg", "BinOp", "Call"]
+
+# deeper formulas raise FormulaSyntaxError instead of exhausting the stack
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -104,6 +120,12 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
+
+    def enter(self, offset: int):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise FormulaSyntaxError(f"formula nests deeper than {MAX_DEPTH} levels", offset)
 
     def peek(self):
         return self.tokens[self.i]
@@ -147,18 +169,23 @@ class _Parser:
                 return node
 
     def unary(self) -> Expr:
-        kind, value, _ = self.peek()
+        kind, value, offset = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return Neg(self.unary())
+            self.enter(offset)
+            node = Neg(self.unary())
+            self.depth -= 1
+            return node
         return self.power()
 
     def power(self) -> Expr:
         node = self.atom()
-        kind, value, _ = self.peek()
+        kind, value, offset = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            return BinOp("^", node, self.unary())
+            self.enter(offset)
+            node = BinOp("^", node, self.unary())
+            self.depth -= 1
         return node
 
     def atom(self) -> Expr:
@@ -171,8 +198,10 @@ class _Parser:
                 return self.call(value, offset)
             return Var(value)
         if kind == "op" and value == "(":
+            self.enter(offset)
             node = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return node
         if kind == "end":
             raise FormulaSyntaxError("unexpected end of formula", offset)
@@ -182,6 +211,7 @@ class _Parser:
         if func not in FUNCTIONS:
             raise UnknownFunctionError(f"unknown function {func!r}", offset)
         self.expect_op("(")
+        self.enter(offset)
         args = [self.expr()]
         while True:
             kind, value, _ = self.peek()
@@ -191,6 +221,7 @@ class _Parser:
             else:
                 break
         self.expect_op(")")
+        self.depth -= 1
         lo, hi = FUNCTIONS[func]
         if len(args) < lo or (hi is not None and len(args) > hi):
             expected = str(lo) if hi == lo else f"at least {lo}"
@@ -205,7 +236,32 @@ def _parse_text(text: str) -> Expr:
         raise TypeError(f"formula text must be str, not {type(text).__name__}")
     if not text.strip():
         raise FormulaSyntaxError("empty formula", 0)
-    return _Parser(text).parse()
+    node = _Parser(text).parse()
+    # a long chain such as "1+1+...+1" parses in a loop but still nests deeply
+    if _depth(node) > MAX_DEPTH:
+        raise FormulaSyntaxError(f"formula nests deeper than {MAX_DEPTH} levels", 0)
+    return node
+
+
+def _children(node: Expr) -> tuple:
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Call):
+        return node.args
+    return ()
+
+
+def _depth(node: Expr) -> int:
+    """Operators on the tree's longest path (a leaf is 0), found without recursion."""
+    deepest = 0
+    stack = [(node, 0)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((child, level + 1) for child in _children(node))
+    return deepest
 
 
 # precedence levels used by the unparser; atoms are 5
@@ -320,38 +376,100 @@ def _free_vars(node: Expr, seen: list[str]) -> None:
     if isinstance(node, Var):
         if node.name not in seen:
             seen.append(node.name)
-    elif isinstance(node, Neg):
-        _free_vars(node.operand, seen)
-    elif isinstance(node, BinOp):
-        _free_vars(node.left, seen)
-        _free_vars(node.right, seen)
-    elif isinstance(node, Call):
-        for arg in node.args:
-            _free_vars(arg, seen)
+    for child in _children(node):
+        _free_vars(child, seen)
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _compile(node: Expr):
+    """Compile an AST into `fn(context) -> float`, equal to evaluate(node, context):
+    same operations in the same order, same checks, same error types."""
+    if isinstance(node, Num):
+        value = node.value
+        return lambda context: value
+    if isinstance(node, Var):
+        name = node.name
+
+        def variable(context):
+            try:
+                value = context[name]
+            except KeyError:
+                raise UnresolvedIdentifierError(f"unknown identifier {name!r}") from None
+            if isinstance(value, str):
+                raise UnresolvedIdentifierError(
+                    f"identifier {name!r} refers to text, not a number"
+                )
+            return float(value)
+
+        return variable
+    if isinstance(node, Neg):
+        operand = _compile(node.operand)
+        return lambda context: -operand(context)
+    if isinstance(node, BinOp):
+        left, right = _compile(node.left), _compile(node.right)
+        if node.op in _ARITHMETIC:
+            arithmetic = _ARITHMETIC[node.op]
+            return lambda context: _check_finite(arithmetic(left(context), right(context)))
+        if node.op == "/":
+
+            def divide(context):
+                numerator, denominator = left(context), right(context)
+                if denominator == 0.0:
+                    raise DivisionByZeroError(f"division by zero in {unparse(node)!r}")
+                return _check_finite(numerator / denominator)
+
+            return divide
+        if node.op == "^":
+
+            def power(context):
+                base, exponent = left(context), right(context)
+                if base == 0.0 and exponent < 0.0:
+                    raise DivisionByZeroError(
+                        f"zero raised to negative power in {unparse(node)!r}"
+                    )
+                try:
+                    return _check_finite(math.pow(base, exponent))
+                except (ValueError, OverflowError) as exc:
+                    raise NonFiniteResultError(f"{unparse(node)!r}: {exc}") from exc
+
+            return power
+    if isinstance(node, Call):
+        func, args = node.func, [_compile(a) for a in node.args]
+        return lambda context: _check_finite(_apply_call(func, [a(context) for a in args]))
+    raise TypeError(f"not a formula node: {node!r}")
 
 
 class Formula:
     """A parsed arithmetic expression over parameter names.
 
     Formulas compare equal when their ASTs are equal, regardless of the
-    whitespace in the original text. Instances are immutable.
+    whitespace in the original text. Instances are immutable; the closure
+    compiled on the first evaluate() is a cache, never copied or pickled (a
+    copy is re-parsed from the text and compiles again when first used).
     """
 
-    __slots__ = ("text", "ast")
+    __slots__ = ("text", "ast", "_compiled")
 
     def __init__(self, text: str):
         object.__setattr__(self, "text", text)
         object.__setattr__(self, "ast", _parse_text(text))
+        object.__setattr__(self, "_compiled", None)
 
     @classmethod
     def from_ast(cls, ast: Expr) -> "Formula":
         self = cls.__new__(cls)
         object.__setattr__(self, "text", unparse(ast))
         object.__setattr__(self, "ast", ast)
+        object.__setattr__(self, "_compiled", None)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Formula is immutable")
+
+    def __reduce__(self):
+        return (Formula, (self.text,))
 
     @property
     def identifiers(self) -> list[str]:
@@ -361,7 +479,12 @@ class Formula:
         return seen
 
     def evaluate(self, context) -> float:
-        return evaluate(self.ast, context)
+        """Value under `context` (identifier -> number), via the compiled closure."""
+        compiled = self._compiled
+        if compiled is None:
+            compiled = _compile(self.ast)
+            object.__setattr__(self, "_compiled", compiled)
+        return compiled(context)
 
     def unparse(self) -> str:
         return unparse(self.ast)

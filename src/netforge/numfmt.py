@@ -1,9 +1,20 @@
-"""Numeric text helpers: SI-suffix parsing and deterministic formatting."""
+"""Numeric text helpers: SI-suffix parsing and deterministic formatting.
+
+format_number prints an integral value below 1e16 in magnitude as an integer,
+and any other finite value as `.12g` with the exponent normalised ("1.5e-7"),
+which equals the shortest round-trip form whenever that has at most 12
+significant digits. The one exception is a subnormal, whose few bits of
+precision `.12g` would pad with digits, so it keeps its shortest form when
+that is shorter.
+"""
 
 from __future__ import annotations
 
 import math
 import re
+import sys
+
+_MIN_NORMAL = sys.float_info.min
 
 SI_EXPONENTS = {
     "f": -15,
@@ -49,31 +60,27 @@ def parse_si_number(text: str):
     return float(f"{literal}e{exponent}")
 
 
-def _sig_digits(text: str) -> int:
-    mantissa = text.split("e")[0].split("E")[0]
-    digits = mantissa.lstrip("+-").replace(".", "").lstrip("0")
-    return max(len(digits), 1)
-
-
 def _normalize_exponent(text: str) -> str:
-    if "e" not in text and "E" not in text:
-        return text
-    mantissa, _, exp = text.lower().partition("e")
-    return f"{mantissa}e{int(exp)}"
+    mantissa, e, exp = text.partition("e")
+    return f"{mantissa}e{int(exp)}" if e else text
 
 
 def format_number(value) -> str:
     """Shortest decimal form that round-trips, capped at 12 significant digits.
 
-    Integral values print without a decimal point; exponents are printed with
-    no plus sign or leading zeros, so output is stable across platforms.
+    Exponents print with no plus sign or leading zeros, so output is stable
+    across platforms; the module docstring states the rule.
     """
     f = float(value)
+    if f.is_integer() and abs(f) < 1e16:
+        return str(int(f))
     if not math.isfinite(f):
         raise ValueError(f"cannot format non-finite number {f!r}")
-    if f == int(f) and abs(f) < 1e16:
-        return str(int(f))
-    text = repr(f)
-    if _sig_digits(text) > 12:
-        text = f"{f:.12g}"
+    text = f"{f:.12g}"
+    if abs(f) < _MIN_NORMAL:
+        # a subnormal may hold fewer than 12 digits of precision, so `.12g`
+        # can print digits its shortest round-trip form does not need
+        shortest = repr(f)
+        if len(shortest) <= len(text):
+            text = shortest
     return _normalize_exponent(text)

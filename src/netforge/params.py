@@ -4,6 +4,15 @@ A parameter value is a finite number, verbatim text, a Formula, or a
 RandomSpec. Evaluation resolves formulas in dependency order and draws each
 random spec exactly once per call from an explicit seeded generator, so a
 (params, context, seed) triple always produces bitwise-identical numbers.
+
+Everything about a parameter map that does not depend on the context or the
+seed is analysed once, into a ParamPlan that the Params keeps: the constant
+values, the random specs in name order (the draw order), and the formulas in
+dependency order. Every mutation of a Params (item assignment or deletion,
+update, setdefault, |=, pop, popitem, clear) goes through one checked path
+that also drops the plan, so the next evaluation analyses the new contents.
+Evaluating through the plan gives the same values, drawn in the same order,
+bit for bit, as analysing the map on every call.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ __all__ = [
     "lognormal",
     "sample",
     "eval_params",
+    "ParamPlan",
 ]
 
 
@@ -109,29 +119,76 @@ def _check_value(name, value):
 class Params(dict):
     """Ordered parameter map; insertion order drives export order.
 
-    Treat instances as immutable once attached to a template.
+    Every value is checked on the way in, by every mutator. The ParamPlan
+    built on first evaluation is kept until the next mutation.
     """
+
+    __slots__ = ("_plan",)
 
     def __init__(self, values=None):
         super().__init__()
+        self._plan = None
         if values:
-            for name, value in dict(values).items():
-                self[name] = value
+            self.update(values)
 
     def __setitem__(self, name, value):
         if not isinstance(name, str) or not name:
             raise TypeError("parameter names must be non-empty strings")
-        super().__setitem__(name, _check_value(name, value))
+        value = _check_value(name, value)
+        self._plan = None
+        super().__setitem__(name, value)
+
+    def __delitem__(self, name):
+        self._plan = None
+        super().__delitem__(name)
+
+    def update(self, *args, **kwargs):
+        for name, value in dict(*args, **kwargs).items():
+            self[name] = value
+
+    def setdefault(self, name, default=None):
+        if name not in self:
+            self[name] = default
+        return self[name]
+
+    def __ior__(self, other):
+        self.update(other)
+        return self
+
+    def pop(self, name, *default):
+        self._plan = None
+        return super().pop(name, *default)
+
+    def popitem(self):
+        self._plan = None
+        return super().popitem()
+
+    def clear(self):
+        self._plan = None
+        super().clear()
+
+    def __reduce__(self):
+        # copies and pickles carry the values only, never the cached plan
+        return (Params, (dict(self),))
+
+    @property
+    def plan(self) -> "ParamPlan":
+        """The analysis of the current contents, built on first use."""
+        if self._plan is None:
+            self._plan = ParamPlan(self)
+        return self._plan
 
     def merged(self, overrides) -> "Params":
         """New Params with `overrides` shadowing (or extending) this map."""
-        out = Params(self)
-        for name, value in dict(overrides).items():
-            out[name] = value
+        out = self.copy()
+        out.update(overrides)
         return out
 
     def copy(self) -> "Params":
-        return Params(self)
+        out = Params()
+        # this map's values were checked when they were set
+        dict.update(out, self)
+        return out
 
 
 class ParamSet(dict):
@@ -218,13 +275,50 @@ def _find_cycle(deps: dict[str, list[str]], done: set[str]) -> list[str]:
     return remaining  # unreachable in practice
 
 
+class ParamPlan:
+    """What evaluating a parameter map needs that no context or seed changes:
+    the constants, the random specs in name order, and the formulas in
+    dependency order. Building one raises CyclicDependencyError on a cycle."""
+
+    __slots__ = ("names", "constants", "randoms", "formulas")
+
+    def __init__(self, params):
+        self.names = tuple(params)
+        self.constants = {}
+        randoms = []
+        for name, value in params.items():
+            if isinstance(value, RandomSpec):
+                randoms.append((name, value))
+            elif not isinstance(value, Formula):
+                self.constants[name] = value
+        self.randoms = sorted(randoms, key=lambda item: item[0])
+        self.formulas = [(name, params[name]) for name in _formula_order(params)]
+
+    def evaluate(self, extra_context=None, rng=None) -> dict:
+        """Resolve every parameter; see eval_params."""
+        gen = as_generator(rng)
+        scope = dict(extra_context) if extra_context else {}
+        scope.update(self.constants)
+        for name, spec in self.randoms:
+            scope[name] = spec.sample(gen)
+        for name, formula in self.formulas:
+            scope[name] = formula.evaluate(scope)
+        return {name: scope[name] for name in self.names}
+
+
+def _plan_of(params) -> ParamPlan:
+    # a plain mapping gets a fresh plan; a Params keeps its own
+    return params.plan if isinstance(params, Params) else ParamPlan(params)
+
+
 def validate_dependencies(params: Params) -> None:
     """Raise CyclicDependencyError if formula references can never resolve.
 
-    Cheap static check (no evaluation, no sampling); useful to fail fast at
-    construction time instead of at export.
+    Cheap static check (no evaluation, no sampling): it builds the plan that
+    later evaluations reuse, so failing fast at construction costs nothing
+    extra at export.
     """
-    _formula_order(params)
+    _plan_of(params)
 
 
 def eval_params(params: Params, extra_context=None, rng=None) -> dict:
@@ -235,26 +329,4 @@ def eval_params(params: Params, extra_context=None, rng=None) -> dict:
     evaluated after their dependencies; they may reference sibling parameters
     and `extra_context` names (sibling parameters shadow the context).
     """
-    gen = as_generator(rng)
-    scope: dict = {}
-    if extra_context:
-        for name, value in dict(extra_context).items():
-            scope[name] = value
-
-    randoms = []
-    formulas = []
-    for name, value in params.items():
-        if isinstance(value, RandomSpec):
-            randoms.append(name)
-        elif isinstance(value, Formula):
-            formulas.append(name)
-        else:
-            scope[name] = value
-
-    for name in sorted(randoms):
-        scope[name] = params[name].sample(gen)
-
-    for name in _formula_order(params):
-        scope[name] = params[name].evaluate(scope)
-
-    return {name: scope[name] for name in params}
+    return _plan_of(params).evaluate(extra_context, rng)

@@ -84,6 +84,32 @@ def test_build_error_exits_3(tmp_path, capsys):
         assert "cyclic" in err.lower()
 
 
+@pytest.mark.parametrize("where", ["count", "param", "formula"])
+def test_deep_formula_exits_2_without_traceback(tmp_path, capsys, where):
+    deep = "(" * 3000 + "1" + ")" * 3000
+    params = {
+        "count": {"x": 1},
+        "param": {"x": "${" + deep + "}"},
+        "formula": {"x": {"$formula": deep}},
+    }[where]
+    n = "${" + deep + "}" if where == "count" else 2
+    doc = tmp_path / "doc.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "version": 1,
+                "components": [{"name": "r", "ports": ["a", "b"], "params": params}],
+                "circuit": [{"op": "chain", "template": "r", "n": n}],
+            }
+        )
+    )
+    for command in ("build", "export"):
+        code, out, err = run_cli([command, doc], capsys)
+        assert code == 2
+        assert out == ""
+        assert "nests deeper" in err and "Traceback" not in err
+
+
 def test_missing_doc_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["build", tmp_path / "absent.json"], capsys)
     assert code == 2

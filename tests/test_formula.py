@@ -225,3 +225,66 @@ def test_substitution_consistency(ast):
     except EvalError:
         return  # division by zero or domain error: nothing to compare
     assert evaluate(_substituted(ast), {}) == expected
+
+
+# --- nesting cap ------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 200 + "1" + ")" * 200,
+        "-" * 5000 + "1",
+        "2^" * 200 + "2",
+        "abs(" * 200 + "1" + ")" * 200,
+        "+".join(["1"] * 3000),
+        "(" * 3000 + "1" + ")" * 3000,
+    ],
+    ids=["parens", "unary", "power", "calls", "sum-chain", "parens-3000"],
+)
+def test_deep_nesting_is_a_syntax_error(text):
+    with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+        parse_formula(text)
+
+
+def test_realistic_nesting_still_parses():
+    text = "(" * 40 + "w" + " * 2)" * 40
+    assert parse_formula(text).evaluate({"w": 1.0}) == 2.0**40
+    assert parse_formula("-" * 60 + "3").evaluate({}) == 3.0
+    assert parse_formula("+".join(["1"] * 90)).evaluate({}) == 90.0
+    nested = "min(" * 30 + "1" + ", 2)" * 30
+    assert parse_formula(nested).evaluate({}) == 1.0
+
+
+# --- the compiled closure equals the reference tree walk ------------------------------
+
+def _outcome(fn):
+    try:
+        return ("value", fn())
+    except Exception as exc:  # compared by class below
+        return ("error", type(exc))
+
+
+_CONTEXTS = st.fixed_dictionaries(
+    {name: st.floats(-1e3, 1e3, allow_nan=False) for name in _NAMES}
+) | st.just({"a": 0.0, "b2": -0.0, "vth": 1e300, "w": "text", "_x": -2.0}) | st.just({"a": 1.0})
+
+
+@given(_asts(4), _CONTEXTS)
+@settings(max_examples=500)
+def test_compiled_evaluate_matches_reference(ast, context):
+    from netforge.formula import evaluate
+
+    formula = Formula.from_ast(ast)
+    expected = _outcome(lambda: evaluate(ast, context))
+    assert _outcome(lambda: formula.evaluate(context)) == expected
+    # a second call runs the kept closure
+    assert _outcome(lambda: formula.evaluate(context)) == expected
+
+
+def test_nesting_cap_is_inclusive():
+    assert parse_formula("-" * 100 + "3").evaluate({}) == 3.0
+    assert parse_formula("(" * 100 + "1" + ")" * 100).ast == Num(1.0)
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula("-" * 101 + "3")
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula("+".join(["1"] * 102))

@@ -1,10 +1,13 @@
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netforge import Circuit, Component, export
 from netforge.errors import (
     CyclicDependencyError,
     InvalidDistributionError,
@@ -22,6 +25,8 @@ from netforge.params import (
     uniform,
 )
 from netforge.rng import Xoshiro256StarStar
+
+from sample_circuits import ro_circuit
 
 
 def test_params_preserve_insertion_order():
@@ -214,3 +219,146 @@ def test_gauss_statistics():
     std = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
     assert abs(mean - 0.4) < 0.005
     assert abs(std - 0.1) < 0.005
+
+
+# --- every mutator checks values and drops the cached plan ----------------------
+
+@pytest.mark.parametrize(
+    "mutate,error",
+    [
+        (lambda p: p.update({"x": float("nan")}), ValueError),
+        (lambda p: p.update({"y": True}), TypeError),
+        (lambda p: p.update({"z": [1]}), TypeError),
+        (lambda p: p.update(x=float("inf")), ValueError),
+        (lambda p: p.setdefault("a", float("inf")), ValueError),
+        (lambda p: p.__ior__({"b": float("nan")}), ValueError),
+        (lambda p: p.update({"": 1.0}), TypeError),
+    ],
+)
+def test_mutators_reject_bad_values(mutate, error):
+    params = Params({"w": 1.0})
+    with pytest.raises(error):
+        mutate(params)
+    assert eval_params(params) == {"w": 1.0}
+
+
+def test_ior_operator_checks_values():
+    params = Params({"w": 1.0})
+    with pytest.raises(ValueError):
+        params |= {"b": float("nan")}
+    params |= {"b": 2.0}
+    assert eval_params(params) == {"w": 1.0, "b": 2.0}
+
+
+def test_setdefault_keeps_existing_value():
+    params = Params({"w": 1.0})
+    assert params.setdefault("w", 5.0) == 1.0
+    assert params.setdefault("l", 2.0) == 2.0
+    assert eval_params(params) == {"w": 1.0, "l": 2.0}
+
+
+@pytest.mark.parametrize(
+    "mutate,expected",
+    [
+        (lambda p: p.__setitem__("a", 5.0), {"a": 5.0, "b": 10.0}),
+        (lambda p: p.update({"a": 4.0}), {"a": 4.0, "b": 8.0}),
+        (lambda p: p.__ior__({"b": Formula("a * 3")}), {"a": 1.0, "b": 3.0}),
+        (lambda p: p.__setitem__("b", Formula("a + w")), None),
+        (lambda p: p.setdefault("w", 7.0), {"a": 1.0, "b": 2.0, "w": 7.0}),
+        (lambda p: p.__delitem__("b"), {"a": 1.0}),
+        (lambda p: p.pop("b"), {"a": 1.0}),
+        (lambda p: p.popitem(), {"a": 1.0}),
+        (lambda p: p.clear(), {}),
+    ],
+)
+def test_mutation_after_evaluation_is_seen(mutate, expected):
+    params = Params({"a": 1.0, "b": Formula("a * 2")})
+    assert eval_params(params) == {"a": 1.0, "b": 2.0}
+    mutate(params)
+    if expected is None:
+        with pytest.raises(UnresolvedIdentifierError):
+            eval_params(params)
+    else:
+        assert eval_params(params) == expected
+
+
+def test_mutation_that_adds_a_cycle_is_seen():
+    params = Params({"a": 1.0, "b": Formula("a * 2")})
+    eval_params(params)
+    params["a"] = Formula("b")
+    with pytest.raises(CyclicDependencyError):
+        eval_params(params)
+
+
+def test_template_params_mutated_after_export_are_exported():
+    device = Component("dev", ["a", "b"], {"w": 1.0, "area": Formula("w * 2")}, prefix="X")
+    circuit = Circuit()
+    circuit += device @ ["a", "b"]
+    assert "X1 a b dev w=1 area=2\n" in export(circuit, "spice")
+    device.params.update({"w": 3.0})
+    assert "X1 a b dev w=3 area=6\n" in export(circuit, "spice")
+    device.params["extra"] = Formula("area + 1")
+    assert "X1 a b dev w=3 area=6 extra=7\n" in export(circuit, "spice")
+
+
+def test_plan_is_built_once_and_reused():
+    params = Params({"w": 1.0, "vth": gauss(0.4, 0.1), "t": Formula("1 / vth")})
+    plan = params.plan
+    eval_params(params, rng=3)
+    assert params.plan is plan
+    assert [name for name, _ in plan.formulas] == ["t"]
+    params["w"] = 2.0
+    assert params.plan is not plan
+
+
+def test_plan_of_plain_dict_matches_params():
+    values = {"b": Formula("a + 1"), "a": 2.0, "g": uniform(0.0, 1.0)}
+    assert eval_params(values, rng=9) == eval_params(Params(values), rng=9)
+
+
+def test_merged_and_copy_do_not_share_a_plan():
+    base = Params({"a": 1.0, "b": Formula("a * 2")})
+    eval_params(base)
+    child = base.merged({"a": 4.0})
+    copy = base.copy()
+    assert eval_params(child) == {"a": 4.0, "b": 8.0}
+    copy["a"] = 5.0
+    assert eval_params(copy) == {"a": 5.0, "b": 10.0}
+    assert eval_params(base) == {"a": 1.0, "b": 2.0}
+
+
+# --- copies and pickles ----------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_formula_and_params_copy_and_pickle(duplicate):
+    formula = Formula("w * l * 2")
+    assert formula.evaluate({"w": 1.0, "l": 3.0}) == 6.0  # compiled before copying
+    twin = duplicate(formula)
+    assert twin == formula and twin.text == formula.text
+    assert twin.evaluate({"w": 2.0, "l": 3.0}) == 12.0
+
+    params = Params({"w": 1.0, "vth": gauss(0.4, 0.1), "t": Formula("1 / vth")})
+    eval_params(params, rng=5)
+    twin = duplicate(params)
+    assert type(twin) is Params and twin == params
+    assert eval_params(twin, rng=5) == eval_params(params, rng=5)
+    with pytest.raises(ValueError):
+        twin["w"] = float("nan")
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+    ids=["deepcopy", "pickle"],
+)
+def test_circuit_with_formulas_copies_and_exports_same_bytes(duplicate):
+    circuit = ro_circuit()
+    before = export(circuit, "spice", seed=4)
+    twin = duplicate(circuit)
+    assert twin == circuit
+    assert export(twin, "spice", seed=4) == before
+    assert export(twin, "spectre", seed=4) == export(circuit, "spectre", seed=4)
