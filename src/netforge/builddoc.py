@@ -210,6 +210,7 @@ class _Builder:
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise SchemaError("seed must be an integer", "seed")
         self.seed = seed
+        self.seed_derived = False  # see build_circuit
 
         self.library: dict = {}  # device name -> ParamSet, later files shadow
         self.file_models: dict[str, Model] = {}
@@ -463,6 +464,7 @@ class _Builder:
                 seed = _count(node["seed"], self.variables, f"{path}.seed")
             else:
                 seed = derive_seed(self.seed, self._op_counter)
+                self.seed_derived = True
             return Inject(source, p, defect=defect, rng=seed)
 
         if op == "concat":
@@ -544,6 +546,7 @@ class _Builder:
             circuit.add(model)
         self.run_ops(self.doc.get("circuit", []), circuit, "circuit")
         _validate_parameter_graphs(circuit)
+        circuit.seed_derived = self.seed_derived
         return circuit
 
 
@@ -589,5 +592,9 @@ def build_circuit(doc: dict, doc_dir, set_vars=None, seed=None, corner=None) -> 
 
     `set_vars` overrides document variables, `seed` the document seed, and
     `corner` the active corner used by corner-less params_from references.
+    The circuit's `seed_derived` is True when the build derived a seed from
+    the document seed (an inject node without "seed"). When it is False, the
+    seed reaches the circuit only as `rng_seed`: setting `rng_seed` to
+    another seed gives the circuit a build with that seed would give.
     """
     return _Builder(doc, Path(doc_dir), set_vars, seed, corner).build()

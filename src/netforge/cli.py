@@ -23,7 +23,14 @@ from .errors import (
     SchemaError,
     UnknownDialectError,
 )
-from .exporters import export, exporter_for, lint, registered_dialects, write_atomic
+from .exporters import (
+    _seed_exporter,
+    export,
+    exporter_for,
+    lint,
+    registered_dialects,
+    write_atomic,
+)
 from .numfmt import format_number
 
 EXIT_OK = 0
@@ -164,6 +171,9 @@ def _cmd_sweep(args) -> int:
     failure: Exception | None = None
     for corner in corners:
         for combo in combos:
+            # one build and one lint per corner x values serve every seed,
+            # unless the build derived a seed from the document seed
+            emit = None
             for seed in seeds:
                 file_name = _variant_name(stem, corner, combo, seed, ext)
                 variants.append(
@@ -175,14 +185,18 @@ def _cmd_sweep(args) -> int:
                     }
                 )
                 try:
-                    circuit = builddoc.build_circuit(
-                        doc,
-                        Path(args.doc).parent,
-                        set_vars={**base_vars, **dict(combo)},
-                        seed=seed,
-                        corner=corner,
-                    )
-                    text = export(circuit, args.dialect)
+                    if emit is None or circuit.seed_derived:
+                        circuit = builddoc.build_circuit(
+                            doc,
+                            Path(args.doc).parent,
+                            set_vars={**base_vars, **dict(combo)},
+                            seed=seed,
+                            corner=corner,
+                        )
+                        emit = _seed_exporter(circuit, args.dialect)
+                    # export_json writes rng_seed and ignores the seed argument
+                    circuit.rng_seed = seed
+                    text = emit(seed)
                 except NetforgeError as exc:
                     variants[-1]["error"] = str(exc)
                     failure = exc

@@ -557,6 +557,9 @@ class Circuit(_InstanceScope):
         self.global_nets: list[str] = list(dict.fromkeys(global_nets))
         self.directives: list[str] = []
         self.rng_seed = int(rng_seed)
+        # True when a build derived part of the structure from rng_seed, so
+        # another seed needs another build; build documents set it
+        self.seed_derived = False
         self._init_scope()
 
     def add(self, element) -> "Circuit":

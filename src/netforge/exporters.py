@@ -7,12 +7,14 @@ simulator-agnostic; exporter_for() is the one lookup, and write_atomic() the
 one file writer, that the library and the CLI share.
 
 The text dialects are tables (_TextDialect) over one traversal,
-_export_text: lint, then models, subcircuits and instances resolved through
-eval_params with one rng seeded explicitly. A table holds only what a dialect
-changes: header, keyword prefix, parameter and net formats, and footer. So
-equal (circuit, seed) pairs always produce byte-identical output, every text
-dialect draws the same values in the same order, and different seeds can only
-change parameter value tokens, never topology lines.
+_text_exporter: lint once, then, for each seed, models, subcircuits and
+instances resolved through eval_params with one rng seeded explicitly. A
+table holds only what a dialect changes: header, keyword prefix, parameter
+and net formats, and footer. So equal (circuit, seed) pairs always produce
+byte-identical output, every text dialect draws the same values in the same
+order, and different seeds can only change parameter value tokens, never
+topology lines. _seed_exporter gives any dialect that seed -> text form, so
+export() and a many-seed sweep share one path.
 
 The JSON dialect is different in kind: it round-trips the circuit losslessly,
 with formulas and distributions still unresolved, and therefore neither
@@ -25,7 +27,6 @@ import json
 import os
 import secrets
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 from .core import (
@@ -50,7 +51,7 @@ from .errors import (
 from .formula import Formula
 from .io_readers import ParamFile, value_from_json
 from .numfmt import format_number
-from .params import Params, RandomSpec, eval_params
+from .params import Params, RandomSpec, eval_params, plan_of
 from .rng import Xoshiro256StarStar
 
 __all__ = [
@@ -257,6 +258,10 @@ class _TextDialect:
     nets: str  # an instance's nets; "{}" takes the space-joined net names
     footer: tuple  # lines after the directives
 
+    def __call__(self, circuit: Circuit, seed: int, options: dict) -> str:
+        # the registered exporter contract; _seed_exporter lints once for many seeds
+        return _text_exporter(self, circuit, options)(seed)
+
 
 _SPICE = _TextDialect(("{title}",), ".", " ({})", " {}", "{}", (".end",))
 _SPECTRE = _TextDialect(
@@ -278,7 +283,13 @@ def _net_text(net) -> str:
 
 def _param_tokens(params: Params, rng, context=None) -> list[str]:
     values = eval_params(params, extra_context=context, rng=rng)
-    return [f"{name}={_fmt_value(value)}" for name, value in values.items()]
+    # constants were formatted once for the plan; only drawn and computed
+    # values are formatted here
+    constants = plan_of(params).constant_tokens(_fmt_value)
+    return [
+        constants.get(name) or f"{name}={_fmt_value(value)}"
+        for name, value in values.items()
+    ]
 
 
 def _line_params(inst: Instance) -> Params:
@@ -303,33 +314,40 @@ def _instance_line(dialect: _TextDialect, inst: Instance, rng) -> str:
     return " ".join(parts)
 
 
-def _export_text(dialect: _TextDialect, circuit: Circuit, seed: int, options: dict) -> str:
-    """Lint, then walk models, subcircuits and instances with one rng, so every
-    text dialect draws the same random values in the same order."""
+def _text_exporter(dialect: _TextDialect, circuit: Circuit, options: dict):
+    """Lint once, then return seed -> text: each call walks models, subcircuits
+    and instances with one rng, so every text dialect draws the same random
+    values in the same order."""
     report = lint(circuit)
     if report.has_errors:
         raise LintErrors(report)
-    rng = Xoshiro256StarStar(seed)
     kw = dialect.keyword
-
-    def with_params(line, params, fmt):
-        tokens = _param_tokens(params, rng)
-        return line + fmt.format(" ".join(tokens)) if tokens else line
-
     title = str(options.get("title", "Generated netlist"))
-    lines = [line.format(title=title) for line in dialect.header]
-    for model in circuit.models.values():
-        line = f"{kw}model {model.name} {model.base_type}"
-        lines.append(with_params(line, model.params, dialect.model_params))
-    for sub in _reachable_subcircuits(circuit):
-        line = f"{kw}subckt {sub.name} {' '.join(sub.pins)}"
-        lines.append(with_params(line, sub.params, dialect.subckt_params))
-        lines += [_instance_line(dialect, inst, rng) for inst in sub.body]
-        lines.append(f"{kw}ends {sub.name}")
-    lines += [_instance_line(dialect, inst, rng) for inst in circuit.instances]
-    lines += circuit.directives
-    lines += dialect.footer
-    return "\n".join(lines) + "\n"
+    header = [line.format(title=title) for line in dialect.header]
+    subckts = _reachable_subcircuits(circuit)
+
+    def emit(seed: int) -> str:
+        rng = Xoshiro256StarStar(seed)
+
+        def with_params(line, params, fmt):
+            tokens = _param_tokens(params, rng)
+            return line + fmt.format(" ".join(tokens)) if tokens else line
+
+        lines = list(header)
+        for model in circuit.models.values():
+            line = f"{kw}model {model.name} {model.base_type}"
+            lines.append(with_params(line, model.params, dialect.model_params))
+        for sub in subckts:
+            line = f"{kw}subckt {sub.name} {' '.join(sub.pins)}"
+            lines.append(with_params(line, sub.params, dialect.subckt_params))
+            lines += [_instance_line(dialect, inst, rng) for inst in sub.body]
+            lines.append(f"{kw}ends {sub.name}")
+        lines += [_instance_line(dialect, inst, rng) for inst in circuit.instances]
+        lines += circuit.directives
+        lines += dialect.footer
+        return "\n".join(lines) + "\n"
+
+    return emit
 
 
 # --- JSON intermediate representation ------------------------------------------------
@@ -428,6 +446,10 @@ def _expect(condition, message, path):
         raise SchemaError(message, path)
 
 
+def _is_text_list(raw) -> bool:
+    return isinstance(raw, list) and all(isinstance(item, str) for item in raw)
+
+
 def _params_from_ir(raw, path) -> Params:
     _expect(isinstance(raw, dict), "expected a parameter object", path)
     params = Params()
@@ -441,16 +463,21 @@ def _instance_from_ir(raw, templates, path) -> Instance:
     _expect("template" in raw, "instance needs a template name", path)
     _expect(isinstance(raw.get("nets"), list), "instance needs a nets array", path)
     name = raw["template"]
-    nets = tuple(as_net(n) for n in raw["nets"])
+    try:
+        nets = tuple(as_net(n) for n in raw["nets"])
+    except TypeError as exc:
+        raise SchemaError(str(exc), f"{path}.nets") from None
     template = templates.get(name)
     if template is None:
         template = UnresolvedTemplate(name, len(nets))
+    context = raw.get("context", {})
+    _expect(isinstance(context, dict), "context must be an object", f"{path}.context")
     inst = Instance(
         template,
         nets,
         _params_from_ir(raw.get("params", {}), f"{path}.params"),
         designator=raw.get("designator"),
-        context=dict(raw.get("context", {})),
+        context=dict(context),
     )
     return inst
 
@@ -492,11 +519,14 @@ def import_json(text: str) -> Circuit:
             f"unsupported circuit format version {version!r}, expected {JSON_IR_VERSION}"
         )
 
-    circuit = Circuit(
-        rng_seed=raw.get("rng_seed", 0),
-        global_nets=raw.get("globals", ()),
-    )
-    circuit.directives = [str(d) for d in raw.get("directives", [])]
+    seed = raw.get("rng_seed", 0)
+    _expect(isinstance(seed, int) and not isinstance(seed, bool), "expected an integer", "rng_seed")
+    global_nets = raw.get("globals", [])
+    _expect(_is_text_list(global_nets), "expected an array of net names", "globals")
+    directives = raw.get("directives", [])
+    _expect(_is_text_list(directives), "expected an array of strings", "directives")
+    circuit = Circuit(rng_seed=seed, global_nets=global_nets)
+    circuit.directives = list(directives)
 
     templates: dict[str, object] = {}
     for name, comp_raw in dict(raw.get("components", {})).items():
@@ -566,8 +596,8 @@ def write_param_file(param_file: ParamFile) -> str:
 # --- registry and atomic writing ----------------------------------------------------
 
 _REGISTRY = {
-    "spice": partial(_export_text, _SPICE),
-    "spectre": partial(_export_text, _SPECTRE),
+    "spice": _SPICE,
+    "spectre": _SPECTRE,
     "json-ir": _export_json_dialect,
 }
 
@@ -591,16 +621,28 @@ def exporter_for(dialect: str):
     return exporter
 
 
+def _seed_exporter(circuit: Circuit, dialect: str, options=None):
+    """seed -> text for one circuit in one dialect, for exporting many seeds.
+
+    Text dialects lint here, once (raising LintErrors), and walk the circuit
+    on each call; any other exporter is called with each seed. The circuit
+    must not change between calls.
+    """
+    exporter = exporter_for(dialect)
+    options = dict(options or {})
+    if isinstance(exporter, _TextDialect):
+        return _text_exporter(exporter, circuit, options)
+    return lambda seed: exporter(circuit, seed, options)
+
+
 def export(circuit: Circuit, dialect: str = "spice", seed: int | None = None, options=None) -> str:
     """Render a circuit in the given dialect.
 
     `seed` drives formula/random resolution and defaults to the circuit's own
     rng_seed; text dialects refuse to export when lint finds errors.
     """
-    exporter = exporter_for(dialect)
-    if seed is None:
-        seed = circuit.rng_seed
-    return exporter(circuit, seed, dict(options or {}))
+    emit = _seed_exporter(circuit, dialect, options)
+    return emit(circuit.rng_seed if seed is None else seed)
 
 
 def write_atomic(path, text: str) -> None:

@@ -14,8 +14,8 @@ sqrt, exp, ln, log10, pow.
 
 Nesting is capped at MAX_DEPTH levels, counted across parentheses, unary
 minus, '^' and calls while parsing, and over the finished tree's depth, so
-every recursive walk stays far from Python's recursion limit; deeper text
-raises FormulaSyntaxError.
+every recursive walk stays far from Python's recursion limit; deeper text,
+or a deeper tree given to Formula.from_ast, raises FormulaSyntaxError.
 
 Formula.evaluate compiles its AST once, on first use, into a closure that it
 keeps on the Formula; later calls run the closure instead of walking the tree.
@@ -238,9 +238,13 @@ def _parse_text(text: str) -> Expr:
         raise FormulaSyntaxError("empty formula", 0)
     node = _Parser(text).parse()
     # a long chain such as "1+1+...+1" parses in a loop but still nests deeply
+    _check_depth(node)
+    return node
+
+
+def _check_depth(node: Expr) -> None:
     if _depth(node) > MAX_DEPTH:
         raise FormulaSyntaxError(f"formula nests deeper than {MAX_DEPTH} levels", 0)
-    return node
 
 
 def _children(node: Expr) -> tuple:
@@ -459,6 +463,7 @@ class Formula:
 
     @classmethod
     def from_ast(cls, ast: Expr) -> "Formula":
+        _check_depth(ast)  # before unparse, which recurses
         self = cls.__new__(cls)
         object.__setattr__(self, "text", unparse(ast))
         object.__setattr__(self, "ast", ast)

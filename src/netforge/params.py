@@ -7,10 +7,11 @@ random spec exactly once per call from an explicit seeded generator, so a
 
 Everything about a parameter map that does not depend on the context or the
 seed is analysed once, into a ParamPlan that the Params keeps: the constant
-values, the random specs in name order (the draw order), and the formulas in
-dependency order. Every mutation of a Params (item assignment or deletion,
-update, setdefault, |=, pop, popitem, clear) goes through one checked path
-that also drops the plan, so the next evaluation analyses the new contents.
+values (and, once an exporter asks, their `name=value` tokens), the random
+specs in name order (the draw order), and the formulas in dependency order.
+Every mutation of a Params (item assignment or deletion, update, setdefault,
+|=, pop, popitem, clear) goes through one checked path that also drops the
+plan, so the next evaluation analyses the new contents.
 Evaluating through the plan gives the same values, drawn in the same order,
 bit for bit, as analysing the map on every call.
 """
@@ -280,10 +281,11 @@ class ParamPlan:
     the constants, the random specs in name order, and the formulas in
     dependency order. Building one raises CyclicDependencyError on a cycle."""
 
-    __slots__ = ("names", "constants", "randoms", "formulas")
+    __slots__ = ("names", "constants", "randoms", "formulas", "_constant_tokens")
 
     def __init__(self, params):
         self.names = tuple(params)
+        self._constant_tokens = None
         self.constants = {}
         randoms = []
         for name, value in params.items():
@@ -293,6 +295,17 @@ class ParamPlan:
                 self.constants[name] = value
         self.randoms = sorted(randoms, key=lambda item: item[0])
         self.formulas = [(name, params[name]) for name in _formula_order(params)]
+
+    def constant_tokens(self, fmt) -> dict:
+        """name -> f"{name}={fmt(value)}" for each constant, made on the first
+        call and kept with the plan. Constants shadow the context and draw
+        nothing, so their text depends on neither; `fmt` is the one value
+        formatter of the exporters."""
+        if self._constant_tokens is None:
+            self._constant_tokens = {
+                name: f"{name}={fmt(value)}" for name, value in self.constants.items()
+            }
+        return self._constant_tokens
 
     def evaluate(self, extra_context=None, rng=None) -> dict:
         """Resolve every parameter; see eval_params."""
@@ -306,8 +319,8 @@ class ParamPlan:
         return {name: scope[name] for name in self.names}
 
 
-def _plan_of(params) -> ParamPlan:
-    # a plain mapping gets a fresh plan; a Params keeps its own
+def plan_of(params) -> ParamPlan:
+    """The plan of `params`: a Params keeps its own, a plain mapping gets a fresh one."""
     return params.plan if isinstance(params, Params) else ParamPlan(params)
 
 
@@ -318,7 +331,7 @@ def validate_dependencies(params: Params) -> None:
     later evaluations reuse, so failing fast at construction costs nothing
     extra at export.
     """
-    _plan_of(params)
+    plan_of(params)
 
 
 def eval_params(params: Params, extra_context=None, rng=None) -> dict:
@@ -329,4 +342,4 @@ def eval_params(params: Params, extra_context=None, rng=None) -> dict:
     evaluated after their dependencies; they may reference sibling parameters
     and `extra_context` names (sibling parameters shadow the context).
     """
-    return _plan_of(params).evaluate(extra_context, rng)
+    return plan_of(params).evaluate(extra_context, rng)

@@ -390,6 +390,115 @@ def test_sweep_rejects_bad_vary_spec(doc_dir, tmp_path, capsys):
     assert code == 2
 
 
+# --- sweep: one build per corner x values, every seed exported from it --------------
+
+SWEEP_CORNERS = ("TT", "FF")
+SWEEP_SEEDS = (7, 8, 9)
+SWEEP_EXT = {"spice": "sp", "spectre": "scs", "json-ir": "json"}
+
+
+def _unseeded_inject_doc(doc_dir):
+    """ro.json plus an inject without "seed": its defects follow the document seed."""
+    doc = json.loads((doc_dir / RO_DOC).read_text())
+    doc["circuit"].append(
+        {"op": "inject", "p": 0.5, "into": {"op": "chain", "template": "nmos_tt", "n": 8}}
+    )
+    path = doc_dir / "ro_inject.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _sweep(path, dialect, out_dir, capsys, *extra):
+    corners = [arg for corner in SWEEP_CORNERS for arg in ("--corner", corner)]
+    code, _, err = run_cli(
+        ["sweep", path, *corners, "--seeds", len(SWEEP_SEEDS), "--dialect", dialect,
+         *extra, "--out", out_dir],
+        capsys,
+    )
+    return code, err
+
+
+@pytest.mark.parametrize("dialect", ["spice", "spectre", "json-ir"])
+@pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "unseeded-inject"])
+def test_sweep_files_equal_separate_builds(doc_dir, tmp_path, capsys, dialect, seeded):
+    from netforge.exporters import export
+
+    path = doc_dir / RO_DOC if seeded else _unseeded_inject_doc(doc_dir)
+    out_dir = tmp_path / "sweep"
+    code, _ = _sweep(path, dialect, out_dir, capsys, "--set", "N_RO_PER_CHAIN=3")
+    assert code == 0
+    doc = builddoc.load_doc(path)
+    variants = []
+    for corner in SWEEP_CORNERS:
+        for seed in SWEEP_SEEDS:
+            name = f"{path.stem}__{corner}__s{seed}.{SWEEP_EXT[dialect]}"
+            variants.append({"file": name, "corner": corner, "vars": {}, "seed": seed})
+            circuit = builddoc.build_circuit(
+                doc, doc_dir, set_vars={"N_RO_PER_CHAIN": 3}, seed=seed, corner=corner
+            )
+            assert (out_dir / name).read_text() == export(circuit, dialect), name
+    manifest = {"version": 1, "doc": path.name, "dialect": dialect, "variants": variants}
+    assert (out_dir / "manifest.json").read_text() == json.dumps(manifest, indent=2) + "\n"
+    assert len(list(out_dir.iterdir())) == len(variants) + 1
+
+
+def test_unseeded_inject_changes_structure_with_seed(doc_dir):
+    # the rebuild path above matters: another seed injects other defects
+    doc = builddoc.load_doc(_unseeded_inject_doc(doc_dir))
+    masters = {
+        seed: [i.template.name for i in builddoc.build_circuit(doc, doc_dir, seed=seed).instances]
+        for seed in SWEEP_SEEDS
+    }
+    assert len({tuple(m) for m in masters.values()}) > 1
+
+
+@pytest.mark.parametrize("seeded, builds", [(True, 2), (False, 6)], ids=["seeded", "unseeded-inject"])
+def test_sweep_builds_and_lints_once_per_corner(doc_dir, tmp_path, capsys, monkeypatch, seeded, builds):
+    from netforge import exporters
+
+    counts = {"build": 0, "lint": 0}
+    build_circuit, lint = builddoc.build_circuit, exporters.lint
+
+    def counting_build(*args, **kwargs):
+        counts["build"] += 1
+        return build_circuit(*args, **kwargs)
+
+    def counting_lint(circuit):
+        counts["lint"] += 1
+        return lint(circuit)
+
+    monkeypatch.setattr(builddoc, "build_circuit", counting_build)
+    monkeypatch.setattr(exporters, "lint", counting_lint)
+    path = doc_dir / RO_DOC if seeded else _unseeded_inject_doc(doc_dir)
+    code, _ = _sweep(path, "spice", tmp_path / "sweep", capsys)
+    assert code == 0
+    assert counts == {"build": builds, "lint": builds}
+
+
+def test_sweep_export_error_lands_on_its_own_seed(doc_dir, tmp_path, capsys):
+    # sqrt of a gauss(0, 1) draw fails for some seeds only
+    doc = json.loads((doc_dir / RO_DOC).read_text())
+    doc["components"].append(
+        {"name": "probe", "ports": ["a", "b"], "prefix": "R",
+         "params": {"v": {"$gauss": [0, 1]}, "r": {"$formula": "sqrt(v)"}}}
+    )
+    doc["circuit"].append({"op": "instance", "template": "probe", "nets": ["OUTPUT", "GND"]})
+    path = doc_dir / "ro_probe.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "sweep"
+    code, _, err = run_cli(["sweep", path, "--seeds", "12", "--out", out_dir], capsys)
+    assert code == 3
+    assert "sweep failed" in err
+    variants = json.loads((out_dir / "manifest.json").read_text())["variants"]
+    *passed, failed = variants
+    assert [v["seed"] for v in variants] == list(range(7, 7 + len(variants)))
+    assert 1 < len(variants) < 12  # some seeds pass first, so the failure is seed-specific
+    assert "error" in failed and not any("error" in v for v in passed)
+    assert not (out_dir / failed["file"]).exists()
+    for variant in passed:
+        assert (out_dir / variant["file"]).exists()
+
+
 # --- cross-process determinism -----------------------------------------------------
 
 def test_export_bytes_identical_across_processes(doc_dir):

@@ -17,6 +17,7 @@ from netforge.errors import (
     DuplicateSubcircuitError,
     LintErrors,
     NetforgeError,
+    SchemaError,
     UnknownDialectError,
     VersionMismatchError,
 )
@@ -24,6 +25,7 @@ from netforge.exporters import (
     export,
     export_json,
     export_to_file,
+    exporter_for,
     import_json,
     lint,
     register_exporter,
@@ -391,6 +393,16 @@ def test_register_and_dispatch_custom_dialect():
         del exporters._REGISTRY["fake-test"]
 
 
+@pytest.mark.parametrize("dialect", ["spice", "spectre", "json-ir"])
+def test_registered_exporters_keep_the_plugin_signature(dialect):
+    circuit = ro_circuit()
+    exporter = exporter_for(dialect)
+    for seed in (0, 5):
+        assert exporter(circuit, seed, {"title": "t"}) == export(
+            circuit, dialect, seed, {"title": "t"}
+        )
+
+
 def test_duplicate_dialect_rejected():
     with pytest.raises(DuplicateDialectError):
         register_exporter("spice", lambda c, s, o: "")
@@ -416,6 +428,45 @@ def test_empty_circuit_json_shape():
 def test_version_mismatch_rejected():
     with pytest.raises(VersionMismatchError):
         import_json('{"version": 2, "instances": []}')
+
+
+def _set_globals(raw):
+    raw["globals"] = 5
+
+
+def _set_context(raw):
+    raw["instances"][0]["context"] = [1, 2]
+
+
+def _set_float_net(raw):
+    raw["instances"][0]["nets"][0] = 1.5
+
+
+def _set_seed(raw):
+    raw["rng_seed"] = "x"
+
+
+def _set_directives(raw):
+    raw["directives"] = "abc"
+
+
+@pytest.mark.parametrize(
+    "mutate, path",
+    [
+        (_set_globals, "globals"),
+        (_set_context, "instances[0].context"),
+        (_set_float_net, "instances[0].nets"),
+        (_set_seed, "rng_seed"),
+        (_set_directives, "directives"),
+    ],
+    ids=["globals-number", "context-array", "float-net", "seed-text", "directives-text"],
+)
+def test_import_rejects_malformed_fields_with_path(mutate, path):
+    raw = json.loads(export_json(capacitor_circuit()))
+    mutate(raw)
+    with pytest.raises(SchemaError) as info:
+        import_json(json.dumps(raw))
+    assert info.value.path == path
 
 
 def test_round_trip_structural_equality():

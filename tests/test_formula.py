@@ -246,6 +246,21 @@ def test_deep_nesting_is_a_syntax_error(text):
         parse_formula(text)
 
 
+def _nested_neg(depth):
+    node = Num(1.0)
+    for _ in range(depth):
+        node = Neg(node)
+    return node
+
+
+def test_deep_ast_is_a_syntax_error_in_from_ast():
+    with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+        Formula.from_ast(_nested_neg(3000))
+    with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+        Formula.from_ast(_nested_neg(101))
+    assert Formula.from_ast(_nested_neg(100)).evaluate({}) == 1.0
+
+
 def test_realistic_nesting_still_parses():
     text = "(" * 40 + "w" + " * 2)" * 40
     assert parse_formula(text).evaluate({"w": 1.0}) == 2.0**40

@@ -2,14 +2,15 @@
 
 These tests count work instead of timing it: building and exporting a long
 chain must analyse each distinct Params once (one `_formula_order` call per
-plan) and compile each Formula object once, whatever the chain's length.
+plan) and compile each Formula object once, whatever the chain's length,
+and format each constant value once per plan.
 """
 
 import json
 
 import pytest
 
-from netforge import formula, params
+from netforge import builddoc, exporters, formula, params
 from netforge.cli import main
 
 N = 2_000
@@ -107,3 +108,36 @@ def test_instances_with_overrides_get_their_own_plan(tmp_path, counters):
     assert main(["build", str(path)]) == 0
     # dev once for the whole chain; the overridden load gets a merged map
     assert counters["plans"] == 2
+
+
+@pytest.fixture
+def formatted(monkeypatch):
+    """Every value the exporters pass to format_number, in call order."""
+    calls = []
+    format_number = exporters.format_number
+
+    def counting_format(value):
+        calls.append(value)
+        return format_number(value)
+
+    monkeypatch.setattr(exporters, "format_number", counting_format)
+    return calls
+
+
+@pytest.mark.parametrize("n", [10, N])
+def test_constant_is_formatted_once_per_plan(tmp_path, formatted, n):
+    text = _export(tmp_path, n, "spice")
+    assert text.count(" w=1e-6 ") == n
+    assert formatted.count(1e-6) == 1
+
+
+def test_constant_tokens_follow_a_template_mutation(tmp_path, formatted):
+    doc = _chain_doc(N)
+    circuit = builddoc.build_circuit(doc, tmp_path)
+    first = exporters.export(circuit)
+    template = circuit.instances[0].template
+    template.params["w"] = 2.5e-6
+    second = exporters.export(circuit)
+    assert first.count(" w=1e-6 ") == N and " w=2.5e-6 " not in first
+    assert second.count(" w=2.5e-6 ") == N and " w=1e-6 " not in second
+    assert formatted.count(1e-6) == 1 and formatted.count(2.5e-6) == 1
