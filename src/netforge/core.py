@@ -56,13 +56,14 @@ _DESIGNATOR_RE = re.compile(r"([A-Za-z_]+)(\d+)\Z")
 DEFAULT_GLOBALS = ("GND", "VDD", "0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Net:
     """A named electrical node; `name` is None for the unconnected marker.
 
     Integer literals are accepted wherever nets are and normalize to their
     decimal text ("0" is ground by SPICE convention). Symbolic names are
-    case-sensitive and match [A-Za-z_][A-Za-z0-9_.]*.
+    case-sensitive and match [A-Za-z_][A-Za-z0-9_.]*. Nets are immutable
+    values without a __dict__, so instances may share one freely.
     """
 
     name: str | None
@@ -406,7 +407,10 @@ class _InstanceScope:
         self._link_groups: dict[_LinkGroup, int] = {}
         self._next_link_group = 0
 
-    def _finalize_nets(self, inst: Instance) -> None:
+    def _finalize_nets(self, inst: Instance, links: dict) -> None:
+        """Name the chain links of `inst`. `links` maps the link names given
+        during one add() to their Net, so the instances a link joins share
+        one Net object."""
         if not any(isinstance(n, PendingNet) for n in inst.nets):
             return
         nets = []
@@ -417,9 +421,11 @@ class _InstanceScope:
                     k = self._next_link_group
                     self._next_link_group += 1
                     self._link_groups[net.group] = k
-                nets.append(Net(f"net_{k}_{net.index}"))
-            else:
-                nets.append(net)
+                name = f"net_{k}_{net.index}"
+                net = links.get(name)
+                if net is None:
+                    net = links[name] = Net(name)
+            nets.append(net)
         inst.nets = tuple(nets)
 
     def _assign_designator(self, inst: Instance) -> None:
@@ -492,9 +498,10 @@ class Subcircuit(_TemplateOps, _InstanceScope):
         """Append instances (or register nested definitions) in order."""
         if self.fixed:
             raise FrozenSubcircuitError(f"subcircuit {self.name!r} is fixed")
+        links: dict[str, Net] = {}
         for inst in _iter_addable(element):
             if isinstance(inst, Instance):
-                self._finalize_nets(inst)
+                self._finalize_nets(inst, links)
                 self._assign_designator(inst)
                 self.body.append(inst)
             elif isinstance(inst, Subcircuit):
@@ -565,9 +572,10 @@ class Circuit(_InstanceScope):
     def add(self, element) -> "Circuit":
         """Insert instances, manipulations, models, subcircuit definitions,
         or (possibly nested) sequences of those, in order."""
+        links: dict[str, Net] = {}
         for item in _iter_addable(element):
             if isinstance(item, Instance):
-                self._insert(item)
+                self._insert(item, links)
             elif isinstance(item, Model):
                 self._register_model(item)
             elif isinstance(item, Subcircuit):
@@ -579,8 +587,8 @@ class Circuit(_InstanceScope):
     def __iadd__(self, element):
         return self.add(element)
 
-    def _insert(self, inst: Instance) -> None:
-        self._finalize_nets(inst)
+    def _insert(self, inst: Instance, links: dict) -> None:
+        self._finalize_nets(inst, links)
         if isinstance(inst.template, Subcircuit):
             self._register_subcircuit(inst.template)
         self._assign_designator(inst)

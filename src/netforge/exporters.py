@@ -7,14 +7,18 @@ simulator-agnostic; exporter_for() is the one lookup, and write_atomic() the
 one file writer, that the library and the CLI share.
 
 The text dialects are tables (_TextDialect) over one traversal,
-_text_exporter: lint once, then, for each seed, models, subcircuits and
-instances resolved through eval_params with one rng seeded explicitly. A
-table holds only what a dialect changes: header, keyword prefix, parameter
-and net formats, and footer. So equal (circuit, seed) pairs always produce
-byte-identical output, every text dialect draws the same values in the same
-order, and different seeds can only change parameter value tokens, never
-topology lines. _seed_exporter gives any dialect that seed -> text form, so
-export() and a many-seed sweep share one path.
+_text_exporter: lint once; lay the netlist out once (_line_frame) into the
+literal lines and, for each line with drawn or computed values, its prefix
+and the ParamPlan that renders its tokens; then, for each seed, walk that
+frame with one rng seeded explicitly, drawing, evaluating and formatting
+values only. A table holds only what a dialect changes: header, keyword
+prefix, parameter and net formats, and footer. So equal (circuit, seed)
+pairs always produce byte-identical output, every text dialect draws the
+same values in the same order, and different seeds can only change
+parameter value tokens, never topology lines. _seed_exporter gives any
+dialect that seed -> text form, so export() and a many-seed sweep share one
+path; the circuit must not change between the calls of one seed -> text
+function.
 
 The JSON dialect is different in kind: it round-trips the circuit losslessly,
 with formulas and distributions still unresolved, and therefore neither
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import secrets
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,7 +56,9 @@ from .errors import (
 from .formula import Formula
 from .io_readers import ParamFile, value_from_json
 from .numfmt import format_number
-from .params import Params, RandomSpec, eval_params, plan_of
+# perfbench/tracer.py wraps eval_params under this module's name, so it stays
+# importable here although text export renders through ParamPlan.render
+from .params import Params, RandomSpec, eval_params, plan_of  # noqa: F401
 from .rng import Xoshiro256StarStar
 
 __all__ = [
@@ -86,12 +93,14 @@ class Finding:
 
 
 class LintReport:
-    """Deterministically ordered findings (by location, then code)."""
+    """Deterministically ordered findings (by location, then code), and the
+    subcircuit definitions that lint checked, in emission order."""
 
-    def __init__(self, findings):
+    def __init__(self, findings, subcircuits=()):
         self.findings = tuple(
             sorted(findings, key=lambda f: (f.location, f.code, f.message))
         )
+        self.subcircuits = tuple(subcircuits)
 
     @property
     def errors(self) -> tuple:
@@ -244,7 +253,7 @@ def lint(circuit: Circuit) -> LintReport:
                         f"{sub.name}.{pin}",
                     )
                 )
-    return LintReport(findings)
+    return LintReport(findings, subckts)
 
 
 # --- text dialects: one traversal, a table of what differs per dialect --------
@@ -275,23 +284,6 @@ def _fmt_value(value) -> str:
     return format_number(value)
 
 
-def _net_text(net) -> str:
-    if net.is_unconnected:
-        raise NetforgeError("unconnected net reached the exporter; run lint first")
-    return str(net)
-
-
-def _param_tokens(params: Params, rng, context=None) -> list[str]:
-    values = eval_params(params, extra_context=context, rng=rng)
-    # constants were formatted once for the plan; only drawn and computed
-    # values are formatted here
-    constants = plan_of(params).constant_tokens(_fmt_value)
-    return [
-        constants.get(name) or f"{name}={_fmt_value(value)}"
-        for name, value in values.items()
-    ]
-
-
 def _line_params(inst: Instance) -> Params:
     # subcircuit defaults already live on the definition header, so instance
     # lines pass only the explicit overrides; primitive templates have no
@@ -302,50 +294,86 @@ def _line_params(inst: Instance) -> Params:
     return inst.effective_params() if inst.overrides else inst.template.params
 
 
-def _instance_line(dialect: _TextDialect, inst: Instance, rng) -> str:
+def _instance_prefix(dialect: _TextDialect, inst: Instance) -> str:
+    """`designator nets master`: everything on an instance line but its values."""
     if inst.designator is None:
         raise NetforgeError(
             f"instance of {inst.template.name!r} has no designator; "
             "insert it through a circuit or subcircuit before exporting"
         )
-    nets = dialect.nets.format(" ".join([_net_text(net) for net in inst.nets]))
-    parts = [inst.designator, *([nets] if nets else []), inst.template.name]
-    parts += _param_tokens(_line_params(inst), rng, inst.context)
-    return " ".join(parts)
+    if any(net.is_unconnected for net in inst.nets):
+        raise NetforgeError("unconnected net reached the exporter; run lint first")
+    nets = dialect.nets.format(" ".join([str(net) for net in inst.nets]))
+    return " ".join([inst.designator, *([nets] if nets else []), inst.template.name])
+
+
+def _line_frame(dialect: _TextDialect, circuit: Circuit, subckts, header) -> tuple:
+    """Lay a netlist out once for every seed, as (frame, tail).
+
+    `frame` is a flat list of (text, plan, context) triples: a seed's netlist
+    is, for each triple, the text followed by the plan's tokens rendered
+    with that context, and then `tail`. A text holds the end of the line
+    before it, every line in between that draws and computes nothing, and
+    the prefix of its own line, so the frame costs one string per line with
+    drawn or computed values. Plans are shared through their Params, except
+    that a primitive instance with overrides brings the plan of its merged
+    map.
+    """
+    frame: list = []
+    text: list[str] = []  # since the last parameterised line
+
+    def line(prefix: str, params, wrap: str, context=None):
+        # `wrap` is the dialect's parameter format: "{}" takes the tokens
+        plan = plan_of(params) if params else None
+        if plan is not None:
+            head, slots = plan.layout(_fmt_value)
+            before, _, after = wrap.partition("{}")
+            if slots:
+                text.extend((prefix, before))
+                frame.extend(("".join(text), plan, context if plan.formulas else None))
+                text[:] = (after, "\n")
+                return
+            prefix = f"{prefix}{before}{head}{after}"
+        text.extend((prefix, "\n"))
+
+    kw = dialect.keyword
+    for header_line in header:
+        line(header_line, None, "")
+    for model in circuit.models.values():
+        line(f"{kw}model {model.name} {model.base_type}", model.params, dialect.model_params)
+    for sub in subckts:
+        line(f"{kw}subckt {sub.name} {' '.join(sub.pins)}", sub.params, dialect.subckt_params)
+        for inst in sub.body:
+            line(_instance_prefix(dialect, inst), _line_params(inst), " {}", inst.context)
+        line(f"{kw}ends {sub.name}", None, "")
+    for inst in circuit.instances:
+        line(_instance_prefix(dialect, inst), _line_params(inst), " {}", inst.context)
+    for literal in (*circuit.directives, *dialect.footer):
+        line(literal, None, "")
+    return frame, "".join(text)
 
 
 def _text_exporter(dialect: _TextDialect, circuit: Circuit, options: dict):
-    """Lint once, then return seed -> text: each call walks models, subcircuits
-    and instances with one rng, so every text dialect draws the same random
-    values in the same order."""
+    """Lint once and lay the lines out once (_line_frame), then return
+    seed -> text: each call draws with one rng through the frame in line
+    order, so every text dialect draws the same random values in the same
+    order. The circuit must not change between calls."""
     report = lint(circuit)
     if report.has_errors:
         raise LintErrors(report)
-    kw = dialect.keyword
     title = str(options.get("title", "Generated netlist"))
     header = [line.format(title=title) for line in dialect.header]
-    subckts = _reachable_subcircuits(circuit)
+    frame, tail = _line_frame(dialect, circuit, report.subcircuits, header)
 
     def emit(seed: int) -> str:
         rng = Xoshiro256StarStar(seed)
-
-        def with_params(line, params, fmt):
-            tokens = _param_tokens(params, rng)
-            return line + fmt.format(" ".join(tokens)) if tokens else line
-
-        lines = list(header)
-        for model in circuit.models.values():
-            line = f"{kw}model {model.name} {model.base_type}"
-            lines.append(with_params(line, model.params, dialect.model_params))
-        for sub in subckts:
-            line = f"{kw}subckt {sub.name} {' '.join(sub.pins)}"
-            lines.append(with_params(line, sub.params, dialect.subckt_params))
-            lines += [_instance_line(dialect, inst, rng) for inst in sub.body]
-            lines.append(f"{kw}ends {sub.name}")
-        lines += [_instance_line(dialect, inst, rng) for inst in circuit.instances]
-        lines += circuit.directives
-        lines += dialect.footer
-        return "\n".join(lines) + "\n"
+        entries = iter(frame)  # zip below takes them three at a time
+        out = [
+            plan.render(text, _fmt_value, context, rng)
+            for text, plan, context in zip(entries, entries, entries)
+        ]
+        out.append(tail)
+        return "".join(out)
 
     return emit
 
@@ -450,6 +478,17 @@ def _is_text_list(raw) -> bool:
     return isinstance(raw, list) and all(isinstance(item, str) for item in raw)
 
 
+def _members(raw: dict, key: str, path: str) -> dict:
+    """The name -> definition object under `key`, empty when absent."""
+    members = raw.get(key, {})
+    _expect(isinstance(members, dict), "expected an object of named definitions", path)
+    return members
+
+
+# a designator starts every instance line, so it must stay one token
+_DESIGNATOR_TOKEN_RE = re.compile(r"[^\s=]+\Z")
+
+
 def _params_from_ir(raw, path) -> Params:
     _expect(isinstance(raw, dict), "expected a parameter object", path)
     params = Params()
@@ -472,11 +511,20 @@ def _instance_from_ir(raw, templates, path) -> Instance:
         template = UnresolvedTemplate(name, len(nets))
     context = raw.get("context", {})
     _expect(isinstance(context, dict), "context must be an object", f"{path}.context")
+    designator = raw.get("designator")
+    # an alphanumeric designator, the usual case, needs no pattern match
+    if designator is not None and not (
+        isinstance(designator, str)
+        and (designator.isalnum() or _DESIGNATOR_TOKEN_RE.match(designator))
+    ):
+        raise SchemaError(
+            "designator must be non-empty text without whitespace or '='", f"{path}.designator"
+        )
     inst = Instance(
         template,
         nets,
         _params_from_ir(raw.get("params", {}), f"{path}.params"),
-        designator=raw.get("designator"),
+        designator=designator,
         context=dict(context),
     )
     return inst
@@ -486,7 +534,7 @@ def _subckt_shell_from_ir(name, raw, path) -> Subcircuit:
     _expect(isinstance(raw, dict), "expected a subcircuit object", path)
     _expect(isinstance(raw.get("pins"), list), "subcircuit needs a pins array", path)
     sub = Subcircuit(name, raw["pins"], _params_from_ir(raw.get("params", {}), f"{path}.params"))
-    for nested_name, nested_raw in dict(raw.get("nested", {})).items():
+    for nested_name, nested_raw in _members(raw, "nested", f"{path}.nested").items():
         sub.nested.append(
             _subckt_shell_from_ir(nested_name, nested_raw, f"{path}.nested.{nested_name}")
         )
@@ -497,7 +545,7 @@ def _fill_subckt_from_ir(sub: Subcircuit, raw, templates, path) -> None:
     scope = dict(templates)
     for nested in sub.nested:
         scope[nested.name] = nested
-    for nested, (nested_name, nested_raw) in zip(sub.nested, dict(raw.get("nested", {})).items()):
+    for nested, (nested_name, nested_raw) in zip(sub.nested, raw.get("nested", {}).items()):
         _fill_subckt_from_ir(nested, nested_raw, scope, f"{path}.nested.{nested_name}")
     for i, inst_raw in enumerate(raw.get("body", [])):
         sub.body.append(_instance_from_ir(inst_raw, scope, f"{path}.body[{i}]"))
@@ -529,21 +577,21 @@ def import_json(text: str) -> Circuit:
     circuit.directives = list(directives)
 
     templates: dict[str, object] = {}
-    for name, comp_raw in dict(raw.get("components", {})).items():
+    for name, comp_raw in _members(raw, "components", "components").items():
         path = f"components.{name}"
         _expect(isinstance(comp_raw, dict), "expected a component object", path)
         _expect(isinstance(comp_raw.get("ports"), list), "component needs ports", path)
         metadata = comp_raw.get("metadata", {})
         _expect(isinstance(metadata, dict), "metadata must be an object", path)
-        templates[name] = Component(
-            name,
-            comp_raw["ports"],
-            _params_from_ir(comp_raw.get("params", {}), f"{path}.params"),
-            prefix=comp_raw.get("prefix"),
-            metadata=metadata,
-        )
+        params = _params_from_ir(comp_raw.get("params", {}), f"{path}.params")
+        try:
+            templates[name] = Component(
+                name, comp_raw["ports"], params, prefix=comp_raw.get("prefix"), metadata=metadata
+            )
+        except (TypeError, ValueError) as exc:  # a prefix, port or metadata value
+            raise SchemaError(str(exc), path) from None
 
-    subckts_raw = dict(raw.get("subcircuits", {}))
+    subckts_raw = _members(raw, "subcircuits", "subcircuits")
     shells: dict[str, Subcircuit] = {}
     for name, sub_raw in subckts_raw.items():
         shells[name] = _subckt_shell_from_ir(name, sub_raw, f"subcircuits.{name}")
@@ -553,7 +601,7 @@ def import_json(text: str) -> Circuit:
         _fill_subckt_from_ir(shells[name], sub_raw, scope, f"subcircuits.{name}")
     circuit.subcircuits = shells
 
-    for name, model_raw in dict(raw.get("models", {})).items():
+    for name, model_raw in _members(raw, "models", "models").items():
         path = f"models.{name}"
         _expect(isinstance(model_raw, dict), "expected a model object", path)
         _expect("base_type" in model_raw, "model needs a base_type", path)

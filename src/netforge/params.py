@@ -7,8 +7,9 @@ random spec exactly once per call from an explicit seeded generator, so a
 
 Everything about a parameter map that does not depend on the context or the
 seed is analysed once, into a ParamPlan that the Params keeps: the constant
-values (and, once an exporter asks, their `name=value` tokens), the random
-specs in name order (the draw order), and the formulas in dependency order.
+values (and, once an exporter asks, the token layout with their `name=value`
+text), the random specs in name order (the draw order), and the formulas in
+dependency order.
 Every mutation of a Params (item assignment or deletion, update, setdefault,
 |=, pop, popitem, clear) goes through one checked path that also drops the
 plan, so the next evaluation analyses the new contents.
@@ -281,11 +282,11 @@ class ParamPlan:
     the constants, the random specs in name order, and the formulas in
     dependency order. Building one raises CyclicDependencyError on a cycle."""
 
-    __slots__ = ("names", "constants", "randoms", "formulas", "_constant_tokens")
+    __slots__ = ("names", "constants", "randoms", "formulas", "_layout")
 
     def __init__(self, params):
         self.names = tuple(params)
-        self._constant_tokens = None
+        self._layout = None
         self.constants = {}
         randoms = []
         for name, value in params.items():
@@ -296,19 +297,28 @@ class ParamPlan:
         self.randoms = sorted(randoms, key=lambda item: item[0])
         self.formulas = [(name, params[name]) for name in _formula_order(params)]
 
-    def constant_tokens(self, fmt) -> dict:
-        """name -> f"{name}={fmt(value)}" for each constant, made on the first
-        call and kept with the plan. Constants shadow the context and draw
-        nothing, so their text depends on neither; `fmt` is the one value
-        formatter of the exporters."""
-        if self._constant_tokens is None:
-            self._constant_tokens = {
-                name: f"{name}={fmt(value)}" for name, value in self.constants.items()
-            }
-        return self._constant_tokens
+    def layout(self, fmt) -> tuple:
+        """This map's tokens (`name=value`, space-separated, in map order) as
+        (head, ((name, tail), ...)): the head, then for each drawn or
+        computed value its formatted text and its tail. Constants draw
+        nothing and shadow the context, so their text is formatted here,
+        once, with `fmt` (the exporters' one value formatter), into the head
+        and tails. Made on the first call and kept with the plan."""
+        if self._layout is None:
+            pieces = [""]
+            slots = []
+            for i, name in enumerate(self.names):
+                space = " " if i else ""
+                if name in self.constants:
+                    pieces[-1] += f"{space}{name}={fmt(self.constants[name])}"
+                else:
+                    pieces[-1] += f"{space}{name}="
+                    slots.append(name)
+                    pieces.append("")
+            self._layout = (pieces[0], tuple(zip(slots, pieces[1:])))
+        return self._layout
 
-    def evaluate(self, extra_context=None, rng=None) -> dict:
-        """Resolve every parameter; see eval_params."""
+    def _resolve(self, extra_context, rng) -> dict:
         gen = as_generator(rng)
         scope = dict(extra_context) if extra_context else {}
         scope.update(self.constants)
@@ -316,7 +326,23 @@ class ParamPlan:
             scope[name] = spec.sample(gen)
         for name, formula in self.formulas:
             scope[name] = formula.evaluate(scope)
+        return scope
+
+    def evaluate(self, extra_context=None, rng=None) -> dict:
+        """Resolve every parameter; see eval_params."""
+        scope = self._resolve(extra_context, rng)
         return {name: scope[name] for name in self.names}
+
+    def render(self, before: str, fmt, extra_context=None, rng=None) -> str:
+        """`before` followed by this map's tokens (see layout): one evaluation,
+        drawing and computing exactly what evaluate does, whose drawn and
+        computed values are formatted with `fmt`."""
+        head, slots = self.layout(fmt)
+        scope = self._resolve(extra_context, rng)
+        parts = [before, head]
+        for name, tail in slots:
+            parts += (fmt(scope[name]), tail)
+        return "".join(parts)
 
 
 def plan_of(params) -> ParamPlan:

@@ -23,7 +23,7 @@ from netforge.errors import (
     FrozenSubcircuitError,
     NetNameError,
 )
-from netforge.manip import Manipulation, Parallel
+from netforge.manip import Chain, Inject, Manipulation, Parallel
 from netforge.params import Params
 
 
@@ -56,6 +56,33 @@ def test_net_rejects_bad_names():
 
 def test_net_allows_dots_and_underscores():
     assert as_net("X_0.a").name == "X_0.a"
+
+
+def test_net_has_no_instance_dict():
+    net = Net("a")
+    assert not hasattr(net, "__dict__")
+    with pytest.raises(AttributeError):
+        net.name = "b"
+
+
+@pytest.mark.parametrize(
+    "scope", [Circuit, lambda: Subcircuit("S", ["a", "d"])], ids=["circuit", "subcircuit"]
+)
+def test_chain_neighbours_share_one_link_net(scope):
+    dev = Component("dev", ["a", "b", "c", "d"])
+    container = scope()
+    container += Inject(Chain(dev, 6, in_port=0, out_port=3), p=0.5, rng=3)
+    placed = container.instances if isinstance(container, Circuit) else container.body
+    chain = [inst for inst in placed if inst.template is dev]
+    assert len(chain) == 6
+    for a, b in zip(chain, chain[1:]):
+        assert str(a.nets[3]).startswith("net_0_")
+        assert a.nets[3] is b.nets[0]
+    # Inject places each defect just before its device, on the device's out port
+    defects = [(d, inst) for d, inst in zip(placed, placed[1:]) if d.template is not dev]
+    assert len(defects) > 1
+    for defect, inst in defects:
+        assert defect.nets[0] is inst.nets[3]
 
 
 # --- components ---------------------------------------------------------------

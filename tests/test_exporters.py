@@ -22,6 +22,9 @@ from netforge.errors import (
     VersionMismatchError,
 )
 from netforge.exporters import (
+    _SPICE,
+    _line_frame,
+    _seed_exporter,
     export,
     export_json,
     export_to_file,
@@ -136,6 +139,20 @@ def test_unconnected_blocks_export():
     with pytest.raises(LintErrors) as err:
         export(circuit, "spice")
     assert any(f.code == "UNCONNECTED" for f in err.value.report)
+
+
+def test_instance_without_designator_is_refused_when_laid_out():
+    circuit = capacitor_circuit()
+    circuit.instances.append(Instance(Component("Cap", [0, 1]), (0, 1)))  # not inserted
+    with pytest.raises(NetforgeError, match="instance of 'Cap' has no designator"):
+        _seed_exporter(circuit, "spectre")
+
+
+def test_unconnected_net_past_lint_is_refused_when_laid_out():
+    circuit = Circuit()
+    circuit += Component("Cap", [0, 1]) @ ["", "x"]
+    with pytest.raises(NetforgeError, match="unconnected net reached the exporter"):
+        _line_frame(_SPICE, circuit, (), [])  # what emission sees without lint
 
 
 def test_evaluation_errors_propagate_from_export():
@@ -367,6 +384,22 @@ def test_lint_reports_duplicate_subckt_instead_of_raising():
         export_json(duplicate_subckt_circuit())
 
 
+def test_text_export_walks_the_hierarchy_once(monkeypatch):
+    from netforge import exporters
+
+    calls = []
+    walk = exporters._reachable_subcircuits
+    monkeypatch.setattr(
+        exporters, "_reachable_subcircuits", lambda *args: calls.append(1) or walk(*args)
+    )
+    circuit = ro_circuit()
+    text = export(circuit, "spice")
+    assert len(calls) == 1  # lint's walk also gives the order of the definitions
+    assert [sub.name for sub in lint(circuit).subcircuits] == [
+        line.split()[1] for line in text.splitlines() if line.startswith(".subckt")
+    ]
+
+
 def test_lint_str_is_stable():
     circuit = Circuit()
     circuit += Component("res", ["a", "b"]) @ ["n1", "GND"]
@@ -450,6 +483,29 @@ def _set_directives(raw):
     raw["directives"] = "abc"
 
 
+def _set_designator(value):
+    def mutate(raw):
+        raw["instances"][0]["designator"] = value
+    return mutate
+
+
+def _set_component(key, value):
+    def mutate(raw):
+        raw["components"]["Cap"][key] = value
+    return mutate
+
+
+def _as_pairs(key, value):
+    # an array of [name, definition] pairs in place of the name -> definition object
+    def mutate(raw):
+        raw[key] = [[name, definition] for name, definition in value.items()]
+    return mutate
+
+
+def _set_nested_pairs(raw):
+    raw["subcircuits"] = {"S": {"pins": ["a"], "nested": [["T", {"pins": ["b"]}]]}}
+
+
 @pytest.mark.parametrize(
     "mutate, path",
     [
@@ -458,8 +514,23 @@ def _set_directives(raw):
         (_set_float_net, "instances[0].nets"),
         (_set_seed, "rng_seed"),
         (_set_directives, "directives"),
+        (_set_designator(5), "instances[0].designator"),
+        (_set_designator("C 1"), "instances[0].designator"),
+        (_set_designator("C=1"), "instances[0].designator"),
+        (_set_designator(""), "instances[0].designator"),
+        (_set_component("prefix", 5), "components.Cap"),
+        (_set_component("metadata", {"note": 5}), "components.Cap"),
+        (_as_pairs("components", {"Cap": {"ports": ["0", "1"]}}), "components"),
+        (_as_pairs("models", {"m": {"base_type": "nmos"}}), "models"),
+        (_as_pairs("subcircuits", {"S": {"pins": ["a"]}}), "subcircuits"),
+        (_set_nested_pairs, "subcircuits.S.nested"),
     ],
-    ids=["globals-number", "context-array", "float-net", "seed-text", "directives-text"],
+    ids=[
+        "globals-number", "context-array", "float-net", "seed-text", "directives-text",
+        "designator-number", "designator-space", "designator-equals", "designator-empty",
+        "prefix-number", "metadata-number", "components-pairs", "models-pairs",
+        "subcircuits-pairs", "nested-pairs",
+    ],
 )
 def test_import_rejects_malformed_fields_with_path(mutate, path):
     raw = json.loads(export_json(capacitor_circuit()))

@@ -3,14 +3,16 @@
 These tests count work instead of timing it: building and exporting a long
 chain must analyse each distinct Params once (one `_formula_order` call per
 plan) and compile each Formula object once, whatever the chain's length,
-and format each constant value once per plan.
+and format each constant value once per plan; and a second seed through one
+text exporter lays no line out again, only drawing, evaluating and
+formatting values.
 """
 
 import json
 
 import pytest
 
-from netforge import builddoc, exporters, formula, params
+from netforge import builddoc, core, exporters, formula, params
 from netforge.cli import main
 
 N = 2_000
@@ -141,3 +143,46 @@ def test_constant_tokens_follow_a_template_mutation(tmp_path, formatted):
     assert first.count(" w=1e-6 ") == N and " w=2.5e-6 " not in first
     assert second.count(" w=2.5e-6 ") == N and " w=1e-6 " not in second
     assert formatted.count(1e-6) == 1 and formatted.count(2.5e-6) == 1
+
+
+@pytest.fixture
+def emit_counts(monkeypatch):
+    """Calls of the per-line work of a text export, by name."""
+    counts = dict.fromkeys(["prefix", "net_str", "sample", "evaluate", "format"], 0)
+
+    def counting(owner, attr, key):
+        original = getattr(owner, attr)
+
+        def wrapper(*args):
+            counts[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counting(exporters, "_instance_prefix", "prefix")
+    counting(core.Net, "__str__", "net_str")
+    counting(params.RandomSpec, "sample", "sample")
+    counting(formula.Formula, "evaluate", "evaluate")
+    counting(exporters, "format_number", "format")
+    return counts
+
+
+@pytest.mark.parametrize("n", [10, N])
+def test_second_emit_only_draws_evaluates_and_formats(tmp_path, emit_counts, n):
+    circuit = builddoc.build_circuit(_chain_doc(n), tmp_path)
+    emit = exporters._seed_exporter(circuit, "spice")
+    assert emit_counts["prefix"] == n + 1  # the chain and the load, laid out once
+
+    def per_emit(seed):
+        before = dict(emit_counts)
+        text = emit(seed)
+        return text, {key: emit_counts[key] - before[key] for key in emit_counts}
+
+    first_text, first = per_emit(5)
+    second_text, second = per_emit(5)
+    assert second_text == first_text == exporters.export(circuit, seed=5)
+    # l and vth drawn, 1/vth and w*l*2 computed, and formatted, per device;
+    # the load's 1/r computed and formatted; constants were formatted before
+    per_seed = {"prefix": 0, "net_str": 0, "sample": 2 * n, "evaluate": 2 * n + 1,
+                "format": 4 * n + 1}
+    assert first == second == per_seed

@@ -26,7 +26,7 @@ from netforge.params import (
 )
 from netforge.rng import Xoshiro256StarStar
 
-from sample_circuits import ro_circuit
+from sample_circuits import defect_chain_circuit, ro_circuit
 
 
 def test_params_preserve_insertion_order():
@@ -356,9 +356,22 @@ def test_formula_and_params_copy_and_pickle(duplicate):
     ids=["deepcopy", "pickle"],
 )
 def test_circuit_with_formulas_copies_and_exports_same_bytes(duplicate):
-    circuit = ro_circuit()
-    before = export(circuit, "spice", seed=4)
-    twin = duplicate(circuit)
-    assert twin == circuit
-    assert export(twin, "spice", seed=4) == before
-    assert export(twin, "spectre", seed=4) == export(circuit, "spectre", seed=4)
+    for circuit in (ro_circuit(), defect_chain_circuit()):
+        before = export(circuit, "spice", seed=4)
+        twin = duplicate(circuit)
+        assert twin == circuit
+        assert export(twin, "spice", seed=4) == before
+        assert export(twin, "spectre", seed=4) == export(circuit, "spectre", seed=4)
+        # chain links stay one Net shared by the instances they join
+        assert _shared_nets(twin) == _shared_nets(circuit)
+
+
+def _shared_nets(circuit):
+    """(i, j) for each pair of top-level instances that hold one Net object."""
+    instances = circuit.instances
+    return {
+        (i, j)
+        for i, inst in enumerate(instances)
+        for j in range(i + 1, len(instances))
+        if any(net is other for net in inst.nets for other in instances[j].nets)
+    }
