@@ -123,6 +123,7 @@ class PendingNet:
 
 
 NetLike = Union[Net, PendingNet, str, int, None]
+_NET_TYPES = (Net, PendingNet)
 
 
 def as_net(value: NetLike) -> Net | PendingNet:
@@ -292,7 +293,10 @@ class Instance(_TemplateOps):
     context: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.nets = tuple(as_net(n) for n in self.nets)
+        nets = self.nets
+        # nets that are already Nets (built or imported ones) need no coercion
+        if type(nets) is not tuple or not all(isinstance(n, _NET_TYPES) for n in nets):
+            self.nets = tuple(as_net(n) for n in nets)
         if not isinstance(self.overrides, Params):
             self.overrides = Params(self.overrides)
 
@@ -437,8 +441,12 @@ class _InstanceScope:
         self._counters[prefix] = count
         inst.designator = f"{prefix}{count}"
 
-    def _recover_counters(self, instances: Iterable[Instance]) -> None:
-        """After an import, continue numbering past what is already used."""
+    def _recover_counters(self, instances: Iterable[Instance], nets: Iterable[Net]) -> None:
+        """After an import, continue numbering past what is already used.
+
+        `nets` holds each distinct named net of `instances` at least once
+        (numeric names may be left out: a chain link name never is numeric).
+        """
         for inst in instances:
             if inst.designator:
                 m = _DESIGNATOR_RE.match(inst.designator)
@@ -446,11 +454,12 @@ class _InstanceScope:
                     prefix, num = m.group(1), int(m.group(2))
                     if num > self._counters.get(prefix, 0):
                         self._counters[prefix] = num
-            for net in inst.nets:
-                if isinstance(net, Net) and net.name:
-                    m = _LINK_NET_RE.match(net.name)
-                    if m and int(m.group(1)) >= self._next_link_group:
-                        self._next_link_group = int(m.group(1)) + 1
+        for net in nets:
+            name = net.name
+            if name and name.startswith("net_"):
+                m = _LINK_NET_RE.match(name)
+                if m and int(m.group(1)) >= self._next_link_group:
+                    self._next_link_group = int(m.group(1)) + 1
 
 
 class Subcircuit(_TemplateOps, _InstanceScope):

@@ -22,12 +22,17 @@ function.
 
 The JSON dialect is different in kind: it round-trips the circuit losslessly,
 with formulas and distributions still unresolved, and therefore neither
-evaluates parameters nor runs lint.
+evaluates parameters nor runs lint. export_json writes the subcircuit and
+instance records straight to text, with the bytes json.dumps(indent=2) gives
+their dict form; import_json checks and coerces each net name once per scope
+(the top level and each subcircuit body), and the instances of a scope share
+one Net per name.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import secrets
@@ -39,15 +44,18 @@ from .core import (
     Component,
     Instance,
     Model,
+    Net,
     Subcircuit,
     UnresolvedTemplate,
     as_net,
 )
 from .errors import (
     DuplicateDialectError,
+    DuplicatePinError,
     DuplicateSubcircuitError,
     LintErrors,
     NetforgeError,
+    NetNameError,
     ParseError,
     SchemaError,
     UnknownDialectError,
@@ -392,18 +400,6 @@ def _params_to_json(params: Params) -> dict:
     return {name: _value_to_json(value) for name, value in params.items()}
 
 
-def _instance_to_json(inst: Instance) -> dict:
-    out = {
-        "template": inst.template.name,
-        "nets": [str(n) for n in inst.nets],
-        "params": _params_to_json(inst.overrides),
-        "designator": inst.designator,
-    }
-    if inst.context:
-        out["context"] = dict(inst.context)
-    return out
-
-
 def _component_to_json(comp: Component) -> dict:
     return {
         "ports": [str(p) for p in comp.ports],
@@ -413,14 +409,94 @@ def _component_to_json(comp: Component) -> dict:
     }
 
 
-def _subckt_to_json(sub: Subcircuit) -> dict:
-    return {
-        "pins": list(sub.pins),
-        "params": _params_to_json(sub.params),
-        "fixed": sub.fixed,
-        "nested": {n.name: _subckt_to_json(n) for n in sub.nested},
-        "body": [_instance_to_json(inst) for inst in sub.body],
-    }
+# The records below are written straight to text, byte for byte as
+# json.dumps(..., indent=2) writes their dict form: `indent` is the prefix of
+# the line on which a value starts, text goes through the encoder json itself
+# uses, ints and finite floats through int.__repr__ and float.__repr__ as json
+# does, and every other value through json.dumps, re-indented.
+
+_encode = json.encoder.encode_basestring_ascii
+
+
+def _dumped(value, indent: str) -> str:
+    # json output holds no raw newline inside a string, so every "\n" starts a line
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
+def _json_text(value, indent: str) -> str:
+    if isinstance(value, str):
+        return _encode(value)
+    if value is None:
+        return "null"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return _dumped(value, indent)
+
+
+def _param_text(value, indent: str) -> str:
+    """A parameter value as _value_to_json(value) is written."""
+    inner = indent + "  "
+    if isinstance(value, Formula):
+        return f'{{\n{inner}"$formula": {_encode(value.text)}\n{indent}}}'
+    if isinstance(value, RandomSpec):
+        item = inner + "  "
+        return (
+            f'{{\n{inner}"${value.kind}": [\n{item}{_json_text(value.a, item)},\n'
+            f"{item}{_json_text(value.b, item)}\n{inner}]\n{indent}}}"
+        )
+    return _json_text(value, indent)
+
+
+def _object_text(mapping, indent: str, value_text=_json_text) -> str:
+    if not mapping:
+        return "{}"
+    inner = indent + "  "
+    fields = []
+    for key, value in mapping.items():
+        if not isinstance(key, str):
+            return _dumped(dict(mapping), indent)
+        fields.append(f"{_encode(key)}: {value_text(value, inner)}")
+    return f"{{\n{inner}" + f",\n{inner}".join(fields) + f"\n{indent}}}"
+
+
+def _instances_text(instances, indent: str) -> str:
+    """Instance records, each as {"template", "nets", "params", "designator"}
+    and "context" when it is not empty."""
+    if not instances:
+        return "[]"
+    record = indent + "  "
+    key = record + "  "
+    item = key + "  "
+    net_sep = ",\n" + item
+    records = []
+    for inst in instances:
+        nets = net_sep.join([_encode(str(net)) for net in inst.nets])
+        nets = f"[\n{item}{nets}\n{key}]" if inst.nets else "[]"
+        params = _object_text(inst.overrides, key, _param_text)
+        designator = _json_text(inst.designator, key)
+        context = inst.context
+        context = f',\n{key}"context": {_object_text(context, key)}' if context else ""
+        records.append(
+            f'{{\n{key}"template": {_json_text(inst.template.name, key)},\n'
+            f'{key}"nets": {nets},\n{key}"params": {params},\n'
+            f'{key}"designator": {designator}{context}\n{record}}}'
+        )
+    return f"[\n{record}" + f",\n{record}".join(records) + f"\n{indent}]"
+
+
+def _subckt_text(sub: Subcircuit, indent: str) -> str:
+    """A subcircuit record: pins, params, fixed, nested records by name, body."""
+    key = indent + "  "
+    nested = _object_text({n.name: n for n in sub.nested}, key, _subckt_text)
+    return (
+        f'{{\n{key}"pins": {_dumped(list(sub.pins), key)},\n'
+        f'{key}"params": {_object_text(sub.params, key, _param_text)},\n'
+        f'{key}"fixed": {_dumped(sub.fixed, key)},\n'
+        f'{key}"nested": {nested},\n'
+        f'{key}"body": {_instances_text(sub.body, key)}\n{indent}}}'
+    )
 
 
 def _collect_components(circuit: Circuit) -> dict[str, Component]:
@@ -432,7 +508,7 @@ def _collect_components(circuit: Circuit) -> dict[str, Component]:
             existing = components.get(template.name)
             if existing is None:
                 components[template.name] = template
-            elif existing != template:
+            elif existing is not template and existing != template:
                 raise NetforgeError(
                     f"two different component templates named {template.name!r}; "
                     "rename one before exporting to JSON"
@@ -447,8 +523,13 @@ def _collect_components(circuit: Circuit) -> dict[str, Component]:
 
 
 def export_json(circuit: Circuit) -> str:
-    """Serialize a circuit losslessly, formulas and distributions unresolved."""
-    document = {
+    """Serialize a circuit losslessly, formulas and distributions unresolved.
+
+    The bytes are those of json.dumps(document, indent=2) + "\\n". The small
+    head goes through json.dumps; the subcircuit and instance records, which
+    grow with the circuit, are written straight to text.
+    """
+    head = {
         "version": JSON_IR_VERSION,
         "rng_seed": circuit.rng_seed,
         "globals": list(circuit.global_nets),
@@ -461,12 +542,11 @@ def export_json(circuit: Circuit) -> str:
             name: {"base_type": m.base_type, "params": _params_to_json(m.params)}
             for name, m in circuit.models.items()
         },
-        "subcircuits": {
-            name: _subckt_to_json(sub) for name, sub in circuit.subcircuits.items()
-        },
-        "instances": [_instance_to_json(inst) for inst in circuit.instances],
     }
-    return json.dumps(document, indent=2) + "\n"
+    fields = [f"{_encode(name)}: {_dumped(value, '  ')}" for name, value in head.items()]
+    fields.append(f'"subcircuits": {_object_text(circuit.subcircuits, "  ", _subckt_text)}')
+    fields.append(f'"instances": {_instances_text(circuit.instances, "  ")}')
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
 def _expect(condition, message, path):
@@ -497,15 +577,33 @@ def _params_from_ir(raw, path) -> Params:
     return params
 
 
-def _instance_from_ir(raw, templates, path) -> Instance:
+def _nets_from_ir(raw_nets, scope_nets: dict, path) -> tuple:
+    """Nets of the instance at `path`. `scope_nets` maps each net name seen
+    so far in this scope to its Net, so a name is checked and coerced once
+    per scope and every instance on it shares one Net. Only text keys are
+    kept, so `true` can never find the Net of a `1`."""
+    nets = []
+    for raw in raw_nets:
+        net = scope_nets.get(raw) if isinstance(raw, str) else None
+        if net is None:
+            try:
+                net = as_net(raw)
+            except (TypeError, NetNameError) as exc:
+                raise SchemaError(str(exc), f"{path}.nets") from None
+            if isinstance(raw, str):
+                scope_nets[raw] = net
+        nets.append(net)
+    return tuple(nets)
+
+
+def _instance_from_ir(raw, templates, scope_nets, path) -> Instance:
     _expect(isinstance(raw, dict), "expected an instance object", path)
     _expect("template" in raw, "instance needs a template name", path)
     _expect(isinstance(raw.get("nets"), list), "instance needs a nets array", path)
     name = raw["template"]
-    try:
-        nets = tuple(as_net(n) for n in raw["nets"])
-    except TypeError as exc:
-        raise SchemaError(str(exc), f"{path}.nets") from None
+    if not isinstance(name, str):
+        raise SchemaError("template must be a name", f"{path}.template")
+    nets = _nets_from_ir(raw["nets"], scope_nets, path)
     template = templates.get(name)
     if template is None:
         template = UnresolvedTemplate(name, len(nets))
@@ -520,20 +618,34 @@ def _instance_from_ir(raw, templates, path) -> Instance:
         raise SchemaError(
             "designator must be non-empty text without whitespace or '='", f"{path}.designator"
         )
-    inst = Instance(
+    return Instance(
         template,
         nets,
         _params_from_ir(raw.get("params", {}), f"{path}.params"),
         designator=designator,
         context=dict(context),
     )
-    return inst
+
+
+def _instances_from_ir(raw_list, container, templates, path) -> None:
+    """Import one scope's instance records into `container`, a circuit or a
+    subcircuit, with one Net per net name, and continue its counters."""
+    _expect(isinstance(raw_list, list), "expected an array of instances", path)
+    instances = container.instances if isinstance(container, Circuit) else container.body
+    scope_nets: dict[str, Net] = {}
+    for i, inst_raw in enumerate(raw_list):
+        instances.append(_instance_from_ir(inst_raw, templates, scope_nets, f"{path}[{i}]"))
+    container._recover_counters(instances, scope_nets.values())
 
 
 def _subckt_shell_from_ir(name, raw, path) -> Subcircuit:
     _expect(isinstance(raw, dict), "expected a subcircuit object", path)
     _expect(isinstance(raw.get("pins"), list), "subcircuit needs a pins array", path)
-    sub = Subcircuit(name, raw["pins"], _params_from_ir(raw.get("params", {}), f"{path}.params"))
+    params = _params_from_ir(raw.get("params", {}), f"{path}.params")
+    try:
+        sub = Subcircuit(name, raw["pins"], params)
+    except (NetNameError, DuplicatePinError) as exc:
+        raise SchemaError(str(exc), f"{path}.pins") from None
     for nested_name, nested_raw in _members(raw, "nested", f"{path}.nested").items():
         sub.nested.append(
             _subckt_shell_from_ir(nested_name, nested_raw, f"{path}.nested.{nested_name}")
@@ -547,10 +659,10 @@ def _fill_subckt_from_ir(sub: Subcircuit, raw, templates, path) -> None:
         scope[nested.name] = nested
     for nested, (nested_name, nested_raw) in zip(sub.nested, raw.get("nested", {}).items()):
         _fill_subckt_from_ir(nested, nested_raw, scope, f"{path}.nested.{nested_name}")
-    for i, inst_raw in enumerate(raw.get("body", [])):
-        sub.body.append(_instance_from_ir(inst_raw, scope, f"{path}.body[{i}]"))
-    sub._recover_counters(sub.body)
-    if raw.get("fixed", False):
+    _instances_from_ir(raw.get("body", []), sub, scope, f"{path}.body")
+    fixed = raw.get("fixed", False)
+    _expect(isinstance(fixed, bool), "expected true or false", f"{path}.fixed")
+    if fixed:
         sub.fix()
 
 
@@ -605,17 +717,19 @@ def import_json(text: str) -> Circuit:
         path = f"models.{name}"
         _expect(isinstance(model_raw, dict), "expected a model object", path)
         _expect("base_type" in model_raw, "model needs a base_type", path)
+        base_type = model_raw["base_type"]
+        _expect(
+            isinstance(base_type, str) and base_type,
+            "base_type must be non-empty text",
+            f"{path}.base_type",
+        )
         circuit.models[name] = Model(
             name,
-            model_raw["base_type"],
+            base_type,
             _params_from_ir(model_raw.get("params", {}), f"{path}.params"),
         )
 
-    for i, inst_raw in enumerate(raw.get("instances", [])):
-        circuit.instances.append(
-            _instance_from_ir(inst_raw, scope, f"instances[{i}]")
-        )
-    circuit._recover_counters(circuit.instances)
+    _instances_from_ir(raw.get("instances", []), circuit, scope, "instances")
     return circuit
 
 

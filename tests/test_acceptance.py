@@ -373,7 +373,7 @@ def test_criterion_9_golden_files():
             "ro": ro_circuit,
         }
         for name, factory in cases.items():
-            for dialect, ext in (("spice", "sp"), ("spectre", "scs")):
+            for dialect, ext in (("spice", "sp"), ("spectre", "scs"), ("json-ir", "json")):
                 golden = (GOLDEN_DIR / f"{name}.{ext}").read_text()
                 assert export(factory(), dialect) == golden, f"{name}.{ext} drifted"
 

@@ -506,6 +506,22 @@ def _set_nested_pairs(raw):
     raw["subcircuits"] = {"S": {"pins": ["a"], "nested": [["T", {"pins": ["b"]}]]}}
 
 
+def _set_top(key, value):
+    def mutate(raw):
+        raw[key] = value
+    return mutate
+
+
+def _set_subckt(**fields):
+    def mutate(raw):
+        raw["subcircuits"] = {"S": {"pins": ["a"], **fields}}
+    return mutate
+
+
+def _set_template(raw):
+    raw["instances"][0]["template"] = 5
+
+
 @pytest.mark.parametrize(
     "mutate, path",
     [
@@ -524,12 +540,20 @@ def _set_nested_pairs(raw):
         (_as_pairs("models", {"m": {"base_type": "nmos"}}), "models"),
         (_as_pairs("subcircuits", {"S": {"pins": ["a"]}}), "subcircuits"),
         (_set_nested_pairs, "subcircuits.S.nested"),
+        (_set_top("instances", 5), "instances"),
+        (_set_top("instances", {}), "instances"),
+        (_set_subckt(body=5), "subcircuits.S.body"),
+        (_set_template, "instances[0].template"),
+        (_set_subckt(fixed="no"), "subcircuits.S.fixed"),
+        (_set_top("models", {"m": {"base_type": 5}}), "models.m.base_type"),
+        (_set_subckt(pins=[1]), "subcircuits.S.pins"),
     ],
     ids=[
         "globals-number", "context-array", "float-net", "seed-text", "directives-text",
         "designator-number", "designator-space", "designator-equals", "designator-empty",
         "prefix-number", "metadata-number", "components-pairs", "models-pairs",
-        "subcircuits-pairs", "nested-pairs",
+        "subcircuits-pairs", "nested-pairs", "instances-number", "instances-object",
+        "body-number", "template-number", "fixed-text", "base-type-number", "pin-number",
     ],
 )
 def test_import_rejects_malformed_fields_with_path(mutate, path):

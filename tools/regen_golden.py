@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate the checked-in golden netlists under tests/golden/.
+"""Regenerate the checked-in golden files under tests/golden/: each sample
+circuit as a SPICE and a Spectre netlist and as its JSON IR.
 
 Run from the repository root after an intentional output-format change, then
 review the diff before committing. The byte-equality tests pin these files.
@@ -29,7 +30,7 @@ CASES = {
     "ro": ro_circuit,
 }
 
-EXTENSIONS = {"spice": "sp", "spectre": "scs"}
+EXTENSIONS = {"spice": "sp", "spectre": "scs", "json-ir": "json"}
 
 
 def main() -> int:
