@@ -9,10 +9,12 @@ one file writer, that the library and the CLI share.
 The text dialects are tables (_TextDialect) over one traversal,
 _text_exporter: lint once; lay the netlist out once (_line_frame) into the
 literal lines and, for each line with drawn or computed values, its prefix
-and the ParamPlan that renders its tokens; then, for each seed, walk that
-frame with one rng seeded explicitly, drawing, evaluating and formatting
-values only. A table holds only what a dialect changes: header, keyword
-prefix, parameter and net formats, and footer. So equal (circuit, seed)
+and its ParamPlan's compiled line function (ParamPlan.line); then, for each
+seed, call those functions in line order with one rng seeded explicitly,
+which only draw, evaluate and format values. The names they call per value
+(RandomSpec.sample, Formula.evaluate, and format_number under this module)
+are looked up when the exporter is built. A table holds only what a dialect
+changes: header, keyword prefix, parameter and net formats, and footer. So equal (circuit, seed)
 pairs always produce byte-identical output, every text dialect draws the
 same values in the same order, and different seeds can only change
 parameter value tokens, never topology lines. _seed_exporter gives any
@@ -65,7 +67,7 @@ from .formula import Formula
 from .io_readers import ParamFile, value_from_json
 from .numfmt import format_number
 # perfbench/tracer.py wraps eval_params under this module's name, so it stays
-# importable here although text export renders through ParamPlan.render
+# importable here although text export renders through ParamPlan.line
 from .params import Params, RandomSpec, eval_params, plan_of  # noqa: F401
 from .rng import Xoshiro256StarStar
 
@@ -286,12 +288,6 @@ _SPECTRE = _TextDialect(
 )
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, str):
-        return value
-    return format_number(value)
-
-
 def _line_params(inst: Instance) -> Params:
     # subcircuit defaults already live on the definition header, so instance
     # lines pass only the explicit overrides; primitive templates have no
@@ -318,14 +314,21 @@ def _instance_prefix(dialect: _TextDialect, inst: Instance) -> str:
 def _line_frame(dialect: _TextDialect, circuit: Circuit, subckts, header) -> tuple:
     """Lay a netlist out once for every seed, as (frame, tail).
 
-    `frame` is a flat list of (text, plan, context) triples: a seed's netlist
-    is, for each triple, the text followed by the plan's tokens rendered
-    with that context, and then `tail`. A text holds the end of the line
-    before it, every line in between that draws and computes nothing, and
-    the prefix of its own line, so the frame costs one string per line with
-    drawn or computed values. Plans are shared through their Params, except
-    that a primitive instance with overrides brings the plan of its merged
-    map.
+    `frame` is a flat list of (text, line function, context) triples: a
+    seed's netlist is, for each triple, line_function(text, context, rng),
+    which is the text followed by the plan's tokens rendered with that
+    context, and then `tail`. A text holds the end of the line before it,
+    every line in between that draws and computes nothing, and the prefix
+    of its own line, so the frame costs one string per line with drawn or
+    computed values. Plans, and their line functions, are shared through
+    their Params, except that a primitive instance with overrides brings
+    the plan of its merged map.
+
+    format_number formats every number: the constants here, once per plan,
+    and the drawn and computed values in each call of a line function. It
+    is looked up here, as the exporter is built, and so are the names each
+    line function calls per value (see ParamPlan.line), so that a wrapper
+    installed around one of them by name before then sees every call.
     """
     frame: list = []
     text: list[str] = []  # since the last parameterised line
@@ -334,11 +337,12 @@ def _line_frame(dialect: _TextDialect, circuit: Circuit, subckts, header) -> tup
         # `wrap` is the dialect's parameter format: "{}" takes the tokens
         plan = plan_of(params) if params else None
         if plan is not None:
-            head, slots = plan.layout(_fmt_value)
+            head, slots = plan.layout(format_number)
             before, _, after = wrap.partition("{}")
             if slots:
                 text.extend((prefix, before))
-                frame.extend(("".join(text), plan, context if plan.formulas else None))
+                context = context if plan.formulas else None
+                frame.extend(("".join(text), plan.line(format_number), context))
                 text[:] = (after, "\n")
                 return
             prefix = f"{prefix}{before}{head}{after}"
@@ -377,8 +381,8 @@ def _text_exporter(dialect: _TextDialect, circuit: Circuit, options: dict):
         rng = Xoshiro256StarStar(seed)
         entries = iter(frame)  # zip below takes them three at a time
         out = [
-            plan.render(text, _fmt_value, context, rng)
-            for text, plan, context in zip(entries, entries, entries)
+            line(text, context, rng)
+            for text, line, context in zip(entries, entries, entries)
         ]
         out.append(tail)
         return "".join(out)
@@ -562,6 +566,7 @@ def _members(raw: dict, key: str, path: str) -> dict:
     """The name -> definition object under `key`, empty when absent."""
     members = raw.get(key, {})
     _expect(isinstance(members, dict), "expected an object of named definitions", path)
+    _expect("" not in members, "a definition name must be non-empty", f'{path}[""]')
     return members
 
 

@@ -18,11 +18,11 @@ every recursive walk stays far from Python's recursion limit; deeper text,
 or a deeper tree given to Formula.from_ast, raises FormulaSyntaxError.
 
 Formula.evaluate compiles its AST once, on first use, into a closure that it
-keeps on the Formula; later calls run the closure instead of walking the tree.
-The closure performs the same arithmetic in the same order, with the same
-checks and error types (finiteness, division by zero, unresolved or text
-identifiers), as the tree-walking evaluate(node, context), which stays the
-reference.
+keeps on the Formula (_compile); later calls run the closure and never walk
+the tree. The closure checks every result for finiteness, division by zero
+and unresolved or text identifiers, with the error types in errors.py. A
+plain tree walk with the same arithmetic and checks lives in
+tests/test_formula.py as the reference the closures are compared with.
 """
 
 from __future__ import annotations
@@ -335,47 +335,6 @@ def _apply_call(func: str, args: list[float]) -> float:
     raise AssertionError(func)
 
 
-def evaluate(node: Expr, context) -> float:
-    """Evaluate an AST with `context` mapping identifier -> number."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        if node.name not in context:
-            raise UnresolvedIdentifierError(f"unknown identifier {node.name!r}")
-        value = context[node.name]
-        if isinstance(value, str):
-            raise UnresolvedIdentifierError(
-                f"identifier {node.name!r} refers to text, not a number"
-            )
-        return float(value)
-    if isinstance(node, Neg):
-        return -evaluate(node.operand, context)
-    if isinstance(node, BinOp):
-        left = evaluate(node.left, context)
-        right = evaluate(node.right, context)
-        if node.op == "+":
-            return _check_finite(left + right)
-        if node.op == "-":
-            return _check_finite(left - right)
-        if node.op == "*":
-            return _check_finite(left * right)
-        if node.op == "/":
-            if right == 0.0:
-                raise DivisionByZeroError(f"division by zero in {unparse(node)!r}")
-            return _check_finite(left / right)
-        if node.op == "^":
-            if left == 0.0 and right < 0.0:
-                raise DivisionByZeroError(f"zero raised to negative power in {unparse(node)!r}")
-            try:
-                return _check_finite(math.pow(left, right))
-            except (ValueError, OverflowError) as exc:
-                raise NonFiniteResultError(f"{unparse(node)!r}: {exc}") from exc
-    if isinstance(node, Call):
-        args = [evaluate(a, context) for a in node.args]
-        return _check_finite(_apply_call(node.func, args))
-    raise TypeError(f"not a formula node: {node!r}")
-
-
 def _free_vars(node: Expr, seen: list[str]) -> None:
     if isinstance(node, Var):
         if node.name not in seen:
@@ -388,8 +347,9 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def _compile(node: Expr):
-    """Compile an AST into `fn(context) -> float`, equal to evaluate(node, context):
-    same operations in the same order, same checks, same error types."""
+    """Compile an AST into `fn(context) -> float`: the tree's arithmetic in
+    evaluation order (operands left to right, then the operation), with the
+    finiteness, division-by-zero and identifier checks and their error types."""
     if isinstance(node, Num):
         value = node.value
         return lambda context: value

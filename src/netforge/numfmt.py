@@ -6,6 +6,10 @@ which equals the shortest round-trip form whenever that has at most 12
 significant digits. The one exception is a subnormal, whose few bits of
 precision `.12g` would pad with digits, so it keeps its shortest form when
 that is shorter.
+
+format_number runs once per drawn or computed value of every exported
+netlist, so it normalises the exponent inline, and only when the text has
+one; a subnormal always prints with an exponent.
 """
 
 from __future__ import annotations
@@ -60,11 +64,6 @@ def parse_si_number(text: str):
     return float(f"{literal}e{exponent}")
 
 
-def _normalize_exponent(text: str) -> str:
-    mantissa, e, exp = text.partition("e")
-    return f"{mantissa}e{int(exp)}" if e else text
-
-
 def format_number(value) -> str:
     """Shortest decimal form that round-trips, capped at 12 significant digits.
 
@@ -77,10 +76,13 @@ def format_number(value) -> str:
     if not math.isfinite(f):
         raise ValueError(f"cannot format non-finite number {f!r}")
     text = f"{f:.12g}"
+    if "e" not in text:
+        return text
     if abs(f) < _MIN_NORMAL:
         # a subnormal may hold fewer than 12 digits of precision, so `.12g`
         # can print digits its shortest round-trip form does not need
         shortest = repr(f)
         if len(shortest) <= len(text):
             text = shortest
-    return _normalize_exponent(text)
+    mantissa, _, exponent = text.partition("e")
+    return f"{mantissa}e{int(exponent)}"

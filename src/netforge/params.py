@@ -7,14 +7,22 @@ random spec exactly once per call from an explicit seeded generator, so a
 
 Everything about a parameter map that does not depend on the context or the
 seed is analysed once, into a ParamPlan that the Params keeps: the constant
-values (and, once an exporter asks, the token layout with their `name=value`
-text), the random specs in name order (the draw order), and the formulas in
-dependency order.
+values, the random specs in name order (the draw order), and the formulas in
+dependency order. Once a text exporter asks, the plan also keeps its token
+layout, with the constants' `name=value` text, and its line function: one
+compiled `(before, context, rng) -> str` that draws, computes and formats
+this map's values for one netlist line and does nothing else. It builds a
+scope dict only when the map has formulas; a map of draws and constants
+puts its name-ordered draws into their map-order tokens by an index made
+once. Per value it keeps exactly one call of RandomSpec.sample per draw, of
+Formula.evaluate per formula and of the exporters' format_number per
+formatted value, looked up when the function is compiled, because those
+calls are what tests and the benchmark's tracer count (ParamPlan.line).
 Every mutation of a Params (item assignment or deletion, update, setdefault,
 |=, pop, popitem, clear) goes through one checked path that also drops the
 plan, so the next evaluation analyses the new contents.
-Evaluating through the plan gives the same values, drawn in the same order,
-bit for bit, as analysing the map on every call.
+Evaluating or rendering through the plan gives the same values, drawn in the
+same order, bit for bit, as analysing the map on every call.
 """
 
 from __future__ import annotations
@@ -67,7 +75,7 @@ class RandomSpec:
         return (self.a, self.b)
 
     def sample(self, rng: Xoshiro256StarStar | int | None) -> float:
-        gen = as_generator(rng)
+        gen = rng if type(rng) is Xoshiro256StarStar else as_generator(rng)
         if self.kind == "gauss":
             value = self.a + self.b * gen.gauss(0.0, 1.0)
         elif self.kind == "uniform":
@@ -282,11 +290,12 @@ class ParamPlan:
     the constants, the random specs in name order, and the formulas in
     dependency order. Building one raises CyclicDependencyError on a cycle."""
 
-    __slots__ = ("names", "constants", "randoms", "formulas", "_layout")
+    __slots__ = ("names", "constants", "randoms", "formulas", "_layout", "_line")
 
     def __init__(self, params):
         self.names = tuple(params)
         self._layout = None
+        self._line = None
         self.constants = {}
         randoms = []
         for name, value in params.items():
@@ -300,17 +309,20 @@ class ParamPlan:
     def layout(self, fmt) -> tuple:
         """This map's tokens (`name=value`, space-separated, in map order) as
         (head, ((name, tail), ...)): the head, then for each drawn or
-        computed value its formatted text and its tail. Constants draw
+        computed value its name and the text after it. Constants draw
         nothing and shadow the context, so their text is formatted here,
-        once, with `fmt` (the exporters' one value formatter), into the head
-        and tails. Made on the first call and kept with the plan."""
+        once, into the head and tails: text verbatim, a number with `fmt`
+        (the exporters' number formatter). Made on the first call and kept
+        with the plan."""
         if self._layout is None:
             pieces = [""]
             slots = []
             for i, name in enumerate(self.names):
                 space = " " if i else ""
                 if name in self.constants:
-                    pieces[-1] += f"{space}{name}={fmt(self.constants[name])}"
+                    value = self.constants[name]
+                    text = value if isinstance(value, str) else fmt(value)
+                    pieces[-1] += f"{space}{name}={text}"
                 else:
                     pieces[-1] += f"{space}{name}="
                     slots.append(name)
@@ -318,7 +330,55 @@ class ParamPlan:
             self._layout = (pieces[0], tuple(zip(slots, pieces[1:])))
         return self._layout
 
-    def _resolve(self, extra_context, rng) -> dict:
+    def line(self, fmt):
+        """This map's line function, `(before, context, rng) -> str`: `before`
+        followed by the tokens of layout(fmt), with each drawn or computed
+        value formatted by `fmt`. A call draws and computes exactly what
+        evaluate does, in the same order, with one call of RandomSpec.sample
+        per draw, of Formula.evaluate per formula and of `fmt` per value;
+        those names are looked up here, when the function is compiled, and it
+        is compiled again when one of them is no longer the same object.
+        Drawn and computed values are always finite floats, so they go to
+        `fmt` as they are. Only a plan with formulas builds a scope dict."""
+        key = (fmt, RandomSpec.sample, Formula.evaluate)
+        if self._line is None or self._line[0] != key:
+            self._line = (key, self._compile_line(fmt))
+        return self._line[1]
+
+    def _compile_line(self, fmt):
+        head, slots = self.layout(fmt)
+        # `before` and the values fill the %s fields; the literal text keeps its %
+        text = "%s" + head.replace("%", "%%") + "".join(
+            "%s" + tail.replace("%", "%%") for _, tail in slots
+        )
+        if not self.formulas:
+            # name-sorted draws to map-order slots
+            draw_index = {name: i for i, (name, _) in enumerate(self.randoms)}
+            order = [draw_index[name] for name, _ in slots]
+            samplers = [spec.sample for _, spec in self.randoms]
+
+            def draw_line(before, context, rng):
+                drawn = [sample(rng) for sample in samplers]
+                return text % (before, *[fmt(drawn[i]) for i in order])
+
+            return draw_line
+        constants = self.constants
+        draws = [(name, spec.sample) for name, spec in self.randoms]
+        evaluators = [(name, formula.evaluate) for name, formula in self.formulas]
+        names = [name for name, _ in slots]
+
+        def scope_line(before, context, rng):
+            scope = {**context, **constants} if context else constants.copy()
+            for name, sample in draws:
+                scope[name] = sample(rng)
+            for name, evaluate in evaluators:
+                scope[name] = evaluate(scope)
+            return text % (before, *[fmt(scope[name]) for name in names])
+
+        return scope_line
+
+    def evaluate(self, extra_context=None, rng=None) -> dict:
+        """Resolve every parameter; see eval_params."""
         gen = as_generator(rng)
         scope = dict(extra_context) if extra_context else {}
         scope.update(self.constants)
@@ -326,23 +386,7 @@ class ParamPlan:
             scope[name] = spec.sample(gen)
         for name, formula in self.formulas:
             scope[name] = formula.evaluate(scope)
-        return scope
-
-    def evaluate(self, extra_context=None, rng=None) -> dict:
-        """Resolve every parameter; see eval_params."""
-        scope = self._resolve(extra_context, rng)
         return {name: scope[name] for name in self.names}
-
-    def render(self, before: str, fmt, extra_context=None, rng=None) -> str:
-        """`before` followed by this map's tokens (see layout): one evaluation,
-        drawing and computing exactly what evaluate does, whose drawn and
-        computed values are formatted with `fmt`."""
-        head, slots = self.layout(fmt)
-        scope = self._resolve(extra_context, rng)
-        parts = [before, head]
-        for name, tail in slots:
-            parts += (fmt(scope[name]), tail)
-        return "".join(parts)
 
 
 def plan_of(params) -> ParamPlan:

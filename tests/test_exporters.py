@@ -547,6 +547,10 @@ def _set_template(raw):
         (_set_subckt(fixed="no"), "subcircuits.S.fixed"),
         (_set_top("models", {"m": {"base_type": 5}}), "models.m.base_type"),
         (_set_subckt(pins=[1]), "subcircuits.S.pins"),
+        (_set_top("components", {"": {"ports": ["a"]}}), 'components[""]'),
+        (_set_top("models", {"": {"base_type": "nmos"}}), 'models[""]'),
+        (_set_top("subcircuits", {"": {"pins": ["a"]}}), 'subcircuits[""]'),
+        (_set_subckt(nested={"": {"pins": ["b"]}}), 'subcircuits.S.nested[""]'),
     ],
     ids=[
         "globals-number", "context-array", "float-net", "seed-text", "directives-text",
@@ -554,6 +558,8 @@ def _set_template(raw):
         "prefix-number", "metadata-number", "components-pairs", "models-pairs",
         "subcircuits-pairs", "nested-pairs", "instances-number", "instances-object",
         "body-number", "template-number", "fixed-text", "base-type-number", "pin-number",
+        "component-empty-name", "model-empty-name", "subcircuit-empty-name",
+        "nested-empty-name",
     ],
 )
 def test_import_rejects_malformed_fields_with_path(mutate, path):

@@ -11,7 +11,62 @@ from netforge.errors import (
     UnknownFunctionError,
     UnresolvedIdentifierError,
 )
-from netforge.formula import BinOp, Call, Formula, Neg, Num, Var, parse_formula, unparse
+from netforge.formula import (
+    BinOp,
+    Call,
+    Formula,
+    Neg,
+    Num,
+    Var,
+    _apply_call,
+    _check_finite,
+    parse_formula,
+    unparse,
+)
+
+
+# --- the tree-walking reference evaluator ---------------------------------------------
+
+def evaluate(node, context) -> float:
+    """Evaluate an AST with `context` mapping identifier -> number, by walking
+    the tree: the reference that the compiled closures must equal."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        if node.name not in context:
+            raise UnresolvedIdentifierError(f"unknown identifier {node.name!r}")
+        value = context[node.name]
+        if isinstance(value, str):
+            raise UnresolvedIdentifierError(
+                f"identifier {node.name!r} refers to text, not a number"
+            )
+        return float(value)
+    if isinstance(node, Neg):
+        return -evaluate(node.operand, context)
+    if isinstance(node, BinOp):
+        left = evaluate(node.left, context)
+        right = evaluate(node.right, context)
+        if node.op == "+":
+            return _check_finite(left + right)
+        if node.op == "-":
+            return _check_finite(left - right)
+        if node.op == "*":
+            return _check_finite(left * right)
+        if node.op == "/":
+            if right == 0.0:
+                raise DivisionByZeroError(f"division by zero in {unparse(node)!r}")
+            return _check_finite(left / right)
+        if node.op == "^":
+            if left == 0.0 and right < 0.0:
+                raise DivisionByZeroError(f"zero raised to negative power in {unparse(node)!r}")
+            try:
+                return _check_finite(math.pow(left, right))
+            except (ValueError, OverflowError) as exc:
+                raise NonFiniteResultError(f"{unparse(node)!r}: {exc}") from exc
+    if isinstance(node, Call):
+        args = [evaluate(a, context) for a in node.args]
+        return _check_finite(_apply_call(node.func, args))
+    raise TypeError(f"not a formula node: {node!r}")
 
 
 def test_reciprocal_formula_shape():
@@ -218,7 +273,6 @@ def _substituted(node):
 def test_substitution_consistency(ast):
     # evaluating with a context equals evaluating the pre-substituted tree
     from netforge.errors import EvalError
-    from netforge.formula import evaluate
 
     try:
         expected = evaluate(ast, _CONTEXT)
@@ -287,8 +341,6 @@ _CONTEXTS = st.fixed_dictionaries(
 @given(_asts(4), _CONTEXTS)
 @settings(max_examples=500)
 def test_compiled_evaluate_matches_reference(ast, context):
-    from netforge.formula import evaluate
-
     formula = Formula.from_ast(ast)
     expected = _outcome(lambda: evaluate(ast, context))
     assert _outcome(lambda: formula.evaluate(context)) == expected
