@@ -11,13 +11,13 @@ values, the random specs in name order (the draw order), and the formulas in
 dependency order. Once a text exporter asks, the plan also keeps its token
 layout, with the constants' `name=value` text, and its line function: one
 compiled `(before, context, rng) -> str` that draws, computes and formats
-this map's values for one netlist line and does nothing else. It builds a
-scope dict only when the map has formulas; a map of draws and constants
-puts its name-ordered draws into their map-order tokens by an index made
-once. Per value it keeps exactly one call of RandomSpec.sample per draw, of
-Formula.evaluate per formula and of the exporters' format_number per
-formatted value, looked up when the function is compiled, because those
-calls are what tests and the benchmark's tracer count (ParamPlan.line).
+this map's values for one netlist line and does nothing else: it fills one
+scope dict per line, as evaluate does, and formats the drawn and computed
+values in map order. Per value it keeps exactly one call of
+RandomSpec.sample per draw, of Formula.evaluate per formula and of the
+exporters' format_number per formatted value, looked up when the function
+is compiled, because those calls are what tests and the benchmark's tracer
+count (ParamPlan.line).
 Every mutation of a Params (item assignment or deletion, update, setdefault,
 |=, pop, popitem, clear) goes through one checked path that also drops the
 plan, so the next evaluation analyses the new contents.
@@ -75,7 +75,7 @@ class RandomSpec:
         return (self.a, self.b)
 
     def sample(self, rng: Xoshiro256StarStar | int | None) -> float:
-        gen = rng if type(rng) is Xoshiro256StarStar else as_generator(rng)
+        gen = as_generator(rng)
         if self.kind == "gauss":
             value = self.a + self.b * gen.gauss(0.0, 1.0)
         elif self.kind == "uniform":
@@ -339,7 +339,7 @@ class ParamPlan:
         those names are looked up here, when the function is compiled, and it
         is compiled again when one of them is no longer the same object.
         Drawn and computed values are always finite floats, so they go to
-        `fmt` as they are. Only a plan with formulas builds a scope dict."""
+        `fmt` as they are."""
         key = (fmt, RandomSpec.sample, Formula.evaluate)
         if self._line is None or self._line[0] != key:
             self._line = (key, self._compile_line(fmt))
@@ -351,17 +351,6 @@ class ParamPlan:
         text = "%s" + head.replace("%", "%%") + "".join(
             "%s" + tail.replace("%", "%%") for _, tail in slots
         )
-        if not self.formulas:
-            # name-sorted draws to map-order slots
-            draw_index = {name: i for i, (name, _) in enumerate(self.randoms)}
-            order = [draw_index[name] for name, _ in slots]
-            samplers = [spec.sample for _, spec in self.randoms]
-
-            def draw_line(before, context, rng):
-                drawn = [sample(rng) for sample in samplers]
-                return text % (before, *[fmt(drawn[i]) for i in order])
-
-            return draw_line
         constants = self.constants
         draws = [(name, spec.sample) for name, spec in self.randoms]
         evaluators = [(name, formula.evaluate) for name, formula in self.formulas]

@@ -6,9 +6,9 @@ netlist files stable. Gaussian variates use the Box-Muller transform
 (cosine branch, one variate per pair of uniforms).
 
 Every random parameter of every netlist line draws here, so the generator
-keeps its state in four slots and next_u64, random and gauss each step it
-inline, with no helper call and no list per draw. tests/test_rng.py pins
-next_u64 and the float draws bit for bit.
+keeps its state in four slots and next_u64 steps it inline, with no helper
+call and no list per draw; random and gauss take their bits from next_u64.
+tests/test_rng.py pins next_u64 and the float draws bit for bit.
 """
 
 from __future__ import annotations
@@ -58,40 +58,16 @@ class Xoshiro256StarStar:
         return ((x << 7) | (x >> 57)) * 9 & _MASK64
 
     def random(self) -> float:
-        """Uniform double in [0, 1): the top 53 bits of next_u64."""
-        s0, s1 = self._s0, self._s1
-        s2 = self._s2 ^ s0
-        s3 = self._s3 ^ s1
-        x = (s1 * 5) & _MASK64
-        self._s0 = s0 ^ s3
-        self._s1 = s1 ^ s2
-        self._s2 = s2 ^ ((s1 << 17) & _MASK64)
-        self._s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        return ((((x << 7) | (x >> 57)) * 9 & _MASK64) >> 11) * _DOUBLE
+        """Uniform double in [0, 1)."""
+        return (self.next_u64() >> 11) * _DOUBLE
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()
 
     def gauss(self, mean: float = 0.0, std: float = 1.0) -> float:
-        # two next_u64 steps; u1 is shifted into (0, 1] so the log stays finite
-        s0, s1 = self._s0, self._s1
-        s2 = self._s2 ^ s0
-        s3 = self._s3 ^ s1
-        x = (s1 * 5) & _MASK64
-        u1 = (((((x << 7) | (x >> 57)) * 9 & _MASK64) >> 11) + 1) * _DOUBLE
-        t = (s1 << 17) & _MASK64
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        x = (s1 * 5) & _MASK64
-        u2 = ((((x << 7) | (x >> 57)) * 9 & _MASK64) >> 11) * _DOUBLE
-        self._s0 = s0 ^ s3
-        self._s1 = s1 ^ s2
-        self._s2 = s2 ^ ((s1 << 17) & _MASK64)
-        self._s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        # u1 is shifted into (0, 1] so the log stays finite
+        u1 = ((self.next_u64() >> 11) + 1) * _DOUBLE
+        u2 = (self.next_u64() >> 11) * _DOUBLE
         z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
         return mean + std * z
 

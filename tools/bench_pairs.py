@@ -52,17 +52,30 @@ def extract(ref: str, directory: Path) -> None:
             tar.extractall(directory)
 
 
-def run_once(checkout: Path, args) -> dict:
-    """One perfbench/run.py run in `checkout`; its result line, parsed."""
+def run_once(checkout: Path, args, names: list[str], label: str) -> dict:
+    """One perfbench/run.py run in `checkout`; its result line, parsed.
+
+    A run that exits non-zero, prints no JSON result line, or leaves out one
+    of `names` stops the whole batch, naming the run by `label`."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", args.workload,
         "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0",
     ]
     done = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE, text=True)
+    where = f"{label} in {checkout}"
+    if done.returncode != 0:
+        raise SystemExit(f"{where}: perfbench/run.py exited {done.returncode}")
     lines = done.stdout.strip().splitlines()
-    if not lines:
-        raise SystemExit(f"{checkout}: perfbench/run.py printed no result (exit {done.returncode})")
-    return json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict) or not isinstance(result.get("metrics"), dict):
+        raise SystemExit(f"{where}: perfbench/run.py printed no JSON result line")
+    missing = [name for name in names if name not in result["metrics"]]
+    if missing:
+        raise SystemExit(f"{where}: the result has no {', '.join(missing)}")
+    return result
 
 
 def iqr(values: list[float]) -> float:
@@ -105,6 +118,7 @@ def main(argv=None) -> int:
     if args.workload == "all":
         parser.error("give one workload; run the tool once per workload")
     metrics = json.loads((TREE / "BENCHMARK.json").read_text())["end_to_end"]
+    names = [metric["name"] for metric in metrics]
 
     ref_runs: list[dict] = []
     tree_runs: list[dict] = []
@@ -114,12 +128,13 @@ def main(argv=None) -> int:
         for pair in range(args.pairs):
             sides = [("ref", ref_checkout, ref_runs), ("tree", TREE, tree_runs)]
             for side, checkout, runs in sides if pair % 2 == 0 else sides[::-1]:
-                result = run_once(checkout, args)
+                label = f"pair {pair + 1}/{args.pairs} {side}"
+                result = run_once(checkout, args, names, label)
                 runs.append(result)
                 values = " ".join(
-                    f"{m['name']}={result['metrics'][m['name']]['value']:.4g}" for m in metrics
+                    f"{name}={result['metrics'][name]['value']:.4g}" for name in names
                 )
-                print(f"pair {pair + 1}/{args.pairs} {side}: {values}", file=sys.stderr, flush=True)
+                print(f"{label}: {values}", file=sys.stderr, flush=True)
     report(metrics, ref_runs, tree_runs)
     return 0
 
