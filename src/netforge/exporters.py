@@ -9,11 +9,13 @@ one file writer, that the library and the CLI share.
 The text dialects are tables (_TextDialect) over one traversal,
 _text_exporter: lint once; lay the netlist out once (_line_frame) into the
 literal lines and, for each line with drawn or computed values, its prefix
-and its ParamPlan's compiled line function (ParamPlan.line); then, for each
-seed, call those functions in line order with one rng seeded explicitly,
-which only draw, evaluate and format values. The names they call per value
-(RandomSpec.sample, Formula.evaluate, and format_number under this module)
-are looked up when the exporter is built. A table holds only what a dialect
+and its ParamPlan's line function (ParamPlan.line: the plan's generated
+kernel, with draws and formulas inline); then, for each seed, call those
+functions in line order with one rng seeded explicitly, which only draw,
+evaluate and format values. The number formatter (format_number under this
+module) is looked up when the exporter is built, and so is whether
+RandomSpec.sample and Formula.evaluate are still netforge's own: once one
+is wrapped, the line functions call through it once per value instead. A table holds only what a dialect
 changes: header, keyword prefix, parameter and net formats, and footer. So equal (circuit, seed)
 pairs always produce byte-identical output, every text dialect draws the
 same values in the same order, and different seeds can only change

@@ -17,18 +17,23 @@ minus, '^' and calls while parsing, and over the finished tree's depth, so
 every recursive walk stays far from Python's recursion limit; deeper text,
 or a deeper tree given to Formula.from_ast, raises FormulaSyntaxError.
 
-Formula.evaluate compiles its AST once, on first use, into a closure that it
-keeps on the Formula (_compile); later calls run the closure and never walk
-the tree. The closure checks every result for finiteness, division by zero
-and unresolved or text identifiers, with the error types in errors.py. A
-plain tree walk with the same arithmetic and checks lives in
-tests/test_formula.py as the reference the closures are compared with.
+There is one compiler, _compile, called once per Formula (Formula.program):
+it turns the AST into straight-line Python source, one step per operation
+and one per identifier read, which checks every result for finiteness,
+division by zero and unresolved or text identifiers, with the error types
+in errors.py. Formula.evaluate runs that source as a function over its
+mapping (compiled once per distinct program, _function); the kernels of
+params.ParamPlan splice the same steps into a netlist line's code and read
+the plan's own values from locals instead of the mapping. Generated source
+holds user text only as repr() literals. A plain tree walk with the same
+arithmetic and checks lives in tests/test_formula.py as the reference the
+compiled formulas are compared with.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 import re
 from dataclasses import dataclass
 
@@ -306,10 +311,18 @@ def unparse(node: Expr) -> str:
     raise TypeError(f"not a formula node: {node!r}")
 
 
+def _non_finite(value) -> NonFiniteResultError:
+    return NonFiniteResultError(f"formula produced non-finite value {value!r}")
+
+
 def _check_finite(value: float) -> float:
     if not math.isfinite(value):
-        raise NonFiniteResultError(f"formula produced non-finite value {value!r}")
+        raise _non_finite(value)
     return value
+
+
+def _call_error(func: str, args, exc: Exception) -> NonFiniteResultError:
+    return NonFiniteResultError(f"{func}({', '.join(map(repr, args))}): {exc}")
 
 
 def _apply_call(func: str, args: list[float]) -> float:
@@ -331,7 +344,7 @@ def _apply_call(func: str, args: list[float]) -> float:
         if func == "pow":
             return math.pow(args[0], args[1])
     except (ValueError, OverflowError) as exc:
-        raise NonFiniteResultError(f"{func}({', '.join(map(repr, args))}): {exc}") from exc
+        raise _call_error(func, args, exc) from exc
     raise AssertionError(func)
 
 
@@ -343,83 +356,166 @@ def _free_vars(node: Expr, seen: list[str]) -> None:
         _free_vars(child, seen)
 
 
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+# --- the compiler: straight-line source -------------------------------------------------
+
+# the functions that can fail, as generated code calls them
+_MATH_CALLS = {
+    "sqrt": "math.sqrt", "exp": "math.exp", "ln": "math.log", "log10": "math.log10",
+    "pow": "math.pow",
+}
+
+# the globals of generated code: formula functions here, plan kernels in params
+NAMESPACE = {
+    "math": math,
+    "isfinite": math.isfinite,
+    "_non_finite": _non_finite,
+    "_call_error": _call_error,
+    "DivisionByZeroError": DivisionByZeroError,
+    "NonFiniteResultError": NonFiniteResultError,
+    "UnresolvedIdentifierError": UnresolvedIdentifierError,
+}
 
 
-def _compile(node: Expr):
-    """Compile an AST into `fn(context) -> float`: the tree's arithmetic in
-    evaluation order (operands left to right, then the operation), with the
-    finiteness, division-by-zero and identifier checks and their error types."""
-    if isinstance(node, Num):
-        value = node.value
-        return lambda context: value
-    if isinstance(node, Var):
-        name = node.name
+def _literal(value) -> str:
+    """A number as a Python literal with exactly its value (never user text)."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            text = float.__repr__(value)
+        else:
+            text = "1e999 * 0.0" if value != value else "-1e999" if value < 0 else "1e999"
+    elif isinstance(value, int):
+        text = int.__repr__(value)
+    else:
+        raise TypeError(f"not a formula node: {Num(value)!r}")
+    return f"({text})" if text[0] == "-" or " " in text else text
 
-        def variable(context):
-            try:
-                value = context[name]
-            except KeyError:
-                raise UnresolvedIdentifierError(f"unknown identifier {name!r}") from None
-            if isinstance(value, str):
-                raise UnresolvedIdentifierError(
-                    f"identifier {name!r} refers to text, not a number"
-                )
-            return float(value)
 
-        return variable
-    if isinstance(node, Neg):
-        operand = _compile(node.operand)
-        return lambda context: -operand(context)
-    if isinstance(node, BinOp):
-        left, right = _compile(node.left), _compile(node.right)
-        if node.op in _ARITHMETIC:
-            arithmetic = _ARITHMETIC[node.op]
-            return lambda context: _check_finite(arithmetic(left(context), right(context)))
-        if node.op == "/":
+def read_context(temp: str, name: str) -> list[str]:
+    """Source that reads identifier `name` from the mapping `context` into `temp`
+    as a float, with the errors of an unknown or text identifier."""
+    return [
+        "try:",
+        f"    {temp} = context[{name!r}]",
+        "except KeyError:",
+        f"    raise UnresolvedIdentifierError({f'unknown identifier {name!r}'!r}) from None",
+        f"if isinstance({temp}, str):",
+        "    raise UnresolvedIdentifierError("
+        f"{f'identifier {name!r} refers to text, not a number'!r})",
+        f"{temp} = float({temp})",
+    ]
 
-            def divide(context):
-                numerator, denominator = left(context), right(context)
-                if denominator == 0.0:
-                    raise DivisionByZeroError(f"division by zero in {unparse(node)!r}")
-                return _check_finite(numerator / denominator)
 
-            return divide
-        if node.op == "^":
+def _compile(node: Expr) -> tuple:
+    """Compile an AST into straight-line source, as (steps, result): the
+    tree's arithmetic in evaluation order (operands left to right, then the
+    operation), one step per operation with its finiteness, division-by-zero
+    and domain checks and their error types, and one step per identifier
+    read. A step is a line of source, or a read: the pair (temp, name),
+    which the user of the program turns into source that puts the value of
+    identifier `name` into `temp` (read_context for a mapping; a plan kernel
+    reads its own values from locals). `result` is the expression, a temp or
+    a literal, that holds the value. Temps are `_t0`, `_t1`, ...; user text
+    reaches the source only as repr() literals."""
+    steps: list = []
+    temps: list[str] = []
 
-            def power(context):
-                base, exponent = left(context), right(context)
-                if base == 0.0 and exponent < 0.0:
-                    raise DivisionByZeroError(
-                        f"zero raised to negative power in {unparse(node)!r}"
-                    )
-                try:
-                    return _check_finite(math.pow(base, exponent))
-                except (ValueError, OverflowError) as exc:
-                    raise NonFiniteResultError(f"{unparse(node)!r}: {exc}") from exc
+    def fresh() -> str:
+        temps.append(f"_t{len(temps)}")
+        return temps[-1]
 
-            return power
-    if isinstance(node, Call):
-        func, args = node.func, [_compile(a) for a in node.args]
-        return lambda context: _check_finite(_apply_call(func, [a(context) for a in args]))
-    raise TypeError(f"not a formula node: {node!r}")
+    def emit(node) -> str:
+        if isinstance(node, Num):
+            return _literal(node.value)
+        if isinstance(node, Var):
+            steps.append((fresh(), node.name))
+            return temps[-1]
+        if isinstance(node, Neg):
+            operand = emit(node.operand)
+            steps.append(f"{fresh()} = -{operand}")
+            return temps[-1]
+        if isinstance(node, BinOp) and node.op in _LEVEL:
+            left, right = emit(node.left), emit(node.right)
+            temp = fresh()
+            if node.op == "/":
+                message = f"division by zero in {unparse(node)!r}"
+                steps.append(f"if {right} == 0.0: raise DivisionByZeroError({message!r})")
+            if node.op == "^":
+                message = f"zero raised to negative power in {unparse(node)!r}"
+                steps.extend([
+                    f"if {left} == 0.0 and {right} < 0.0: "
+                    f"raise DivisionByZeroError({message!r})",
+                    "try:",
+                    f"    {temp} = math.pow({left}, {right})",
+                    "except (ValueError, OverflowError) as exc:",
+                    f"    raise NonFiniteResultError({f'{unparse(node)!r}: '!r} + str(exc)) "
+                    "from exc",
+                ])
+            else:
+                steps.append(f"{temp} = {left} {node.op} {right}")
+        elif isinstance(node, Call) and node.func in FUNCTIONS:
+            args = [emit(arg) for arg in node.args]
+            temp = fresh()
+            if node.func in ("min", "max"):
+                steps.append(f"{temp} = {node.func}(({', '.join(args)},))")
+            elif node.func == "abs":
+                steps.append(f"{temp} = abs({args[0]})")
+            else:
+                used = args[:2] if node.func == "pow" else args[:1]
+                steps.extend([
+                    "try:",
+                    f"    {temp} = {_MATH_CALLS[node.func]}({', '.join(used)})",
+                    "except (ValueError, OverflowError) as exc:",
+                    f"    raise _call_error({node.func!r}, ({', '.join(used)},), exc) from exc",
+                ])
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+        steps.append(f"if not isfinite({temp}): raise _non_finite({temp})")
+        return temp
+
+    result = emit(node)
+    return tuple(steps), result
+
+
+def splice(program: tuple, read) -> list[str]:
+    """The lines of a compiled program, with `read(temp, name)` giving the
+    lines of each identifier read."""
+    lines: list[str] = []
+    for step in program[0]:
+        if isinstance(step, tuple):
+            lines.extend(read(*step))
+        else:
+            lines.append(step)
+    return lines
+
+
+@functools.lru_cache(maxsize=1024)
+def _function(program: tuple):
+    """`fn(context) -> float` running `program` over the mapping `context`.
+    Equal programs share one function, so equal formulas compile once."""
+    body = splice(program, read_context)
+    source = "\n    ".join(["def formula(context):", *body, f"return {program[1]}"])
+    namespace = dict(NAMESPACE)
+    exec(compile(source, "<formula>", "exec"), namespace)
+    return namespace["formula"]
 
 
 class Formula:
     """A parsed arithmetic expression over parameter names.
 
     Formulas compare equal when their ASTs are equal, regardless of the
-    whitespace in the original text. Instances are immutable; the closure
-    compiled on the first evaluate() is a cache, never copied or pickled (a
-    copy is re-parsed from the text and compiles again when first used).
+    whitespace in the original text. Instances are immutable; the program
+    compiled on first use and the function evaluate() runs are caches, never
+    copied or pickled (a copy is re-parsed from the text and compiles again
+    when first used).
     """
 
-    __slots__ = ("text", "ast", "_compiled")
+    __slots__ = ("text", "ast", "_program", "_function")
 
     def __init__(self, text: str):
         object.__setattr__(self, "text", text)
         object.__setattr__(self, "ast", _parse_text(text))
-        object.__setattr__(self, "_compiled", None)
+        object.__setattr__(self, "_program", None)
+        object.__setattr__(self, "_function", None)
 
     @classmethod
     def from_ast(cls, ast: Expr) -> "Formula":
@@ -427,7 +523,8 @@ class Formula:
         self = cls.__new__(cls)
         object.__setattr__(self, "text", unparse(ast))
         object.__setattr__(self, "ast", ast)
-        object.__setattr__(self, "_compiled", None)
+        object.__setattr__(self, "_program", None)
+        object.__setattr__(self, "_function", None)
         return self
 
     def __setattr__(self, name, value):
@@ -443,13 +540,21 @@ class Formula:
         _free_vars(self.ast, seen)
         return seen
 
+    def program(self) -> tuple:
+        """This formula's straight-line source (see _compile), made on first use."""
+        program = self._program
+        if program is None:
+            program = _compile(self.ast)
+            object.__setattr__(self, "_program", program)
+        return program
+
     def evaluate(self, context) -> float:
-        """Value under `context` (identifier -> number), via the compiled closure."""
-        compiled = self._compiled
-        if compiled is None:
-            compiled = _compile(self.ast)
-            object.__setattr__(self, "_compiled", compiled)
-        return compiled(context)
+        """Value under `context` (identifier -> number), via the compiled program."""
+        function = self._function
+        if function is None:
+            function = _function(self.program())
+            object.__setattr__(self, "_function", function)
+        return function(context)
 
     def unparse(self) -> str:
         return unparse(self.ast)

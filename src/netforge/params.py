@@ -9,15 +9,23 @@ Everything about a parameter map that does not depend on the context or the
 seed is analysed once, into a ParamPlan that the Params keeps: the constant
 values, the random specs in name order (the draw order), and the formulas in
 dependency order. Once a text exporter asks, the plan also keeps its token
-layout, with the constants' `name=value` text, and its line function: one
-compiled `(before, context, rng) -> str` that draws, computes and formats
-this map's values for one netlist line and does nothing else: it fills one
-scope dict per line, as evaluate does, and formats the drawn and computed
-values in map order. Per value it keeps exactly one call of
-RandomSpec.sample per draw, of Formula.evaluate per formula and of the
-exporters' format_number per formatted value, looked up when the function
-is compiled, because those calls are what tests and the benchmark's tracer
-count (ParamPlan.line).
+layout, with the constants' `name=value` text, and its line function,
+`(before, context, rng) -> str`, which draws, computes and formats this
+map's values for one netlist line and does nothing else (ParamPlan.line).
+
+The line function is normally the plan's kernel: one generated
+straight-line function that steps the generator's state in locals (the
+step's source is rng.STEP), applies the uniform, gauss and lognormal
+transforms and the formulas' programs (formula._compile) inline, with
+RandomSpec.sample's and Formula.evaluate's checks, error types and messages,
+and calls the exporters' format_number once per value. Kernels are cached
+by plan shape (names, the kind of each value, formula programs and order),
+so plans that differ only in their values, such as the merged maps of many
+primitive instances with overrides, share one compile() and each binds its
+own values. While RandomSpec.sample or Formula.evaluate is not netforge's
+own (a tracer or a counting test has wrapped it), the line function is
+instead _scope_line, which fills one scope dict per line, as evaluate does,
+and calls the current sample, evaluate and format_number once per value.
 Every mutation of a Params (item assignment or deletion, update, setdefault,
 |=, pop, popitem, clear) goes through one checked path that also drops the
 plan, so the next evaluation analyses the new contents.
@@ -27,6 +35,7 @@ same order, bit for bit, as analysing the map on every call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,8 +45,8 @@ from .errors import (
     NonFiniteResultError,
     UnknownCornerError,
 )
-from .formula import Formula
-from .rng import Xoshiro256StarStar, as_generator
+from .formula import NAMESPACE, Formula, read_context, splice
+from .rng import GAUSS, STEP, UNIT, UNIT_OPEN, Xoshiro256StarStar, as_generator
 
 __all__ = [
     "Params",
@@ -52,6 +61,9 @@ __all__ = [
 ]
 
 
+_DRAW_KINDS = ("gauss", "uniform", "lognormal")
+
+
 @dataclass(frozen=True)
 class RandomSpec:
     """Distribution descriptor: gauss(mean, std), uniform(lo, hi), lognormal(mu, sigma)."""
@@ -61,7 +73,7 @@ class RandomSpec:
     b: float
 
     def __post_init__(self):
-        if self.kind not in ("gauss", "uniform", "lognormal"):
+        if self.kind not in _DRAW_KINDS:
             raise InvalidDistributionError(f"unknown distribution {self.kind!r}")
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise InvalidDistributionError(f"{self.kind} arguments must be finite")
@@ -69,6 +81,11 @@ class RandomSpec:
             raise InvalidDistributionError(f"{self.kind} spread must be >= 0, got {self.b}")
         if self.kind == "uniform" and self.a > self.b:
             raise InvalidDistributionError(f"uniform bounds inverted: {self.a} > {self.b}")
+        if self.kind == "uniform" and not math.isfinite(self.b - self.a):
+            # every draw would be inf (or nan), so nothing could ever export
+            raise InvalidDistributionError(
+                f"uniform span overflows: {self.b} - {self.a} is not finite"
+            )
 
     @property
     def args(self) -> tuple[float, float]:
@@ -92,6 +109,12 @@ class RandomSpec:
 
     def __repr__(self):
         return f"{self.kind}({self.a}, {self.b})"
+
+
+# netforge's own per-value methods: ParamPlan.line compiles a kernel only while
+# these are in place, and otherwise calls through whatever replaced them
+_SAMPLE = RandomSpec.sample
+_EVALUATE = Formula.evaluate
 
 
 def gauss(mean: float, std: float) -> RandomSpec:
@@ -285,6 +308,107 @@ def _find_cycle(deps: dict[str, list[str]], done: set[str]) -> list[str]:
     return remaining  # unreachable in practice
 
 
+def _draw(kind: str, i: int) -> tuple[list[str], list[str]]:
+    """Source for RandomSpec.sample of the spec `d{i}` into the local `v{i}`,
+    on the generator state in the locals s0..s3, with the same steps,
+    arithmetic, checks and messages: (the lines that read the spec's
+    arguments once per plan, the lines of the draw)."""
+    a, b, target, spec = f"a{i}", f"b{i}", f"v{i}", f"d{i}"
+    lines = list(STEP)
+    if kind == "uniform":
+        # the span, as sample computes it; __post_init__ made sure it is finite
+        arguments = [f"{a}, {b} = {spec}.a, {spec}.b - {spec}.a"]
+        lines.append(f"{target} = {a} + {b} * ({UNIT})")
+    else:
+        arguments = [f"{a}, {b} = {spec}.a, {spec}.b"]
+        lines += [f"u1 = {UNIT_OPEN}", *STEP, f"u2 = {UNIT}", f"z = {GAUSS}"]
+        if kind == "gauss":
+            # a + b * generator.gauss(0.0, 1.0)
+            lines.append(f"{target} = {a} + {b} * (0.0 + 1.0 * z)")
+        else:
+            # generator.lognormal(a, b)
+            lines += [
+                "try:",
+                f"    {target} = math.exp({a} + {b} * z)",
+                "except OverflowError:",
+                f"    raise NonFiniteResultError('sample from %r overflowed' % ({spec},)) "
+                "from None",
+            ]
+    lines.append(
+        f"if not isfinite({target}): "
+        f"raise NonFiniteResultError('sample from %r is not finite' % ({spec},))"
+    )
+    return arguments, lines
+
+
+def _source(shape: tuple) -> tuple[str, tuple]:
+    """The source of the kernel factory for a plan shape (see ParamPlan._kernel),
+    and the names of the constants that its formulas read, in the order the
+    factory takes them."""
+    names, kinds, order = shape
+    kind_of = dict(zip(names, kinds))
+    # drawn and computed values and the constants formulas read -> their variables
+    local: dict[str, str] = {}
+    arguments: list[str] = []
+    body: list[str] = []
+    draws = sorted(name for name in names if kind_of[name] in _DRAW_KINDS)
+    if draws:
+        body += ["s0, s1, s2, s3 = rng._s0, rng._s1, rng._s2, rng._s3", "try:"]
+        for i, name in enumerate(draws):
+            read_arguments, lines = _draw(kind_of[name], i)
+            arguments += read_arguments
+            body += ["    " + line for line in lines]
+            local[name] = f"v{i}"
+        body += ["finally:", "    rng._s0, rng._s1, rng._s2, rng._s3 = s0, s1, s2, s3"]
+    read_constants: list[str] = []
+    from_context = []
+
+    def read(temp: str, name: str) -> list[str]:
+        if kind_of.get(name) == "text":
+            message = f"identifier {name!r} refers to text, not a number"
+            return [f"raise UnresolvedIdentifierError({message!r})"]
+        if kind_of.get(name) == "number" and name not in local:
+            local[name] = f"c{len(read_constants)}"
+            read_constants.append(name)
+        if name in local:
+            return [f"{temp} = {local[name]}"]
+        from_context.append(name)
+        return read_context(temp, name)
+
+    for k, name in enumerate(order):
+        program = kind_of[name]
+        body += splice(program, read)
+        local[name] = f"r{k}"
+        body.append(f"r{k} = {program[1]}")
+    if from_context:
+        body.insert(0, "if context is None: context = {}")
+    # the drawn and computed values, in map order
+    fields = "".join(
+        f", fmt({local[name]})" for name in names if kind_of[name] not in ("number", "text")
+    )
+    parameters = ["text", "fmt", *(f"d{i}" for i in range(len(draws))),
+                  *(f"c{i}" for i in range(len(read_constants)))]
+    source = "\n".join([
+        f"def factory({', '.join(parameters)}):",
+        *("    " + line for line in arguments),
+        "    def line(before, context, rng):",
+        *("        " + line for line in body),
+        f"        return text % (before{fields})",
+        "    return line",
+    ])
+    return source, tuple(read_constants)
+
+
+@functools.lru_cache(maxsize=256)
+def _factory(shape: tuple) -> tuple:
+    """The compiled kernel factory of a plan shape, with the names of the
+    constants it takes; one compile() per shape."""
+    source, constants = _source(shape)
+    namespace = dict(NAMESPACE)
+    exec(compile(source, "<param plan>", "exec"), namespace)
+    return namespace["factory"], constants
+
+
 class ParamPlan:
     """What evaluating a parameter map needs that no context or seed changes:
     the constants, the random specs in name order, and the formulas in
@@ -333,28 +457,70 @@ class ParamPlan:
     def line(self, fmt):
         """This map's line function, `(before, context, rng) -> str`: `before`
         followed by the tokens of layout(fmt), with each drawn or computed
-        value formatted by `fmt`. A call draws and computes exactly what
-        evaluate does, in the same order, with one call of RandomSpec.sample
-        per draw, of Formula.evaluate per formula and of `fmt` per value;
-        those names are looked up here, when the function is compiled, and it
-        is compiled again when one of them is no longer the same object.
-        Drawn and computed values are always finite floats, so they go to
-        `fmt` as they are."""
+        value formatted by `fmt`, drawn from the generator `rng`. A call
+        draws and computes exactly what evaluate does, in the same order,
+        with the same checks and errors, and calls `fmt` once per value.
+
+        While RandomSpec.sample and Formula.evaluate are netforge's own, the
+        function is this plan's kernel (_kernel); once either has been
+        replaced (a tracer or a counting test wraps it), it is _scope_line,
+        which calls the replacement once per draw or formula. The names are
+        looked up here, and the function is made again when `fmt` or one of
+        them is no longer the same object. Drawn and computed values are
+        always finite floats, so they go to `fmt` as they are."""
         key = (fmt, RandomSpec.sample, Formula.evaluate)
         if self._line is None or self._line[0] != key:
-            self._line = (key, self._compile_line(fmt))
+            own = key[1] is _SAMPLE and key[2] is _EVALUATE
+            self._line = (key, (self._kernel if own else self._scope_line)(fmt))
         return self._line[1]
 
-    def _compile_line(self, fmt):
+    def _text(self, fmt) -> str:
+        """The line as a %-format: `before`, then layout(fmt) with a %s per value."""
         head, slots = self.layout(fmt)
-        # `before` and the values fill the %s fields; the literal text keeps its %
-        text = "%s" + head.replace("%", "%%") + "".join(
+        # the literal text keeps its %
+        return "%s" + head.replace("%", "%%") + "".join(
             "%s" + tail.replace("%", "%%") for _, tail in slots
         )
+
+    def _kernel(self, fmt):
+        """This plan's kernel: one generated straight-line function for the
+        line. It loads the generator's state into locals, steps it
+        (rng.STEP) and transforms the output in place for each draw, in name
+        order, with RandomSpec.sample's arithmetic, checks and messages;
+        stores the state back; runs each formula's program (Formula.program)
+        in dependency order, reading this plan's drawn and computed values
+        from locals, its constants from the factory's arguments, and only
+        other names from `context`; and formats.
+
+        The source depends only on the plan's shape: its names, the kind of
+        each value (a number or text constant, a distribution kind, or a
+        formula's program) and the formulas' order, so plans of one shape
+        share one compile() (_factory). Every user value (the layout text,
+        the specs, the constants) is an argument of the factory, which each
+        plan calls once; user text reaches the source only as repr()
+        literals of formula identifiers and messages."""
+        randoms, formulas = dict(self.randoms), dict(self.formulas)
+        kinds = tuple(
+            randoms[name].kind if name in randoms
+            else formulas[name].program() if name in formulas
+            else "text" if isinstance(self.constants[name], str) else "number"
+            for name in self.names
+        )
+        order = tuple(name for name, _ in self.formulas)
+        factory, constants = _factory((self.names, kinds, order))
+        return factory(
+            self._text(fmt), fmt, *[spec for _, spec in self.randoms],
+            *[float(self.constants[name]) for name in constants],
+        )
+
+    def _scope_line(self, fmt):
+        """The line function that calls RandomSpec.sample, Formula.evaluate
+        and `fmt` as they are now, once per value, over one scope dict."""
+        text = self._text(fmt)
         constants = self.constants
         draws = [(name, spec.sample) for name, spec in self.randoms]
         evaluators = [(name, formula.evaluate) for name, formula in self.formulas]
-        names = [name for name, _ in slots]
+        names = [name for name, _ in self.layout(fmt)[1]]
 
         def scope_line(before, context, rng):
             scope = {**context, **constants} if context else constants.copy()

@@ -5,10 +5,15 @@ bit-identical across platforms and interpreter versions, which keeps golden
 netlist files stable. Gaussian variates use the Box-Muller transform
 (cosine branch, one variate per pair of uniforms).
 
-Every random parameter of every netlist line draws here, so the generator
-keeps its state in four slots and next_u64 steps it inline, with no helper
-call and no list per draw; random and gauss take their bits from next_u64.
-tests/test_rng.py pins next_u64 and the float draws bit for bit.
+The generator keeps its state in four slots. One step, on the state in the
+locals s0..s3 and leaving the 64-bit output in x, is kept here as source,
+STEP, and next_u64 is exactly those lines between loading and storing the
+slots. The kernel that a ParamPlan compiles for a netlist line
+(params.ParamPlan.line) splices STEP in once per draw, with UNIT,
+UNIT_OPEN and GAUSS for the float transforms that random and gauss apply
+to the output, so no other module holds a copy of the generator.
+tests/test_rng.py pins next_u64, the float draws and a kernel's draws bit
+for bit, and checks that next_u64 runs the lines of STEP.
 """
 
 from __future__ import annotations
@@ -17,6 +22,25 @@ import math
 
 _MASK64 = (1 << 64) - 1
 _DOUBLE = 2.0 ** -53
+
+# one step of the generator on the locals s0..s3; the output is left in x
+STEP = (
+    "x = (s1 * 5) & 0xFFFFFFFFFFFFFFFF",
+    "x = ((x << 7) | (x >> 57)) * 9 & 0xFFFFFFFFFFFFFFFF",
+    "t = (s1 << 17) & 0xFFFFFFFFFFFFFFFF",
+    "s2 ^= s0",
+    "s3 ^= s1",
+    "s1 ^= s2",
+    "s0 ^= s3",
+    "s2 ^= t",
+    "s3 = ((s3 << 45) | (s3 >> 19)) & 0xFFFFFFFFFFFFFFFF",
+)
+# random(), on the x of the last step: a double in [0, 1)
+UNIT = f"(x >> 11) * {_DOUBLE!r}"
+# gauss's first uniform, shifted into (0, 1] so the log stays finite
+UNIT_OPEN = f"((x >> 11) + 1) * {_DOUBLE!r}"
+# gauss(0, 1) from the uniforms u1 and u2 (Box-Muller, cosine branch)
+GAUSS = f"math.sqrt(-2.0 * math.log(u1)) * math.cos({2.0 * math.pi!r} * u2)"
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -47,15 +71,19 @@ class Xoshiro256StarStar:
         self._s3, state = _splitmix64(state)
 
     def next_u64(self) -> int:
-        s0, s1 = self._s0, self._s1
-        s2 = self._s2 ^ s0
-        s3 = self._s3 ^ s1
-        x = (s1 * 5) & _MASK64
-        self._s0 = s0 ^ s3
-        self._s1 = s1 ^ s2
-        self._s2 = s2 ^ ((s1 << 17) & _MASK64)
-        self._s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        return ((x << 7) | (x >> 57)) * 9 & _MASK64
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        # the lines of STEP
+        x = (s1 * 5) & 0xFFFFFFFFFFFFFFFF
+        x = ((x << 7) | (x >> 57)) * 9 & 0xFFFFFFFFFFFFFFFF
+        t = (s1 << 17) & 0xFFFFFFFFFFFFFFFF
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & 0xFFFFFFFFFFFFFFFF
+        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        return x
 
     def random(self) -> float:
         """Uniform double in [0, 1)."""
@@ -68,6 +96,7 @@ class Xoshiro256StarStar:
         # u1 is shifted into (0, 1] so the log stays finite
         u1 = ((self.next_u64() >> 11) + 1) * _DOUBLE
         u2 = (self.next_u64() >> 11) * _DOUBLE
+        # GAUSS
         z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
         return mean + std * z
 

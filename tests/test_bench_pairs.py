@@ -1,0 +1,64 @@
+"""tools/bench_pairs.py reports each workload's pairs in its own table.
+
+The tool itself runs the benchmark for minutes; report() is the part that
+turns runs into the verdict, so it is checked here on made-up runs.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+METRICS = [
+    {"name": "sweep_ref", "better": "lower"},
+    {"name": "netlist_bytes", "better": "lower"},
+]
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(sweep, size=100, failed=0, correct=True):
+    metrics = {"sweep_ref": {"value": sweep}, "netlist_bytes": {"value": size}}
+    return {"metrics": metrics, "failed": failed, "attempted": 10, "correct": correct}
+
+
+def _table(capsys, workload, ref, tree):
+    _load_tool().report(workload, METRICS, ref, tree)
+    return capsys.readouterr().out.splitlines()
+
+
+def test_report_gives_medians_wins_and_the_ref_iqr(capsys):
+    ref = [_run(v) for v in (10.0, 11.0, 12.0, 13.0, 14.0)]
+    tree = [_run(v) for v in (9.0, 10.0, 13.0, 12.0, 11.0)]
+    lines = _table(capsys, "chain_mc", ref, tree)
+    assert lines[0] == "== chain_mc: 5 pairs =="
+    sweep = lines[2].split()
+    # medians 12 -> 11 (-8.3 %), the tree won all pairs but the third, and
+    # the quartiles of 10..14 are 10.5 and 13.5
+    assert sweep == ["sweep_ref", "12", "11", "-8.3%", "4/5", "3"]
+    assert lines[3].split()[1:5] == ["100", "100", "+0.0%", "0/5"]
+    assert lines[4] == "ref 0/50 failed; tree 0/50 failed"
+
+
+def test_report_names_failures_and_wrong_runs(capsys):
+    ref = [_run(10.0)]
+    tree = [_run(9.0, failed=2, correct=False)]
+    lines = _table(capsys, "ro_sweep", ref, tree)
+    assert lines[2].split()[-2:] == ["1/1", "0"]  # one run: no quartiles
+    assert lines[-1] == "ref 0/10 failed; tree 2/10 failed, NOT correct"
+
+
+@pytest.mark.parametrize("argv", [["HEAD", "--workload", "nope"],
+                                  ["HEAD", "--workload", "all", "--workload", "nope"]])
+def test_an_unknown_workload_is_refused_before_any_run(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        _load_tool().main(argv)
+    assert exit_info.value.code == 2
+    assert "unknown workload 'nope'" in capsys.readouterr().err

@@ -58,6 +58,30 @@ def test_build_schema_error_exits_2_with_path(tmp_path, capsys):
     assert "circuit[0]" in err
 
 
+def test_uniform_span_overflow_exits_2_with_path(tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "version": 1,
+                "components": [
+                    {
+                        "name": "r",
+                        "ports": ["a", "b"],
+                        "prefix": "R",
+                        "params": {"r": {"$uniform": [-1e308, 1e308]}},
+                    }
+                ],
+                "circuit": [{"op": "instance", "template": "r", "nets": ["n1", "0"]}],
+            }
+        )
+    )
+    for command in (["build", doc], ["export", doc]):
+        code, _, err = run_cli(command, capsys)
+        assert code == 2
+        assert "span" in err and "components[0].params.r" in err
+
+
 def test_build_error_exits_3(tmp_path, capsys):
     doc = tmp_path / "doc.json"
     doc.write_text(

@@ -91,6 +91,18 @@ def test_random_spec_validation():
         gauss(float("inf"), 1.0)
 
 
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1.7976931348623157e308, 1e300)])
+def test_uniform_span_that_overflows_is_rejected(lo, hi):
+    # hi - lo is inf, so every draw would be inf (or nan): no export could succeed
+    with pytest.raises(InvalidDistributionError, match="span"):
+        uniform(lo, hi)
+
+
+def test_widest_uniform_span_that_fits_still_draws():
+    spec = uniform(-8.9e307, 8.9e307)
+    assert -8.9e307 <= sample(spec, 3) < 8.9e307
+
+
 def test_sample_determinism():
     spec = gauss(0.4, 0.1)
     assert sample(spec, 12) == sample(spec, 12)

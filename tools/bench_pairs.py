@@ -3,21 +3,25 @@
 
 Usage, from anywhere inside a checkout:
 
-    python3 tools/bench_pairs.py REF [--workload W] [--pairs N] [--seconds S] [--seed K]
+    python3 tools/bench_pairs.py REF [--workload W]... [--pairs N] [--seconds S] [--seed K]
 
 The committed files of REF are extracted (`git archive REF`) into a
-temporary directory outside the repository. Then `perfbench/run.py
---workload W --seed K --seconds S --trace 0` runs N times in each checkout,
-the two alternating, each run in its own process with the checkout as its
-working directory. Which side goes first swaps from pair to pair, so a slow
-stretch of a shared machine does not always fall on the same side.
+temporary directory outside the repository. Then, for each workload W (give
+--workload once per workload, or `all` for every workload in
+BENCHMARK.json; ro_sweep by default), `perfbench/run.py --workload W --seed
+K --seconds S --trace 0` runs N times in each checkout, the two
+alternating, each run in its own process with the checkout as its working
+directory. Which side goes first swaps from pair to pair, so a slow stretch
+of a shared machine does not always fall on the same side, and each pair
+runs every workload in turn.
 
-For every end-to-end metric in BENCHMARK.json the table gives both medians,
-the change, the pairs the working tree won (better in the metric's
-direction, within the same pair) and the quartile distance (IQR) of REF's
-runs: a speed claim holds when the working tree wins nearly every pair and
-its median moves by more than that IQR. The last line gives each side's
-failed share of the checked operations.
+One table per workload gives, for every end-to-end metric in BENCHMARK.json,
+both medians, the change, the pairs the working tree won (better in the
+metric's direction, within the same pair) and the quartile distance (IQR)
+of REF's runs: a speed claim holds when the working tree wins nearly every
+pair and its median moves by more than that IQR. The last line of a table
+gives each side's failed share of the checked operations. So one command
+shows a claimed metric better and nothing worse on any workload.
 
 Stdlib only. It writes nothing in the repository but what perfbench/run.py
 writes itself (the ignored `.perfbench_*` directories).
@@ -52,13 +56,13 @@ def extract(ref: str, directory: Path) -> None:
             tar.extractall(directory)
 
 
-def run_once(checkout: Path, args, names: list[str], label: str) -> dict:
-    """One perfbench/run.py run in `checkout`; its result line, parsed.
+def run_once(checkout: Path, args, workload: str, names: list[str], label: str) -> dict:
+    """One perfbench/run.py run of `workload` in `checkout`; its result line, parsed.
 
     A run that exits non-zero, prints no JSON result line, or leaves out one
     of `names` stops the whole batch, naming the run by `label`."""
     command = [
-        sys.executable, "perfbench/run.py", "--workload", args.workload,
+        sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0",
     ]
     done = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE, text=True)
@@ -85,7 +89,9 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
-def report(metrics: list[dict], ref_runs: list[dict], tree_runs: list[dict]) -> None:
+def report(workload: str, metrics: list[dict], ref_runs: list[dict], tree_runs: list[dict]) -> None:
+    """Print the table of one workload's pairs."""
+    print(f"== {workload}: {len(tree_runs)} pairs ==")
     print(f"{'metric':20s} {'ref median':>12s} {'tree median':>12s} {'change':>8s} "
           f"{'tree won':>9s} {'ref IQR':>10s}")
     for metric in metrics:
@@ -110,32 +116,40 @@ def report(metrics: list[dict], ref_runs: list[dict], tree_runs: list[dict]) -> 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", help="git ref to compare the working tree with")
-    parser.add_argument("--workload", default="ro_sweep")
+    parser.add_argument("--workload", action="append", help="repeatable, or `all`")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=55)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.workload == "all":
-        parser.error("give one workload; run the tool once per workload")
-    metrics = json.loads((TREE / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((TREE / "BENCHMARK.json").read_text())
+    known = [workload["name"] for workload in benchmark["workloads"]]
+    workloads = []
+    for workload in args.workload or ["ro_sweep"]:
+        for name in known if workload == "all" else [workload]:
+            if name not in known:
+                parser.error(f"unknown workload {name!r}; known: {', '.join(known)}")
+            if name not in workloads:
+                workloads.append(name)
+    metrics = benchmark["end_to_end"]
     names = [metric["name"] for metric in metrics]
 
-    ref_runs: list[dict] = []
-    tree_runs: list[dict] = []
+    runs = {(workload, side): [] for workload in workloads for side in ("ref", "tree")}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as temp:
         ref_checkout = Path(temp)
         extract(args.ref, ref_checkout)
         for pair in range(args.pairs):
-            sides = [("ref", ref_checkout, ref_runs), ("tree", TREE, tree_runs)]
-            for side, checkout, runs in sides if pair % 2 == 0 else sides[::-1]:
-                label = f"pair {pair + 1}/{args.pairs} {side}"
-                result = run_once(checkout, args, names, label)
-                runs.append(result)
-                values = " ".join(
-                    f"{name}={result['metrics'][name]['value']:.4g}" for name in names
-                )
-                print(f"{label}: {values}", file=sys.stderr, flush=True)
-    report(metrics, ref_runs, tree_runs)
+            sides = [("ref", ref_checkout), ("tree", TREE)]
+            for workload in workloads:
+                for side, checkout in sides if pair % 2 == 0 else sides[::-1]:
+                    label = f"{workload} pair {pair + 1}/{args.pairs} {side}"
+                    result = run_once(checkout, args, workload, names, label)
+                    runs[workload, side].append(result)
+                    values = " ".join(
+                        f"{name}={result['metrics'][name]['value']:.4g}" for name in names
+                    )
+                    print(f"{label}: {values}", file=sys.stderr, flush=True)
+    for workload in workloads:
+        report(workload, metrics, runs[workload, "ref"], runs[workload, "tree"])
     return 0
 
 
