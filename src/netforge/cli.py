@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -52,6 +53,8 @@ def _parse_set(pairs: list[str]) -> dict[str, float]:
             number = float(value)
         except ValueError:
             raise SchemaError(f"--set value must be a number, got {value!r}", "--set") from None
+        if not math.isfinite(number):
+            raise SchemaError(f"--set value must be finite, got {value!r}", "--set")
         out[name] = int(number) if number == int(number) else number
     return out
 
@@ -73,6 +76,8 @@ def _parse_vary(specs: list[str]) -> list[tuple[str, list[float]]]:
             values = [lo]
         else:
             values = [lo + k * (hi - lo) / (steps - 1) for k in range(steps)]
+        if not all(math.isfinite(v) for v in (lo, hi, *values)):
+            raise SchemaError(f"--vary values must be finite, got {spec!r}", "--vary")
         values = [int(v) if v == int(v) else v for v in values]
         out.append((name, values))
     return out
@@ -155,6 +160,8 @@ def _cmd_sweep(args) -> int:
 
     corners = args.corner or [doc.get("corner", builddoc.DEFAULT_CORNER)]
     vary = _parse_vary(args.vary)
+    if args.seeds < 1:
+        raise SchemaError("--seeds needs at least one seed", "--seeds")
     seeds = [base_seed + i for i in range(args.seeds)]
     ext = _EXTENSIONS.get(args.dialect, "txt")
     stem = Path(args.doc).stem

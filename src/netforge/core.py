@@ -10,6 +10,11 @@ Overloaded operators are available on templates and instances:
     inst = comp @ ["out", "in", "GND", "GND"]     rebind nets
     inst = comp % {"w": 0.27}                     override parameters
     circuit += inst                               insert (assigns designator)
+
+Every name is checked where it enters, by the rules of netforge.names:
+template, model and subcircuit names and model base types are one token,
+net and pin names follow the net rule, and a designator prefix is
+alphabetic. Designators can still be set from Python, so lint checks them.
 """
 
 from __future__ import annotations
@@ -18,12 +23,12 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
+from . import names
 from .errors import (
     ArityMismatchError,
     DuplicateModelError,
     DuplicatePinError,
     DuplicateSubcircuitError,
-    EmptyNameError,
     EmptyPortsError,
     FrozenSubcircuitError,
     NetNameError,
@@ -48,8 +53,6 @@ __all__ = [
     "fix",
 ]
 
-_NET_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
-_PREFIX_RE = re.compile(r"[A-Za-z_]+\Z")
 _LINK_NET_RE = re.compile(r"net_(\d+)_(\d+)\Z")
 _DESIGNATOR_RE = re.compile(r"([A-Za-z_]+)(\d+)\Z")
 
@@ -62,7 +65,7 @@ class Net:
 
     Integer literals are accepted wherever nets are and normalize to their
     decimal text ("0" is ground by SPICE convention). Symbolic names are
-    case-sensitive and match [A-Za-z_][A-Za-z0-9_.]*. Nets are immutable
+    case-sensitive and follow the net rule of netforge.names. Nets are immutable
     values without a __dict__, so instances may share one freely.
     """
 
@@ -128,7 +131,7 @@ _NET_TYPES = (Net, PendingNet)
 
 def as_net(value: NetLike) -> Net | PendingNet:
     """Normalize a net-like value: Net/PendingNet pass through, "" and None
-    mean unconnected, non-negative integers (and digit strings) become their
+    mean unconnected, non-negative integers (and decimal strings) become their
     decimal text, and anything else must be a valid symbolic name."""
     if isinstance(value, (Net, PendingNet)):
         return value
@@ -143,11 +146,9 @@ def as_net(value: NetLike) -> Net | PendingNet:
     if isinstance(value, str):
         if value == "":
             return UNCONNECTED
-        if value.isdigit():
+        if value.isdecimal():
             return Net(str(int(value)))
-        if _NET_NAME_RE.match(value):
-            return Net(value)
-        raise NetNameError(f"invalid net name {value!r}")
+        return Net(names.net(value))
     raise TypeError(f"expected a net name, got {type(value).__name__}")
 
 
@@ -201,19 +202,16 @@ class Component(_TemplateOps):
     metadata: dict
 
     def __init__(self, name, ports, params=None, prefix=None, metadata=None):
-        if not name or not isinstance(name, str):
-            raise EmptyNameError("component name must be a non-empty string")
+        names.token(name, "component name")
         ports = tuple(as_net(p) for p in (ports or ()))
         if not ports:
             raise EmptyPortsError(f"component {name!r} needs at least one port")
         if prefix is None:
             prefix = _derive_prefix(name)
-        if not isinstance(prefix, str) or not _PREFIX_RE.match(prefix):
-            raise ValueError(f"designator prefix must be alphabetic, got {prefix!r}")
+        object.__setattr__(self, "prefix", names.prefix(prefix))
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "ports", ports)
         object.__setattr__(self, "params", params if isinstance(params, Params) else Params(params))
-        object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "metadata", _as_metadata(metadata))
 
     @property
@@ -262,12 +260,8 @@ class Model:
     params: Params
 
     def __init__(self, name, base_type, params=None):
-        if not name or not isinstance(name, str):
-            raise EmptyNameError("model name must be a non-empty string")
-        if not base_type or not isinstance(base_type, str):
-            raise EmptyNameError("model base type must be a non-empty string")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "base_type", base_type)
+        object.__setattr__(self, "name", names.token(name, "model name"))
+        object.__setattr__(self, "base_type", names.token(base_type, "model base type"))
         object.__setattr__(self, "params", params if isinstance(params, Params) else Params(params))
 
     def __repr__(self):
@@ -471,12 +465,8 @@ class Subcircuit(_TemplateOps, _InstanceScope):
     """
 
     def __init__(self, name: str, pins, params=None):
-        if not name or not isinstance(name, str):
-            raise EmptyNameError("subcircuit name must be a non-empty string")
-        pins = tuple(pins or ())
-        for pin in pins:
-            if not isinstance(pin, str) or not _NET_NAME_RE.match(pin):
-                raise NetNameError(f"invalid pin name {pin!r}")
+        names.token(name, "subcircuit name")
+        pins = tuple(names.net(pin, "pin") for pin in pins or ())
         if len(set(pins)) != len(pins):
             raise DuplicatePinError(f"duplicate pins in subcircuit {name!r}: {list(pins)}")
         self.name = name

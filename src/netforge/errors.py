@@ -13,16 +13,21 @@ class NetforgeError(Exception):
 
 # --- circuit model -----------------------------------------------------------
 
-class EmptyNameError(NetforgeError):
-    pass
+class BadNameError(NetforgeError, ValueError):
+    """A name or text value that a simulator would not read as one token;
+    the rules live in netforge.names."""
+
+
+class EmptyNameError(BadNameError, TypeError):
+    """A name that is empty or not text at all."""
 
 
 class EmptyPortsError(NetforgeError):
     pass
 
 
-class NetNameError(NetforgeError):
-    pass
+class NetNameError(BadNameError):
+    """A net or pin name outside the net rule of netforge.names."""
 
 
 class ArityMismatchError(NetforgeError):

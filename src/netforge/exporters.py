@@ -24,13 +24,20 @@ dialect that seed -> text form, so export() and a many-seed sweep share one
 path; the circuit must not change between the calls of one seed -> text
 function.
 
+Lint also keeps the one-token promise of netforge.names for what Python can
+change after construction, or a document can load, but a simulator could
+not read as one token: designators and text parameter values (BAD_TOKEN).
+Every other name was checked when its object was made.
+
 The JSON dialect is different in kind: it round-trips the circuit losslessly,
 with formulas and distributions still unresolved, and therefore neither
 evaluates parameters nor runs lint. export_json writes the subcircuit and
 instance records straight to text, with the bytes json.dumps(indent=2) gives
 their dict form; import_json checks and coerces each net name once per scope
 (the top level and each subcircuit body), and the instances of a scope share
-one Net per name.
+one Net per name. Every definition name, designator and parameter name it
+reads goes through the rules of netforge.names, and a name they reject is a
+SchemaError at the name's path.
 """
 
 from __future__ import annotations
@@ -38,11 +45,11 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import secrets
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import names
 from .core import (
     Circuit,
     Component,
@@ -54,6 +61,7 @@ from .core import (
     as_net,
 )
 from .errors import (
+    BadNameError,
     DuplicateDialectError,
     DuplicatePinError,
     DuplicateSubcircuitError,
@@ -164,16 +172,29 @@ def _reachable_subcircuits(circuit: Circuit, duplicates=None) -> list[Subcircuit
     return ordered
 
 
-def _lint_scope(findings, instances, pins, scope, global_nets, known_subckts):
+def _lint_values(findings, maps: dict) -> None:
+    """BAD_TOKEN for each text value that is not one token. `maps` holds each
+    distinct Params once, by id, with the location of its first use."""
+    for params, location in maps.values():
+        for name, value in params.items():
+            if isinstance(value, str) and not names.is_token(value):
+                message = f"text value {value!r} of parameter {name!r} is not one token"
+                findings.append(Finding("error", "BAD_TOKEN", message, location))
+
+
+def _lint_scope(findings, instances, pins, scope, global_nets, known_subckts, maps):
     uses: dict[str, int] = {}
     designators: dict[str, int] = {}
     for inst in instances:
-        location = inst.designator or "?"
+        location = str(inst.designator or "?")
         if scope:
             location = f"{scope}/{location}"
         if inst.designator is not None:
             designators[inst.designator] = designators.get(inst.designator, 0) + 1
         template = inst.template
+        for params in (template.params, inst.overrides):
+            if params and id(params) not in maps:
+                maps[id(params)] = (params, location)
         if isinstance(template, UnresolvedTemplate):
             findings.append(
                 Finding(
@@ -209,8 +230,11 @@ def _lint_scope(findings, instances, pins, scope, global_nets, known_subckts):
                 uses[name] = uses.get(name, 0) + 1
 
     for designator, count in designators.items():
+        location = f"{scope}/{designator}" if scope else str(designator)
+        if not names.is_token(designator):
+            message = f"designator {designator!r} is not one token"
+            findings.append(Finding("error", "BAD_TOKEN", message, location))
         if count > 1:
-            location = f"{scope}/{designator}" if scope else designator
             findings.append(
                 Finding(
                     "error",
@@ -240,8 +264,11 @@ def lint(circuit: Circuit) -> LintReport:
 
     Rules: UNCONNECTED (error), DANGLING (warn, single-use non-global net),
     DUPLICATE_DESIGNATOR (error), UNDEFINED_MASTER (error), DUPLICATE_SUBCKT
-    (error, two different definitions share a name), and UNUSED_PIN (warn,
-    subcircuit pin that never appears in its body).
+    (error, two different definitions share a name), UNUSED_PIN (warn,
+    subcircuit pin that never appears in its body), and BAD_TOKEN (error, a
+    designator or text parameter value that is not one token, see
+    netforge.names). Text values are checked once per Params object, at the
+    model, subcircuit or first instance that prints them.
     """
     duplicates: set[str] = set()
     globals_ = set(circuit.global_nets)
@@ -252,9 +279,11 @@ def lint(circuit: Circuit) -> LintReport:
         for name in duplicates
     ]
 
-    _lint_scope(findings, circuit.instances, (), "", globals_, known)
+    # the parameter maps lint reads text values from, definitions first
+    maps = {id(d.params): (d.params, d.name) for d in (*circuit.models.values(), *subckts)}
+    _lint_scope(findings, circuit.instances, (), "", globals_, known, maps)
     for sub in subckts:
-        uses = _lint_scope(findings, sub.body, sub.pins, sub.name, globals_, known)
+        uses = _lint_scope(findings, sub.body, sub.pins, sub.name, globals_, known, maps)
         for pin in sub.pins:
             if pin not in uses:
                 findings.append(
@@ -265,6 +294,7 @@ def lint(circuit: Circuit) -> LintReport:
                         f"{sub.name}.{pin}",
                     )
                 )
+    _lint_values(findings, maps)
     return LintReport(findings, subckts)
 
 
@@ -564,23 +594,42 @@ def _is_text_list(raw) -> bool:
     return isinstance(raw, list) and all(isinstance(item, str) for item in raw)
 
 
+def _key_path(path: str, key) -> str:
+    """The path of the member `key` of the object at `path`, for any key text."""
+    return f"{path}[{json.dumps(key)}]"
+
+
+def _checked(rule, name, what: str, path: str):
+    """rule(name, what), a rule of netforge.names, with its BadNameError
+    raised as a SchemaError at `path`."""
+    try:
+        return rule(name, what)
+    except BadNameError as exc:
+        raise SchemaError(str(exc), path) from None
+
+
 def _members(raw: dict, key: str, path: str) -> dict:
-    """The name -> definition object under `key`, empty when absent."""
+    """The name -> definition object under `key`, empty when absent; every
+    name is one token."""
     members = raw.get(key, {})
     _expect(isinstance(members, dict), "expected an object of named definitions", path)
-    _expect("" not in members, "a definition name must be non-empty", f'{path}[""]')
+    for name in members:
+        _checked(names.token, name, "definition name", _key_path(path, name))
     return members
-
-
-# a designator starts every instance line, so it must stay one token
-_DESIGNATOR_TOKEN_RE = re.compile(r"[^\s=]+\Z")
 
 
 def _params_from_ir(raw, path) -> Params:
     _expect(isinstance(raw, dict), "expected a parameter object", path)
     params = Params()
     for name, value in raw.items():
-        params[name] = value_from_json(value, f"{path}.{name}")
+        # export_json writes every number as a JSON number, so IR text stays
+        # text, also text that would read as a number ("1k")
+        if not isinstance(value, str):
+            value = value_from_json(value, f"{path}.{name}")
+        try:
+            params[name] = value
+        except BadNameError as exc:  # Params checks each name
+            raise SchemaError(str(exc), _key_path(path, name)) from None
     return params
 
 
@@ -617,14 +666,8 @@ def _instance_from_ir(raw, templates, scope_nets, path) -> Instance:
     context = raw.get("context", {})
     _expect(isinstance(context, dict), "context must be an object", f"{path}.context")
     designator = raw.get("designator")
-    # an alphanumeric designator, the usual case, needs no pattern match
-    if designator is not None and not (
-        isinstance(designator, str)
-        and (designator.isalnum() or _DESIGNATOR_TOKEN_RE.match(designator))
-    ):
-        raise SchemaError(
-            "designator must be non-empty text without whitespace or '='", f"{path}.designator"
-        )
+    if designator is not None:
+        _checked(names.token, designator, "designator", f"{path}.designator")
     return Instance(
         template,
         nets,
@@ -724,15 +767,9 @@ def import_json(text: str) -> Circuit:
         path = f"models.{name}"
         _expect(isinstance(model_raw, dict), "expected a model object", path)
         _expect("base_type" in model_raw, "model needs a base_type", path)
-        base_type = model_raw["base_type"]
-        _expect(
-            isinstance(base_type, str) and base_type,
-            "base_type must be non-empty text",
-            f"{path}.base_type",
-        )
         circuit.models[name] = Model(
             name,
-            base_type,
+            _checked(names.token, model_raw["base_type"], "model base type", f"{path}.base_type"),
             _params_from_ir(model_raw.get("params", {}), f"{path}.params"),
         )
 

@@ -6,7 +6,9 @@ Three formats are supported:
   where a value is a number, a string with an optional SI suffix ("1p"),
   plain text, or a directive object such as {"$formula": "1 / vth"},
   {"$gauss": [0.4, 0.1]}, {"$uniform": [lo, hi]}, {"$lognormal": [mu, s]};
-* SPICE .model cards, with "+" continuation lines and "*" comments;
+* SPICE .model cards, with "+" continuation lines and "*" comments (a card
+  whose name, type or parameter name breaks the rules of netforge.names is a
+  ParseError with its line);
 * Verilog-A module signatures (module name, port list, and
   "parameter real|integer name = value;" declarations; bodies are ignored).
 
@@ -22,6 +24,7 @@ from pathlib import Path
 
 from .core import Component, Model, UNCONNECTED
 from .errors import (
+    BadNameError,
     FormulaSyntaxError,
     InvalidDistributionError,
     MultipleModulesError,
@@ -226,7 +229,7 @@ def parse_spice_models(text: str) -> list[Model]:
         if rest.startswith("(") and rest.endswith(")"):
             rest = rest[1:-1].strip()
         params = Params()
-        if rest:
+        try:
             for token in re.sub(r"\s*=\s*", "=", rest).split():
                 if "=" in token:
                     key, _, value = token.partition("=")
@@ -237,7 +240,9 @@ def parse_spice_models(text: str) -> list[Model]:
                     params[key] = _model_value(value)
                 else:
                     params[token] = "1"  # bare flag
-        models.append(Model(name, base_type, params))
+            models.append(Model(name, base_type, params))
+        except BadNameError as exc:
+            raise ParseError(f"{exc} in .model {name}", line_number) from None
     return models
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from . import names
 from .core import (
     Component,
     Instance,
@@ -27,7 +28,6 @@ from .core import (
     rebind,
 )
 from .errors import (
-    EmptyNameError,
     InvalidProbabilityError,
     PortFnArityError,
     PortOutOfRangeError,
@@ -145,8 +145,8 @@ class NamedChain(Manipulation):
         out_port: int | None = None,
         out_name: str = "",
     ):
-        if not out_name:
-            raise EmptyNameError("named chain needs a non-empty out_name")
+        # an empty name would leave the end unconnected
+        names.token(out_name, "out_name")
         children, out_port = _chain_children(template, n, in_port, out_port)
         last = children[-1]
         nets = list(last.nets)

@@ -1,0 +1,78 @@
+"""What a simulator must read as one token: the one name rule of netforge.
+
+A simulator splits a netlist line at whitespace and reads each parameter as
+one `name=value` token. So every name and text value netforge prints has to
+be one token, or the line means something else than what was built. Three
+rules say what one token is, and every other module calls them instead of
+checking names itself:
+
+- token: non-empty text with no whitespace and no "=". Template, model and
+  subcircuit names, model base types, designators and text parameter values.
+- identifier: [A-Za-z_][A-Za-z0-9_]*, the formula tokenizer's `ident`.
+  Parameter names, so every exported `k=v` names something a formula can
+  refer to.
+- net: [A-Za-z_][A-Za-z0-9_.]* for a symbolic net or pin name (core.as_net
+  also takes non-negative integers and decimal text), and [A-Za-z_]+ for a
+  designator prefix.
+
+Each check returns the name it was given or raises a BadNameError:
+EmptyNameError (also a TypeError) for an empty or non-text name, NetNameError
+for a net or pin. is_token is the test itself, for lint, which reports
+designators and text values that break the token rule as BAD_TOKEN.
+
+This module imports only errors, so every other module can use it.
+"""
+
+from __future__ import annotations
+
+import re
+
+from .errors import BadNameError, EmptyNameError, NetNameError
+
+__all__ = ["is_token", "token", "identifier", "net", "prefix"]
+
+_TOKEN_RE = re.compile(r"[^\s=]+\Z")
+_NET_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
+_PREFIX_RE = re.compile(r"[A-Za-z_]+\Z")
+
+
+def is_token(text) -> bool:
+    """True when `text` is non-empty text with no whitespace and no "="."""
+    # alphanumeric text, the usual case, needs no pattern match
+    return isinstance(text, str) and (text.isalnum() or _TOKEN_RE.match(text) is not None)
+
+
+def _require_text(text, what: str) -> None:
+    if not isinstance(text, str) or not text:
+        raise EmptyNameError(f"{what} must be a non-empty string, got {text!r}")
+
+
+def token(text, what: str):
+    """`text`, if it is one token; `what` names it in the error."""
+    if is_token(text):
+        return text
+    _require_text(text, what)
+    raise BadNameError(f"{what} {text!r} must be one token, without whitespace or '='")
+
+
+def identifier(text, what: str = "parameter name"):
+    """`text`, if it matches [A-Za-z_][A-Za-z0-9_]*."""
+    # an ASCII Python identifier is exactly that pattern
+    if isinstance(text, str) and text.isascii() and text.isidentifier():
+        return text
+    _require_text(text, what)
+    raise BadNameError(f"{what} {text!r} must match [A-Za-z_][A-Za-z0-9_]*")
+
+
+def net(text, what: str = "net"):
+    """`text`, if it is a symbolic net name, [A-Za-z_][A-Za-z0-9_.]*."""
+    if isinstance(text, str) and _NET_RE.match(text):
+        return text
+    raise NetNameError(f"invalid {what} name {text!r}")
+
+
+def prefix(text):
+    """`text`, if it can start a designator: [A-Za-z_]+."""
+    if isinstance(text, str) and _PREFIX_RE.match(text):
+        return text
+    raise BadNameError(f"designator prefix must be alphabetic, got {text!r}")

@@ -1,9 +1,13 @@
 """Parameter values, process-corner sets, random specs, and evaluation.
 
 A parameter value is a finite number, verbatim text, a Formula, or a
-RandomSpec. Evaluation resolves formulas in dependency order and draws each
-random spec exactly once per call from an explicit seeded generator, so a
-(params, context, seed) triple always produces bitwise-identical numbers.
+RandomSpec, and a parameter name follows the identifier rule of
+netforge.names ([A-Za-z_][A-Za-z0-9_]*), so every exported `k=v` names
+something a formula can refer to. Text values are printed verbatim; lint,
+not Params, reports one that is not one token (BAD_TOKEN). Evaluation
+resolves formulas in dependency order and draws each random spec exactly
+once per call from an explicit seeded generator, so a (params, context,
+seed) triple always produces bitwise-identical numbers.
 
 Everything about a parameter map that does not depend on the context or the
 seed is analysed once, into a ParamPlan that the Params keeps: the constant
@@ -24,11 +28,12 @@ so plans that differ only in their values, such as the merged maps of many
 primitive instances with overrides, share one compile() and each binds its
 own values. While RandomSpec.sample or Formula.evaluate is not netforge's
 own (a tracer or a counting test has wrapped it), the line function is
-instead _scope_line, which fills one scope dict per line, as evaluate does,
-and calls the current sample, evaluate and format_number once per value.
+instead _scope_line, which calls evaluate and then the current
+format_number once per value.
 Every mutation of a Params (item assignment or deletion, update, setdefault,
-|=, pop, popitem, clear) goes through one checked path that also drops the
-plan, so the next evaluation analyses the new contents.
+|=, pop, popitem, clear) goes through one checked path, for names and
+values, that also drops the plan, so the next evaluation analyses the new
+contents.
 Evaluating or rendering through the plan gives the same values, drawn in the
 same order, bit for bit, as analysing the map on every call.
 """
@@ -46,6 +51,7 @@ from .errors import (
     UnknownCornerError,
 )
 from .formula import NAMESPACE, Formula, read_context, splice
+from .names import identifier
 from .rng import GAUSS, STEP, UNIT, UNIT_OPEN, Xoshiro256StarStar, as_generator
 
 __all__ = [
@@ -152,8 +158,8 @@ def _check_value(name, value):
 class Params(dict):
     """Ordered parameter map; insertion order drives export order.
 
-    Every value is checked on the way in, by every mutator. The ParamPlan
-    built on first evaluation is kept until the next mutation.
+    Every name and value is checked on the way in, by every mutator. The
+    ParamPlan built on first evaluation is kept until the next mutation.
     """
 
     __slots__ = ("_plan",)
@@ -165,9 +171,7 @@ class Params(dict):
             self.update(values)
 
     def __setitem__(self, name, value):
-        if not isinstance(name, str) or not name:
-            raise TypeError("parameter names must be non-empty strings")
-        value = _check_value(name, value)
+        value = _check_value(identifier(name), value)
         self._plan = None
         super().__setitem__(name, value)
 
@@ -514,21 +518,15 @@ class ParamPlan:
         )
 
     def _scope_line(self, fmt):
-        """The line function that calls RandomSpec.sample, Formula.evaluate
-        and `fmt` as they are now, once per value, over one scope dict."""
+        """The line function that calls evaluate, and so RandomSpec.sample
+        and Formula.evaluate as they are at each call, and then `fmt` once
+        per drawn or computed value."""
         text = self._text(fmt)
-        constants = self.constants
-        draws = [(name, spec.sample) for name, spec in self.randoms]
-        evaluators = [(name, formula.evaluate) for name, formula in self.formulas]
         names = [name for name, _ in self.layout(fmt)[1]]
 
         def scope_line(before, context, rng):
-            scope = {**context, **constants} if context else constants.copy()
-            for name, sample in draws:
-                scope[name] = sample(rng)
-            for name, evaluate in evaluators:
-                scope[name] = evaluate(scope)
-            return text % (before, *[fmt(scope[name]) for name in names])
+            values = self.evaluate(context, rng)
+            return text % (before, *[fmt(values[name]) for name in names])
 
         return scope_line
 

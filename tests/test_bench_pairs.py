@@ -47,6 +47,22 @@ def test_report_gives_medians_wins_and_the_ref_iqr(capsys):
     assert lines[4] == "ref 0/50 failed; tree 0/50 failed"
 
 
+def test_report_gives_each_bound_and_whether_the_median_is_within_it(capsys):
+    metrics = [
+        {"name": "sweep_ref", "better": "lower", "bound": 0.25},
+        {"name": "netlist_bytes", "better": "lower", "bound": 0.05},
+    ]
+    ref = [_run(v, size=100) for v in (10.0, 11.0, 12.0)]
+    tree = [_run(v, size=106) for v in (12.0, 13.0, 14.0)]
+    _load_tool().report("ro_sweep", metrics, ref, tree)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split()[-2:] == ["bound", "within"]
+    # sweep_ref 11 -> 13 is 18 % worse, inside its 25 %; netlist_bytes
+    # 100 -> 106 is 6 % worse, outside its 5 %
+    assert lines[2].split()[-2:] == ["25%", "ok"]
+    assert lines[3].split()[-2:] == ["5%", "WORSE"]
+
+
 def test_report_names_failures_and_wrong_runs(capsys):
     ref = [_run(10.0)]
     tree = [_run(9.0, failed=2, correct=False)]

@@ -414,6 +414,87 @@ def test_sweep_rejects_bad_vary_spec(doc_dir, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+def test_set_rejects_non_finite_numbers(doc_dir, capsys, value):
+    code, out, err = run_cli(["build", doc_dir / RO_DOC, "--set", f"N_CHAINS={value}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --set:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["0:inf:2", "nan:1:2", "0:1e400:3", "-1e308:1e308:3"])
+def test_vary_rejects_non_finite_numbers(doc_dir, tmp_path, capsys, spec):
+    out_dir = tmp_path / "sweep"
+    code, _, err = run_cli(
+        ["sweep", doc_dir / RO_DOC, "--vary", f"N_CHAINS={spec}", "--out", out_dir], capsys
+    )
+    assert code == 2
+    assert err.startswith("error: --vary:") and "Traceback" not in err
+    assert not (out_dir / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("seeds", [0, -1])
+def test_sweep_rejects_fewer_than_one_seed(doc_dir, tmp_path, capsys, seeds):
+    out_dir = tmp_path / "sweep"
+    code, _, err = run_cli(
+        ["sweep", doc_dir / RO_DOC, "--seeds", seeds, "--out", out_dir], capsys
+    )
+    assert code == 2
+    assert err.startswith("error: --seeds:")
+    assert not (out_dir / "manifest.json").exists()
+
+
+def _one_resistor_doc(tmp_path, name="res", param="r", value=1, model="m"):
+    doc = tmp_path / "doc.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "version": 1,
+                "models": [{"name": model, "type": "nmos"}],
+                "components": [
+                    {"name": name, "ports": ["a", "b"], "prefix": "R",
+                     "params": {param: value, "model": model}}
+                ],
+                "circuit": [{"op": "instance", "template": name, "nets": ["n1", "0"]}],
+            }
+        )
+    )
+    return doc
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"name": "R x"}, "component name 'R x'"),
+        ({"param": "r x"}, "parameter name 'r x'"),
+        ({"param": "k=1"}, "parameter name 'k=1'"),
+        ({"model": "bad name"}, "model name 'bad name'"),
+    ],
+    ids=["component", "parameter-space", "parameter-equals", "model"],
+)
+def test_a_name_that_is_not_one_token_is_a_build_error(tmp_path, capsys, fields, message):
+    doc = _one_resistor_doc(tmp_path, **fields)
+    for command in ("build", "lint", "export"):
+        code, out, err = run_cli([command, doc], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["foo bar=1", "a=b", ""])
+def test_a_text_value_that_is_not_one_token_is_a_lint_error(tmp_path, capsys, value):
+    doc = _one_resistor_doc(tmp_path, value=value)
+    code, out, _ = run_cli(["build", doc], capsys)
+    assert code == 0
+    code, out, _ = run_cli(["lint", doc], capsys)
+    assert code == 5
+    assert "BAD_TOKEN" in out and f"text value {value!r} of parameter 'r'" in out
+    code, out, err = run_cli(["export", doc], capsys)
+    assert code == 5
+    assert out == ""
+    assert "BAD_TOKEN" in err and "Traceback" not in err
+
+
 # --- sweep: one build per corner x values, every seed exported from it --------------
 
 SWEEP_CORNERS = ("TT", "FF")

@@ -522,6 +522,15 @@ def _set_template(raw):
     raw["instances"][0]["template"] = 5
 
 
+def _set_param(where, name):
+    def mutate(raw):
+        if where == "component":
+            raw["components"]["Cap"]["params"][name] = 1
+        else:
+            raw["instances"][0]["params"][name] = 1
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate, path",
     [
@@ -551,6 +560,13 @@ def _set_template(raw):
         (_set_top("models", {"": {"base_type": "nmos"}}), 'models[""]'),
         (_set_top("subcircuits", {"": {"pins": ["a"]}}), 'subcircuits[""]'),
         (_set_subckt(nested={"": {"pins": ["b"]}}), 'subcircuits.S.nested[""]'),
+        (_set_top("components", {"bad name": {"ports": ["a"]}}), 'components["bad name"]'),
+        (_set_top("models", {"bad name": {"base_type": "nmos"}}), 'models["bad name"]'),
+        (_set_top("subcircuits", {"bad name": {"pins": ["a"]}}), 'subcircuits["bad name"]'),
+        (_set_subckt(nested={"bad name": {"pins": ["b"]}}), 'subcircuits.S.nested["bad name"]'),
+        (_set_param("component", "r x"), 'components.Cap.params["r x"]'),
+        (_set_param("instance", "k=1 z"), 'instances[0].params["k=1 z"]'),
+        (_set_top("models", {"m": {"base_type": "nm os"}}), "models.m.base_type"),
     ],
     ids=[
         "globals-number", "context-array", "float-net", "seed-text", "directives-text",
@@ -559,7 +575,9 @@ def _set_template(raw):
         "subcircuits-pairs", "nested-pairs", "instances-number", "instances-object",
         "body-number", "template-number", "fixed-text", "base-type-number", "pin-number",
         "component-empty-name", "model-empty-name", "subcircuit-empty-name",
-        "nested-empty-name",
+        "nested-empty-name", "component-space-name", "model-space-name",
+        "subcircuit-space-name", "nested-space-name", "component-param-space-name",
+        "instance-param-equals-name", "base-type-space",
     ],
 )
 def test_import_rejects_malformed_fields_with_path(mutate, path):
@@ -599,6 +617,16 @@ def test_round_trip_preserves_unresolved_values_and_state():
     inst = again.instances[0]
     assert inst.template.params["w"] == Formula("l * 2")
     assert inst.overrides["w"] == 4
+
+
+@pytest.mark.parametrize("text", ["1k", "45n", "1e400", "2"])
+def test_round_trip_keeps_text_that_reads_as_a_number(text):
+    circuit = Circuit()
+    circuit += Component("Cap", [0, 1], {"C": 1e-12, "tag": text}, prefix="C") @ [0, 1]
+    again = import_json(export_json(circuit))
+    assert again == circuit
+    assert again.instances[0].template.params["tag"] == text
+    assert export(again) == export(circuit)
 
 
 def test_round_trip_preserves_array_context():

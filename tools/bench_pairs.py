@@ -17,11 +17,14 @@ runs every workload in turn.
 
 One table per workload gives, for every end-to-end metric in BENCHMARK.json,
 both medians, the change, the pairs the working tree won (better in the
-metric's direction, within the same pair) and the quartile distance (IQR)
-of REF's runs: a speed claim holds when the working tree wins nearly every
-pair and its median moves by more than that IQR. The last line of a table
-gives each side's failed share of the checked operations. So one command
-shows a claimed metric better and nothing worse on any workload.
+metric's direction, within the same pair), the quartile distance (IQR) of
+REF's runs, the metric's regression `bound` from BENCHMARK.json, and whether
+the working tree's median is within it ("ok": worse than REF's median by at
+most that fraction, or "WORSE"). A speed claim holds when the working tree
+wins nearly every pair and its median moves by more than that IQR; "nothing
+worse" holds when the last column reads "ok" on every row. The last line of
+a table gives each side's failed share of the checked operations. So one
+command shows a claimed metric better and nothing worse on any workload.
 
 Stdlib only. It writes nothing in the repository but what perfbench/run.py
 writes itself (the ignored `.perfbench_*` directories).
@@ -89,11 +92,19 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
+def within(metric: dict, ref_median: float, tree_median: float) -> bool:
+    """Whether the tree's median is worse than REF's by at most the metric's bound."""
+    lower = metric.get("better", "lower") == "lower"
+    worse = tree_median - ref_median if lower else ref_median - tree_median
+    return worse <= metric["bound"] * abs(ref_median)
+
+
 def report(workload: str, metrics: list[dict], ref_runs: list[dict], tree_runs: list[dict]) -> None:
-    """Print the table of one workload's pairs."""
+    """Print the table of one workload's pairs. The bound columns are left
+    out for a metric without a `bound`."""
     print(f"== {workload}: {len(tree_runs)} pairs ==")
     print(f"{'metric':20s} {'ref median':>12s} {'tree median':>12s} {'change':>8s} "
-          f"{'tree won':>9s} {'ref IQR':>10s}")
+          f"{'tree won':>9s} {'ref IQR':>10s} {'bound':>7s} within")
     for metric in metrics:
         name = metric["name"]
         ref = [run["metrics"][name]["value"] for run in ref_runs]
@@ -102,8 +113,12 @@ def report(workload: str, metrics: list[dict], ref_runs: list[dict], tree_runs: 
         won = sum((t < r) if lower else (t > r) for r, t in zip(ref, tree))
         ref_median, tree_median = statistics.median(ref), statistics.median(tree)
         change = (tree_median - ref_median) / ref_median * 100 if ref_median else 0.0
-        print(f"{name:20s} {ref_median:12.4g} {tree_median:12.4g} {change:+7.1f}% "
-              f"{won:>4d}/{len(ref):<4d} {iqr(ref):10.3g}")
+        row = (f"{name:20s} {ref_median:12.4g} {tree_median:12.4g} {change:+7.1f}% "
+               f"{won:>4d}/{len(ref):<4d} {iqr(ref):10.3g}")
+        if "bound" in metric:
+            verdict = "ok" if within(metric, ref_median, tree_median) else "WORSE"
+            row += f" {metric['bound'] * 100:6.0f}% {verdict}"
+        print(row)
     shares = []
     for side, runs in (("ref", ref_runs), ("tree", tree_runs)):
         failed = sum(run.get("failed", 0) for run in runs)
