@@ -8,17 +8,20 @@ one file writer, that the library and the CLI share.
 
 The text dialects are tables (_TextDialect) over one traversal,
 _text_exporter: lint once; lay the netlist out once (_line_frame) into the
-literal lines and, for each line with drawn or computed values, its prefix
-and its ParamPlan's line function (ParamPlan.line: the plan's generated
-kernel, with draws and formulas inline); then, for each seed, call those
-functions in line order with one rng seeded explicitly, which only draw,
-evaluate and format values. The number formatter (format_number under this
-module) is looked up when the exporter is built, and so is whether
-RandomSpec.sample and Formula.evaluate are still netforge's own: once one
-is wrapped, the line functions call through it once per value instead. A table holds only what a dialect
-changes: header, keyword prefix, parameter and net formats, and footer. So equal (circuit, seed)
-pairs always produce byte-identical output, every text dialect draws the
-same values in the same order, and different seeds can only change
+literal lines and runs: each stretch of consecutive lines with drawn or
+computed values that share a ParamPlan becomes one entry, the plan's run
+function (ParamPlan.run: the plan's generated kernel, with draws, formulas
+and number formatting inline) with the text before each of its lines; then,
+for each seed, call the run functions in line order with one rng seeded
+explicitly, each rendering all of its lines in one call. The number
+formatter (format_number under this module) is looked up when the exporter
+is built, and so is whether RandomSpec.sample and Formula.evaluate are
+still netforge's own: while all three are, kernels format inline with
+numfmt.FORMAT; once one is wrapped, the run functions call through it once
+per value instead. A table holds only what a dialect changes: header,
+keyword prefix, parameter and net formats, and footer. So equal (circuit,
+seed) pairs always produce byte-identical output, every text dialect draws
+the same values in the same order, and different seeds can only change
 parameter value tokens, never topology lines. _seed_exporter gives any
 dialect that seed -> text form, so export() and a many-seed sweep share one
 path; the circuit must not change between the calls of one seed -> text
@@ -26,7 +29,9 @@ function.
 
 Lint also keeps the one-token promise of netforge.names for what Python can
 change after construction, or a document can load, but a simulator could
-not read as one token: designators and text parameter values (BAD_TOKEN).
+not read as one token: designators, which must also start with [A-Za-z_]
+so that a reader takes their line as an element, and text parameter values
+(BAD_TOKEN).
 Every other name was checked when its object was made.
 
 The JSON dialect is different in kind: it round-trips the circuit losslessly,
@@ -77,7 +82,7 @@ from .formula import Formula
 from .io_readers import ParamFile, value_from_json
 from .numfmt import format_number
 # perfbench/tracer.py wraps eval_params under this module's name, so it stays
-# importable here although text export renders through ParamPlan.line
+# importable here although text export renders through ParamPlan.run
 from .params import Params, RandomSpec, eval_params, plan_of  # noqa: F401
 from .rng import Xoshiro256StarStar
 
@@ -231,8 +236,11 @@ def _lint_scope(findings, instances, pins, scope, global_nets, known_subckts, ma
 
     for designator, count in designators.items():
         location = f"{scope}/{designator}" if scope else str(designator)
-        if not names.is_token(designator):
-            message = f"designator {designator!r} is not one token"
+        if not names.is_designator(designator):
+            if names.is_token(designator):
+                message = f"designator {designator!r} must start with [A-Za-z_]"
+            else:
+                message = f"designator {designator!r} is not one token"
             findings.append(Finding("error", "BAD_TOKEN", message, location))
         if count > 1:
             findings.append(
@@ -266,9 +274,10 @@ def lint(circuit: Circuit) -> LintReport:
     DUPLICATE_DESIGNATOR (error), UNDEFINED_MASTER (error), DUPLICATE_SUBCKT
     (error, two different definitions share a name), UNUSED_PIN (warn,
     subcircuit pin that never appears in its body), and BAD_TOKEN (error, a
-    designator or text parameter value that is not one token, see
-    netforge.names). Text values are checked once per Params object, at the
-    model, subcircuit or first instance that prints them.
+    designator that is not one token starting with [A-Za-z_], or a text
+    parameter value that is not one token, see netforge.names). Text values
+    are checked once per Params object, at the model, subcircuit or first
+    instance that prints them.
     """
     duplicates: set[str] = set()
     globals_ = set(circuit.global_nets)
@@ -346,23 +355,28 @@ def _instance_prefix(dialect: _TextDialect, inst: Instance) -> str:
 def _line_frame(dialect: _TextDialect, circuit: Circuit, subckts, header) -> tuple:
     """Lay a netlist out once for every seed, as (frame, tail).
 
-    `frame` is a flat list of (text, line function, context) triples: a
-    seed's netlist is, for each triple, line_function(text, context, rng),
-    which is the text followed by the plan's tokens rendered with that
-    context, and then `tail`. A text holds the end of the line before it,
-    every line in between that draws and computes nothing, and the prefix
-    of its own line, so the frame costs one string per line with drawn or
-    computed values. Plans, and their line functions, are shared through
-    their Params, except that a primitive instance with overrides brings
-    the plan of its merged map.
+    `frame` is a list of runs, (run, befores, contexts): for each run, a
+    seed's netlist is what run(befores, contexts, rng, out) appends to
+    `out`, one line per text in `befores`, that text followed by the plan's
+    tokens rendered with the line's context; and then `tail`. A text holds
+    the end of the line before it, every line in between that draws and
+    computes nothing, and the prefix of its own line, so the frame costs one
+    string per line with drawn or computed values. Consecutive such lines
+    that share a plan, and so its run function (ParamPlan.run), are one
+    run: every instance of a chain without overrides, and the lines of a
+    subcircuit body that share a template. Plans are shared through their
+    Params, except that a primitive instance with overrides brings the plan
+    of its merged map, and so a run of its own. `contexts` holds each
+    line's context, or is None when every one of them is empty.
 
     format_number formats every number: the constants here, once per plan,
-    and the drawn and computed values in each call of a line function. It
-    is looked up here, as the exporter is built, and so are the names each
-    line function calls per value (see ParamPlan.line), so that a wrapper
-    installed around one of them by name before then sees every call.
+    and the drawn and computed values in each call of a run function, inline
+    while it is numfmt's own. It is looked up here, as the exporter is
+    built, and so are the names each run function calls per value (see
+    ParamPlan.run), so that a wrapper installed around one of them by name
+    before then sees every call.
     """
-    frame: list = []
+    frame: list = []  # (run, befores, contexts)
     text: list[str] = []  # since the last parameterised line
 
     def line(prefix: str, params, wrap: str, context=None):
@@ -372,9 +386,12 @@ def _line_frame(dialect: _TextDialect, circuit: Circuit, subckts, header) -> tup
             head, slots = plan.layout(format_number)
             before, _, after = wrap.partition("{}")
             if slots:
+                run = plan.run(format_number)
+                if not frame or frame[-1][0] is not run:
+                    frame.append((run, [], []))
                 text.extend((prefix, before))
-                context = context if plan.formulas else None
-                frame.extend(("".join(text), plan.line(format_number), context))
+                frame[-1][1].append("".join(text))
+                frame[-1][2].append(context)
                 text[:] = (after, "\n")
                 return
             prefix = f"{prefix}{before}{head}{after}"
@@ -394,6 +411,10 @@ def _line_frame(dialect: _TextDialect, circuit: Circuit, subckts, header) -> tup
         line(_instance_prefix(dialect, inst), _line_params(inst), " {}", inst.context)
     for literal in (*circuit.directives, *dialect.footer):
         line(literal, None, "")
+    # an empty context and none read the same, so a run without one keeps none
+    frame = [
+        (run, befores, contexts if any(contexts) else None) for run, befores, contexts in frame
+    ]
     return frame, "".join(text)
 
 
@@ -411,11 +432,9 @@ def _text_exporter(dialect: _TextDialect, circuit: Circuit, options: dict):
 
     def emit(seed: int) -> str:
         rng = Xoshiro256StarStar(seed)
-        entries = iter(frame)  # zip below takes them three at a time
-        out = [
-            line(text, context, rng)
-            for text, line, context in zip(entries, entries, entries)
-        ]
+        out: list[str] = []
+        for run, befores, contexts in frame:
+            run(befores, contexts, rng, out)
         out.append(tail)
         return "".join(out)
 
@@ -667,7 +686,7 @@ def _instance_from_ir(raw, templates, scope_nets, path) -> Instance:
     _expect(isinstance(context, dict), "context must be an object", f"{path}.context")
     designator = raw.get("designator")
     if designator is not None:
-        _checked(names.token, designator, "designator", f"{path}.designator")
+        _checked(names.designator, designator, "designator", f"{path}.designator")
     return Instance(
         template,
         nets,

@@ -7,7 +7,11 @@ rules say what one token is, and every other module calls them instead of
 checking names itself:
 
 - token: non-empty text with no whitespace and no "=". Template, model and
-  subcircuit names, model base types, designators and text parameter values.
+  subcircuit names, model base types and text parameter values.
+- designator: a token that starts with [A-Za-z_], as a designator prefix
+  does. A designator is the first token of its line, and a reader takes a
+  line that starts with "*", "+", "." or ";" as a comment, a continuation
+  or a control card, not as an element.
 - identifier: [A-Za-z_][A-Za-z0-9_]*, the formula tokenizer's `ident`.
   Parameter names, so every exported `k=v` names something a formula can
   refer to.
@@ -17,8 +21,9 @@ checking names itself:
 
 Each check returns the name it was given or raises a BadNameError:
 EmptyNameError (also a TypeError) for an empty or non-text name, NetNameError
-for a net or pin. is_token is the test itself, for lint, which reports
-designators and text values that break the token rule as BAD_TOKEN.
+for a net or pin. is_token and is_designator are the tests themselves, for
+lint, which reports designators and text values that break their rule as
+BAD_TOKEN.
 
 This module imports only errors, so every other module can use it.
 """
@@ -26,14 +31,17 @@ This module imports only errors, so every other module can use it.
 from __future__ import annotations
 
 import re
+import string
 
 from .errors import BadNameError, EmptyNameError, NetNameError
 
-__all__ = ["is_token", "token", "identifier", "net", "prefix"]
+__all__ = ["is_token", "token", "is_designator", "designator", "identifier", "net", "prefix"]
 
 _TOKEN_RE = re.compile(r"[^\s=]+\Z")
 _NET_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
 _PREFIX_RE = re.compile(r"[A-Za-z_]+\Z")
+# what a designator may start with: what a designator prefix is made of
+_DESIGNATOR_START = frozenset(string.ascii_letters + "_")
 
 
 def is_token(text) -> bool:
@@ -53,6 +61,20 @@ def token(text, what: str):
         return text
     _require_text(text, what)
     raise BadNameError(f"{what} {text!r} must be one token, without whitespace or '='")
+
+
+def is_designator(text) -> bool:
+    """True when `text` is one token that starts with [A-Za-z_]."""
+    return is_token(text) and text[0] in _DESIGNATOR_START
+
+
+def designator(text, what: str = "designator"):
+    """`text`, if it is one token that starts with [A-Za-z_]."""
+    # is_designator, inline: import_json checks every designator it reads
+    if is_token(text) and text[0] in _DESIGNATOR_START:
+        return text
+    token(text, what)
+    raise BadNameError(f"{what} {text!r} must start with [A-Za-z_], as a designator prefix does")
 
 
 def identifier(text, what: str = "parameter name"):

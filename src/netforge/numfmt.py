@@ -7,9 +7,18 @@ significant digits. The one exception is a subnormal, whose few bits of
 precision `.12g` would pad with digits, so it keeps its shortest form when
 that is shorter.
 
-format_number runs once per drawn or computed value of every exported
-netlist, so it normalises the exponent inline, and only when the text has
-one; a subnormal always prints with an exponent.
+The rule for one finite number is also kept here as source, FORMAT, which
+a plan kernel (params.ParamPlan.run) splices in once per drawn or computed
+value instead of calling format_number: `.12g`, and a negative exponent
+without its leading zero, by one text replacement. Only two kinds of
+value need more than that, and both print with an exponent no common value
+has: an integral value that `.12g` prints with an exponent (always a
+positive one, |value| >= 1e12) and a subnormal (an exponent of -308 or
+below). The source hands every value whose exponent is positive, or
+negative with a first digit 3 (-30 to -39, and -300 or below), to
+format_number itself, which stays the one definition of the rule
+and the oracle that tests/test_numfmt.py holds FORMAT to. The only other
+difference, the `.12g` text "-0" of -0.0, is mended in place.
 """
 
 from __future__ import annotations
@@ -38,6 +47,20 @@ _SI_NUMBER_RE = re.compile(
     re.IGNORECASE,
 )
 _MANTISSA_EXP_RE = re.compile(r"([^eE]*)[eE]([+-]?\d+)$")
+
+
+# format_number({value}) for the finite number in the local {value}, into the
+# local {text}; str.format fills in the two names
+FORMAT = (
+    "{text} = '%.12g' % {value}",
+    "if 'e' in {text}:",
+    "    if 'e+' in {text} or 'e-3' in {text}:",
+    "        {text} = format_number({value})",
+    "    else:",
+    "        {text} = {text}.replace('e-0', 'e-')",
+    "elif {text} == '-0':",
+    "    {text} = '0'",
+)
 
 
 def parse_si_number(text: str):

@@ -12,24 +12,32 @@ seed) triple always produces bitwise-identical numbers.
 Everything about a parameter map that does not depend on the context or the
 seed is analysed once, into a ParamPlan that the Params keeps: the constant
 values, the random specs in name order (the draw order), and the formulas in
-dependency order. Once a text exporter asks, the plan also keeps its token
-layout, with the constants' `name=value` text, and its line function,
-`(before, context, rng) -> str`, which draws, computes and formats this
-map's values for one netlist line and does nothing else (ParamPlan.line).
+dependency order. A merged map whose overrides leave the formulas as they
+were takes its base map's formula order (Params.merged). Once a text
+exporter asks, the plan also keeps its token layout, with the constants'
+`name=value` text, and its run function, `(befores, contexts, rng, out)`,
+which draws, computes and formats this map's values for a run of netlist
+lines, one per text in `befores`, appends each line to `out`, and does
+nothing else (ParamPlan.run). A text exporter calls it once for every
+stretch of consecutive lines that share the plan, such as a whole chain.
 
-The line function is normally the plan's kernel: one generated
-straight-line function that steps the generator's state in locals (the
-step's source is rng.STEP), applies the uniform, gauss and lognormal
-transforms and the formulas' programs (formula._compile) inline, with
-RandomSpec.sample's and Formula.evaluate's checks, error types and messages,
-and calls the exporters' format_number once per value. Kernels are cached
-by plan shape (names, the kind of each value, formula programs and order),
-so plans that differ only in their values, such as the merged maps of many
-primitive instances with overrides, share one compile() and each binds its
-own values. While RandomSpec.sample or Formula.evaluate is not netforge's
-own (a tracer or a counting test has wrapped it), the line function is
-instead _scope_line, which calls evaluate and then the current
-format_number once per value.
+The run function is normally the plan's kernel: one generated function
+that loads the generator's state into locals once, loops over the lines,
+and stores the state back when the run ends or raises. Each line steps the
+state (the step's source is rng.STEP), applies the uniform, gauss and
+lognormal transforms and the formulas' programs (formula._compile) inline,
+with RandomSpec.sample's and Formula.evaluate's checks, error types and
+messages, and formats each value inline with numfmt.FORMAT, the source of
+format_number's rule, while the exporters' format_number is numfmt's own;
+a replaced one is called once per value. Kernels are cached by plan shape
+(names, the kind of each value, formula programs and order, and whether
+formatting is inline), so plans that differ only in their values, such as
+the merged maps of many primitive instances with overrides, share one
+compile() and each binds its own values. While RandomSpec.sample or
+Formula.evaluate is not netforge's own (a tracer or a counting test has
+wrapped it), the run function is instead _scope_run, which calls evaluate
+and then the current format_number once per value, line by line, so
+traced and counted calls stay exact.
 Every mutation of a Params (item assignment or deletion, update, setdefault,
 |=, pop, popitem, clear) goes through one checked path, for names and
 values, that also drops the plan, so the next evaluation analyses the new
@@ -41,6 +49,7 @@ same order, bit for bit, as analysing the map on every call.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,6 +61,7 @@ from .errors import (
 )
 from .formula import NAMESPACE, Formula, read_context, splice
 from .names import identifier
+from .numfmt import FORMAT, format_number
 from .rng import GAUSS, STEP, UNIT, UNIT_OPEN, Xoshiro256StarStar, as_generator
 
 __all__ = [
@@ -117,7 +127,7 @@ class RandomSpec:
         return f"{self.kind}({self.a}, {self.b})"
 
 
-# netforge's own per-value methods: ParamPlan.line compiles a kernel only while
+# netforge's own per-value methods: ParamPlan.run compiles a kernel only while
 # these are in place, and otherwise calls through whatever replaced them
 _SAMPLE = RandomSpec.sample
 _EVALUATE = Formula.evaluate
@@ -216,9 +226,25 @@ class Params(dict):
         return self._plan
 
     def merged(self, overrides) -> "Params":
-        """New Params with `overrides` shadowing (or extending) this map."""
+        """New Params with `overrides` shadowing (or extending) this map.
+
+        When this map has formulas and the overrides neither set a formula
+        nor replace one, the new map has the same formulas, so its plan is
+        made here with this map's formula order instead of analysing them
+        again (this map's plan is made first, if need be; a cycle in it is
+        left for the new map's own analysis to report)."""
+        overrides = dict(overrides)
         out = self.copy()
         out.update(overrides)
+        if any(isinstance(value, Formula) for value in self.values()) and not any(
+            isinstance(value, Formula) or isinstance(self.get(name), Formula)
+            for name, value in overrides.items()
+        ):
+            try:
+                base = self.plan
+            except CyclicDependencyError:
+                return out
+            out._plan = ParamPlan(out, [name for name, _ in base.formulas])
         return out
 
     def copy(self) -> "Params":
@@ -346,24 +372,21 @@ def _draw(kind: str, i: int) -> tuple[list[str], list[str]]:
 
 
 def _source(shape: tuple) -> tuple[str, tuple]:
-    """The source of the kernel factory for a plan shape (see ParamPlan._kernel),
+    """The source of the run factory for a plan shape (see ParamPlan._kernel),
     and the names of the constants that its formulas read, in the order the
     factory takes them."""
-    names, kinds, order = shape
+    names, kinds, order, inline = shape
     kind_of = dict(zip(names, kinds))
     # drawn and computed values and the constants formulas read -> their variables
     local: dict[str, str] = {}
     arguments: list[str] = []
     body: list[str] = []
     draws = sorted(name for name in names if kind_of[name] in _DRAW_KINDS)
-    if draws:
-        body += ["s0, s1, s2, s3 = rng._s0, rng._s1, rng._s2, rng._s3", "try:"]
-        for i, name in enumerate(draws):
-            read_arguments, lines = _draw(kind_of[name], i)
-            arguments += read_arguments
-            body += ["    " + line for line in lines]
-            local[name] = f"v{i}"
-        body += ["finally:", "    rng._s0, rng._s1, rng._s2, rng._s3 = s0, s1, s2, s3"]
+    for i, name in enumerate(draws):
+        read_arguments, lines = _draw(kind_of[name], i)
+        arguments += read_arguments
+        body += lines
+        local[name] = f"v{i}"
     read_constants: list[str] = []
     from_context = []
 
@@ -384,31 +407,51 @@ def _source(shape: tuple) -> tuple[str, tuple]:
         body += splice(program, read)
         local[name] = f"r{k}"
         body.append(f"r{k} = {program[1]}")
+    # the drawn and computed values, in map order, formatted
+    values = [local[name] for name in names if kind_of[name] not in ("number", "text")]
+    if inline:
+        fields = [f"p{j}" for j in range(len(values))]
+        for value, field in zip(values, fields):
+            body += [line.format(value=value, text=field) for line in FORMAT]
+    else:
+        fields = [f"fmt({value})" for value in values]
+    body.append(f"append(text % (before{''.join(', ' + field for field in fields)}))")
     if from_context:
-        body.insert(0, "if context is None: context = {}")
-    # the drawn and computed values, in map order
-    fields = "".join(
-        f", fmt({local[name]})" for name in names if kind_of[name] not in ("number", "text")
-    )
+        loop = [
+            "if contexts is None: contexts = repeat(None)",
+            "for before, context in zip(befores, contexts):",
+            "    if context is None: context = {}",
+        ]
+    else:
+        loop = ["for before in befores:"]
+    loop += ["    " + line for line in body]
+    if draws:
+        loop = [
+            "s0, s1, s2, s3 = rng._s0, rng._s1, rng._s2, rng._s3",
+            "try:",
+            *("    " + line for line in loop),
+            "finally:",
+            "    rng._s0, rng._s1, rng._s2, rng._s3 = s0, s1, s2, s3",
+        ]
     parameters = ["text", "fmt", *(f"d{i}" for i in range(len(draws))),
                   *(f"c{i}" for i in range(len(read_constants)))]
     source = "\n".join([
         f"def factory({', '.join(parameters)}):",
         *("    " + line for line in arguments),
-        "    def line(before, context, rng):",
-        *("        " + line for line in body),
-        f"        return text % (before{fields})",
-        "    return line",
+        "    def run(befores, contexts, rng, out):",
+        "        append = out.append",
+        *("        " + line for line in loop),
+        "    return run",
     ])
     return source, tuple(read_constants)
 
 
 @functools.lru_cache(maxsize=256)
 def _factory(shape: tuple) -> tuple:
-    """The compiled kernel factory of a plan shape, with the names of the
+    """The compiled run factory of a plan shape, with the names of the
     constants it takes; one compile() per shape."""
     source, constants = _source(shape)
-    namespace = dict(NAMESPACE)
+    namespace = dict(NAMESPACE, repeat=itertools.repeat, format_number=format_number)
     exec(compile(source, "<param plan>", "exec"), namespace)
     return namespace["factory"], constants
 
@@ -416,14 +459,16 @@ def _factory(shape: tuple) -> tuple:
 class ParamPlan:
     """What evaluating a parameter map needs that no context or seed changes:
     the constants, the random specs in name order, and the formulas in
-    dependency order. Building one raises CyclicDependencyError on a cycle."""
+    dependency order. Building one raises CyclicDependencyError on a cycle,
+    unless `order`, the formula order of a map with exactly these formulas,
+    is given (see Params.merged)."""
 
-    __slots__ = ("names", "constants", "randoms", "formulas", "_layout", "_line")
+    __slots__ = ("names", "constants", "randoms", "formulas", "_layout", "_run")
 
-    def __init__(self, params):
+    def __init__(self, params, order=None):
         self.names = tuple(params)
         self._layout = None
-        self._line = None
+        self._run = None
         self.constants = {}
         randoms = []
         for name, value in params.items():
@@ -432,7 +477,9 @@ class ParamPlan:
             elif not isinstance(value, Formula):
                 self.constants[name] = value
         self.randoms = sorted(randoms, key=lambda item: item[0])
-        self.formulas = [(name, params[name]) for name in _formula_order(params)]
+        if order is None:
+            order = _formula_order(params)
+        self.formulas = [(name, params[name]) for name in order]
 
     def layout(self, fmt) -> tuple:
         """This map's tokens (`name=value`, space-separated, in map order) as
@@ -458,25 +505,31 @@ class ParamPlan:
             self._layout = (pieces[0], tuple(zip(slots, pieces[1:])))
         return self._layout
 
-    def line(self, fmt):
-        """This map's line function, `(before, context, rng) -> str`: `before`
-        followed by the tokens of layout(fmt), with each drawn or computed
-        value formatted by `fmt`, drawn from the generator `rng`. A call
-        draws and computes exactly what evaluate does, in the same order,
-        with the same checks and errors, and calls `fmt` once per value.
+    def run(self, fmt):
+        """This map's run function, `(befores, contexts, rng, out)`, which
+        renders one netlist line per text in `befores`: that text followed by
+        the tokens of layout(fmt), with each drawn or computed value
+        formatted by `fmt` and drawn from the generator `rng`, appended to the
+        list `out`. `contexts` is None, which stands for an empty context on
+        every line, or holds each line's context (a mapping or None). Each
+        line draws and computes exactly what evaluate does, in the same
+        order, with the same checks and errors; the lines before one that
+        raises stay in `out`.
 
         While RandomSpec.sample and Formula.evaluate are netforge's own, the
-        function is this plan's kernel (_kernel); once either has been
-        replaced (a tracer or a counting test wraps it), it is _scope_line,
-        which calls the replacement once per draw or formula. The names are
-        looked up here, and the function is made again when `fmt` or one of
-        them is no longer the same object. Drawn and computed values are
-        always finite floats, so they go to `fmt` as they are."""
+        function is this plan's kernel (_kernel), which formats inline while
+        `fmt` is numfmt's own format_number and otherwise calls `fmt` once
+        per value; once either method has been replaced (a tracer or a
+        counting test wraps it), it is _scope_run, which calls the
+        replacement once per draw or formula and `fmt` once per value. The
+        names are looked up here, and the function is made again when `fmt`
+        or one of them is no longer the same object. Drawn and computed
+        values are always finite, so they go to `fmt` as they are."""
         key = (fmt, RandomSpec.sample, Formula.evaluate)
-        if self._line is None or self._line[0] != key:
+        if self._run is None or self._run[0] != key:
             own = key[1] is _SAMPLE and key[2] is _EVALUATE
-            self._line = (key, (self._kernel if own else self._scope_line)(fmt))
-        return self._line[1]
+            self._run = (key, (self._kernel if own else self._scope_run)(fmt))
+        return self._run[1]
 
     def _text(self, fmt) -> str:
         """The line as a %-format: `before`, then layout(fmt) with a %s per value."""
@@ -487,22 +540,25 @@ class ParamPlan:
         )
 
     def _kernel(self, fmt):
-        """This plan's kernel: one generated straight-line function for the
-        line. It loads the generator's state into locals, steps it
-        (rng.STEP) and transforms the output in place for each draw, in name
-        order, with RandomSpec.sample's arithmetic, checks and messages;
-        stores the state back; runs each formula's program (Formula.program)
+        """This plan's kernel: one generated function that renders a run of
+        lines. It loads the generator's state into locals once, and for
+        each line steps it (rng.STEP) and transforms the output in place for
+        each draw, in name order, with RandomSpec.sample's arithmetic,
+        checks and messages; runs each formula's program (Formula.program)
         in dependency order, reading this plan's drawn and computed values
         from locals, its constants from the factory's arguments, and only
-        other names from `context`; and formats.
+        other names from the line's context; and formats each value, with
+        numfmt.FORMAT inline while `fmt` is numfmt's own format_number. It
+        stores the state back when the run ends or raises.
 
         The source depends only on the plan's shape: its names, the kind of
         each value (a number or text constant, a distribution kind, or a
-        formula's program) and the formulas' order, so plans of one shape
-        share one compile() (_factory). Every user value (the layout text,
-        the specs, the constants) is an argument of the factory, which each
-        plan calls once; user text reaches the source only as repr()
-        literals of formula identifiers and messages."""
+        formula's program), the formulas' order and whether formatting is
+        inline, so plans of one shape share one compile() (_factory). Every
+        user value (the layout text, the specs, the constants) is an
+        argument of the factory, which each plan calls once; user text
+        reaches the source only as repr() literals of formula identifiers
+        and messages."""
         randoms, formulas = dict(self.randoms), dict(self.formulas)
         kinds = tuple(
             randoms[name].kind if name in randoms
@@ -511,24 +567,25 @@ class ParamPlan:
             for name in self.names
         )
         order = tuple(name for name, _ in self.formulas)
-        factory, constants = _factory((self.names, kinds, order))
+        factory, constants = _factory((self.names, kinds, order, fmt is format_number))
         return factory(
             self._text(fmt), fmt, *[spec for _, spec in self.randoms],
             *[float(self.constants[name]) for name in constants],
         )
 
-    def _scope_line(self, fmt):
-        """The line function that calls evaluate, and so RandomSpec.sample
+    def _scope_run(self, fmt):
+        """The run function that calls evaluate, and so RandomSpec.sample
         and Formula.evaluate as they are at each call, and then `fmt` once
-        per drawn or computed value."""
+        per drawn or computed value, line by line."""
         text = self._text(fmt)
         names = [name for name, _ in self.layout(fmt)[1]]
 
-        def scope_line(before, context, rng):
-            values = self.evaluate(context, rng)
-            return text % (before, *[fmt(values[name]) for name in names])
+        def scope_run(befores, contexts, rng, out):
+            for i, before in enumerate(befores):
+                values = self.evaluate(None if contexts is None else contexts[i], rng)
+                out.append(text % (before, *[fmt(values[name]) for name in names]))
 
-        return scope_line
+        return scope_run
 
     def evaluate(self, extra_context=None, rng=None) -> dict:
         """Resolve every parameter; see eval_params."""

@@ -8,8 +8,8 @@ netlist files stable. Gaussian variates use the Box-Muller transform
 The generator keeps its state in four slots. One step, on the state in the
 locals s0..s3 and leaving the 64-bit output in x, is kept here as source,
 STEP, and next_u64 is exactly those lines between loading and storing the
-slots. The kernel that a ParamPlan compiles for a netlist line
-(params.ParamPlan.line) splices STEP in once per draw, with UNIT,
+slots. The kernel that a ParamPlan compiles for a run of netlist lines
+(params.ParamPlan.run) splices STEP in once per draw, with UNIT,
 UNIT_OPEN and GAUSS for the float transforms that random and gauss apply
 to the output, so no other module holds a copy of the generator.
 tests/test_rng.py pins next_u64, the float draws and a kernel's draws bit

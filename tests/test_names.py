@@ -146,6 +146,39 @@ def test_a_designator_set_from_python_is_a_lint_error():
         export(circuit)
 
 
+@pytest.mark.parametrize("designator", ["*1", "+1", ".1", ";1", "1R", "$1", "µ1"])
+def test_a_designator_that_does_not_start_like_a_prefix_is_a_lint_error(designator):
+    # "*1" would export `*1 a 0 res r=1`, which SPICE reads as a comment line
+    circuit = Circuit()
+    inst = _resistor() @ ["a", "0"]
+    inst.designator = designator
+    circuit += inst
+    report = lint(circuit)
+    assert [(f.code, f.location) for f in report.errors] == [("BAD_TOKEN", designator)]
+    assert "must start with [A-Za-z_]" in report.errors[0].message
+    for dialect in ("spice", "spectre"):
+        with pytest.raises(LintErrors, match="BAD_TOKEN"):
+            export(circuit, dialect)
+    raw = json.loads(export_json(circuit))
+    with pytest.raises(SchemaError) as info:
+        import_json(json.dumps(raw))
+    assert info.value.path == "instances[0].designator"
+
+
+def test_designator_rule():
+    for good in ("R1", "_x", "MN.1", "Xa(1)"):
+        assert names.is_designator(good)
+        assert names.designator(good) == good
+    for bad in ("*1", "1R", "R 1", "", None, 5):
+        assert not names.is_designator(bad)
+    with pytest.raises(BadNameError, match=re.escape("must start with [A-Za-z_]")):
+        names.designator("*1")
+    with pytest.raises(BadNameError, match="must be one token"):
+        names.designator("R 1")
+    with pytest.raises(EmptyNameError):
+        names.designator("")
+
+
 def test_a_model_name_with_a_space_is_rejected_also_from_json():
     # would export `.model bad name nmos`
     with pytest.raises(BadNameError, match="model name 'bad name'"):
@@ -253,6 +286,9 @@ def _one_token(text):
 def _accepted(place, text):
     if place == "parameter":
         return re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", text) is not None
+    if place == "designator":
+        # the first token of its line, so it must not start a comment or a card
+        return _one_token(text) and re.match(r"[A-Za-z_]", text) is not None
     return _one_token(text)
 
 

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netforge.numfmt import format_number
+from netforge import Formula, Params, params
+from netforge.numfmt import FORMAT, format_number
+from netforge.rng import Xoshiro256StarStar
 
 
 def _reference_sig_digits(text: str) -> int:
@@ -79,3 +81,30 @@ def test_integers_print_without_point():
     assert format_number(1e16) == "1e16"
     assert format_number(5e-324) == "5e-324"
     assert format_number(2.5e-7) == "2.5e-7"
+
+
+# --- the rule inline in a plan kernel (numfmt.FORMAT) ---------------------------------
+
+# a plan whose one value is computed from the context, so it is formatted in the kernel
+_INLINE = Params({"y": Formula("x")}).plan
+# integral values from 1e12, where `.12g` takes an exponent, to past 1e16
+_INLINE_EDGES = _EDGES + [
+    float(10**k + d) for k in range(12, 17) for d in (-1, 0, 1)
+] + [1e12 - 0.5, 123456789012345.0, 1e-5, 1.5e-10, 1e-30, 3.5e-39, 1e-299, 1e-300]
+
+
+def test_the_plan_kernel_formats_inline():
+    assert _INLINE.run(format_number).__name__ == "run"
+    shape = (("y",), (Formula("x").program(),), ("y",), True)
+    source, _ = params._source(shape)
+    assert FORMAT[0].format(value="r0", text="p0") in source
+    assert "fmt(" not in source
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False)
+       | st.sampled_from(_INLINE_EDGES + [-v for v in _INLINE_EDGES]))
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_inline_format_equals_format_number(value):
+    out = []
+    _INLINE.run(format_number)([""], [{"x": value}], Xoshiro256StarStar(0), out)
+    assert out == [f"y={format_number(value)}"]

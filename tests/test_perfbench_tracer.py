@@ -40,7 +40,7 @@ def test_traced_counts_of_a_second_emit(tmp_path, n):
     # the chain and the load of test_param_plan: l and vth drawn, 1/vth and
     # w*l*2 computed, and all four formatted per device, plus the load's 1/r
     circuit = builddoc.build_circuit(_chain_doc(n), tmp_path)
-    exporters.export(circuit)  # plans and line functions made before the tracer
+    exporters.export(circuit)  # plans and run functions made before the tracer
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:

@@ -1,12 +1,13 @@
 """A plan's generated kernel renders exactly what the call-through path does.
 
-ParamPlan.line compiles each plan into one straight-line kernel
+ParamPlan.run compiles each plan into one kernel that renders a run of lines
 (ParamPlan._kernel) while RandomSpec.sample and Formula.evaluate are
-netforge's own, and otherwise renders through ParamPlan._scope_line, which
-calls them once per value. These tests hold the kernel to _scope_line on
-generated plans (the same bytes, or the same error class and message, and
-the same generator state after the line), to the generator's own methods bit
-for bit, and to one compile per plan shape, however many plans share it.
+netforge's own, and otherwise renders through ParamPlan._scope_run, which
+calls them once per value. These tests hold the kernel to _scope_run on
+generated plans (the same bytes, or the same error class and message and
+the same lines before it, and the same generator state after the run), to
+the generator's own methods bit for bit, and to one compile per plan shape,
+however many plans share it.
 """
 
 import inspect
@@ -57,12 +58,15 @@ _contexts = st.none() | st.fixed_dictionaries(
 )
 
 
-def _render(line, context, seed):
-    rng = Xoshiro256StarStar(seed)
+def _render(run, context, seed):
+    # two lines with one context, so a run's second line starts from the first's state
+    rng, out = Xoshiro256StarStar(seed), []
+    befores = [MARKER + "X1 a b ", "\nX2 b c "]
     try:
-        outcome = ("text", line(MARKER + "X1 a b ", context, rng))
+        run(befores, None if context is None else [context, context], rng, out)
+        outcome = ("text", out)
     except Exception as exc:  # compared by class and message
-        outcome = ("error", type(exc), str(exc))
+        outcome = ("error", type(exc), str(exc), out)
     return outcome, (rng._s0, rng._s1, rng._s2, rng._s3)
 
 
@@ -92,20 +96,20 @@ def test_kernel_equals_the_call_through_path(sources, values, context, seed):
         plan = ParamPlan(values)
     except CyclicDependencyError:
         return
-    kernel, through = plan._kernel(format_number), plan._scope_line(format_number)
+    kernel, through = plan._kernel(format_number), plan._scope_run(format_number)
     assert _render(kernel, context, seed) == _render(through, context, seed)
     # user values reach the kernel only as bound values, never as source
     assert not any(MARKER in source for source in sources)
 
 
-def test_line_uses_the_kernel_only_while_the_methods_are_netforges_own(monkeypatch):
+def test_run_uses_the_kernel_only_while_the_methods_are_netforges_own(monkeypatch):
     plan = Params({"w": 1.0, "l": uniform(1.0, 2.0), "a": Formula("w*l")}).plan
-    assert plan.line(format_number).__name__ == "line"
+    assert plan.run(format_number).__name__ == "run"
     sample = RandomSpec.sample
     monkeypatch.setattr(RandomSpec, "sample", lambda spec, rng: sample(spec, rng))
-    assert plan.line(format_number).__name__ == "scope_line"
+    assert plan.run(format_number).__name__ == "scope_run"
     monkeypatch.undo()
-    assert plan.line(format_number).__name__ == "line"
+    assert plan.run(format_number).__name__ == "run"
 
 
 # --- the rng stream ------------------------------------------------------------------
@@ -124,15 +128,17 @@ def test_kernel_draws_equal_the_generator_bit_for_bit(seed):
         "u": uniform(-2.5, 7.0), "g": gauss(0.4, 0.05), "n": lognormal(-1.0, 0.5),
         "r": uniform(0.0, 1.0),
     }).plan
-    line = plan._kernel(float.hex)
+    run = plan._kernel(float.hex)
     rng, reference = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    out = []
     for _ in range(250):
         g = 0.4 + 0.05 * reference.gauss(0.0, 1.0)
         n = reference.lognormal(-1.0, 0.5)
         r = 0.0 + 1.0 * ((reference.next_u64() >> 11) * 2.0**-53)
         u = -2.5 + (7.0 - -2.5) * reference.random()
         expected = f"u={u.hex()} g={g.hex()} n={n.hex()} r={r.hex()}"
-        assert line("", None, rng) == expected
+        run([""], None, rng, out)
+        assert out[-1] == expected
         state = (rng._s0, rng._s1, rng._s2, rng._s3)
         assert state == (reference._s0, reference._s1, reference._s2, reference._s3)
 
@@ -177,10 +183,9 @@ def test_compile_work_does_not_grow_with_instances(dialect):
 def test_equal_plans_of_other_values_share_the_kernel_source(sources):
     shape = {"a": 1.5, "b": uniform(0.0, 1.0), "c": Formula("a*b + _x"), "d": "x"}
     other = {"a": -3, "b": uniform(-1e300, 1e300), "c": Formula("a*b + _x"), "d": MARKER}
-    texts = [
-        Params(values).plan.line(format_number)("", {"_x": 1}, Xoshiro256StarStar(1))
-        for values in (shape, other)
-    ]
+    texts = []
+    for values in (shape, other):
+        Params(values).plan.run(format_number)([""], [{"_x": 1}], Xoshiro256StarStar(1), texts)
     assert len(sources) == 1 and FACTORY.cache_info().hits == 1
     assert texts[0].startswith("a=1.5 b=0.") and texts[0].endswith(" d=x")
     assert texts[1].startswith("a=-3 b=") and texts[1].endswith(f" d={MARKER}")

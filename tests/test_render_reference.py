@@ -1,10 +1,10 @@
-"""A text export's compiled line functions equal a plain evaluation.
+"""A text export's compiled run functions equal a plain evaluation.
 
-Text export renders each parameterised line through its plan's compiled
-line function (ParamPlan.line). The reference here builds the same netlist
-the slow way: each line's values come from ParamPlan.evaluate with the one
-rng of the seed, in line order, and are formatted with format_number (text
-verbatim). The two must give the same bytes for every seed, on a second
+Text export renders each run of parameterised lines that share a plan
+through the plan's compiled run function (ParamPlan.run). The reference
+here builds the same netlist the slow way: each line's values come from
+ParamPlan.evaluate with the one rng of the seed, in line order, and are
+formatted with format_number (text verbatim). The two must give the same bytes for every seed, on a second
 emit of one exporter as on the first, and after a parameter changes.
 """
 

@@ -2,10 +2,17 @@
 """Regenerate the checked-in golden files under tests/golden/: each sample
 circuit as a SPICE and a Spectre netlist and as its JSON IR.
 
+    python3 tools/regen_golden.py            # rewrite the files
+    python3 tools/regen_golden.py --check    # write nothing; exit 1 on drift
+
 Run from the repository root after an intentional output-format change, then
 review the diff before committing. The byte-equality tests pin these files.
+With --check the files are regenerated in memory only: the script prints
+each file that would change (or is missing) and exits 1 if there is one, 0
+if none. --dir compares with, or writes to, another directory.
 """
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -33,13 +40,34 @@ CASES = {
 EXTENSIONS = {"spice": "sp", "spectre": "scs", "json-ir": "json"}
 
 
-def main() -> int:
-    GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, factory in CASES.items():
-        for dialect, ext in EXTENSIONS.items():
-            path = GOLDEN_DIR / f"{name}.{ext}"
-            path.write_text(export(factory(), dialect))
-            print(f"wrote {path}")
+def golden_texts() -> dict[str, str]:
+    """File name -> text of every golden file, made now."""
+    return {
+        f"{name}.{ext}": export(factory(), dialect)
+        for name, factory in CASES.items()
+        for dialect, ext in EXTENSIONS.items()
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true", help="report drift, write nothing")
+    parser.add_argument("--dir", type=Path, default=GOLDEN_DIR, help="the golden directory")
+    args = parser.parse_args(argv)
+    texts = golden_texts()
+    if args.check:
+        drift = [
+            args.dir / name
+            for name, text in texts.items()
+            if not (args.dir / name).is_file() or (args.dir / name).read_text() != text
+        ]
+        for path in drift:
+            print(f"would change {path}")
+        return 1 if drift else 0
+    args.dir.mkdir(exist_ok=True)
+    for name, text in texts.items():
+        (args.dir / name).write_text(text)
+        print(f"wrote {args.dir / name}")
     return 0
 
 
