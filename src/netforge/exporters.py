@@ -16,16 +16,16 @@ for each seed, call the run functions in line order with one rng seeded
 explicitly, each rendering all of its lines in one call. The number
 formatter (format_number under this module) is looked up when the exporter
 is built, and so is whether RandomSpec.sample and Formula.evaluate are
-still netforge's own: while all three are, kernels format inline with
-numfmt.FORMAT; once one is wrapped, the run functions call through it once
-per value instead. A table holds only what a dialect changes: header,
-keyword prefix, parameter and net formats, and footer. So equal (circuit,
-seed) pairs always produce byte-identical output, every text dialect draws
-the same values in the same order, and different seeds can only change
-parameter value tokens, never topology lines. _seed_exporter gives any
-dialect that seed -> text form, so export() and a many-seed sweep share one
-path; the circuit must not change between the calls of one seed -> text
-function.
+still netforge's own: while all three are, the run functions are kernels
+that format inline with numfmt.FORMAT; once one is wrapped, they call
+through it once per value instead. A table holds only what a dialect
+changes: header, keyword prefix, parameter and net formats, and footer. So
+equal (circuit, seed) pairs always produce byte-identical output, every
+text dialect draws the same values in the same order, and different seeds
+can only change parameter value tokens, never topology lines.
+_seed_exporter gives any dialect that seed -> text form, so export() and a
+many-seed sweep share one path; the circuit must not change between the
+calls of one seed -> text function.
 
 Lint also keeps the one-token promise of netforge.names for what Python can
 change after construction, or a document can load, but a simulator could
@@ -367,7 +367,7 @@ def _line_frame(dialect: _TextDialect, circuit: Circuit, subckts, header) -> tup
     subcircuit body that share a template. Plans are shared through their
     Params, except that a primitive instance with overrides brings the plan
     of its merged map, and so a run of its own. `contexts` holds each
-    line's context, or is None when every one of them is empty.
+    line's context.
 
     format_number formats every number: the constants here, once per plan,
     and the drawn and computed values in each call of a run function, inline
@@ -411,10 +411,6 @@ def _line_frame(dialect: _TextDialect, circuit: Circuit, subckts, header) -> tup
         line(_instance_prefix(dialect, inst), _line_params(inst), " {}", inst.context)
     for literal in (*circuit.directives, *dialect.footer):
         line(literal, None, "")
-    # an empty context and none read the same, so a run without one keeps none
-    frame = [
-        (run, befores, contexts if any(contexts) else None) for run, befores, contexts in frame
-    ]
     return frame, "".join(text)
 
 

@@ -12,9 +12,7 @@ seed) triple always produces bitwise-identical numbers.
 Everything about a parameter map that does not depend on the context or the
 seed is analysed once, into a ParamPlan that the Params keeps: the constant
 values, the random specs in name order (the draw order), and the formulas in
-dependency order. A merged map whose overrides leave the formulas as they
-were takes its base map's formula order (Params.merged). Once a text
-exporter asks, the plan also keeps its token layout, with the constants'
+dependency order. Once a text exporter asks, the plan also keeps its token layout, with the constants'
 `name=value` text, and its run function, `(befores, contexts, rng, out)`,
 which draws, computes and formats this map's values for a run of netlist
 lines, one per text in `befores`, appends each line to `out`, and does
@@ -28,16 +26,14 @@ state (the step's source is rng.STEP), applies the uniform, gauss and
 lognormal transforms and the formulas' programs (formula._compile) inline,
 with RandomSpec.sample's and Formula.evaluate's checks, error types and
 messages, and formats each value inline with numfmt.FORMAT, the source of
-format_number's rule, while the exporters' format_number is numfmt's own;
-a replaced one is called once per value. Kernels are cached by plan shape
-(names, the kind of each value, formula programs and order, and whether
-formatting is inline), so plans that differ only in their values, such as
-the merged maps of many primitive instances with overrides, share one
-compile() and each binds its own values. While RandomSpec.sample or
-Formula.evaluate is not netforge's own (a tracer or a counting test has
-wrapped it), the run function is instead _scope_run, which calls evaluate
-and then the current format_number once per value, line by line, so
-traced and counted calls stay exact.
+format_number's rule. Kernels are cached by plan shape (names, the kind of
+each value, formula programs and order), so plans that differ only in their
+values, such as the merged maps of many primitive instances with overrides,
+share one compile() and each binds its own values. While RandomSpec.sample,
+Formula.evaluate or the exporters' format_number is not netforge's own (a
+tracer or a counting test has wrapped it), the run function is instead
+_scope_run, which calls evaluate and then the exporters' format_number once
+per value, line by line, so traced and counted calls stay exact.
 Every mutation of a Params (item assignment or deletion, update, setdefault,
 |=, pop, popitem, clear) goes through one checked path, for names and
 values, that also drops the plan, so the next evaluation analyses the new
@@ -49,7 +45,6 @@ same order, bit for bit, as analysing the map on every call.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -226,25 +221,9 @@ class Params(dict):
         return self._plan
 
     def merged(self, overrides) -> "Params":
-        """New Params with `overrides` shadowing (or extending) this map.
-
-        When this map has formulas and the overrides neither set a formula
-        nor replace one, the new map has the same formulas, so its plan is
-        made here with this map's formula order instead of analysing them
-        again (this map's plan is made first, if need be; a cycle in it is
-        left for the new map's own analysis to report)."""
-        overrides = dict(overrides)
+        """New Params with `overrides` shadowing (or extending) this map."""
         out = self.copy()
         out.update(overrides)
-        if any(isinstance(value, Formula) for value in self.values()) and not any(
-            isinstance(value, Formula) or isinstance(self.get(name), Formula)
-            for name, value in overrides.items()
-        ):
-            try:
-                base = self.plan
-            except CyclicDependencyError:
-                return out
-            out._plan = ParamPlan(out, [name for name, _ in base.formulas])
         return out
 
     def copy(self) -> "Params":
@@ -375,7 +354,7 @@ def _source(shape: tuple) -> tuple[str, tuple]:
     """The source of the run factory for a plan shape (see ParamPlan._kernel),
     and the names of the constants that its formulas read, in the order the
     factory takes them."""
-    names, kinds, order, inline = shape
+    names, kinds, order = shape
     kind_of = dict(zip(names, kinds))
     # drawn and computed values and the constants formulas read -> their variables
     local: dict[str, str] = {}
@@ -409,16 +388,12 @@ def _source(shape: tuple) -> tuple[str, tuple]:
         body.append(f"r{k} = {program[1]}")
     # the drawn and computed values, in map order, formatted
     values = [local[name] for name in names if kind_of[name] not in ("number", "text")]
-    if inline:
-        fields = [f"p{j}" for j in range(len(values))]
-        for value, field in zip(values, fields):
-            body += [line.format(value=value, text=field) for line in FORMAT]
-    else:
-        fields = [f"fmt({value})" for value in values]
+    fields = [f"p{j}" for j in range(len(values))]
+    for value, field in zip(values, fields):
+        body += [line.format(value=value, text=field) for line in FORMAT]
     body.append(f"append(text % (before{''.join(', ' + field for field in fields)}))")
     if from_context:
         loop = [
-            "if contexts is None: contexts = repeat(None)",
             "for before, context in zip(befores, contexts):",
             "    if context is None: context = {}",
         ]
@@ -433,7 +408,7 @@ def _source(shape: tuple) -> tuple[str, tuple]:
             "finally:",
             "    rng._s0, rng._s1, rng._s2, rng._s3 = s0, s1, s2, s3",
         ]
-    parameters = ["text", "fmt", *(f"d{i}" for i in range(len(draws))),
+    parameters = ["text", *(f"d{i}" for i in range(len(draws))),
                   *(f"c{i}" for i in range(len(read_constants)))]
     source = "\n".join([
         f"def factory({', '.join(parameters)}):",
@@ -451,7 +426,7 @@ def _factory(shape: tuple) -> tuple:
     """The compiled run factory of a plan shape, with the names of the
     constants it takes; one compile() per shape."""
     source, constants = _source(shape)
-    namespace = dict(NAMESPACE, repeat=itertools.repeat, format_number=format_number)
+    namespace = dict(NAMESPACE, format_number=format_number)
     exec(compile(source, "<param plan>", "exec"), namespace)
     return namespace["factory"], constants
 
@@ -459,13 +434,11 @@ def _factory(shape: tuple) -> tuple:
 class ParamPlan:
     """What evaluating a parameter map needs that no context or seed changes:
     the constants, the random specs in name order, and the formulas in
-    dependency order. Building one raises CyclicDependencyError on a cycle,
-    unless `order`, the formula order of a map with exactly these formulas,
-    is given (see Params.merged)."""
+    dependency order. Building one raises CyclicDependencyError on a cycle."""
 
     __slots__ = ("names", "constants", "randoms", "formulas", "_layout", "_run")
 
-    def __init__(self, params, order=None):
+    def __init__(self, params):
         self.names = tuple(params)
         self._layout = None
         self._run = None
@@ -477,9 +450,7 @@ class ParamPlan:
             elif not isinstance(value, Formula):
                 self.constants[name] = value
         self.randoms = sorted(randoms, key=lambda item: item[0])
-        if order is None:
-            order = _formula_order(params)
-        self.formulas = [(name, params[name]) for name in order]
+        self.formulas = [(name, params[name]) for name in _formula_order(params)]
 
     def layout(self, fmt) -> tuple:
         """This map's tokens (`name=value`, space-separated, in map order) as
@@ -510,25 +481,23 @@ class ParamPlan:
         renders one netlist line per text in `befores`: that text followed by
         the tokens of layout(fmt), with each drawn or computed value
         formatted by `fmt` and drawn from the generator `rng`, appended to the
-        list `out`. `contexts` is None, which stands for an empty context on
-        every line, or holds each line's context (a mapping or None). Each
-        line draws and computes exactly what evaluate does, in the same
-        order, with the same checks and errors; the lines before one that
-        raises stay in `out`.
+        list `out`. `contexts` holds each line's context (a mapping, or None
+        for an empty one). Each line draws and computes exactly what
+        evaluate does, in the same order, with the same checks and errors;
+        the lines before one that raises stay in `out`.
 
-        While RandomSpec.sample and Formula.evaluate are netforge's own, the
-        function is this plan's kernel (_kernel), which formats inline while
-        `fmt` is numfmt's own format_number and otherwise calls `fmt` once
-        per value; once either method has been replaced (a tracer or a
-        counting test wraps it), it is _scope_run, which calls the
-        replacement once per draw or formula and `fmt` once per value. The
+        While `fmt` is numfmt's own format_number and RandomSpec.sample and
+        Formula.evaluate are netforge's own, the function is this plan's
+        kernel (_kernel), which formats inline; once one of them has been
+        replaced (a tracer or a counting test wraps it), it is _scope_run,
+        which calls the replacement once per draw, formula or value. The
         names are looked up here, and the function is made again when `fmt`
         or one of them is no longer the same object. Drawn and computed
         values are always finite, so they go to `fmt` as they are."""
         key = (fmt, RandomSpec.sample, Formula.evaluate)
         if self._run is None or self._run[0] != key:
-            own = key[1] is _SAMPLE and key[2] is _EVALUATE
-            self._run = (key, (self._kernel if own else self._scope_run)(fmt))
+            own = fmt is format_number and key[1] is _SAMPLE and key[2] is _EVALUATE
+            self._run = (key, self._kernel() if own else self._scope_run(fmt))
         return self._run[1]
 
     def _text(self, fmt) -> str:
@@ -539,7 +508,7 @@ class ParamPlan:
             "%s" + tail.replace("%", "%%") for _, tail in slots
         )
 
-    def _kernel(self, fmt):
+    def _kernel(self):
         """This plan's kernel: one generated function that renders a run of
         lines. It loads the generator's state into locals once, and for
         each line steps it (rng.STEP) and transforms the output in place for
@@ -547,18 +516,17 @@ class ParamPlan:
         checks and messages; runs each formula's program (Formula.program)
         in dependency order, reading this plan's drawn and computed values
         from locals, its constants from the factory's arguments, and only
-        other names from the line's context; and formats each value, with
-        numfmt.FORMAT inline while `fmt` is numfmt's own format_number. It
-        stores the state back when the run ends or raises.
+        other names from the line's context; and formats each value inline
+        (numfmt.FORMAT, format_number's rule). It stores the state back when
+        the run ends or raises.
 
         The source depends only on the plan's shape: its names, the kind of
         each value (a number or text constant, a distribution kind, or a
-        formula's program), the formulas' order and whether formatting is
-        inline, so plans of one shape share one compile() (_factory). Every
-        user value (the layout text, the specs, the constants) is an
-        argument of the factory, which each plan calls once; user text
-        reaches the source only as repr() literals of formula identifiers
-        and messages."""
+        formula's program) and the formulas' order, so plans of one shape
+        share one compile() (_factory). Every user value (the layout text,
+        the specs, the constants) is an argument of the factory, which each
+        plan calls once; user text reaches the source only as repr()
+        literals of formula identifiers and messages."""
         randoms, formulas = dict(self.randoms), dict(self.formulas)
         kinds = tuple(
             randoms[name].kind if name in randoms
@@ -567,9 +535,9 @@ class ParamPlan:
             for name in self.names
         )
         order = tuple(name for name, _ in self.formulas)
-        factory, constants = _factory((self.names, kinds, order, fmt is format_number))
+        factory, constants = _factory((self.names, kinds, order))
         return factory(
-            self._text(fmt), fmt, *[spec for _, spec in self.randoms],
+            self._text(format_number), *[spec for _, spec in self.randoms],
             *[float(self.constants[name]) for name in constants],
         )
 
@@ -581,8 +549,8 @@ class ParamPlan:
         names = [name for name, _ in self.layout(fmt)[1]]
 
         def scope_run(befores, contexts, rng, out):
-            for i, before in enumerate(befores):
-                values = self.evaluate(None if contexts is None else contexts[i], rng)
+            for before, context in zip(befores, contexts):
+                values = self.evaluate(context, rng)
                 out.append(text % (before, *[fmt(values[name]) for name in names]))
 
         return scope_run

@@ -95,10 +95,9 @@ _INLINE_EDGES = _EDGES + [
 
 def test_the_plan_kernel_formats_inline():
     assert _INLINE.run(format_number).__name__ == "run"
-    shape = (("y",), (Formula("x").program(),), ("y",), True)
+    shape = (("y",), (Formula("x").program(),), ("y",))
     source, _ = params._source(shape)
     assert FORMAT[0].format(value="r0", text="p0") in source
-    assert "fmt(" not in source
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False)

@@ -11,11 +11,9 @@ formatting values.
 import json
 
 import pytest
-from test_plan_kernel import _overridden_instances
 
 from netforge import builddoc, core, exporters, formula, params
 from netforge.cli import main
-from netforge.errors import CyclicDependencyError
 
 N = 2_000
 
@@ -112,29 +110,6 @@ def test_instances_with_overrides_get_their_own_plan(tmp_path, counters):
     assert main(["build", str(path)]) == 0
     # dev once for the whole chain; the overridden load gets a merged map
     assert counters["plans"] == 2
-
-
-@pytest.mark.parametrize("dialect", ["spice", "spectre"])
-def test_overrides_that_keep_the_formulas_keep_their_order(counters, dialect):
-    # each instance overrides constants and draws, none a formula
-    circuit = _overridden_instances(N)
-    text = exporters.export(circuit, dialect, seed=3)
-    assert text.count(" area=") == N
-    # the template's formulas are ordered once; every merged map takes that order
-    assert counters["plans"] == 1
-
-
-def test_overrides_that_touch_a_formula_analyse_their_map():
-    template = params.Params({"w": 2.0, "a": formula.Formula("w*b"), "b": formula.Formula("w+1")})
-    keeps = template.merged({"w": 3.0})
-    assert keeps._plan is not None and keeps._plan.formulas == template.plan.formulas
-    assert keeps.plan.evaluate() == {"w": 3.0, "a": 12.0, "b": 4.0}
-    for overrides in ({"b": 5.0}, {"c": formula.Formula("a")}, {"b": formula.Formula("a")}):
-        merged = template.merged(overrides)
-        assert merged._plan is None  # analysed on first use, cycles included
-    with pytest.raises(CyclicDependencyError):
-        template.merged({"b": formula.Formula("a")}).plan
-    assert template.merged({"b": 5.0}).plan.evaluate()["a"] == 10.0
 
 
 @pytest.fixture

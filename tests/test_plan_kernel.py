@@ -63,7 +63,7 @@ def _render(run, context, seed):
     rng, out = Xoshiro256StarStar(seed), []
     befores = [MARKER + "X1 a b ", "\nX2 b c "]
     try:
-        run(befores, None if context is None else [context, context], rng, out)
+        run(befores, [context, context], rng, out)
         outcome = ("text", out)
     except Exception as exc:  # compared by class and message
         outcome = ("error", type(exc), str(exc), out)
@@ -96,7 +96,7 @@ def test_kernel_equals_the_call_through_path(sources, values, context, seed):
         plan = ParamPlan(values)
     except CyclicDependencyError:
         return
-    kernel, through = plan._kernel(format_number), plan._scope_run(format_number)
+    kernel, through = plan._kernel(), plan._scope_run(format_number)
     assert _render(kernel, context, seed) == _render(through, context, seed)
     # user values reach the kernel only as bound values, never as source
     assert not any(MARKER in source for source in sources)
@@ -105,6 +105,8 @@ def test_kernel_equals_the_call_through_path(sources, values, context, seed):
 def test_run_uses_the_kernel_only_while_the_methods_are_netforges_own(monkeypatch):
     plan = Params({"w": 1.0, "l": uniform(1.0, 2.0), "a": Formula("w*l")}).plan
     assert plan.run(format_number).__name__ == "run"
+    # a replaced formatter is called once per value, so the kernel's inline rule is not used
+    assert plan.run(lambda value: format_number(value)).__name__ == "scope_run"
     sample = RandomSpec.sample
     monkeypatch.setattr(RandomSpec, "sample", lambda spec, rng: sample(spec, rng))
     assert plan.run(format_number).__name__ == "scope_run"
@@ -123,12 +125,14 @@ def test_next_u64_runs_the_step_that_kernels_splice_in():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_kernel_draws_equal_the_generator_bit_for_bit(seed):
-    # name order g, n, r, u is the draw order
+    # name order g, n, r, u is the draw order; each d* reads 0 only while its draw
+    # equals the reference value, taken from the line's context, to the last bit
     plan = Params({
         "u": uniform(-2.5, 7.0), "g": gauss(0.4, 0.05), "n": lognormal(-1.0, 0.5),
-        "r": uniform(0.0, 1.0),
+        "r": uniform(0.0, 1.0), "du": Formula("u - _u"), "dg": Formula("g - _g"),
+        "dn": Formula("n - _n"), "dr": Formula("r - _r"),
     }).plan
-    run = plan._kernel(float.hex)
+    run = plan._kernel()
     rng, reference = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
     out = []
     for _ in range(250):
@@ -136,8 +140,11 @@ def test_kernel_draws_equal_the_generator_bit_for_bit(seed):
         n = reference.lognormal(-1.0, 0.5)
         r = 0.0 + 1.0 * ((reference.next_u64() >> 11) * 2.0**-53)
         u = -2.5 + (7.0 - -2.5) * reference.random()
-        expected = f"u={u.hex()} g={g.hex()} n={n.hex()} r={r.hex()}"
-        run([""], None, rng, out)
+        expected = (
+            f"u={format_number(u)} g={format_number(g)} n={format_number(n)} "
+            f"r={format_number(r)} du=0 dg=0 dn=0 dr=0"
+        )
+        run([""], [{"_u": u, "_g": g, "_n": n, "_r": r}], rng, out)
         assert out[-1] == expected
         state = (rng._s0, rng._s1, rng._s2, rng._s3)
         assert state == (reference._s0, reference._s1, reference._s2, reference._s3)

@@ -28,14 +28,15 @@ def test_check_is_clean_on_the_checked_in_goldens(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_check_reports_drift_and_writes_nothing(tmp_path, capsys):
+def test_check_reports_drift_and_writes_nothing(tmp_path, capsys, monkeypatch):
     golden = tmp_path / "golden"
     shutil.copytree(GOLDEN_DIR, golden)
+    monkeypatch.setattr(regen, "GOLDEN_DIR", golden)
     spice = golden / "ro.sp"
     spice.write_text(spice.read_text().replace("\n", "\n* tampered\n", 1))
     (golden / "capacitor.json").unlink()
     before = {path.name: path.read_bytes() for path in golden.iterdir()}
-    assert regen.main(["--check", "--dir", str(golden)]) == 1
+    assert regen.main(["--check"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         f"would change {golden / 'capacitor.json'}",
         f"would change {spice}",

@@ -2,11 +2,12 @@
 
 A text export lays the netlist out into runs (exporters._line_frame): each
 run is one plan's run function (ParamPlan.run) with the texts before its
-lines and, when any of its lines has a context, the lines' contexts. These tests check where runs start and end, and that every edge
-of a run gives the bytes of the plain line-by-line reference of
-test_render_reference, or the same error: per-line contexts, runs of one
-line, constant-only lines inside a run, subcircuit bodies, an error in the
-middle of a run, and the call-through path that wrapped methods take.
+lines and the lines' contexts. These tests check where runs start and end,
+and that every edge of a run gives the bytes of the plain line-by-line
+reference of test_render_reference, or the same error: per-line contexts,
+runs of one line, constant-only lines inside a run, subcircuit bodies, an
+error in the middle of a run, and the call-through path that wrapped
+methods take.
 """
 
 import pytest
@@ -88,11 +89,11 @@ def test_runs_render_the_reference_bytes(name, dialect):
         assert emit(seed) == reference_text(circuit, dialect, seed)
 
 
-def test_a_run_keeps_its_contexts_only_when_a_line_has_one():
+def test_a_run_keeps_each_lines_context():
     contexts = [contexts for _, _, contexts in _frame(_array_reading_i(), "spice")]
     assert contexts == [[{"_i": i} for i in range(6)]]
-    # the chain devices' contexts are empty, so the run holds none
-    assert [contexts for _, _, contexts in _frame(_constant_lines_inside(), "spice")] == [None]
+    # the chain devices' contexts are empty
+    assert [contexts for _, _, contexts in _frame(_constant_lines_inside(), "spice")] == [[{}] * 4]
 
 
 def test_a_run_of_the_chain_is_one_call():

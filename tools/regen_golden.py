@@ -9,7 +9,7 @@ Run from the repository root after an intentional output-format change, then
 review the diff before committing. The byte-equality tests pin these files.
 With --check the files are regenerated in memory only: the script prints
 each file that would change (or is missing) and exits 1 if there is one, 0
-if none. --dir compares with, or writes to, another directory.
+if none.
 """
 
 import argparse
@@ -52,22 +52,21 @@ def golden_texts() -> dict[str, str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true", help="report drift, write nothing")
-    parser.add_argument("--dir", type=Path, default=GOLDEN_DIR, help="the golden directory")
     args = parser.parse_args(argv)
     texts = golden_texts()
     if args.check:
         drift = [
-            args.dir / name
+            GOLDEN_DIR / name
             for name, text in texts.items()
-            if not (args.dir / name).is_file() or (args.dir / name).read_text() != text
+            if not (GOLDEN_DIR / name).is_file() or (GOLDEN_DIR / name).read_text() != text
         ]
         for path in drift:
             print(f"would change {path}")
         return 1 if drift else 0
-    args.dir.mkdir(exist_ok=True)
+    GOLDEN_DIR.mkdir(exist_ok=True)
     for name, text in texts.items():
-        (args.dir / name).write_text(text)
-        print(f"wrote {args.dir / name}")
+        (GOLDEN_DIR / name).write_text(text)
+        print(f"wrote {GOLDEN_DIR / name}")
     return 0
 
 
