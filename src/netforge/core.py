@@ -121,6 +121,8 @@ class PendingNet:
     def __str__(self) -> str:
         return f"net_0_{self.index}"
 
+    name = property(__str__)  # read where a Net's name is
+
     def __repr__(self) -> str:
         return f"PendingNet({self.index})"
 

@@ -7,7 +7,8 @@ simulator-agnostic; exporter_for() is the one lookup, and write_atomic() the
 one file writer, that the library and the CLI share.
 
 The text dialects are tables (_TextDialect) over one traversal,
-_text_exporter: lint once; lay the netlist out once (_line_frame) into the
+_text_exporter: lint once, in the one walk over the instances; lay the
+netlist out once (_line_frame) from what lint read, into the
 literal lines and runs: each stretch of consecutive lines with drawn or
 computed values that share a ParamPlan becomes one entry, the plan's run
 function (ParamPlan.run: the plan's generated kernel, with draws, formulas
@@ -32,7 +33,12 @@ change after construction, or a document can load, but a simulator could
 not read as one token: designators, which must also start with [A-Za-z_]
 so that a reader takes their line as an element, and text parameter values
 (BAD_TOKEN).
-Every other name was checked when its object was made.
+Every other name was checked when its object was made. Lint also reports
+each name that a printed formula reads and that nothing on its line
+supplies (UNRESOLVED_PARAM). Past a clean lint, export can still fail on a
+cycle among a map's formulas, found when the map is planned, and on values:
+a draw or result that is not finite, a division by zero, or a formula that
+reads a text value.
 
 The JSON dialect is different in kind: it round-trips the circuit losslessly,
 with formulas and distributions still unresolved, and therefore neither
@@ -51,6 +57,7 @@ import json
 import math
 import os
 import secrets
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -121,11 +128,12 @@ class LintReport:
     """Deterministically ordered findings (by location, then code), and the
     subcircuit definitions that lint checked, in emission order."""
 
-    def __init__(self, findings, subcircuits=()):
+    def __init__(self, findings, subcircuits=(), *, _lines=()):
         self.findings = tuple(
             sorted(findings, key=lambda f: (f.location, f.code, f.message))
         )
         self.subcircuits = tuple(subcircuits)
+        self._lines = _lines  # from lint: per scope, (net names, line maps) of its instances
 
     @property
     def errors(self) -> tuple:
@@ -177,65 +185,82 @@ def _reachable_subcircuits(circuit: Circuit, duplicates=None) -> list[Subcircuit
     return ordered
 
 
-def _lint_values(findings, maps: dict) -> None:
-    """BAD_TOKEN for each text value that is not one token. `maps` holds each
-    distinct Params once, by id, with the location of its first use."""
-    for params, location in maps.values():
-        for name, value in params.items():
-            if isinstance(value, str) and not names.is_token(value):
-                message = f"text value {value!r} of parameter {name!r} is not one token"
-                findings.append(Finding("error", "BAD_TOKEN", message, location))
+def _bad_values(params) -> list:
+    """A BAD_TOKEN message for each text value of `params` that is not one token."""
+    return [
+        f"text value {value!r} of parameter {name!r} is not one token"
+        for name, value in params.items() if isinstance(value, str) and not names.is_token(value)
+    ]
 
 
-def _lint_scope(findings, instances, pins, scope, global_nets, known_subckts, maps):
-    uses: dict[str, int] = {}
+def _free_names(params) -> dict:
+    """name -> the parameter whose formula reads it first, for every name that
+    the formulas of `params` read and `params` does not hold."""
+    free: dict[str, str] = {}
+    for owner, value in params.items():
+        if isinstance(value, Formula):
+            for name in value.identifiers:
+                if name not in params:
+                    free.setdefault(name, owner)
+    return free
+
+
+def _unresolved(free: dict, context) -> list:
+    """(code, message) for each name of `free` (see _free_names) that
+    `context` does not supply. Each is taken out, so it is reported once."""
+    return [
+        ("UNRESOLVED_PARAM", f"formula of {free.pop(name)!r} reads {name!r}, "
+         "which nothing on its line supplies")
+        for name in [name for name in free if name not in context]
+    ]
+
+
+def _lint_scope(findings, lines, instances, pins, scope, global_nets, known_subckts, reads):
+    """Check one scope, reading each instance once; return its net uses, and
+    append to `lines` its instances' space-joined net names and line maps.
+    `reads` holds each map's free names by id; `lines` keeps the maps alive."""
+    at = f"{scope}/" if scope else ""
+    used: list[str] = []
     designators: dict[str, int] = {}
+    nets: list[str] = []
+    line_maps: list = []
+    errors: list = []  # (instance, code, message), located after the walk
     for inst in instances:
-        location = str(inst.designator or "?")
-        if scope:
-            location = f"{scope}/{location}"
-        if inst.designator is not None:
-            designators[inst.designator] = designators.get(inst.designator, 0) + 1
-        template = inst.template
-        for params in (template.params, inst.overrides):
-            if params and id(params) not in maps:
-                maps[id(params)] = (params, location)
+        designator, template = inst.designator, inst.template
+        if designator is None:
+            errors.append((inst, "BAD_TOKEN", f"instance of {template.name!r} has no designator; "
+                           "insert it through a circuit or subcircuit before exporting"))
+        else:
+            designators[designator] = designators.get(designator, 0) + 1
         if isinstance(template, UnresolvedTemplate):
-            findings.append(
-                Finding(
-                    "error",
-                    "UNDEFINED_MASTER",
-                    f"no definition for master {template.name!r}",
-                    location,
-                )
-            )
+            errors.append((inst, "UNDEFINED_MASTER", f"no definition for master {template.name!r}"))
         elif isinstance(template, Subcircuit):
             registered = known_subckts.get(template.name)
             if registered is None or (registered is not template and registered != template):
-                findings.append(
-                    Finding(
-                        "error",
-                        "UNDEFINED_MASTER",
-                        f"subcircuit {template.name!r} is not defined in this circuit",
-                        location,
-                    )
-                )
-        for index, net in enumerate(inst.nets):
-            if net.is_unconnected:
-                findings.append(
-                    Finding(
-                        "error",
-                        "UNCONNECTED",
-                        f"port {index} of {getattr(template, 'name', '?')} is unconnected",
-                        location,
-                    )
-                )
-            else:
-                name = str(net)
-                uses[name] = uses.get(name, 0) + 1
+                message = f"subcircuit {template.name!r} is not defined in this circuit"
+                errors.append((inst, "UNDEFINED_MASTER", message))
+        net_names = [net.name for net in inst.nets]
+        if None in net_names:  # an error, so this line is never laid out
+            master = getattr(template, "name", "?")
+            errors += [(inst, "UNCONNECTED", f"port {index} of {master} is unconnected")
+                       for index, name in enumerate(net_names) if name is None]
+            net_names = [name for name in net_names if name is not None]
+        used += net_names
+        nets.append(" ".join(net_names))
+        line_map = _line_params(inst)
+        line_maps.append(line_map)
+        if line_map:
+            free = reads.get(id(line_map))
+            if free is None:
+                free = reads[id(line_map)] = _free_names(line_map)
+                errors += [(inst, "BAD_TOKEN", message) for message in _bad_values(line_map)]
+            if free:
+                errors += [(inst, *error) for error in _unresolved(free, inst.context or {})]
+    findings += [Finding("error", code, message, f"{at}{inst.designator or '?'}")
+                 for inst, code, message in errors]
 
     for designator, count in designators.items():
-        location = f"{scope}/{designator}" if scope else str(designator)
+        location = f"{at}{designator}"
         if not names.is_designator(designator):
             if names.is_token(designator):
                 message = f"designator {designator!r} must start with [A-Za-z_]"
@@ -252,18 +277,13 @@ def _lint_scope(findings, instances, pins, scope, global_nets, known_subckts, ma
                 )
             )
 
+    uses = Counter(used)
     pin_set = set(pins)
     for name, count in uses.items():
         if count == 1 and name not in global_nets and name not in pin_set:
-            location = f"{scope}/{name}" if scope else name
-            findings.append(
-                Finding(
-                    "warn",
-                    "DANGLING",
-                    f"net {name!r} is referenced exactly once",
-                    location,
-                )
-            )
+            message = f"net {name!r} is referenced exactly once"
+            findings.append(Finding("warn", "DANGLING", message, f"{at}{name}"))
+    lines.append((nets, line_maps))
     return uses
 
 
@@ -273,11 +293,14 @@ def lint(circuit: Circuit) -> LintReport:
     Rules: UNCONNECTED (error), DANGLING (warn, single-use non-global net),
     DUPLICATE_DESIGNATOR (error), UNDEFINED_MASTER (error), DUPLICATE_SUBCKT
     (error, two different definitions share a name), UNUSED_PIN (warn,
-    subcircuit pin that never appears in its body), and BAD_TOKEN (error, a
-    designator that is not one token starting with [A-Za-z_], or a text
-    parameter value that is not one token, see netforge.names). Text values
-    are checked once per Params object, at the model, subcircuit or first
-    instance that prints them.
+    subcircuit pin that never appears in its body), BAD_TOKEN (error, an
+    instance without a designator, a designator that is not one token
+    starting with [A-Za-z_], or a text parameter value that is not one
+    token, see netforge.names), and UNRESOLVED_PARAM (error, a name that a
+    printed map's formulas read and that neither the map nor its line's
+    context supplies; a model or subcircuit header has no context). Text
+    values and read names are checked once per Params object, at the model,
+    subcircuit or first instance that prints them (or lacks the name).
     """
     duplicates: set[str] = set()
     globals_ = set(circuit.global_nets)
@@ -288,11 +311,17 @@ def lint(circuit: Circuit) -> LintReport:
         for name in duplicates
     ]
 
-    # the parameter maps lint reads text values from, definitions first
-    maps = {id(d.params): (d.params, d.name) for d in (*circuit.models.values(), *subckts)}
-    _lint_scope(findings, circuit.instances, (), "", globals_, known, maps)
+    # the maps lint checks, definitions first
+    reads: dict = {}
+    for d in (*circuit.models.values(), *subckts):
+        if id(d.params) not in reads:
+            free = reads[id(d.params)] = _free_names(d.params)
+            findings += [Finding("error", "BAD_TOKEN", m, d.name) for m in _bad_values(d.params)]
+            findings += [Finding("error", *e, d.name) for e in _unresolved(free, {})]
+    lines: list = []  # per scope, the top level first
+    _lint_scope(findings, lines, circuit.instances, (), "", globals_, known, reads)
     for sub in subckts:
-        uses = _lint_scope(findings, sub.body, sub.pins, sub.name, globals_, known, maps)
+        uses = _lint_scope(findings, lines, sub.body, sub.pins, sub.name, globals_, known, reads)
         for pin in sub.pins:
             if pin not in uses:
                 findings.append(
@@ -303,8 +332,7 @@ def lint(circuit: Circuit) -> LintReport:
                         f"{sub.name}.{pin}",
                     )
                 )
-    _lint_values(findings, maps)
-    return LintReport(findings, subckts)
+    return LintReport(findings, subckts, _lines=lines)
 
 
 # --- text dialects: one traversal, a table of what differs per dialect --------
@@ -339,21 +367,16 @@ def _line_params(inst: Instance) -> Params:
     return inst.effective_params() if inst.overrides else inst.template.params
 
 
-def _instance_prefix(dialect: _TextDialect, inst: Instance) -> str:
-    """`designator nets master`: everything on an instance line but its values."""
-    if inst.designator is None:
-        raise NetforgeError(
-            f"instance of {inst.template.name!r} has no designator; "
-            "insert it through a circuit or subcircuit before exporting"
-        )
-    if any(net.is_unconnected for net in inst.nets):
-        raise NetforgeError("unconnected net reached the exporter; run lint first")
-    nets = dialect.nets.format(" ".join([str(net) for net in inst.nets]))
+def _instance_prefix(dialect: _TextDialect, inst: Instance, nets: str) -> str:
+    """`designator nets master`, with `nets` space-joined as lint read them."""
+    nets = dialect.nets.format(nets)
     return " ".join([inst.designator, *([nets] if nets else []), inst.template.name])
 
 
-def _line_frame(dialect: _TextDialect, circuit: Circuit, subckts, header) -> tuple:
-    """Lay a netlist out once for every seed, as (frame, tail).
+def _line_frame(dialect: _TextDialect, circuit: Circuit, report: LintReport, header) -> tuple:
+    """Lay a netlist out once for every seed, as (frame, tail), from the net
+    names and line maps of lint's `report`, which it takes off the report:
+    a report is laid out once.
 
     `frame` is a list of runs, (run, befores, contexts): for each run, a
     seed's netlist is what run(befores, contexts, rng, out) appends to
@@ -397,18 +420,24 @@ def _line_frame(dialect: _TextDialect, circuit: Circuit, subckts, header) -> tup
             prefix = f"{prefix}{before}{head}{after}"
         text.extend((prefix, "\n"))
 
+    def instances(scope, nets, line_maps):
+        # each map is dropped with its line: a merged map and its plan then
+        # die at once, instead of piling up for the cyclic gc to rescan
+        for k, inst in enumerate(scope):
+            params, line_maps[k] = line_maps[k], None
+            line(_instance_prefix(dialect, inst, nets[k]), params, " {}", inst.context)
+
+    lines, report._lines = report._lines, ()
     kw = dialect.keyword
     for header_line in header:
         line(header_line, None, "")
     for model in circuit.models.values():
         line(f"{kw}model {model.name} {model.base_type}", model.params, dialect.model_params)
-    for sub in subckts:
+    for sub, body in zip(report.subcircuits, lines[1:]):
         line(f"{kw}subckt {sub.name} {' '.join(sub.pins)}", sub.params, dialect.subckt_params)
-        for inst in sub.body:
-            line(_instance_prefix(dialect, inst), _line_params(inst), " {}", inst.context)
+        instances(sub.body, *body)
         line(f"{kw}ends {sub.name}", None, "")
-    for inst in circuit.instances:
-        line(_instance_prefix(dialect, inst), _line_params(inst), " {}", inst.context)
+    instances(circuit.instances, *lines[0])
     for literal in (*circuit.directives, *dialect.footer):
         line(literal, None, "")
     return frame, "".join(text)
@@ -421,10 +450,11 @@ def _text_exporter(dialect: _TextDialect, circuit: Circuit, options: dict):
     order. The circuit must not change between calls."""
     report = lint(circuit)
     if report.has_errors:
+        report._lines = ()  # the exception keeps the report, not the maps
         raise LintErrors(report)
     title = str(options.get("title", "Generated netlist"))
     header = [line.format(title=title) for line in dialect.header]
-    frame, tail = _line_frame(dialect, circuit, report.subcircuits, header)
+    frame, tail = _line_frame(dialect, circuit, report, header)
 
     def emit(seed: int) -> str:
         rng = Xoshiro256StarStar(seed)
@@ -845,9 +875,9 @@ def exporter_for(dialect: str):
 def _seed_exporter(circuit: Circuit, dialect: str, options=None):
     """seed -> text for one circuit in one dialect, for exporting many seeds.
 
-    Text dialects lint here, once (raising LintErrors), and walk the circuit
-    on each call; any other exporter is called with each seed. The circuit
-    must not change between calls.
+    Text dialects lint and lay the netlist out here, once (raising
+    LintErrors), and render it on each call; any other exporter is called
+    with each seed. The circuit must not change between calls.
     """
     exporter = exporter_for(dialect)
     options = dict(options or {})

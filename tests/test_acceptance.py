@@ -4,16 +4,18 @@ Each test prints "[criterion N] <label>: PASS|FAIL" so a plain pytest run
 doubles as the acceptance report (use -s or read captured output).
 """
 
+import importlib.util
 import math
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
 from netforge.core import Circuit, Component, Instance, Net, PendingNet, Subcircuit
-from netforge.errors import CyclicDependencyError
+from netforge.errors import CyclicDependencyError, DivisionByZeroError, NonFiniteResultError
 from netforge.exporters import export, export_json, import_json, lint, write_param_file
 from netforge.formula import BinOp, Call, Formula, Neg, Num, Var, parse_formula, unparse
 from netforge.io_readers import ParamFile, read_param_file
@@ -325,6 +327,48 @@ def test_criterion_7_randomized_round_trips():
         for seed in range(300):
             pf = _random_param_file(seed)
             assert read_param_file(write_param_file(pf)) == pf
+
+
+# --- generated circuits: a lint-clean circuit exports ----------------------------------------
+
+ORACLES = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
+
+
+def _load_oracles():
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", ORACLES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracles = _load_oracles()
+
+
+def _without_lines(text: str, lines) -> str:
+    return "".join(line for line in text.splitlines(keepends=True) if line[:-1] not in lines)
+
+
+def test_generated_lint_clean_circuits_export():
+    """Every lint-clean generated circuit exports in both text dialects, or
+    fails only on a value that is not finite or a division by zero; another
+    seed changes only value tokens; and both dialects print the same
+    top-level instance lines (directives aside, which only SPICE checks)."""
+    exported = 0
+    for seed in range(300):
+        circuit = _random_circuit(seed)
+        if lint(circuit).has_errors:
+            continue
+        try:
+            texts = [export(circuit, dialect) for dialect in ("spice", "spectre")]
+            reseeded = export(circuit, "spice", seed=circuit.rng_seed + 1)
+        except (NonFiniteResultError, DivisionByZeroError):
+            continue
+        exported += 1
+        oracles.same_but_values(texts[0], reseeded)
+        if circuit.instances:
+            spice, spectre = (_without_lines(text, circuit.directives) for text in texts)
+            oracles.check_spectre_matches(spice, spectre)
+    assert exported >= 150
 
 
 # --- 8: cross-process determinism --------------------------------------------------------------

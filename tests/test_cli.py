@@ -495,6 +495,34 @@ def test_a_text_value_that_is_not_one_token_is_a_lint_error(tmp_path, capsys, va
     assert "BAD_TOKEN" in err and "Traceback" not in err
 
 
+def test_a_formula_name_nothing_supplies_is_a_lint_error(tmp_path, capsys):
+    # the body of blk reads w, but blk's own parameters are not a body line's context
+    doc = tmp_path / "doc.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "version": 1,
+                "components": [
+                    {"name": "r", "ports": ["a", "b"], "prefix": "R",
+                     "params": {"R": {"$formula": "w*2"}}}
+                ],
+                "subcircuits": [
+                    {"name": "blk", "pins": ["p", "q"], "params": {"w": 1},
+                     "body": [{"op": "instance", "template": "r", "nets": ["p", "q"]}]}
+                ],
+                "circuit": [{"op": "instance", "template": "blk", "nets": ["n1", "0"]}],
+            }
+        )
+    )
+    code, out, err = run_cli(["lint", doc], capsys)
+    assert code == 5
+    assert "UNRESOLVED_PARAM" in out and "blk/R1" in out and "'w'" in out
+    code, out, err = run_cli(["export", doc], capsys)
+    assert code == 5
+    assert out == ""
+    assert "UNRESOLVED_PARAM" in err and "'w'" in err and "Traceback" not in err
+
+
 # --- sweep: one build per corner x values, every seed exported from it --------------
 
 SWEEP_CORNERS = ("TT", "FF")

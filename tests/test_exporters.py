@@ -22,8 +22,6 @@ from netforge.errors import (
     VersionMismatchError,
 )
 from netforge.exporters import (
-    _SPICE,
-    _line_frame,
     _seed_exporter,
     export,
     export_json,
@@ -37,6 +35,7 @@ from netforge.exporters import (
 )
 from netforge.formula import Formula
 from netforge.io_readers import ParamFile, read_param_file
+from netforge.manip import Chain
 from netforge.numfmt import format_number
 from netforge.params import Params, gauss, uniform
 
@@ -148,20 +147,103 @@ def test_instance_without_designator_is_refused_when_laid_out():
         _seed_exporter(circuit, "spectre")
 
 
-def test_unconnected_net_past_lint_is_refused_when_laid_out():
+NO_DESIGNATOR = (
+    "instance of 'r' has no designator; "
+    "insert it through a circuit or subcircuit before exporting"
+)
+
+
+@pytest.mark.parametrize("scope", ["", "S"])
+def test_lint_reports_an_instance_without_designator(scope):
+    r = Component("r", ["a", "b"])
     circuit = Circuit()
-    circuit += Component("Cap", [0, 1]) @ ["", "x"]
-    with pytest.raises(NetforgeError, match="unconnected net reached the exporter"):
-        _line_frame(_SPICE, circuit, (), [])  # what emission sees without lint
+    if scope:
+        sub = Subcircuit(scope, ["n1", "n2"])
+        sub += r @ ["n1", "n2"]
+        sub.body.append(Instance(r, ("n1", "n2")))  # not inserted
+        circuit += sub @ ["n1", "n2"]
+    else:
+        circuit += r @ ["n1", "n2"]
+        circuit.instances.append(Instance(r, ("n1", "n2")))  # not inserted
+    report = lint(circuit)
+    location = f"{scope}/?" if scope else "?"
+    assert [(f.code, f.location, f.message) for f in report.errors] == [
+        ("BAD_TOKEN", location, NO_DESIGNATOR)
+    ]
+    with pytest.raises(LintErrors, match=re.escape(NO_DESIGNATOR)):
+        export(circuit, "spice")
 
 
 def test_evaluation_errors_propagate_from_export():
-    from netforge.errors import UnresolvedIdentifierError
+    from netforge.errors import NonFiniteResultError
 
+    # a name nothing supplies is found by lint, before any value is computed
     circuit = Circuit()
     circuit += Component("r", ["a", "b"], {"R": Formula("nope")}) @ ["n1", "n1"]
-    with pytest.raises(UnresolvedIdentifierError):
+    with pytest.raises(LintErrors) as err:
         export(circuit, "spice")
+    [finding] = err.value.report.errors
+    assert finding.code == "UNRESOLVED_PARAM" and "'nope'" in finding.message
+
+    # an error that depends on the values still comes from evaluation
+    circuit = Circuit()
+    circuit += Component("r", ["a", "b"], {"R": Formula("sqrt(0 - 1)")}) @ ["n1", "n1"]
+    assert not lint(circuit).has_errors
+    with pytest.raises(NonFiniteResultError):
+        export(circuit, "spice")
+
+
+def _blk_circuit(formula="w*2", context=None):
+    """A subcircuit `blk` with its own parameter w, whose body reads `formula`."""
+    r = Component("r", ["a", "b"], {"R": Formula(formula)}, prefix="R")
+    blk = Subcircuit("blk", ["p", "q"], {"w": 1})
+    blk += r @ ["p", "q"]
+    if context is not None:
+        blk.body[0].context = context
+    circuit = Circuit()
+    circuit += blk @ ["n1", "n2"]
+    circuit += blk @ ["n1", "n2"]
+    return circuit
+
+
+def test_lint_reports_a_formula_name_nothing_supplies():
+    report = lint(_blk_circuit())
+    assert [(f.code, f.location) for f in report.errors] == [("UNRESOLVED_PARAM", "blk/R1")]
+    assert "'w'" in report.errors[0].message and "'R'" in report.errors[0].message
+    for dialect in ("spice", "spectre"):
+        with pytest.raises(LintErrors, match="UNRESOLVED_PARAM"):
+            export(_blk_circuit(), dialect)
+
+
+def test_a_formula_name_the_line_context_supplies_is_resolved():
+    circuit = _blk_circuit("w*2 + _i", context={"w": 3, "_i": 1})
+    assert not lint(circuit).has_errors
+    assert "R1 p q r R=7\n" in export(circuit, "spice")
+
+
+@pytest.mark.parametrize("where", ["model", "subckt", "override", "chain"])
+def test_unresolved_param_is_reported_once_per_map(where):
+    r = Component("r", ["a", "b"], prefix="R")
+    circuit = Circuit()
+    reads = {"k": Formula("2 * x + y"), "y": 1}
+    if where == "model":
+        circuit += Model("m", "res", reads)
+        circuit += r @ ["n1", "n1"]
+        locations = ["m"]
+    elif where == "subckt":
+        blk = Subcircuit("blk", ["p"], reads)
+        blk += r @ ["p", "p"]
+        circuit += blk @ ["n1"]
+        locations = ["blk"]
+    elif where == "override":
+        circuit += (r % reads) @ ["n1", "n1"]
+        circuit += (r % reads) @ ["n1", "n1"]
+        locations = ["R1", "R2"]  # each line has a merged map of its own
+    else:
+        circuit += Chain(Component("q", ["a", "b"], reads, prefix="R"), 3)
+        locations = ["R1"]  # the three lines share the template's map
+    found = [(f.code, f.location) for f in lint(circuit).errors]
+    assert found == [("UNRESOLVED_PARAM", location) for location in locations]
 
 
 def test_seed_defaults_to_circuit_seed():
@@ -398,6 +480,15 @@ def test_text_export_walks_the_hierarchy_once(monkeypatch):
     assert [sub.name for sub in lint(circuit).subcircuits] == [
         line.split()[1] for line in text.splitlines() if line.startswith(".subckt")
     ]
+
+
+def test_chain_links_appended_past_add_print_by_their_pending_names():
+    circuit = Circuit()
+    for k, inst in enumerate(Chain(Component("r", ["a", "b"], prefix="R"), 2), 1):
+        inst.designator = f"R{k}"
+        circuit.instances.append(inst)  # add() would have named the link
+    assert [(f.code, f.location) for f in lint(circuit)] == [("DANGLING", "a"), ("DANGLING", "b")]
+    assert export(circuit, "spice") == "Generated netlist\nR1 a net_0_0 r\nR2 net_0_0 b r\n.end\n"
 
 
 def test_lint_str_is_stable():

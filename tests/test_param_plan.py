@@ -172,6 +172,7 @@ def test_second_emit_only_draws_evaluates_and_formats(tmp_path, emit_counts, n):
     circuit = builddoc.build_circuit(_chain_doc(n), tmp_path)
     emit = exporters._seed_exporter(circuit, "spice")
     assert emit_counts["prefix"] == n + 1  # the chain and the load, laid out once
+    assert emit_counts["net_str"] == 0  # lint's walk reads each net's name once
 
     def per_emit(seed):
         before = dict(emit_counts)

@@ -187,6 +187,20 @@ def test_compile_work_does_not_grow_with_instances(dialect):
     assert compiled[10] == compiled[2_000] == 1
 
 
+@pytest.mark.parametrize("dialect", ["spice", "spectre"])
+def test_export_merges_each_overridden_instance_once(monkeypatch, dialect):
+    n = 20
+    circuit = _overridden_instances(n)
+    merged = Params.merged
+    calls = []
+    monkeypatch.setattr(
+        Params, "merged", lambda self, overrides: calls.append(1) or merged(self, overrides)
+    )
+    text = exporters.export(circuit, dialect, seed=3)
+    # lint decides each line's map, and the layout reuses it
+    assert len(calls) == n and text.count(" w=") == n
+
+
 def test_equal_plans_of_other_values_share_the_kernel_source(sources):
     shape = {"a": 1.5, "b": uniform(0.0, 1.0), "c": Formula("a*b + _x"), "d": "x"}
     other = {"a": -3, "b": uniform(-1e300, 1e300), "c": Formula("a*b + _x"), "d": MARKER}

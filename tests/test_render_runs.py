@@ -74,7 +74,7 @@ CASES = {
 def _frame(circuit: Circuit, dialect: str) -> list:
     table = exporters.exporter_for(dialect)
     header = [line.format(title=TITLE) for line in table.header]
-    frame, _ = exporters._line_frame(table, circuit, exporters.lint(circuit).subcircuits, header)
+    frame, _ = exporters._line_frame(table, circuit, exporters.lint(circuit), header)
     return frame
 
 
@@ -94,6 +94,27 @@ def test_a_run_keeps_each_lines_context():
     assert contexts == [[{"_i": i} for i in range(6)]]
     # the chain devices' contexts are empty
     assert [contexts for _, _, contexts in _frame(_constant_lines_inside(), "spice")] == [[{}] * 4]
+
+
+def test_a_report_is_laid_out_once():
+    # the layout takes lint's lines off the report: a second layout of it
+    # fails at once instead of printing lines without their values
+    circuit = Circuit()
+    circuit += Chain(DEV, 3)
+    table = exporters.exporter_for("spice")
+    report = exporters.lint(circuit)
+    exporters._line_frame(table, circuit, report, [])
+    with pytest.raises(IndexError):
+        exporters._line_frame(table, circuit, report, [])
+
+
+def test_lint_errors_keep_the_report_but_not_its_lines():
+    circuit = Circuit()
+    circuit += Chain(DEV, 3)
+    circuit.instances[0].designator = "1x"
+    with pytest.raises(exporters.LintErrors) as refused:
+        exporters.export(circuit, "spice")
+    assert refused.value.report.has_errors and refused.value.report._lines == ()
 
 
 def test_a_run_of_the_chain_is_one_call():
