@@ -88,19 +88,24 @@ VDD = Net("VDD")
 
 
 class _LinkGroup:
-    """Identity token shared by the generated nets of one chain."""
+    """Identity token shared by the generated nets of one chain; `size` is
+    its number of links."""
 
-    __slots__ = ()
+    __slots__ = ("size",)
+
+    def __init__(self, size: int):
+        self.size = size
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PendingNet:
     """A chain-generated net awaiting its final name.
 
     Chains create one PendingNet per link; a container replaces it with
     Net(f"net_{k}_{index}") at insertion, where k is the container's chain
-    counter. Two pending nets compare equal when their link index matches,
-    which is what construction-determinism checks need.
+    counter, and the instances one add() puts on a link share that Net. Two
+    pending nets compare equal when their link index matches, which is what
+    construction-determinism checks need.
     """
 
     group: _LinkGroup
@@ -349,6 +354,26 @@ class Instance(_TemplateOps):
         return f"<{self.designator or '?'} {getattr(self.template, 'name', '?')} ({nets})>"
 
 
+def _children(proto: Instance, nets_list) -> list:
+    """Uninserted copies of `proto`, one per tuple of `nets_list`, which must
+    hold Nets and PendingNets only, as `proto`'s nets do. Each copy gets its
+    own overrides and context, since it stays mutable."""
+    template, context = proto.template, proto.context
+    params = proto.overrides.copy if proto.overrides else Params
+    children = []
+    for nets in nets_list:
+        # plain stores in field order, as __init__ makes them, keep the
+        # instance dicts key-sharing
+        child = object.__new__(Instance)
+        child.template = template
+        child.nets = nets
+        child.overrides = params()
+        child.designator = None
+        child.context = dict(context)
+        children.append(child)
+    return children
+
+
 def as_instance(obj) -> Instance:
     """Instantiate a template with its default nets, or copy an instance."""
     if isinstance(obj, Instance):
@@ -407,35 +432,51 @@ class _InstanceScope:
         self._link_groups: dict[_LinkGroup, int] = {}
         self._next_link_group = 0
 
-    def _finalize_nets(self, inst: Instance, links: dict) -> None:
-        """Name the chain links of `inst`. `links` maps the link names given
-        during one add() to their Net, so the instances a link joins share
-        one Net object."""
-        if not any(isinstance(n, PendingNet) for n in inst.nets):
-            return
-        nets = []
-        for net in inst.nets:
-            if isinstance(net, PendingNet):
-                k = self._link_groups.get(net.group)
-                if k is None:
-                    k = self._next_link_group
-                    self._next_link_group += 1
-                    self._link_groups[net.group] = k
-                name = f"net_{k}_{net.index}"
-                net = links.get(name)
-                if net is None:
-                    net = links[name] = Net(name)
-            nets.append(net)
-        inst.nets = tuple(nets)
+    def _insert(self, element, instances: list) -> None:
+        """Append the instances of `element` to `instances` in order, naming
+        their chain links and assigning their designators; any other item
+        goes to _define. One add() names each link group once, when it first
+        meets it, so the instances a link joins share one Net."""
+        counters = self._counters
+        links: dict[_LinkGroup, list] = {}  # each link group met so far -> its Nets
+        template = group = None
+        for item in _iter_addable(element):
+            if not isinstance(item, Instance):
+                self._define(item)
+                continue
+            nets = item.nets
+            if PendingNet in map(type, nets):
+                linked = list(nets)
+                for i, net in enumerate(nets):
+                    if type(net) is PendingNet:
+                        if net.group is not group:
+                            group = net.group
+                            named = links.get(group)
+                            if named is None:
+                                named = links[group] = self._link_nets(group)
+                        linked[i] = named[net.index]
+                item.nets = tuple(linked)
+            if item.template is not template:
+                template = item.template
+                self._uses(template)
+                prefix = template.prefix
+            if item.designator is None:
+                count = counters[prefix] = counters.get(prefix, 0) + 1
+                item.designator = f"{prefix}{count}"
+            instances.append(item)
 
-    def _assign_designator(self, inst: Instance) -> None:
-        if inst.designator is not None:
-            return
-        template = inst.template
-        prefix = "X" if isinstance(template, Subcircuit) else template.prefix
-        count = self._counters.get(prefix, 0) + 1
-        self._counters[prefix] = count
-        inst.designator = f"{prefix}{count}"
+    def _link_nets(self, group: _LinkGroup) -> list:
+        """New Nets for the links of `group`, in link order; a group keeps
+        its number k in this scope for good."""
+        k = self._link_groups.get(group)
+        if k is None:
+            k = self._link_groups[group] = self._next_link_group
+            self._next_link_group += 1
+        return [Net(f"net_{k}_{i}") for i in range(group.size)]
+
+    def _uses(self, template) -> None:
+        """Called once per run of instances that share `template`, before
+        the first of them is appended."""
 
     def _recover_counters(self, instances: Iterable[Instance], nets: Iterable[Net]) -> None:
         """After an import, continue numbering past what is already used.
@@ -499,21 +540,12 @@ class Subcircuit(_TemplateOps, _InstanceScope):
         """Append instances (or register nested definitions) in order."""
         if self.fixed:
             raise FrozenSubcircuitError(f"subcircuit {self.name!r} is fixed")
-        links: dict[str, Net] = {}
-        for inst in _iter_addable(element):
-            if isinstance(inst, Instance):
-                self._finalize_nets(inst, links)
-                self._assign_designator(inst)
-                self.body.append(inst)
-            elif isinstance(inst, Subcircuit):
-                self._register_nested(inst)
-            else:
-                raise TypeError(
-                    f"cannot add {type(inst).__name__} to a subcircuit"
-                )
+        self._insert(element, self.body)
         return self
 
-    def _register_nested(self, sub: "Subcircuit") -> None:
+    def _define(self, sub) -> None:
+        if not isinstance(sub, Subcircuit):
+            raise TypeError(f"cannot add {type(sub).__name__} to a subcircuit")
         for existing in self.nested:
             if existing.name == sub.name:
                 if existing is sub:
@@ -573,32 +605,25 @@ class Circuit(_InstanceScope):
     def add(self, element) -> "Circuit":
         """Insert instances, manipulations, models, subcircuit definitions,
         or (possibly nested) sequences of those, in order."""
-        links: dict[str, Net] = {}
-        for item in _iter_addable(element):
-            if isinstance(item, Instance):
-                self._insert(item, links)
-            elif isinstance(item, Model):
-                self._register_model(item)
-            elif isinstance(item, Subcircuit):
-                self._register_subcircuit(item)
-            else:
-                raise TypeError(f"cannot add {type(item).__name__} to a circuit")
+        self._insert(element, self.instances)
         return self
 
     def __iadd__(self, element):
         return self.add(element)
 
-    def _insert(self, inst: Instance, links: dict) -> None:
-        self._finalize_nets(inst, links)
-        if isinstance(inst.template, Subcircuit):
-            self._register_subcircuit(inst.template)
-        self._assign_designator(inst)
-        self.instances.append(inst)
+    def _define(self, item) -> None:
+        if isinstance(item, Model):
+            if item.name in self.models:
+                raise DuplicateModelError(f"model {item.name!r} already defined")
+            self.models[item.name] = item
+        elif isinstance(item, Subcircuit):
+            self._register_subcircuit(item)
+        else:
+            raise TypeError(f"cannot add {type(item).__name__} to a circuit")
 
-    def _register_model(self, model: Model) -> None:
-        if model.name in self.models:
-            raise DuplicateModelError(f"model {model.name!r} already defined")
-        self.models[model.name] = model
+    def _uses(self, template) -> None:
+        if isinstance(template, Subcircuit):
+            self._register_subcircuit(template)
 
     def _register_subcircuit(self, sub: Subcircuit) -> None:
         existing = self.subcircuits.get(sub.name)

@@ -35,10 +35,9 @@ so that a reader takes their line as an element, and text parameter values
 (BAD_TOKEN).
 Every other name was checked when its object was made. Lint also reports
 each name that a printed formula reads and that nothing on its line
-supplies (UNRESOLVED_PARAM). Past a clean lint, export can still fail on a
-cycle among a map's formulas, found when the map is planned, and on values:
-a draw or result that is not finite, a division by zero, or a formula that
-reads a text value.
+supplies as a number (UNRESOLVED_PARAM). Past a clean lint, export can still
+fail on a cycle among a map's formulas, found when the map is planned, and
+on values: a draw or result that is not finite, or a division by zero.
 
 The JSON dialect is different in kind: it round-trips the circuit losslessly,
 with formulas and distributions still unresolved, and therefore neither
@@ -195,24 +194,33 @@ def _bad_values(params) -> list:
 
 def _free_names(params) -> dict:
     """name -> the parameter whose formula reads it first, for every name that
-    the formulas of `params` read and `params` does not hold."""
+    the formulas of `params` read and `params` does not hold as a number: a
+    name it lacks, or holds as text."""
     free: dict[str, str] = {}
     for owner, value in params.items():
         if isinstance(value, Formula):
             for name in value.identifiers:
-                if name not in params:
+                if name not in params or isinstance(params[name], str):
                     free.setdefault(name, owner)
     return free
 
 
-def _unresolved(free: dict, context) -> list:
-    """(code, message) for each name of `free` (see _free_names) that
-    `context` does not supply. Each is taken out, so it is reported once."""
-    return [
-        ("UNRESOLVED_PARAM", f"formula of {free.pop(name)!r} reads {name!r}, "
-         "which nothing on its line supplies")
-        for name in [name for name in free if name not in context]
-    ]
+def _unresolved(free: dict, params, context) -> list:
+    """(code, message) for each name of `free` (see _free_names) that the
+    formulas of `params` cannot read as a number on a line with `context`. A
+    name `params` holds as text, or `context` lacks, is taken out, so it is
+    reported once per map; a value of `context` that is not a number (text,
+    or any other JSON value an imported context holds), on each such line."""
+    errors = []
+    for name in list(free):
+        if name in params or name not in context:
+            what = "is text, not a number" if name in params else "nothing on its line supplies"
+            errors.append(("UNRESOLVED_PARAM", f"formula of {free.pop(name)!r} reads {name!r}, "
+                           f"which {what}"))
+        elif not isinstance(context[name], (int, float)):
+            errors.append(("UNRESOLVED_PARAM", f"formula of {free[name]!r} reads {name!r}, "
+                           "which its line's context does not give as a number"))
+    return errors
 
 
 def _lint_scope(findings, lines, instances, pins, scope, global_nets, known_subckts, reads):
@@ -255,7 +263,8 @@ def _lint_scope(findings, lines, instances, pins, scope, global_nets, known_subc
                 free = reads[id(line_map)] = _free_names(line_map)
                 errors += [(inst, "BAD_TOKEN", message) for message in _bad_values(line_map)]
             if free:
-                errors += [(inst, *error) for error in _unresolved(free, inst.context or {})]
+                unresolved = _unresolved(free, line_map, inst.context or {})
+                errors += [(inst, *error) for error in unresolved]
     findings += [Finding("error", code, message, f"{at}{inst.designator or '?'}")
                  for inst, code, message in errors]
 
@@ -298,9 +307,11 @@ def lint(circuit: Circuit) -> LintReport:
     starting with [A-Za-z_], or a text parameter value that is not one
     token, see netforge.names), and UNRESOLVED_PARAM (error, a name that a
     printed map's formulas read and that neither the map nor its line's
-    context supplies; a model or subcircuit header has no context). Text
-    values and read names are checked once per Params object, at the model,
-    subcircuit or first instance that prints them (or lacks the name).
+    context supplies as a number; a model or subcircuit header has no
+    context). Text values and read names are checked once per Params object,
+    at the model, subcircuit or first instance that prints them (or lacks
+    the name); a read name that a line's context does not give as a number,
+    on that line.
     """
     duplicates: set[str] = set()
     globals_ = set(circuit.global_nets)
@@ -317,7 +328,7 @@ def lint(circuit: Circuit) -> LintReport:
         if id(d.params) not in reads:
             free = reads[id(d.params)] = _free_names(d.params)
             findings += [Finding("error", "BAD_TOKEN", m, d.name) for m in _bad_values(d.params)]
-            findings += [Finding("error", *e, d.name) for e in _unresolved(free, {})]
+            findings += [Finding("error", *e, d.name) for e in _unresolved(free, d.params, {})]
     lines: list = []  # per scope, the top level first
     _lint_scope(findings, lines, circuit.instances, (), "", globals_, known, reads)
     for sub in subckts:

@@ -22,6 +22,7 @@ from .core import (
     Instance,
     Net,
     PendingNet,
+    _children,
     _LinkGroup,
     as_instance,
     as_net,
@@ -43,7 +44,8 @@ class Manipulation:
     """An ordered, iterable batch of instances.
 
     Children can be read and replaced in place before insertion; nested
-    manipulations flatten depth-first at construction.
+    manipulations flatten depth-first at construction. The combinators set
+    `children` to the instances they make.
     """
 
     def __init__(self, children=None):
@@ -87,10 +89,13 @@ class Parallel(Manipulation):
     def __init__(self, template, n: int):
         if n < 0:
             raise ValueError(f"parallel count must be >= 0, got {n}")
-        super().__init__(as_instance(template) for _ in range(n))
+        proto = as_instance(template)
+        self.children = _children(proto, [proto.nets] * n)
 
 
-def _chain_children(template, n, in_port, out_port):
+def _chain_children(template, n, in_port, out_port, out_name=None):
+    """The children of a chain; `out_name`, when given, replaces the last
+    out_port net."""
     proto = as_instance(template)
     arity = proto.arity
     if n < 1:
@@ -105,19 +110,17 @@ def _chain_children(template, n, in_port, out_port):
     if in_port == out_port:
         raise SamePortError(f"in_port and out_port are both {in_port}")
 
-    group = _LinkGroup()
+    group = _LinkGroup(n - 1)
     links = [PendingNet(group, i) for i in range(n - 1)]
-    children = []
-    for i in range(n):
-        inst = as_instance(template)
-        nets = list(inst.nets)
-        if i > 0:
-            nets[in_port] = links[i - 1]
-        if i < n - 1:
-            nets[out_port] = links[i]
-        inst.nets = tuple(nets)
-        children.append(inst)
-    return children, out_port
+    nets = list(proto.nets)
+    last_out = nets[out_port] if out_name is None else as_net(out_name)
+    nets_list = []
+    # instance i joins link i-1 on in_port and link i on out_port
+    for net_in, net_out in zip([nets[in_port], *links], [*links, last_out]):
+        nets[in_port] = net_in
+        nets[out_port] = net_out
+        nets_list.append(tuple(nets))
+    return _children(proto, nets_list)
 
 
 class Chain(Manipulation):
@@ -130,8 +133,7 @@ class Chain(Manipulation):
     """
 
     def __init__(self, template, n: int, in_port: int = 0, out_port: int | None = None):
-        children, _ = _chain_children(template, n, in_port, out_port)
-        super().__init__(children)
+        self.children = _chain_children(template, n, in_port, out_port)
 
 
 class NamedChain(Manipulation):
@@ -147,12 +149,7 @@ class NamedChain(Manipulation):
     ):
         # an empty name would leave the end unconnected
         names.token(out_name, "out_name")
-        children, out_port = _chain_children(template, n, in_port, out_port)
-        last = children[-1]
-        nets = list(last.nets)
-        nets[out_port] = as_net(out_name)
-        last.nets = tuple(nets)
-        super().__init__(children)
+        self.children = _chain_children(template, n, in_port, out_port, out_name)
 
 
 class Array(Manipulation):
@@ -183,25 +180,23 @@ class Array(Manipulation):
                 for y in range(shape[1])
             ]
 
-        children = []
-        for coord, context in coords:
-            inst = as_instance(template)
-            if port_fn is not None:
+        proto = as_instance(template)
+        nets_list = [proto.nets] * len(coords)
+        if port_fn is not None:
+            for k, (coord, _) in enumerate(coords):
                 returned = port_fn(coord)
                 if isinstance(returned, (str, int, Net, PendingNet)):
                     returned = [returned]
                 returned = [as_net(n) for n in returned]
-                if len(returned) > inst.arity:
+                if len(returned) > proto.arity:
                     raise PortFnArityError(
                         f"port function returned {len(returned)} nets for a "
-                        f"{inst.arity}-port template"
+                        f"{proto.arity}-port template"
                     )
-                nets = list(inst.nets)
-                nets[: len(returned)] = returned
-                inst.nets = tuple(nets)
+                nets_list[k] = (*returned, *proto.nets[len(returned):])
+        self.children = _children(proto, nets_list)
+        for inst, (_, context) in zip(self.children, coords):
             inst.context.update(context)
-            children.append(inst)
-        super().__init__(children)
 
 
 _DEFAULT_DEFECT = Component("Res", ["", "GND"], {"R": 1e4}, prefix="R")
@@ -228,7 +223,7 @@ class Inject(Manipulation):
             if gen.random() < p:
                 out.append(rebind(defect, [child.nets[-1], "GND"]))
             out.append(child)
-        super().__init__(out)
+        self.children = out
 
 
 def concat(manips: Iterable) -> Manipulation:

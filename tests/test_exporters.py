@@ -246,6 +246,47 @@ def test_unresolved_param_is_reported_once_per_map(where):
     assert found == [("UNRESOLVED_PARAM", location) for location in locations]
 
 
+def test_lint_reports_a_formula_that_reads_map_text_once_per_map():
+    # lint-clean used to be followed by UnresolvedIdentifierError from export
+    reads = {"k": "nch", "R": Formula("k*2")}
+    circuit = Circuit()
+    circuit += Chain(Component("r", ["a", "b"], reads, prefix="R"), 3)
+    circuit += Model("m", "res", reads)
+    report = lint(circuit)
+    assert [(f.code, f.location) for f in report.errors] == [
+        ("UNRESOLVED_PARAM", "R1"),  # the three lines share the template's map
+        ("UNRESOLVED_PARAM", "m"),
+    ]
+    for finding in report.errors:
+        assert "'k'" in finding.message and "'R'" in finding.message
+        assert "text" in finding.message
+    for dialect in ("spice", "spectre"):
+        with pytest.raises(LintErrors, match="UNRESOLVED_PARAM"):
+            export(circuit, dialect)
+
+
+def test_lint_reports_a_context_value_that_is_not_a_number_on_each_line():
+    # an imported context may hold any JSON value; export used to raise a
+    # bare TypeError for a list, and UnresolvedIdentifierError for text
+    r = Component("r", ["a", "b"], {"R": Formula("x*2")}, prefix="R")
+    circuit = Circuit()
+    circuit += Chain(r, 3)
+    for inst, x in zip(circuit.instances, ("wide", 2, [1])):
+        inst.context = {"x": x}
+    report = lint(circuit)
+    assert [(f.code, f.location) for f in report.errors] == [
+        ("UNRESOLVED_PARAM", "R1"),
+        ("UNRESOLVED_PARAM", "R3"),
+    ]
+    assert all("'x'" in f.message and "not give as a number" in f.message
+               for f in report.errors)
+    with pytest.raises(LintErrors, match="UNRESOLVED_PARAM"):
+        export(circuit, "spice")
+    circuit.instances[0].context = circuit.instances[2].context = {"x": 1}
+    assert not lint(circuit).has_errors
+    assert "R2 net_0_0 net_0_1 r R=4\n" in export(circuit, "spice")
+
+
 def test_seed_defaults_to_circuit_seed():
     circuit = Circuit(rng_seed=5)
     circuit += Component("r", ["a", "b"], {"R": gauss(100.0, 5.0)}) @ ["n1", "n2"]
