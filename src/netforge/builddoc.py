@@ -556,7 +556,8 @@ def _validate_parameter_graphs(circuit: Circuit) -> None:
     Each distinct Params is checked once: an instance without overrides
     shares its template's Params, so a chain of N such instances costs one
     check, whose plan the export then reuses. An instance with overrides is
-    checked on its own merged map."""
+    checked on its own merged map. Each scope is walked in one loop that
+    looks a map up only where it differs from the line before."""
     checked = {}  # id -> Params, holding each alive so no id is reused
 
     def check(params):
@@ -564,11 +565,14 @@ def _validate_parameter_graphs(circuit: Circuit) -> None:
             checked[id(params)] = params
             validate_dependencies(params)
 
-    def check_instance(inst):
-        if inst.overrides:
-            validate_dependencies(inst.effective_params())
-        else:
-            check(inst.template.params)
+    def check_scope(instances):
+        last = None
+        for inst in instances:
+            if inst.overrides:
+                validate_dependencies(inst.effective_params())
+            elif inst.template.params is not last:
+                last = inst.template.params
+                check(last)
 
     for model in circuit.models.values():
         check(model.params)
@@ -581,10 +585,8 @@ def _validate_parameter_graphs(circuit: Circuit) -> None:
         seen.add(id(sub))
         stack.extend(sub.nested)
         check(sub.params)
-        for inst in sub.body:
-            check_instance(inst)
-    for inst in circuit.instances:
-        check_instance(inst)
+        check_scope(sub.body)
+    check_scope(circuit.instances)
 
 
 def build_circuit(doc: dict, doc_dir, set_vars=None, seed=None, corner=None) -> Circuit:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Union
 
 from . import names
@@ -359,7 +360,8 @@ def _children(proto: Instance, nets_list) -> list:
     hold Nets and PendingNets only, as `proto`'s nets do. Each copy gets its
     own overrides and context, since it stays mutable."""
     template, context = proto.template, proto.context
-    params = proto.overrides.copy if proto.overrides else Params
+    # an empty map needs no Params.__init__ (see Params)
+    params = proto.overrides.copy if proto.overrides else partial(dict.__new__, Params)
     children = []
     for nets in nets_list:
         # plain stores in field order, as __init__ makes them, keep the

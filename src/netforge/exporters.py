@@ -7,14 +7,16 @@ simulator-agnostic; exporter_for() is the one lookup, and write_atomic() the
 one file writer, that the library and the CLI share.
 
 The text dialects are tables (_TextDialect) over one traversal,
-_text_exporter: lint once, in the one walk over the instances; lay the
-netlist out once (_line_frame) from what lint read, into the
-literal lines and runs: each stretch of consecutive lines with drawn or
-computed values that share a ParamPlan becomes one entry, the plan's run
-function (ParamPlan.run: the plan's generated kernel, with draws, formulas
-and number formatting inline) with the text before each of its lines; then,
-for each seed, call the run functions in line order with one rng seeded
-explicitly, each rendering all of its lines in one call. The number
+_text_exporter: lint once, in the one walk over the instances, which
+splits each scope into runs of instances with one template and one
+parameter map; lay the netlist out once (_line_frame) from what lint read,
+a lint run at a time, into the literal lines and runs: each stretch of
+consecutive lines with drawn or computed values that share a ParamPlan
+becomes one entry, the plan's run function (ParamPlan.run: the plan's
+generated kernel, with draws, formulas and number formatting inline) with
+the text before each of its lines; then, for each seed, call the run
+functions in line order with one rng seeded explicitly (_render), each
+rendering all of its lines in one call. The number
 formatter (format_number under this module) is looked up when the exporter
 is built, and so is whether RandomSpec.sample and Formula.evaluate are
 still netforge's own: while all three are, the run functions are kernels
@@ -58,6 +60,7 @@ import os
 import secrets
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 from . import names
@@ -132,7 +135,7 @@ class LintReport:
             sorted(findings, key=lambda f: (f.location, f.code, f.message))
         )
         self.subcircuits = tuple(subcircuits)
-        self._lines = _lines  # from lint: per scope, (net names, line maps) of its instances
+        self._lines = _lines  # from lint: per scope, net names, and each run's map and size
 
     @property
     def errors(self) -> tuple:
@@ -223,52 +226,97 @@ def _unresolved(free: dict, params, context) -> list:
     return errors
 
 
+def _master_error(template, known_subckts):
+    """The UNDEFINED_MASTER message for an instance of `template`, or None."""
+    if isinstance(template, UnresolvedTemplate):
+        return f"no definition for master {template.name!r}"
+    if isinstance(template, Subcircuit):
+        registered = known_subckts.get(template.name)
+        if registered is None or (registered is not template and registered != template):
+            return f"subcircuit {template.name!r} is not defined in this circuit"
+    return None
+
+
+def _joined(net_names: list, instances) -> list:
+    """The space-joined net names of each of `instances`, from `net_names`,
+    the names of all their nets one after another."""
+    arities = {len(inst.nets) for inst in instances}
+    if len(arities) == 1 and 0 not in arities:
+        # every line has as many nets: cut the names into rows of that many
+        return list(map(" ".join, zip(*[iter(net_names)] * arities.pop())))
+    ends = accumulate(len(inst.nets) for inst in instances)
+    return [" ".join(net_names[end - len(inst.nets):end]) for inst, end in zip(instances, ends)]
+
+
 def _lint_scope(findings, lines, instances, pins, scope, global_nets, known_subckts, reads):
-    """Check one scope, reading each instance once; return its net uses, and
-    append to `lines` its instances' space-joined net names and line maps.
-    `reads` holds each map's free names by id; `lines` keeps the maps alive."""
+    """Check one scope; return its net uses, and append to `lines` its
+    instances' space-joined net names, and its runs' line maps and sizes.
+
+    Designators and net names are read in one pass each over the scope. A
+    run is a stretch of consecutive instances with one template and one
+    line map (_line_params): all the instances without overrides between
+    two template changes, or one instance with overrides. A run's template,
+    line map and free names (`reads`, each map's by id) are looked up once,
+    and only the names its map reads are checked per line, against each
+    line's context. `maps` and `sizes` hold each run's line map, which they
+    keep alive for the layout, and its number of lines: two flat lists, as a
+    pair per run would leave a tuple per run in CPython's free list once the
+    layout drops it."""
     at = f"{scope}/" if scope else ""
-    used: list[str] = []
-    designators: dict[str, int] = {}
-    nets: list[str] = []
-    line_maps: list = []
     errors: list = []  # (instance, code, message), located after the walk
-    for inst in instances:
-        designator, template = inst.designator, inst.template
-        if designator is None:
-            errors.append((inst, "BAD_TOKEN", f"instance of {template.name!r} has no designator; "
-                           "insert it through a circuit or subcircuit before exporting"))
-        else:
-            designators[designator] = designators.get(designator, 0) + 1
-        if isinstance(template, UnresolvedTemplate):
-            errors.append((inst, "UNDEFINED_MASTER", f"no definition for master {template.name!r}"))
-        elif isinstance(template, Subcircuit):
-            registered = known_subckts.get(template.name)
-            if registered is None or (registered is not template and registered != template):
-                message = f"subcircuit {template.name!r} is not defined in this circuit"
-                errors.append((inst, "UNDEFINED_MASTER", message))
-        net_names = [net.name for net in inst.nets]
-        if None in net_names:  # an error, so this line is never laid out
-            master = getattr(template, "name", "?")
+    designators = [inst.designator for inst in instances]
+    if None in designators:
+        errors += [(inst, "BAD_TOKEN", f"instance of {inst.template.name!r} has no designator; "
+                    "insert it through a circuit or subcircuit before exporting")
+                   for inst in instances if inst.designator is None]
+    used = [net.name for inst in instances for net in inst.nets]
+    if None in used:  # an error, so these lines are never laid out
+        rows = [[net.name for net in inst.nets] for inst in instances]
+        for inst, row in zip(instances, rows):
+            master = getattr(inst.template, "name", "?")
             errors += [(inst, "UNCONNECTED", f"port {index} of {master} is unconnected")
-                       for index, name in enumerate(net_names) if name is None]
-            net_names = [name for name in net_names if name is not None]
-        used += net_names
-        nets.append(" ".join(net_names))
-        line_map = _line_params(inst)
-        line_maps.append(line_map)
+                       for index, name in enumerate(row) if name is None]
+        nets = [" ".join([name for name in row if name is not None]) for row in rows]
+        used = [name for name in used if name is not None]
+    else:
+        nets = _joined(used, instances)
+
+    maps: list = []
+    sizes: list[int] = []
+    start, count = 0, len(instances)
+    while start < count:
+        first = instances[start]
+        template = first.template
+        end = start + 1
+        while end < count and not first.overrides:
+            inst = instances[end]
+            if inst.template is not template or inst.overrides:
+                break
+            end += 1
+        message = _master_error(template, known_subckts)
+        if message is not None:
+            errors += [(inst, "UNDEFINED_MASTER", message) for inst in instances[start:end]]
+        line_map = _line_params(first)
+        maps.append(line_map)
+        sizes.append(end - start)
         if line_map:
             free = reads.get(id(line_map))
             if free is None:
                 free = reads[id(line_map)] = _free_names(line_map)
-                errors += [(inst, "BAD_TOKEN", message) for message in _bad_values(line_map)]
+                errors += [(first, "BAD_TOKEN", message) for message in _bad_values(line_map)]
             if free:
-                unresolved = _unresolved(free, line_map, inst.context or {})
-                errors += [(inst, *error) for error in unresolved]
+                for inst in instances[start:end]:
+                    errors += [(inst, *error)
+                               for error in _unresolved(free, line_map, inst.context or {})]
+                    if not free:
+                        break
+        start = end
     findings += [Finding("error", code, message, f"{at}{inst.designator or '?'}")
                  for inst, code, message in errors]
 
-    for designator, count in designators.items():
+    counts = Counter(designators)
+    del counts[None]
+    for designator, count in counts.items():
         location = f"{at}{designator}"
         if not names.is_designator(designator):
             if names.is_token(designator):
@@ -292,7 +340,7 @@ def _lint_scope(findings, lines, instances, pins, scope, global_nets, known_subc
         if count == 1 and name not in global_nets and name not in pin_set:
             message = f"net {name!r} is referenced exactly once"
             findings.append(Finding("warn", "DANGLING", message, f"{at}{name}"))
-    lines.append((nets, line_maps))
+    lines.append((nets, maps, sizes))
     return uses
 
 
@@ -378,16 +426,10 @@ def _line_params(inst: Instance) -> Params:
     return inst.effective_params() if inst.overrides else inst.template.params
 
 
-def _instance_prefix(dialect: _TextDialect, inst: Instance, nets: str) -> str:
-    """`designator nets master`, with `nets` space-joined as lint read them."""
-    nets = dialect.nets.format(nets)
-    return " ".join([inst.designator, *([nets] if nets else []), inst.template.name])
-
-
 def _line_frame(dialect: _TextDialect, circuit: Circuit, report: LintReport, header) -> tuple:
     """Lay a netlist out once for every seed, as (frame, tail), from the net
-    names and line maps of lint's `report`, which it takes off the report:
-    a report is laid out once.
+    names and runs of lint's `report`, which it takes off the report: a
+    report is laid out once.
 
     `frame` is a list of runs, (run, befores, contexts): for each run, a
     seed's netlist is what run(befores, contexts, rng, out) appends to
@@ -403,6 +445,10 @@ def _line_frame(dialect: _TextDialect, circuit: Circuit, report: LintReport, hea
     of its merged map, and so a run of its own. `contexts` holds each
     line's context.
 
+    Instances are laid out a lint run at a time (see _lint_scope): the
+    plan, its layout and its run function are looked up once per run, and
+    the run's texts are made in one pass over its designators and net names.
+
     format_number formats every number: the constants here, once per plan,
     and the drawn and computed values in each call of a run function, inline
     while it is numfmt's own. It is looked up here, as the exporter is
@@ -412,31 +458,61 @@ def _line_frame(dialect: _TextDialect, circuit: Circuit, report: LintReport, hea
     """
     frame: list = []  # (run, befores, contexts)
     text: list[str] = []  # since the last parameterised line
+    nets_before, _, nets_after = dialect.nets.partition("{}")
+    # the nets token of an instance without nets, with its space, if any
+    no_nets = dialect.nets.format("") and dialect.nets.format("") + " "
 
-    def line(prefix: str, params, wrap: str, context=None):
+    def extend(run, befores, contexts):
+        # the texts of lines that follow the last line of `run` join its entry
+        if frame and frame[-1][0] is run:
+            frame[-1][1].extend(befores)
+            frame[-1][2].extend(contexts)
+        else:
+            frame.append((run, befores, contexts))
+
+    def line(prefix: str, params, wrap: str):
         # `wrap` is the dialect's parameter format: "{}" takes the tokens
         plan = plan_of(params) if params else None
         if plan is not None:
             head, slots = plan.layout(format_number)
             before, _, after = wrap.partition("{}")
             if slots:
-                run = plan.run(format_number)
-                if not frame or frame[-1][0] is not run:
-                    frame.append((run, [], []))
                 text.extend((prefix, before))
-                frame[-1][1].append("".join(text))
-                frame[-1][2].append(context)
+                extend(plan.run(format_number), ["".join(text)], [None])
                 text[:] = (after, "\n")
                 return
             prefix = f"{prefix}{before}{head}{after}"
         text.extend((prefix, "\n"))
 
-    def instances(scope, nets, line_maps):
-        # each map is dropped with its line: a merged map and its plan then
-        # die at once, instead of piling up for the cyclic gc to rescan
-        for k, inst in enumerate(scope):
-            params, line_maps[k] = line_maps[k], None
-            line(_instance_prefix(dialect, inst, nets[k]), params, " {}", inst.context)
+    def instances(scope, nets, maps, sizes):
+        # an instance line is `designator nets master`, then " " and its
+        # tokens; each run's map is dropped once its lines are laid out: a
+        # merged map and its plan then die at once, instead of piling up
+        # for the cyclic gc to rescan
+        start = 0
+        for k, count in enumerate(sizes):
+            params, maps[k] = maps[k], None
+            end = start + count
+            insts = scope[start:end]
+            plan = plan_of(params) if params else None
+            head, slots = plan.layout(format_number) if plan is not None else ("", ())
+            if slots:
+                lead, tail = "\n", " "  # each text ends the line before it
+            else:
+                lead, tail = "", f" {head}\n" if plan is not None else "\n"
+            master = f"{insts[0].template.name}{tail}"
+            texts = [
+                f"{lead}{inst.designator} {nets_before}{joined}{nets_after} {master}" if joined
+                else f"{lead}{inst.designator} {no_nets}{master}"
+                for inst, joined in zip(insts, nets[start:end])
+            ]
+            if slots:
+                texts[0] = "".join(text) + texts[0][1:]
+                extend(plan.run(format_number), texts, [inst.context for inst in insts])
+                text[:] = ("\n",)
+            else:
+                text.extend(texts)
+            start = end
 
     lines, report._lines = report._lines, ()
     kw = dialect.keyword
@@ -456,16 +532,20 @@ def _line_frame(dialect: _TextDialect, circuit: Circuit, report: LintReport, hea
 
 def _text_exporter(dialect: _TextDialect, circuit: Circuit, options: dict):
     """Lint once and lay the lines out once (_line_frame), then return
-    seed -> text: each call draws with one rng through the frame in line
-    order, so every text dialect draws the same random values in the same
-    order. The circuit must not change between calls."""
+    seed -> text (_render). The circuit must not change between calls."""
     report = lint(circuit)
     if report.has_errors:
         report._lines = ()  # the exception keeps the report, not the maps
         raise LintErrors(report)
     title = str(options.get("title", "Generated netlist"))
     header = [line.format(title=title) for line in dialect.header]
-    frame, tail = _line_frame(dialect, circuit, report, header)
+    return _render(*_line_frame(dialect, circuit, report, header))
+
+
+def _render(frame: list, tail: str):
+    """seed -> text for a laid-out netlist (see _line_frame): each call
+    draws with one rng through the frame in line order, so every text
+    dialect draws the same random values in the same order."""
 
     def emit(seed: int) -> str:
         rng = Xoshiro256StarStar(seed)

@@ -165,6 +165,9 @@ class Params(dict):
 
     Every name and value is checked on the way in, by every mutator. The
     ParamPlan built on first evaluation is kept until the next mutation.
+    An empty map can also be made without __init__, as dict.__new__(Params)
+    (core._children makes one per combinator child): its plan slot is then
+    unset, which reads as no plan.
     """
 
     __slots__ = ("_plan",)
@@ -216,9 +219,13 @@ class Params(dict):
     @property
     def plan(self) -> "ParamPlan":
         """The analysis of the current contents, built on first use."""
-        if self._plan is None:
-            self._plan = ParamPlan(self)
-        return self._plan
+        try:
+            plan = self._plan
+        except AttributeError:  # made by dict.__new__, never planned
+            plan = None
+        if plan is None:
+            plan = self._plan = ParamPlan(self)
+        return plan
 
     def merged(self, overrides) -> "Params":
         """New Params with `overrides` shadowing (or extending) this map."""
@@ -227,7 +234,7 @@ class Params(dict):
         return out
 
     def copy(self) -> "Params":
-        out = Params()
+        out = dict.__new__(Params)
         # this map's values were checked when they were set
         dict.update(out, self)
         return out

@@ -32,6 +32,7 @@ from netforge.core import (
 from netforge.errors import DuplicateModelError, DuplicateSubcircuitError
 from netforge.exporters import export
 from netforge.manip import Array, Chain, Inject, NamedChain, Parallel, concat
+from netforge.params import Params
 
 NMOS = Component("nmos", ["d", "g", "s", "b"], {"w": 1e-6}, prefix="M")
 RES = Component("res", ["a", "b"], {"R": 1e3})
@@ -334,3 +335,39 @@ def test_combinator_children_share_no_overrides_or_context():
     assert [child.context for child in array] == [
         {"_x": 0, "_y": 0}, {"_x": 0, "_y": 1}, {"_x": 1, "_y": 0}, {"_x": 1, "_y": 1}
     ]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda p: p.__setitem__("w", 3e-6),
+    lambda p: p.update(w=3e-6),
+    lambda p: p.setdefault("w", 3e-6),
+    lambda p: p.__ior__({"w": 3e-6}),
+])
+def test_a_childs_empty_overrides_take_mutations_and_drop_the_plan(mutate):
+    # a child's empty overrides are made without Params.__init__
+    chain = Chain(NMOS, 3, 0, 2)
+    overrides = chain[1].overrides
+    assert type(overrides) is Params and overrides == {}
+    planned = overrides.plan
+    assert planned.names == () and overrides.plan is planned
+    mutate(overrides)
+    assert overrides.plan is not planned
+    assert overrides == {"w": 3e-6} and overrides.plan.names == ("w",)
+    assert chain[1].effective_params() == {"w": 3e-6}
+    assert chain[0].overrides == {} and chain[2].overrides == {}
+    for removed in (lambda p: p.pop("w"), lambda p: p.popitem(), Params.clear,
+                    lambda p: p.__delitem__("w")):
+        mutate(overrides)
+        assert overrides.plan.names == ("w",)
+        removed(overrides)
+        assert overrides == {} and overrides.plan.names == ()
+
+
+def test_a_childs_unplanned_overrides_copy_and_pickle():
+    overrides = Chain(NMOS, 2, 0, 2)[0].overrides
+    for copied in (overrides.copy(), copy.copy(overrides), copy.deepcopy(overrides),
+                   pickle.loads(pickle.dumps(overrides)), NMOS.params.merged(overrides)):
+        assert type(copied) is Params
+        copied["l"] = 1e-7
+        assert copied.plan.names[-1] == "l"
+    assert overrides == {}

@@ -148,7 +148,9 @@ def test_constant_tokens_follow_a_template_mutation(tmp_path, formatted):
 @pytest.fixture
 def emit_counts(monkeypatch):
     """Calls of the per-line work of a text export, by name."""
-    counts = dict.fromkeys(["prefix", "net_str", "sample", "evaluate", "format"], 0)
+    counts = dict.fromkeys(
+        ["layout", "plan_layout", "net_str", "sample", "evaluate", "format"], 0
+    )
 
     def counting(owner, attr, key):
         original = getattr(owner, attr)
@@ -159,7 +161,8 @@ def emit_counts(monkeypatch):
 
         monkeypatch.setattr(owner, attr, wrapper)
 
-    counting(exporters, "_instance_prefix", "prefix")
+    counting(exporters, "_line_frame", "layout")
+    counting(params.ParamPlan, "layout", "plan_layout")
     counting(core.Net, "__str__", "net_str")
     counting(params.RandomSpec, "sample", "sample")
     counting(formula.Formula, "evaluate", "evaluate")
@@ -171,7 +174,8 @@ def emit_counts(monkeypatch):
 def test_second_emit_only_draws_evaluates_and_formats(tmp_path, emit_counts, n):
     circuit = builddoc.build_circuit(_chain_doc(n), tmp_path)
     emit = exporters._seed_exporter(circuit, "spice")
-    assert emit_counts["prefix"] == n + 1  # the chain and the load, laid out once
+    # the chain and the load are laid out once, as the exporter is built
+    assert emit_counts["layout"] == 1
     assert emit_counts["net_str"] == 0  # lint's walk reads each net's name once
 
     def per_emit(seed):
@@ -183,7 +187,8 @@ def test_second_emit_only_draws_evaluates_and_formats(tmp_path, emit_counts, n):
     second_text, second = per_emit(5)
     assert second_text == first_text == exporters.export(circuit, seed=5)
     # l and vth drawn, 1/vth and w*l*2 computed, and formatted, per device;
-    # the load's 1/r computed and formatted; constants were formatted before
-    per_seed = {"prefix": 0, "net_str": 0, "sample": 2 * n, "evaluate": 2 * n + 1,
-                "format": 4 * n + 1}
+    # the load's 1/r computed and formatted; constants were formatted, and
+    # every line laid out, before
+    per_seed = {"layout": 0, "plan_layout": 0, "net_str": 0, "sample": 2 * n,
+                "evaluate": 2 * n + 1, "format": 4 * n + 1}
     assert first == second == per_seed

@@ -5,7 +5,7 @@ import json
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "phase_times.py"
-PHASES = ("load_doc", "build", "lint+layout", "emit", "write")
+PHASES = ("load_doc", "build", "lint", "layout", "emit", "write")
 
 
 def _load_tool():

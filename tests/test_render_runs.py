@@ -7,7 +7,10 @@ and that every edge of a run gives the bytes of the plain line-by-line
 reference of test_render_reference, or the same error: per-line contexts,
 runs of one line, constant-only lines inside a run, subcircuit bodies, an
 error in the middle of a run, and the call-through path that wrapped
-methods take.
+methods take. Lint hands the layout its own runs (instances with one
+template and one line map); the layout must give the same bytes where one
+of those ends: at a template change, an overridden instance inside a chain,
+a constant-only line, a subcircuit body's edge and an instance without nets.
 """
 
 import pytest
@@ -15,6 +18,7 @@ from test_plan_kernel import _overridden_instances
 from test_render_reference import TITLE, reference_text
 
 from netforge import Array, Chain, Circuit, Component, Formula, Subcircuit, exporters, formula
+from netforge.core import Instance
 from netforge.errors import DivisionByZeroError
 from netforge.params import RandomSpec, gauss, uniform
 
@@ -61,6 +65,64 @@ def _subcircuit_bodies() -> Circuit:
     return circuit
 
 
+# Lint hands the layout runs of instances with one template and one line
+# map; the cases below end such runs at each kind of edge.
+
+def _template_change() -> Circuit:
+    # TWIN shares DEV's Params, and so its plan: the lines of both templates
+    # are one run of the frame; OTHER's plan starts a run of its own
+    twin = Component("twin", ["a", "b"], DEV.params, prefix="Y")
+    other = Component("other", ["a", "b"], {"g": gauss(1.0, 0.1)}, prefix="Z")
+    circuit = Circuit()
+    circuit += Chain(DEV, 3)
+    circuit += Chain(twin, 2)
+    circuit += Chain(other, 2)
+    circuit += Chain(DEV, 2)
+    return circuit
+
+
+def _override_inside_a_chain() -> Circuit:
+    circuit = Circuit()
+    circuit += Chain(DEV, 6)
+    circuit.instances[2].overrides["w"] = 3e-6
+    circuit.instances[3].overrides["l"] = gauss(1e-7, 1e-8)
+    return circuit
+
+
+def _constant_only_run_inside() -> Circuit:
+    fixed = Component("fixed", ["a", "b"], {"r": 2.2e3, "t": "thin"}, prefix="R")
+    circuit = Circuit()
+    circuit += Chain(DEV, 2)
+    circuit += Chain(fixed, 3)
+    circuit += Chain(PLAIN @ ["0", "x"], 2)
+    circuit += Chain(DEV, 2)
+    return circuit
+
+
+def _body_boundaries() -> Circuit:
+    # a body that ends and starts in a run of the top level's plan
+    body = Subcircuit("BODY", ["i", "o"])
+    body += Chain(DEV @ ["i", "o"], 3)
+    empty = Subcircuit("EMPTY", ["i"])
+    circuit = Circuit()
+    circuit += Chain(DEV, 2)
+    circuit += Chain(body, 2)
+    circuit += empty @ ["x"]
+    circuit += Chain(DEV, 2)
+    return circuit
+
+
+def _instances_without_nets() -> Circuit:
+    tie = Subcircuit("TIE", [], {"g": uniform(0, 1)})
+    tie += PLAIN @ ["x", "0"]
+    circuit = Circuit()
+    circuit += Chain(DEV, 2)
+    circuit += [tie @ [], tie @ [], (tie % {"g": gauss(2, 0.1)}) @ [], tie @ []]
+    circuit.instances.insert(1, Instance(DEV, (), designator="X9"))
+    circuit.instances.append(Instance(DEV, (), designator="X8"))
+    return circuit
+
+
 # name -> (circuit factory, the number of lines of each run, in frame order)
 CASES = {
     "array_reading_i": (_array_reading_i, [6]),
@@ -68,6 +130,13 @@ CASES = {
     "constant_lines_inside": (_constant_lines_inside, [4]),
     # CELL's two devices, then AMP's header and its device, then the top-level device
     "subcircuit_bodies": (_subcircuit_bodies, [2, 1, 2]),
+    "template_change": (_template_change, [5, 2, 2]),
+    "override_inside_a_chain": (_override_inside_a_chain, [2, 1, 1, 2]),
+    "constant_only_run_inside": (_constant_only_run_inside, [4]),
+    # the body's three devices, the top level's first two and last two
+    "body_boundaries": (_body_boundaries, [7]),
+    # TIE's header, the chain around X9, the overridden TIE, then X8
+    "instances_without_nets": (_instances_without_nets, [1, 3, 1, 1]),
 }
 
 

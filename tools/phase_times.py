@@ -12,11 +12,16 @@ temporary directory outside the repository; --doc names a build document
 instead. Each repeat then runs the phases of one `netforge export` in this
 process, in order, each timed on its own after a garbage collection:
 
-    load_doc     builddoc.load_doc
-    build        builddoc.build_circuit, with the document's seed
-    lint+layout  exporters._seed_exporter: lint, and the layout of every line
-    emit         one call of the seed -> text function it returns
-    write        exporters.write_atomic of that text, to the temporary directory
+    load_doc  builddoc.load_doc
+    build     builddoc.build_circuit, with the document's seed
+    lint      exporters.lint
+    layout    exporters._line_frame, the layout of every line, from lint's report
+    emit      one call of the seed -> text function of that layout (exporters._render)
+    write     exporters.write_atomic of that text, to the temporary directory
+
+These are the steps of exporters._seed_exporter and its seed -> text
+function, for a text dialect, one by one; a report with errors stops the
+run with LintErrors, as an export does.
 
 A phase's time counts in multiples of perfbench/run.py:reference(), the
 mean of one pass just before and one just after its repeat, as the
@@ -38,7 +43,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PHASES = ("load_doc", "build", "lint+layout", "emit", "write")
+sys.path.insert(0, str(ROOT / "src"))
+PHASES = ("load_doc", "build", "lint", "layout", "emit", "write")
 
 
 def _perfbench(name: str):
@@ -60,12 +66,20 @@ def _timed(fn, *args):
 
 def measure(doc_path: Path, repeats: int, dialect: str, out: Path, reference) -> dict:
     """phase -> (ref units per repeat, seconds per repeat)."""
-    sys.path.insert(0, str(ROOT / "src"))
     from netforge import builddoc, exporters
+
+    table = exporters.exporter_for(dialect)
+    header = [line.format(title="Generated netlist") for line in table.header]
 
     def build(doc):
         seed = None if "seed" in doc else 0
         return builddoc.build_circuit(doc, doc_path.parent, set_vars={}, seed=seed)
+
+    def lint(circuit):
+        report = exporters.lint(circuit)
+        if report.has_errors:
+            raise exporters.LintErrors(report)
+        return report
 
     ratios: dict[str, list[float]] = {phase: [] for phase in PHASES}
     seconds: dict[str, list[float]] = {phase: [] for phase in PHASES}
@@ -73,14 +87,16 @@ def measure(doc_path: Path, repeats: int, dialect: str, out: Path, reference) ->
         before = reference()
         doc, t_load = _timed(builddoc.load_doc, doc_path)
         circuit, t_build = _timed(build, doc)
-        emit, t_layout = _timed(exporters._seed_exporter, circuit, dialect)
-        text, t_emit = _timed(emit, circuit.rng_seed)
+        report, t_lint = _timed(lint, circuit)
+        layout, t_layout = _timed(exporters._line_frame, table, circuit, report, header)
+        text, t_emit = _timed(exporters._render(*layout), circuit.rng_seed)
         _, t_write = _timed(exporters.write_atomic, out, text)
         ref = (before + reference()) / 2
-        for phase, elapsed in zip(PHASES, (t_load, t_build, t_layout, t_emit, t_write)):
+        times = (t_load, t_build, t_lint, t_layout, t_emit, t_write)
+        for phase, elapsed in zip(PHASES, times):
             ratios[phase].append(elapsed / ref)
             seconds[phase].append(elapsed)
-        del doc, circuit, emit, text
+        del doc, circuit, report, layout, text
     return {phase: (ratios[phase], seconds[phase]) for phase in PHASES}
 
 
@@ -106,10 +122,14 @@ def main(argv=None) -> int:
     source.add_argument("--doc", type=Path, help="a build document instead of a workload")
     parser.add_argument("--seed", type=int, default=1, help="the workload's seed")
     parser.add_argument("--repeats", type=int, default=21)
-    parser.add_argument("--dialect", default="spice")
+    parser.add_argument("--dialect", default="spice", help="a text dialect (default spice)")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    from netforge import exporters
+
+    if not isinstance(exporters._REGISTRY.get(args.dialect), exporters._TextDialect):
+        parser.error(f"{args.dialect!r} is not a text dialect")
 
     reference = _perfbench("run").reference
     with tempfile.TemporaryDirectory(prefix="phase_times_") as temp:
