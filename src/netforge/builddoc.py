@@ -36,6 +36,7 @@ $formula / $gauss / $uniform / $lognormal directives.
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -130,7 +131,8 @@ def _number(raw, values, path) -> float:
 
 def _count(raw, values, path) -> int:
     number = _number(raw, values, path)
-    if number != int(number):
+    # json reads 1e400 as inf and NaN as nan, which int() cannot take
+    if (isinstance(number, float) and not math.isfinite(number)) or number != int(number):
         raise SchemaError(f"expected an integer, got {number!r}", path)
     return int(number)
 

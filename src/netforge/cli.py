@@ -159,6 +159,9 @@ def _cmd_sweep(args) -> int:
             raise SchemaError("seed must be an integer", "seed")
 
     corners = args.corner or [doc.get("corner", builddoc.DEFAULT_CORNER)]
+    # only the document's corner can be other than text; it names the files
+    if not isinstance(corners[0], str):
+        raise SchemaError("corner must be a string", "corner")
     vary = _parse_vary(args.vary)
     if args.seeds < 1:
         raise SchemaError("--seeds needs at least one seed", "--seeds")

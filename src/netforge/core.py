@@ -20,8 +20,10 @@ alphabetic. Designators can still be set from Python, so lint checks them.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
 from typing import Iterable, Union
 
 from . import names
@@ -90,12 +92,18 @@ VDD = Net("VDD")
 
 class _LinkGroup:
     """Identity token shared by the generated nets of one chain; `size` is
-    its number of links."""
+    its number of links. Until a scope first names the links, `chain` is
+    how the chain laid out its instances' nets, (nets, in_port, out_port,
+    made): instance i has `nets`, with link i-1 on in_port and link i on
+    out_port (the first in_port and the last out_port keep `nets`), in the
+    tuple made[i]. It is None for a chain whose `nets` hold pending nets
+    of their own."""
 
-    __slots__ = ("size",)
+    __slots__ = ("size", "chain")
 
     def __init__(self, size: int):
         self.size = size
+        self.chain = None
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -131,6 +139,17 @@ class PendingNet:
 
     def __repr__(self) -> str:
         return f"PendingNet({self.index})"
+
+
+def _made(cls, n: int, **columns) -> list:
+    """`n` new instances of the frozen, slotted dataclass `cls`, each field
+    set from its column of `columns` (n values each), without a call of the
+    dataclass __init__ per instance. For the link nets of a chain, which
+    need no checks."""
+    made = list(map(object.__new__, repeat(cls, n)))
+    for name, values in columns.items():
+        deque(map(getattr(cls, name).__set__, made, values), maxlen=0)
+    return made
 
 
 NetLike = Union[Net, PendingNet, str, int, None]
@@ -426,8 +445,44 @@ def override_params(template_or_instance, overrides) -> Instance:
     return inst
 
 
+class _Rows:
+    """What one add() needs to give the instances of the chains it names
+    their final nets: a row per tuple of nets such a chain made, found by
+    the tuple's id (`of`), with the tuple itself (`made`), the nets its
+    instance joins on the chain's in_port and out_port, and the chain's
+    layout, (a list of its nets, in_port, out_port). Flat lists of
+    references, so that setting them up makes no object per row. While a
+    tuple's id is in `of`, `made` keeps the tuple alive, and so the id
+    unique; an instance that takes its row drops both, and its final tuple
+    is made then, so that it can reuse the memory of the tuple it replaces."""
+
+    __slots__ = ("of", "made", "ins", "outs", "layouts")
+
+    def __init__(self):
+        self.of: dict[int, int] = {}
+        self.made, self.ins, self.outs, self.layouts = [], [], [], []
+
+    def add(self, nets, in_port: int, out_port: int, made: list, named: list) -> None:
+        """Rows for the tuples `made` of a chain whose links are `named`;
+        the rest are the chain's layout (see _LinkGroup)."""
+        self.of.update(zip(map(id, made), range(len(self.made), len(self.made) + len(made))))
+        self.made += made
+        self.ins += [nets[in_port], *named]
+        self.outs += [*named, nets[out_port]]
+        self.layouts += [(list(nets), in_port, out_port)] * len(made)
+
+
 class _InstanceScope:
-    """Shared insertion machinery: designator counters and chain-net naming."""
+    """Shared insertion machinery: designator counters and chain-net naming.
+
+    Insertion names a chain's links once per chain and add(): the first of
+    its instances that an add() meets names every link (one Net each) and
+    sets up, for every tuple of nets the chain made, the Nets its instance
+    joins, so that each of the chain's instances finds its final nets by
+    one lookup (_Rows). An instance rebound since, a defect tapped off a
+    link, or the rest of a chain whose links an earlier add() named, is
+    relinked net by net to the same Nets; so the result is the one
+    per-instance insertion gives."""
 
     def _init_scope(self):
         self._counters: dict[str, int] = {}
@@ -441,23 +496,22 @@ class _InstanceScope:
         meets it, so the instances a link joins share one Net."""
         counters = self._counters
         links: dict[_LinkGroup, list] = {}  # each link group met so far -> its Nets
-        template = group = None
+        rows = _Rows()
+        row_of = rows.of
+        template = None
         for item in _iter_addable(element):
             if not isinstance(item, Instance):
                 self._define(item)
                 continue
             nets = item.nets
-            if PendingNet in map(type, nets):
-                linked = list(nets)
-                for i, net in enumerate(nets):
-                    if type(net) is PendingNet:
-                        if net.group is not group:
-                            group = net.group
-                            named = links.get(group)
-                            if named is None:
-                                named = links[group] = self._link_nets(group)
-                        linked[i] = named[net.index]
-                item.nets = tuple(linked)
+            k = row_of.pop(id(nets), None)
+            if k is not None:
+                rows.made[k] = None
+                row, in_port, out_port = rows.layouts[k]
+                row[in_port], row[out_port] = rows.ins[k], rows.outs[k]
+                item.nets = tuple(row)
+            elif PendingNet in map(type, nets):
+                item.nets = self._relink(nets, links, rows)
             if item.template is not template:
                 template = item.template
                 self._uses(template)
@@ -467,6 +521,23 @@ class _InstanceScope:
                 item.designator = f"{prefix}{count}"
             instances.append(item)
 
+    def _relink(self, nets: tuple, links: dict, rows: _Rows) -> tuple:
+        """`nets` with each PendingNet replaced by its link's Net, naming
+        each link group not in `links` yet, and giving `rows` the rows of
+        its chain, if the group keeps one (see _LinkGroup)."""
+        relinked = list(nets)
+        for i, net in enumerate(nets):
+            if type(net) is PendingNet:
+                group = net.group
+                named = links.get(group)
+                if named is None:
+                    named = links[group] = self._link_nets(group)
+                    chain, group.chain = group.chain, None
+                    if chain is not None:
+                        rows.add(*chain, named)
+                relinked[i] = named[net.index]
+        return tuple(relinked)
+
     def _link_nets(self, group: _LinkGroup) -> list:
         """New Nets for the links of `group`, in link order; a group keeps
         its number k in this scope for good."""
@@ -474,7 +545,7 @@ class _InstanceScope:
         if k is None:
             k = self._link_groups[group] = self._next_link_group
             self._next_link_group += 1
-        return [Net(f"net_{k}_{i}") for i in range(group.size)]
+        return _made(Net, group.size, name=map(f"net_{k}_".__add__, map(str, range(group.size))))
 
     def _uses(self, template) -> None:
         """Called once per run of instances that share `template`, before

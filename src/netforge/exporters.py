@@ -20,7 +20,7 @@ rendering all of its lines in one call. The number
 formatter (format_number under this module) is looked up when the exporter
 is built, and so is whether RandomSpec.sample and Formula.evaluate are
 still netforge's own: while all three are, the run functions are kernels
-that format inline with numfmt.FORMAT; once one is wrapped, they call
+that format inline with numfmt.line_source; once one is wrapped, they call
 through it once per value instead. A table holds only what a dialect
 changes: header, keyword prefix, parameter and net formats, and footer. So
 equal (circuit, seed) pairs always produce byte-identical output, every
@@ -60,7 +60,7 @@ import os
 import secrets
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from pathlib import Path
 
 from . import names
@@ -316,28 +316,32 @@ def _lint_scope(findings, lines, instances, pins, scope, global_nets, known_subc
 
     counts = Counter(designators)
     del counts[None]
-    for designator, count in counts.items():
-        location = f"{at}{designator}"
-        if not names.is_designator(designator):
-            if names.is_token(designator):
-                message = f"designator {designator!r} must start with [A-Za-z_]"
-            else:
-                message = f"designator {designator!r} is not one token"
-            findings.append(Finding("error", "BAD_TOKEN", message, location))
-        if count > 1:
-            findings.append(
-                Finding(
-                    "error",
-                    "DUPLICATE_DESIGNATOR",
-                    f"designator used {count} times",
-                    location,
+    # distinct designators that keep the rule, the usual case, have no
+    # finding here, which two checks at C level tell
+    distinct = len(counts) == len(designators) - designators.count(None)
+    if not distinct or not names.all_designators(list(counts)):
+        for designator, count in counts.items():
+            location = f"{at}{designator}"
+            if not names.is_designator(designator):
+                if names.is_token(designator):
+                    message = f"designator {designator!r} must start with [A-Za-z_]"
+                else:
+                    message = f"designator {designator!r} is not one token"
+                findings.append(Finding("error", "BAD_TOKEN", message, location))
+            if count > 1:
+                findings.append(
+                    Finding(
+                        "error",
+                        "DUPLICATE_DESIGNATOR",
+                        f"designator used {count} times",
+                        location,
+                    )
                 )
-            )
 
     uses = Counter(used)
     pin_set = set(pins)
-    for name, count in uses.items():
-        if count == 1 and name not in global_nets and name not in pin_set:
+    for name in compress(uses, map((1).__eq__, uses.values())):  # each name used once
+        if name not in global_nets and name not in pin_set:
             message = f"net {name!r} is referenced exactly once"
             findings.append(Finding("warn", "DANGLING", message, f"{at}{name}"))
     lines.append((nets, maps, sizes))

@@ -14,6 +14,7 @@ in one circuit never collide, and golden files stay stable).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable
 
 from . import names
@@ -24,6 +25,7 @@ from .core import (
     PendingNet,
     _children,
     _LinkGroup,
+    _made,
     as_instance,
     as_net,
     rebind,
@@ -110,17 +112,22 @@ def _chain_children(template, n, in_port, out_port, out_name=None):
     if in_port == out_port:
         raise SamePortError(f"in_port and out_port are both {in_port}")
 
-    group = _LinkGroup(n - 1)
-    links = [PendingNet(group, i) for i in range(n - 1)]
     nets = list(proto.nets)
-    last_out = nets[out_port] if out_name is None else as_net(out_name)
-    nets_list = []
+    if out_name is not None:
+        nets[out_port] = as_net(out_name)
+    group = _LinkGroup(n - 1)
+    links = _made(PendingNet, n - 1, group=repeat(group), index=range(n - 1))
+    made = []
+    row = list(nets)
     # instance i joins link i-1 on in_port and link i on out_port
-    for net_in, net_out in zip([nets[in_port], *links], [*links, last_out]):
-        nets[in_port] = net_in
-        nets[out_port] = net_out
-        nets_list.append(tuple(nets))
-    return _children(proto, nets_list)
+    for net_in, net_out in zip([nets[in_port], *links], [*links, nets[out_port]]):
+        row[in_port] = net_in
+        row[out_port] = net_out
+        made.append(tuple(row))
+    if PendingNet not in map(type, nets):
+        # a scope that names the links sets up every instance's final nets from this
+        group.chain = (nets, in_port, out_port, made)
+    return _children(proto, made)
 
 
 class Chain(Manipulation):

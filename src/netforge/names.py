@@ -23,7 +23,7 @@ Each check returns the name it was given or raises a BadNameError:
 EmptyNameError (also a TypeError) for an empty or non-text name, NetNameError
 for a net or pin. is_token and is_designator are the tests themselves, for
 lint, which reports designators and text values that break their rule as
-BAD_TOKEN.
+BAD_TOKEN; all_designators tests a whole scope's designators at once.
 
 This module imports only errors, so every other module can use it.
 """
@@ -35,13 +35,18 @@ import string
 
 from .errors import BadNameError, EmptyNameError, NetNameError
 
-__all__ = ["is_token", "token", "is_designator", "designator", "identifier", "net", "prefix"]
+__all__ = [
+    "is_token", "token", "is_designator", "all_designators", "designator", "identifier", "net",
+    "prefix",
+]
 
 _TOKEN_RE = re.compile(r"[^\s=]+\Z")
 _NET_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
 _PREFIX_RE = re.compile(r"[A-Za-z_]+\Z")
 # what a designator may start with: what a designator prefix is made of
 _DESIGNATOR_START = frozenset(string.ascii_letters + "_")
+# designators, one per line: [^\s=] takes no newline
+_DESIGNATOR_LINES_RE = re.compile(r"[A-Za-z_][^\s=]*(?:\n[A-Za-z_][^\s=]*)*\Z")
 
 
 def is_token(text) -> bool:
@@ -66,6 +71,19 @@ def token(text, what: str):
 def is_designator(text) -> bool:
     """True when `text` is one token that starts with [A-Za-z_]."""
     return is_token(text) and text[0] in _DESIGNATOR_START
+
+
+def all_designators(texts: list) -> bool:
+    """is_designator of every text of `texts`, in one pattern match over
+    them all, joined by newlines: the pattern puts a designator on every
+    line, and no text may add a line of its own."""
+    try:
+        joined = "\n".join(texts)
+    except TypeError:  # not all text
+        return False
+    return not texts or (
+        joined.count("\n") == len(texts) - 1 and _DESIGNATOR_LINES_RE.match(joined) is not None
+    )
 
 
 def designator(text, what: str = "designator"):

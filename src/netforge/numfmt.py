@@ -7,18 +7,26 @@ significant digits. The one exception is a subnormal, whose few bits of
 precision `.12g` would pad with digits, so it keeps its shortest form when
 that is shorter.
 
-The rule for one finite number is also kept here as source, FORMAT, which
-a plan kernel (params.ParamPlan.run) splices in once per drawn or computed
-value instead of calling format_number: `.12g`, and a negative exponent
-without its leading zero, by one text replacement. Only two kinds of
-value need more than that, and both print with an exponent no common value
-has: an integral value that `.12g` prints with an exponent (always a
-positive one, |value| >= 1e12) and a subnormal (an exponent of -308 or
-below). The source hands every value whose exponent is positive, or
-negative with a first digit 3 (-30 to -39, and -300 or below), to
-format_number itself, which stays the one definition of the rule
-and the oracle that tests/test_numfmt.py holds FORMAT to. The only other
-difference, the `.12g` text "-0" of -0.0, is mended in place.
+The rule is also kept here as source for a whole netlist line, which a
+plan kernel (params.ParamPlan.run) splices in once per line instead of
+calling format_number once per drawn or computed value (line_source): one
+`%` operation puts every value, as `.12g`, between the line's literal
+pieces (line_formats), and one text replacement takes the leading zero
+off every negative exponent. Each value goes in as `value + 0.0`, so -0.0
+prints "0". Only two kinds of value need more than that, and both print
+with an exponent no common value has: an integral value that `.12g`
+prints with an exponent (always a positive one, |value| >= 1e12) and a
+subnormal (an exponent of -308 or below). So a line whose text holds an
+exponent that is positive, or negative with a first digit 3 (-30 to -39,
+and -300 or below), is formatted again with format_number per value,
+which stays the one definition of the rule and the oracle that
+tests/test_numfmt.py and tests/test_render_line_format.py hold the line
+source to. The literal pieces must not hold what the line is searched
+for or mended at (`e+`, `e-3`, `e-0`); a line whose pieces do (a text
+constant, or a number constant with an exponent of -30 or below) always
+formats per value, as line_formats decides once per plan. The text in
+front of a line's first piece (its designator, nets and master) is never
+searched.
 """
 
 from __future__ import annotations
@@ -49,18 +57,35 @@ _SI_NUMBER_RE = re.compile(
 _MANTISSA_EXP_RE = re.compile(r"([^eE]*)[eE]([+-]?\d+)$")
 
 
-# format_number({value}) for the finite number in the local {value}, into the
-# local {text}; str.format fills in the two names
-FORMAT = (
-    "{text} = '%.12g' % {value}",
-    "if 'e' in {text}:",
-    "    if 'e+' in {text} or 'e-3' in {text}:",
-    "        {text} = format_number({value})",
-    "    else:",
-    "        {text} = {text}.replace('e-0', 'e-')",
-    "elif {text} == '-0':",
-    "    {text} = '0'",
-)
+# what a line's literal pieces must not hold for its values to be formatted
+# by one `%` and one replacement (line_source)
+_SEARCHED = ("e+", "e-3", "e-0")
+
+
+def line_formats(pieces) -> tuple:
+    """The %-formats of a line made of its literal `pieces` with one value
+    between each two, as (text, fast): `text` takes each value as text
+    (%s), `fast` as a number (%.12g), or is None when a piece holds what
+    line_source searches for or mends, so the line formats per value."""
+    escaped = [piece.replace("%", "%%") for piece in pieces]
+    plain = not any(found in piece for piece in pieces for found in _SEARCHED)
+    return "%s".join(escaped), "%.12g".join(escaped) if plain else None
+
+
+def line_source(values, plain: bool) -> list:
+    """Source that formats the finite numbers in the locals `values` into
+    the local `line`, each with format_number's rule, as the line formats
+    (line_formats) in the locals `text` and, if `plain`, `fast`."""
+    formatted = f"line = text % ({''.join(f'format_number({v}), ' for v in values)})"
+    if not plain:
+        return [formatted]
+    return [
+        f"line = fast % ({''.join(f'{v} + 0.0, ' for v in values)})",
+        "if 'e+' in line or 'e-3' in line:",
+        f"    {formatted}",
+        "else:",
+        "    line = line.replace('e-0', 'e-')",
+    ]
 
 
 def parse_si_number(text: str):

@@ -25,11 +25,14 @@ and stores the state back when the run ends or raises. Each line steps the
 state (the step's source is rng.STEP), applies the uniform, gauss and
 lognormal transforms and the formulas' programs (formula._compile) inline,
 with RandomSpec.sample's and Formula.evaluate's checks, error types and
-messages, and formats each value inline with numfmt.FORMAT, the source of
-format_number's rule. Kernels are cached by plan shape (names, the kind of
-each value, formula programs and order), so plans that differ only in their
-values, such as the merged maps of many primitive instances with overrides,
-share one compile() and each binds its own values. While RandomSpec.sample,
+messages, and formats all of a line's values at once with
+numfmt.line_source, the source of format_number's rule for a line: one `%`
+format and one exponent mend per line, and format_number per value only
+for a line whose text calls for it. Kernels are cached by plan shape
+(names, the kind of each value, formula programs and order, and whether
+the layout's text lets a line format at once), so plans that differ only
+in their values, such as the merged maps of many primitive instances with
+overrides, share one compile() and each binds its own values. While RandomSpec.sample,
 Formula.evaluate or the exporters' format_number is not netforge's own (a
 tracer or a counting test has wrapped it), the run function is instead
 _scope_run, which calls evaluate and then the exporters' format_number once
@@ -56,7 +59,7 @@ from .errors import (
 )
 from .formula import NAMESPACE, Formula, read_context, splice
 from .names import identifier
-from .numfmt import FORMAT, format_number
+from .numfmt import format_number, line_formats, line_source
 from .rng import GAUSS, STEP, UNIT, UNIT_OPEN, Xoshiro256StarStar, as_generator
 
 __all__ = [
@@ -360,8 +363,10 @@ def _draw(kind: str, i: int) -> tuple[list[str], list[str]]:
 def _source(shape: tuple) -> tuple[str, tuple]:
     """The source of the run factory for a plan shape (see ParamPlan._kernel),
     and the names of the constants that its formulas read, in the order the
-    factory takes them."""
-    names, kinds, order = shape
+    factory takes them. The factory takes the line formats of the plan's
+    layout (numfmt.line_formats) first: `fast` is None unless the shape's
+    last item says the line text lets a line format at once."""
+    names, kinds, order, plain = shape
     kind_of = dict(zip(names, kinds))
     # drawn and computed values and the constants formulas read -> their variables
     local: dict[str, str] = {}
@@ -393,12 +398,10 @@ def _source(shape: tuple) -> tuple[str, tuple]:
         body += splice(program, read)
         local[name] = f"r{k}"
         body.append(f"r{k} = {program[1]}")
-    # the drawn and computed values, in map order, formatted
-    values = [local[name] for name in names if kind_of[name] not in ("number", "text")]
-    fields = [f"p{j}" for j in range(len(values))]
-    for value, field in zip(values, fields):
-        body += [line.format(value=value, text=field) for line in FORMAT]
-    body.append(f"append(text % (before{''.join(', ' + field for field in fields)}))")
+    # the drawn and computed values, in map order, formatted into the line
+    body += line_source([local[name] for name in names if kind_of[name] not in ("number", "text")],
+                        plain)
+    body.append("append(before + line)")
     if from_context:
         loop = [
             "for before, context in zip(befores, contexts):",
@@ -415,7 +418,7 @@ def _source(shape: tuple) -> tuple[str, tuple]:
             "finally:",
             "    rng._s0, rng._s1, rng._s2, rng._s3 = s0, s1, s2, s3",
         ]
-    parameters = ["text", *(f"d{i}" for i in range(len(draws))),
+    parameters = ["text", "fast", *(f"d{i}" for i in range(len(draws))),
                   *(f"c{i}" for i in range(len(read_constants)))]
     source = "\n".join([
         f"def factory({', '.join(parameters)}):",
@@ -523,17 +526,20 @@ class ParamPlan:
         checks and messages; runs each formula's program (Formula.program)
         in dependency order, reading this plan's drawn and computed values
         from locals, its constants from the factory's arguments, and only
-        other names from the line's context; and formats each value inline
-        (numfmt.FORMAT, format_number's rule). It stores the state back when
-        the run ends or raises.
+        other names from the line's context; and formats the line's values
+        into the layout's text at once (numfmt.line_source, format_number's
+        rule), after the line's `before`, which is never searched or mended.
+        It stores the state back when the run ends or raises.
 
         The source depends only on the plan's shape: its names, the kind of
         each value (a number or text constant, a distribution kind, or a
-        formula's program) and the formulas' order, so plans of one shape
-        share one compile() (_factory). Every user value (the layout text,
-        the specs, the constants) is an argument of the factory, which each
-        plan calls once; user text reaches the source only as repr()
-        literals of formula identifiers and messages."""
+        formula's program), the formulas' order and whether the layout's
+        text lets a line format at once (numfmt.line_formats, decided here
+        once per plan), so plans of one shape share one compile()
+        (_factory). Every user value (the layout text, the specs, the
+        constants) is an argument of the factory, which each plan calls
+        once; user text reaches the source only as repr() literals of
+        formula identifiers and messages."""
         randoms, formulas = dict(self.randoms), dict(self.formulas)
         kinds = tuple(
             randoms[name].kind if name in randoms
@@ -542,9 +548,11 @@ class ParamPlan:
             for name in self.names
         )
         order = tuple(name for name, _ in self.formulas)
-        factory, constants = _factory((self.names, kinds, order))
+        head, slots = self.layout(format_number)
+        text, fast = line_formats([head, *(tail for _, tail in slots)])
+        factory, constants = _factory((self.names, kinds, order, fast is not None))
         return factory(
-            self._text(format_number), *[spec for _, spec in self.randoms],
+            text, fast, *[spec for _, spec in self.randoms],
             *[float(self.constants[name]) for name in constants],
         )
 

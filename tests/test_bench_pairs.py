@@ -5,6 +5,7 @@ turns runs into the verdict, so it is checked here on made-up runs.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,35 @@ def test_an_unknown_workload_is_refused_before_any_run(argv, capsys):
         _load_tool().main(argv)
     assert exit_info.value.code == 2
     assert "unknown workload 'nope'" in capsys.readouterr().err
+
+
+def test_json_writes_the_tables_it_prints(tmp_path, monkeypatch, capsys):
+    tool = _load_tool()
+    # in run order: the second pair runs the tree first, so ref 10, 12, 11 and tree 9, 8, 10
+    values = iter([10.0, 9.0, 8.0, 12.0, 11.0, 10.0])
+
+    def run_once(checkout, args, workload, names, label):
+        metrics = {name: {"value": 100.0} for name in names}
+        metrics["sweep_ref"] = {"value": next(values)}
+        return {"metrics": metrics, "failed": 0, "attempted": 4, "correct": True}
+
+    monkeypatch.setattr(tool, "extract", lambda ref, directory: None)
+    monkeypatch.setattr(tool, "run_once", run_once)
+    path = tmp_path / "bench.json"
+    assert tool.main(["HEAD~1", "--workload", "ro_sweep", "--pairs", "3", "--seconds", "2",
+                      "--json", str(path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    written = json.loads(path.read_text())
+    assert {k: written[k] for k in ("ref", "pairs", "seconds", "seed")} == {
+        "ref": "HEAD~1", "pairs": 3, "seconds": 2.0, "seed": 1
+    }
+    table = written["workloads"]["ro_sweep"]
+    assert table["metrics"]["sweep_ref"] == {
+        "ref_median": 11.0, "tree_median": 9.0, "change_pct": -100 * 2 / 11, "tree_won": 3,
+        "ref_iqr": table["metrics"]["sweep_ref"]["ref_iqr"], "bound": 0.25, "within": True,
+    }
+    assert table["metrics"]["netlist_bytes"]["within"] is True
+    assert table["runs"]["tree"] == {"failed": 0, "attempted": 12, "correct": True}
+    assert table["pairs"] == 3 and len(table["metrics"]) == len(printed) - 3
+    assert printed[0] == "== ro_sweep: 3 pairs =="
+    assert printed[2].split()[:5] == ["export_spice_ref", "100", "100", "+0.0%", "0/3"]

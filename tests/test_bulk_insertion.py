@@ -244,6 +244,31 @@ def test_into_subckt_counters_continue_as_the_reference(scenario, n):
     assert sides[0] == sides[1]
 
 
+def _chains_made_from_other_chains():
+    inner = Chain(NMOS, 3, 0, 2)
+    return [
+        inner[1],
+        Chain(inner[1], 3, 1, 3),  # its children's nets hold the links of `inner` too
+        NamedChain(inner[2], 2, 1, 3, out_name="tap"),
+        copy.deepcopy(Chain(RES, 4)),
+        pickle.loads(pickle.dumps(Chain(NMOS, 3, 0, 2))),
+        Inject(Chain(RES, 4), 1.0, rng=0),
+    ]
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_chains_of_chain_children_and_copied_chains_equal_the_reference(split):
+    sides = []
+    for insert in (bulk_add, reference_add):
+        circuit = Circuit()
+        batch = _chains_made_from_other_chains()
+        for part in ([batch[:3], batch[3:]] if split else [batch]):
+            insert(circuit, part)
+        sides.append(observed(circuit))
+        assert PendingNet not in {type(net) for inst in circuit.instances for net in inst.nets}
+    assert sides[0] == sides[1]
+
+
 def test_a_link_and_a_defect_tap_share_one_net():
     circuit = Circuit()
     circuit += Inject(Chain(RES, 3), p=1.0, rng=0)  # a defect on each last port
@@ -298,6 +323,19 @@ def test_a_built_chain_survives_deepcopy_and_pickle(round_trip):
 
 
 # --- the heap guard ----------------------------------------------------------------
+
+def test_naming_a_chains_links_lets_go_of_its_pending_nets():
+    # a scope keeps each link group for good, but not the tuples the chain made
+    chain = Chain(NMOS, 4, 0, 2)
+    group = chain[0].nets[2].group
+    assert group.chain[-1] == [child.nets for child in chain]
+    circuit = Circuit()
+    circuit += chain[:2]
+    assert group.chain is None and group in circuit._link_groups
+    circuit += chain[2:]  # the rest is relinked net by net
+    ends = [inst.nets[2].name for inst in circuit.instances]
+    assert ends == ["net_0_0", "net_0_1", "net_0_2", "s"]
+
 
 def _combinator_children():
     yield Chain(NMOS, 5, 0, 2)

@@ -444,6 +444,62 @@ def test_sweep_rejects_fewer_than_one_seed(doc_dir, tmp_path, capsys, seeds):
     assert not (out_dir / "manifest.json").exists()
 
 
+_RES_COMPONENT = '{"name": "res", "ports": ["a", "b"], "prefix": "R", "params": {"R": 1}}'
+
+
+def _count_doc(tmp_path, node: str):
+    """A build document whose circuit is `node`, written as JSON text, so that
+    the literals Python's json reads as non-finite (1e400, NaN) stay as written."""
+    doc = tmp_path / "doc.json"
+    doc.write_text(
+        f'{{"version": 1, "seed": 1, "components": [{_RES_COMPONENT}], "circuit": [{node}]}}'
+    )
+    return doc
+
+
+_NON_FINITE_COUNTS = {
+    "chain n text": ('{"op": "chain", "template": "res", "n": "1e400"}', "circuit[0].n"),
+    "chain n literal": ('{"op": "chain", "template": "res", "n": 1e400}', "circuit[0].n"),
+    "chain n NaN": ('{"op": "chain", "template": "res", "n": NaN}', "circuit[0].n"),
+    "in_port": ('{"op": "chain", "template": "res", "n": 2, "in_port": -1e400}',
+                "circuit[0].in_port"),
+    "shape": ('{"op": "array", "template": "res", "shape": [Infinity]}', "circuit[0].shape[0]"),
+    "repeat count": ('{"op": "instance", "template": "res", '
+                     '"nets": [{"$repeat": "n${_i}", "count": "1e999"}]}',
+                     "circuit[0].nets[0].count"),
+    "inject seed": ('{"op": "inject", "p": 0.5, "seed": 1e400, '
+                    '"into": {"op": "chain", "template": "res", "n": 2}}', "circuit[0].seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE_COUNTS))
+def test_a_non_finite_count_is_a_schema_error_at_its_path(tmp_path, capsys, case):
+    node, path = _NON_FINITE_COUNTS[case]
+    doc = _count_doc(tmp_path, node)
+    code, out, err = run_cli(["export", doc], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: expected an integer, got ") and "Traceback" not in err
+    # a sweep records a variant's schema error in its manifest, as any build failure
+    out_dir = tmp_path / "sweep"
+    code, out, err = run_cli(["sweep", doc, "--out", out_dir], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"sweep failed: {path}: expected an integer") and "Traceback" not in err
+    [variant] = json.loads((out_dir / "manifest.json").read_text())["variants"]
+    assert variant["error"].startswith(f"{path}: expected an integer")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
+
+
+def test_sweep_rejects_a_corner_that_is_not_a_string(tmp_path, capsys):
+    doc = _count_doc(tmp_path, '{"op": "chain", "template": "res", "n": 2}')
+    doc.write_text(doc.read_text().replace('"seed": 1', '"seed": 1, "corner": 5'))
+    code, _, err = run_cli(["export", doc], capsys)
+    assert (code, err) == (2, "error: corner: corner must be a string\n")
+    out_dir = tmp_path / "sweep"
+    code, out, err = run_cli(["sweep", doc, "--out", out_dir], capsys)
+    assert (code, out, err) == (2, "", "error: corner: corner must be a string\n")
+    assert not out_dir.exists()
+
+
 def _one_resistor_doc(tmp_path, name="res", param="r", value=1, model="m"):
     doc = tmp_path / "doc.json"
     doc.write_text(

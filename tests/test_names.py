@@ -266,6 +266,12 @@ _NAMES = st.one_of(
     st.tuples(_TEXT, st.sampled_from(_WHITESPACE + "="), _TEXT).map("".join),
 )
 
+@given(st.lists(_NAMES | st.sampled_from(["R1", "X\nY", "\nR1", "R1\n", None, 5]), max_size=6))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_all_designators_is_the_rule_of_each(texts):
+    assert names.all_designators(texts) == all(map(names.is_designator, texts))
+
+
 # each place, with the name it has when another place is drawn
 DEFAULTS = {
     "template": "res",

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netforge import Formula, Params, params
-from netforge.numfmt import FORMAT, format_number
+from netforge.numfmt import format_number, line_formats, line_source
 from netforge.rng import Xoshiro256StarStar
 
 
@@ -83,7 +83,7 @@ def test_integers_print_without_point():
     assert format_number(2.5e-7) == "2.5e-7"
 
 
-# --- the rule inline in a plan kernel (numfmt.FORMAT) ---------------------------------
+# --- the rule inline in a plan kernel (numfmt.line_source) -----------------------------
 
 # a plan whose one value is computed from the context, so it is formatted in the kernel
 _INLINE = Params({"y": Formula("x")}).plan
@@ -95,9 +95,20 @@ _INLINE_EDGES = _EDGES + [
 
 def test_the_plan_kernel_formats_inline():
     assert _INLINE.run(format_number).__name__ == "run"
-    shape = (("y",), (Formula("x").program(),), ("y",))
-    source, _ = params._source(shape)
-    assert FORMAT[0].format(value="r0", text="p0") in source
+    for plain in (True, False):
+        shape = (("y",), (Formula("x").program(),), ("y",), plain)
+        source = [line.strip() for line in params._source(shape)[0].splitlines()]
+        expected = [line.strip() for line in line_source(["r0"], plain)]
+        start = source.index(expected[0])
+        assert source[start:start + len(expected)] == expected
+
+
+def test_line_formats_leave_searched_text_to_format_number():
+    assert line_formats(["a=", " b=1e-6 c=", " d=5%"]) == (
+        "a=%s b=1e-6 c=%s d=5%%", "a=%.12g b=1e-6 c=%.12g d=5%%"
+    )
+    for piece in ("x=e+", "x=1e-30", "x=e-05"):
+        assert line_formats(["a=", " " + piece]) == ("a=%s " + piece, None)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False)

@@ -4,6 +4,7 @@
 Usage, from anywhere inside a checkout:
 
     python3 tools/bench_pairs.py REF [--workload W]... [--pairs N] [--seconds S] [--seed K]
+                                 [--json PATH]
 
 The committed files of REF are extracted (`git archive REF`) into a
 temporary directory outside the repository. Then, for each workload W (give
@@ -25,6 +26,9 @@ wins nearly every pair and its median moves by more than that IQR; "nothing
 worse" holds when the last column reads "ok" on every row. The last line of
 a table gives each side's failed share of the checked operations. So one
 command shows a claimed metric better and nothing worse on any workload.
+With --json, the same tables also go to PATH as one JSON object: the
+run's settings, and per workload and metric the figures of its row (see
+report()), with each side's failed and attempted operations.
 
 Stdlib only. It writes nothing in the repository but what perfbench/run.py
 writes itself (the ignored `.perfbench_*` directories).
@@ -99,12 +103,16 @@ def within(metric: dict, ref_median: float, tree_median: float) -> bool:
     return worse <= metric["bound"] * abs(ref_median)
 
 
-def report(workload: str, metrics: list[dict], ref_runs: list[dict], tree_runs: list[dict]) -> None:
-    """Print the table of one workload's pairs. The bound columns are left
-    out for a metric without a `bound`."""
+def report(workload: str, metrics: list[dict], ref_runs: list[dict], tree_runs: list[dict]) -> dict:
+    """Print the table of one workload's pairs, and return it as data:
+    {"pairs", "metrics": {name: row}, "runs": {side: {"failed", "attempted",
+    "correct"}}}, where a row holds "ref_median", "tree_median", "change_pct",
+    "tree_won", "ref_iqr" and, for a metric with a `bound`, "bound" and
+    "within". The bound columns are left out for a metric without one."""
     print(f"== {workload}: {len(tree_runs)} pairs ==")
     print(f"{'metric':20s} {'ref median':>12s} {'tree median':>12s} {'change':>8s} "
           f"{'tree won':>9s} {'ref IQR':>10s} {'bound':>7s} within")
+    table = {"pairs": len(tree_runs), "metrics": {}, "runs": {}}
     for metric in metrics:
         name = metric["name"]
         ref = [run["metrics"][name]["value"] for run in ref_runs]
@@ -115,17 +123,24 @@ def report(workload: str, metrics: list[dict], ref_runs: list[dict], tree_runs: 
         change = (tree_median - ref_median) / ref_median * 100 if ref_median else 0.0
         row = (f"{name:20s} {ref_median:12.4g} {tree_median:12.4g} {change:+7.1f}% "
                f"{won:>4d}/{len(ref):<4d} {iqr(ref):10.3g}")
+        data = table["metrics"][name] = {
+            "ref_median": ref_median, "tree_median": tree_median, "change_pct": change,
+            "tree_won": won, "ref_iqr": iqr(ref),
+        }
         if "bound" in metric:
-            verdict = "ok" if within(metric, ref_median, tree_median) else "WORSE"
-            row += f" {metric['bound'] * 100:6.0f}% {verdict}"
+            data["bound"] = metric["bound"]
+            data["within"] = within(metric, ref_median, tree_median)
+            row += f" {metric['bound'] * 100:6.0f}% {'ok' if data['within'] else 'WORSE'}"
         print(row)
     shares = []
     for side, runs in (("ref", ref_runs), ("tree", tree_runs)):
         failed = sum(run.get("failed", 0) for run in runs)
         attempted = sum(run.get("attempted", 0) for run in runs)
         correct = all(run.get("correct") for run in runs)
+        table["runs"][side] = {"failed": failed, "attempted": attempted, "correct": correct}
         shares.append(f"{side} {failed}/{attempted} failed{'' if correct else ', NOT correct'}")
     print("; ".join(shares))
+    return table
 
 
 def main(argv=None) -> int:
@@ -135,6 +150,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=55)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--json", type=Path, metavar="PATH", help="also write the tables here")
     args = parser.parse_args(argv)
     benchmark = json.loads((TREE / "BENCHMARK.json").read_text())
     known = [workload["name"] for workload in benchmark["workloads"]]
@@ -163,8 +179,14 @@ def main(argv=None) -> int:
                         f"{name}={result['metrics'][name]['value']:.4g}" for name in names
                     )
                     print(f"{label}: {values}", file=sys.stderr, flush=True)
-    for workload in workloads:
-        report(workload, metrics, runs[workload, "ref"], runs[workload, "tree"])
+    tables = {
+        workload: report(workload, metrics, runs[workload, "ref"], runs[workload, "tree"])
+        for workload in workloads
+    }
+    if args.json:
+        written = {"ref": args.ref, "pairs": args.pairs, "seconds": args.seconds,
+                   "seed": args.seed, "workloads": tables}
+        args.json.write_text(json.dumps(written, indent=2) + "\n")
     return 0
 
 
