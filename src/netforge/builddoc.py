@@ -31,6 +31,12 @@ lists (pins, nets, ports) additionally accept repeated entries of the form
 
 Parameter values use the same JSON forms as parameter files, including the
 $formula / $gauss / $uniform / $lognormal directives.
+
+The document is read in one pass. Each parameter map is checked for
+formula cycles once, at the first node that uses it: the map a template
+prints (or the merged map of a template bound with params) at the node that
+places it, a model's where the build registers it, and a subcircuit's where
+it is built. A malformed part is a SchemaError at its path.
 """
 
 from __future__ import annotations
@@ -73,17 +79,18 @@ _TOP_KEYS = {
     "circuit",
 }
 
-_OPS = (
-    "instance",
-    "parallel",
-    "chain",
-    "named_chain",
-    "array",
-    "inject",
-    "concat",
-    "add_model",
-    "into_subckt",
-)
+# op -> the keys its node may hold
+_OP_KEYS = {
+    "instance": {"op", "template", "nets", "params"},
+    "parallel": {"op", "template", "n"},
+    "chain": {"op", "template", "n", "in_port", "out_port"},
+    "named_chain": {"op", "template", "n", "in_port", "out_port", "out_name"},
+    "array": {"op", "template", "shape", "ports"},
+    "inject": {"op", "into", "p", "defect", "seed"},
+    "concat": {"op", "of"},
+    "add_model": {"op", "name", "type", "params"},
+    "into_subckt": {"op", "name", "pins", "params", "body"},
+}
 
 
 def load_doc(path) -> dict:
@@ -105,6 +112,8 @@ def _substitute(text: str, values: dict, path: str) -> str:
             result = parse_formula(expr).evaluate(values)
         except NetforgeError as exc:
             raise SchemaError(f"cannot evaluate ${{{expr}}}: {exc}", path) from exc
+        if not math.isfinite(result):
+            raise SchemaError(f"cannot evaluate ${{{expr}}}: {result} is not finite", path)
         return format_number(result)
 
     return _SUBST_RE.sub(repl, text)
@@ -129,11 +138,13 @@ def _number(raw, values, path) -> float:
     raise SchemaError(f"expected a number, got {raw!r}", path)
 
 
-def _count(raw, values, path) -> int:
+def _count(raw, values, path, least=None) -> int:
     number = _number(raw, values, path)
     # json reads 1e400 as inf and NaN as nan, which int() cannot take
     if (isinstance(number, float) and not math.isfinite(number)) or number != int(number):
         raise SchemaError(f"expected an integer, got {number!r}", path)
+    if least is not None and number < least:
+        raise SchemaError(f"expected an integer >= {least}, got {int(number)}", path)
     return int(number)
 
 
@@ -157,12 +168,26 @@ def _string_list(raw, values, path) -> list:
             template = entry["$repeat"]
             if not isinstance(template, str):
                 raise SchemaError("$repeat expects a string template", entry_path)
-            count = _count(entry.get("count", 0), values, f"{entry_path}.count")
+            count = _count(entry.get("count", 0), values, f"{entry_path}.count", 0)
             for k in range(count):
                 out.append(_substitute(template, {**values, "_i": k}, entry_path))
         else:
             raise SchemaError(f"unsupported entry {entry!r}", entry_path)
     return out
+
+
+def _metadata(raw, path) -> dict:
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict) or not all(isinstance(v, str) for v in raw.values()):
+        raise SchemaError("metadata must be an object of strings", path)
+    return raw
+
+
+def _check_keys(node, allowed, path):
+    unknown = set(node) - allowed
+    if unknown:
+        raise SchemaError(f"unknown keys {sorted(unknown)}", path)
 
 
 def _params_node(raw, values, path) -> Params:
@@ -186,9 +211,7 @@ class _Builder:
                 f"expected {DOC_VERSION}",
                 "version",
             )
-        unknown = set(doc) - _TOP_KEYS
-        if unknown:
-            raise SchemaError(f"unknown keys {sorted(unknown)}", "$")
+        _check_keys(doc, _TOP_KEYS, "$")
 
         self.doc = doc
         self.doc_dir = doc_dir
@@ -220,6 +243,7 @@ class _Builder:
         self.components: dict[str, Component] = {}
         self.subcircuits: dict[str, Subcircuit] = {}
         self._op_counter = 0
+        self._checked: dict = {}  # id -> Params, see _check
 
     # -- document sections -------------------------------------------------
 
@@ -250,24 +274,17 @@ class _Builder:
                     cards = load_spice_models(self.doc_dir / entry)
                 except OSError as exc:
                     raise SchemaError(f"cannot read {entry!r}: {exc}", path) from exc
-                for model in cards:
-                    self.file_models[model.name] = model
-                    self.auto_models.append(model)
             elif isinstance(entry, dict):
-                unknown = set(entry) - {"name", "type", "params"}
-                if unknown:
-                    raise SchemaError(f"unknown keys {sorted(unknown)}", path)
+                _check_keys(entry, {"name", "type", "params"}, path)
                 if "name" not in entry or "type" not in entry:
                     raise SchemaError("model needs name and type", path)
-                model = Model(
-                    entry["name"],
-                    entry["type"],
-                    _params_node(entry.get("params"), self.variables, f"{path}.params"),
-                )
-                self.file_models[model.name] = model
-                self.auto_models.append(model)
+                params = _params_node(entry.get("params"), self.variables, f"{path}.params")
+                cards = [Model(entry["name"], entry["type"], params)]
             else:
                 raise SchemaError("expected a model object or a path string", path)
+            for model in cards:
+                self.file_models[model.name] = model
+                self.auto_models.append(model)
 
     def _params_from_ref(self, ref: str, path: str) -> Params:
         device, _, corner = ref.partition(".")
@@ -286,16 +303,15 @@ class _Builder:
             if not isinstance(entry, dict):
                 raise SchemaError("expected a component object", path)
             if "verilog_a" in entry:
-                self._check_keys(entry, {"verilog_a", "prefix", "params", "metadata"}, path)
+                _check_keys(entry, {"verilog_a", "prefix", "params", "metadata"}, path)
+                source = entry["verilog_a"]
+                if not isinstance(source, str):
+                    raise SchemaError("verilog_a must be a path string", f"{path}.verilog_a")
                 try:
-                    comp = load_veriloga(self.doc_dir / entry["verilog_a"])
+                    comp = load_veriloga(self.doc_dir / source)
                 except OSError as exc:
-                    raise SchemaError(
-                        f"cannot read {entry['verilog_a']!r}: {exc}", path
-                    ) from exc
+                    raise SchemaError(f"cannot read {source!r}: {exc}", path) from exc
                 if {"prefix", "params", "metadata"} & set(entry):
-                    metadata = dict(comp.metadata)
-                    metadata.update(entry.get("metadata", {}))
                     comp = Component(
                         comp.name,
                         comp.ports,
@@ -303,11 +319,14 @@ class _Builder:
                             _params_node(entry.get("params"), self.variables, f"{path}.params")
                         ),
                         prefix=entry.get("prefix", comp.prefix),
-                        metadata=metadata,
+                        metadata={
+                            **comp.metadata,
+                            **_metadata(entry.get("metadata"), f"{path}.metadata"),
+                        },
                     )
                 self.components[comp.name] = comp
                 continue
-            self._check_keys(
+            _check_keys(
                 entry, {"name", "ports", "params", "params_from", "prefix", "metadata"}, path
             )
             if "name" not in entry or "ports" not in entry:
@@ -328,7 +347,7 @@ class _Builder:
                 _string_list(entry["ports"], self.variables, f"{path}.ports"),
                 params,
                 prefix=entry.get("prefix"),
-                metadata=entry.get("metadata"),
+                metadata=_metadata(entry.get("metadata"), f"{path}.metadata"),
             )
             self.components[comp.name] = comp
 
@@ -340,26 +359,30 @@ class _Builder:
             path = f"subcircuits[{i}]"
             if not isinstance(entry, dict):
                 raise SchemaError("expected a subcircuit object", path)
-            self._check_keys(entry, {"name", "pins", "params", "body", "fixed"}, path)
-            if "name" not in entry or "pins" not in entry:
-                raise SchemaError("subcircuit needs name and pins", path)
-            name = entry["name"]
-            pins = [
-                str(p) for p in _string_list(entry["pins"], self.variables, f"{path}.pins")
-            ]
-            params = _params_node(entry.get("params"), self.variables, f"{path}.params")
-            body_ops = entry.get("body", [])
-            if not isinstance(body_ops, list):
-                raise SchemaError("body must be an array of operator nodes", f"{path}.body")
-            if body_ops:
-                scratch = Circuit(rng_seed=self.seed)
-                self.run_ops(body_ops, scratch, f"{path}.body")
-                sub = scratch.into_subckt(name, pins, params)
-            else:
-                sub = Subcircuit(name, pins, params)
-            if entry.get("fixed", False):
-                sub.fix()
-            self.subcircuits[name] = sub
+            _check_keys(entry, {"name", "pins", "params", "body", "fixed"}, path)
+            self.subcircuit(entry, path, "subcircuit")
+
+    def subcircuit(self, node, path, kind) -> Subcircuit:
+        """Build, check and register the subcircuit of a subcircuits[] entry
+        or an into_subckt node; its body runs in a scratch circuit."""
+        if "name" not in node or "pins" not in node:
+            raise SchemaError(f"{kind} needs name and pins", path)
+        pins = [str(p) for p in _string_list(node["pins"], self.variables, f"{path}.pins")]
+        params = _params_node(node.get("params"), self.variables, f"{path}.params")
+        body = node.get("body", [])
+        if not isinstance(body, list):
+            raise SchemaError("body must be an array of operator nodes", f"{path}.body")
+        scratch = Circuit(rng_seed=self.seed)
+        self.run_ops(body, scratch, f"{path}.body")
+        sub = scratch.into_subckt(node["name"], pins, params)
+        fixed = node.get("fixed", False)
+        if not isinstance(fixed, bool):
+            raise SchemaError("expected true or false", f"{path}.fixed")
+        if fixed:
+            sub.fix()
+        self._check(sub.params)
+        self.subcircuits[sub.name] = sub
+        return sub
 
     # -- operator nodes ------------------------------------------------------
 
@@ -372,47 +395,64 @@ class _Builder:
                 raise SchemaError(f"unknown template {name!r}", path)
             return template
         if isinstance(spec, dict):
-            self._check_keys(spec, {"ref", "nets", "params"}, path)
+            _check_keys(spec, {"ref", "nets", "params"}, path)
             if "ref" not in spec:
                 raise SchemaError("template object needs a ref", path)
-            template = self.resolve_template(spec["ref"], f"{path}.ref")
-            inst = as_instance(template)
-            if "nets" in spec:
-                inst = inst @ _string_list(spec["nets"], self.variables, f"{path}.nets")
-            if "params" in spec:
-                inst = inst % _params_node(spec["params"], self.variables, f"{path}.params")
-            return inst
+            return self.bind(self.resolve_template(spec["ref"], f"{path}.ref"), spec, path)
         raise SchemaError("template must be a name or {ref, nets, params}", path)
+
+    def bind(self, template, node, path) -> Instance:
+        """A fresh instance of `template` on the node's nets, with its params."""
+        inst = as_instance(template)
+        if "nets" in node:
+            inst @= _string_list(node["nets"], self.variables, f"{path}.nets")
+        if "params" in node:
+            inst %= _params_node(node["params"], self.variables, f"{path}.params")
+        return inst
+
+    def _check(self, params) -> None:
+        """Check `params` for formula cycles once per build. `_checked`
+        holds each map it has seen, so that no id is reused."""
+        if id(params) not in self._checked:
+            self._checked[id(params)] = params
+            validate_dependencies(params)
+
+    def _placed(self, template):
+        """`template`, once the parameter map its lines print is checked: a
+        bound instance's merged map at each node that places it, a template's
+        own map once per build."""
+        if isinstance(template, Instance) and template.overrides:
+            validate_dependencies(template.effective_params())
+        elif isinstance(template, Instance):
+            self._check(template.template.params)
+        else:
+            self._check(template.params)
+        return template
+
+    def _template(self, node, path):
+        if "template" not in node:
+            raise SchemaError("missing template", path)
+        return self.resolve_template(node["template"], path)
 
     def materialize(self, node, path):
         """Turn one operator node into something a circuit can add."""
         if not isinstance(node, dict):
             raise SchemaError("operator node must be an object", path)
         op = node.get("op")
-        if op not in _OPS:
-            raise SchemaError(f"unknown op {op!r}; expected one of {', '.join(_OPS)}", path)
+        if not isinstance(op, str) or op not in _OP_KEYS:
+            raise SchemaError(f"unknown op {op!r}; expected one of {', '.join(_OP_KEYS)}", path)
+        _check_keys(node, _OP_KEYS[op], path)
         self._op_counter += 1
 
         if op == "instance":
-            self._check_keys(node, {"op", "template", "nets", "params"}, path)
-            inst = as_instance(self.resolve_template(self._template(node, path), path))
-            if "nets" in node:
-                inst = inst @ _string_list(node["nets"], self.variables, f"{path}.nets")
-            if "params" in node:
-                inst = inst % _params_node(node["params"], self.variables, f"{path}.params")
-            return inst
+            return self._placed(self.bind(self._template(node, path), node, path))
 
         if op == "parallel":
-            self._check_keys(node, {"op", "template", "n"}, path)
-            template = self.resolve_template(self._template(node, path), path)
-            return Parallel(template, _count(node.get("n", 1), self.variables, f"{path}.n"))
+            template = self._placed(self._template(node, path))
+            return Parallel(template, _count(node.get("n", 1), self.variables, f"{path}.n", 0))
 
         if op in ("chain", "named_chain"):
-            allowed = {"op", "template", "n", "in_port", "out_port"}
-            if op == "named_chain":
-                allowed.add("out_name")
-            self._check_keys(node, allowed, path)
-            template = self.resolve_template(self._template(node, path), path)
+            template = self._placed(self._template(node, path))
             n = _count(node.get("n", 1), self.variables, f"{path}.n")
             in_port = _count(node.get("in_port", 0), self.variables, f"{path}.in_port")
             out_port = node.get("out_port")
@@ -427,13 +467,12 @@ class _Builder:
             return NamedChain(template, n, in_port, out_port, out_name=out_name)
 
         if op == "array":
-            self._check_keys(node, {"op", "template", "shape", "ports"}, path)
-            template = self.resolve_template(self._template(node, path), path)
+            template = self._placed(self._template(node, path))
             raw_shape = node.get("shape")
             if not isinstance(raw_shape, list) or len(raw_shape) not in (1, 2):
                 raise SchemaError("shape must be [len] or [rows, cols]", f"{path}.shape")
             shape = tuple(
-                _count(d, self.variables, f"{path}.shape[{k}]")
+                _count(d, self.variables, f"{path}.shape[{k}]", 1)
                 for k, d in enumerate(raw_shape)
             )
             port_templates = node.get("ports")
@@ -454,14 +493,13 @@ class _Builder:
             return Array(shape, template, port_fn)
 
         if op == "inject":
-            self._check_keys(node, {"op", "into", "p", "defect", "seed"}, path)
             if "into" not in node:
                 raise SchemaError("inject needs an 'into' operator node", path)
             source = self._as_batch(self.materialize(node["into"], f"{path}.into"), f"{path}.into")
             p = _number(node.get("p", 0.5), self.variables, f"{path}.p")
             defect = None
             if "defect" in node:
-                defect = self.resolve_template(node["defect"], f"{path}.defect")
+                defect = self._placed(self.resolve_template(node["defect"], f"{path}.defect"))
             if "seed" in node:
                 seed = _count(node["seed"], self.variables, f"{path}.seed")
             else:
@@ -470,7 +508,6 @@ class _Builder:
             return Inject(source, p, defect=defect, rng=seed)
 
         if op == "concat":
-            self._check_keys(node, {"op", "of"}, path)
             parts_raw = node.get("of")
             if not isinstance(parts_raw, list):
                 raise SchemaError("concat needs an array 'of' operator nodes", path)
@@ -480,34 +517,23 @@ class _Builder:
             )
 
         if op == "add_model":
-            self._check_keys(node, {"op", "name", "type", "params"}, path)
             name = node.get("name")
             if not isinstance(name, str):
                 raise SchemaError("add_model needs a name", path)
             if "type" in node:
-                return Model(
+                model = Model(
                     name,
                     node["type"],
                     _params_node(node.get("params"), self.variables, f"{path}.params"),
                 )
-            model = self.file_models.get(name)
-            if model is None:
-                raise SchemaError(f"unknown model {name!r}", path)
+            else:
+                model = self.file_models.get(name)
+                if model is None:
+                    raise SchemaError(f"unknown model {name!r}", path)
+            self._check(model.params)
             return model
 
-        # into_subckt: build a scratch circuit from `body`, convert, register
-        self._check_keys(node, {"op", "name", "pins", "params", "body"}, path)
-        if "name" not in node or "pins" not in node:
-            raise SchemaError("into_subckt needs name and pins", path)
-        scratch = Circuit(rng_seed=self.seed)
-        self.run_ops(node.get("body", []), scratch, f"{path}.body")
-        sub = scratch.into_subckt(
-            node["name"],
-            [str(p) for p in _string_list(node["pins"], self.variables, f"{path}.pins")],
-            _params_node(node.get("params"), self.variables, f"{path}.params"),
-        )
-        self.subcircuits[sub.name] = sub
-        return sub
+        return self.subcircuit(node, path, op)
 
     @staticmethod
     def _as_batch(made, path) -> Manipulation:
@@ -516,18 +542,6 @@ class _Builder:
         if isinstance(made, Instance):
             return Manipulation([made])
         raise SchemaError("this operator node must produce instances", path)
-
-    @staticmethod
-    def _template(node, path):
-        if "template" not in node:
-            raise SchemaError("missing template", path)
-        return node["template"]
-
-    @staticmethod
-    def _check_keys(node, allowed, path):
-        unknown = set(node) - set(allowed)
-        if unknown:
-            raise SchemaError(f"unknown keys {sorted(unknown)}", path)
 
     def run_ops(self, ops, target: Circuit, path: str):
         if not isinstance(ops, list):
@@ -545,50 +559,11 @@ class _Builder:
         for sub in self.subcircuits.values():
             circuit.add(sub)
         for model in self.auto_models:
+            self._check(model.params)
             circuit.add(model)
         self.run_ops(self.doc.get("circuit", []), circuit, "circuit")
-        _validate_parameter_graphs(circuit)
         circuit.seed_derived = self.seed_derived
         return circuit
-
-
-def _validate_parameter_graphs(circuit: Circuit) -> None:
-    """Fail the build on parameter cycles instead of waiting for export.
-
-    Each distinct Params is checked once: an instance without overrides
-    shares its template's Params, so a chain of N such instances costs one
-    check, whose plan the export then reuses. An instance with overrides is
-    checked on its own merged map. Each scope is walked in one loop that
-    looks a map up only where it differs from the line before."""
-    checked = {}  # id -> Params, holding each alive so no id is reused
-
-    def check(params):
-        if id(params) not in checked:
-            checked[id(params)] = params
-            validate_dependencies(params)
-
-    def check_scope(instances):
-        last = None
-        for inst in instances:
-            if inst.overrides:
-                validate_dependencies(inst.effective_params())
-            elif inst.template.params is not last:
-                last = inst.template.params
-                check(last)
-
-    for model in circuit.models.values():
-        check(model.params)
-    seen = set()
-    stack = list(circuit.subcircuits.values())
-    while stack:
-        sub = stack.pop()
-        if id(sub) in seen:
-            continue
-        seen.add(id(sub))
-        stack.extend(sub.nested)
-        check(sub.params)
-        check_scope(sub.body)
-    check_scope(circuit.instances)
 
 
 def build_circuit(doc: dict, doc_dir, set_vars=None, seed=None, corner=None) -> Circuit:

@@ -315,37 +315,8 @@ def _non_finite(value) -> NonFiniteResultError:
     return NonFiniteResultError(f"formula produced non-finite value {value!r}")
 
 
-def _check_finite(value: float) -> float:
-    if not math.isfinite(value):
-        raise _non_finite(value)
-    return value
-
-
 def _call_error(func: str, args, exc: Exception) -> NonFiniteResultError:
     return NonFiniteResultError(f"{func}({', '.join(map(repr, args))}): {exc}")
-
-
-def _apply_call(func: str, args: list[float]) -> float:
-    try:
-        if func == "min":
-            return min(args)
-        if func == "max":
-            return max(args)
-        if func == "abs":
-            return abs(args[0])
-        if func == "sqrt":
-            return math.sqrt(args[0])
-        if func == "exp":
-            return math.exp(args[0])
-        if func == "ln":
-            return math.log(args[0])
-        if func == "log10":
-            return math.log10(args[0])
-        if func == "pow":
-            return math.pow(args[0], args[1])
-    except (ValueError, OverflowError) as exc:
-        raise _call_error(func, args, exc) from exc
-    raise AssertionError(func)
 
 
 def _free_vars(node: Expr, seen: list[str]) -> None:

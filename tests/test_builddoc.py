@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from netforge import builddoc
 from netforge.builddoc import build_circuit, load_doc
-from netforge.errors import SchemaError, UnknownCornerError
+from netforge.errors import CyclicDependencyError, SchemaError, UnknownCornerError
 from netforge.exporters import export
 from netforge.formula import Formula
 from netforge.params import RandomSpec
@@ -299,3 +300,70 @@ def test_repeat_entry_expands(tmp_path):
     }
     circuit = build(tmp_path, doc)
     assert circuit.subcircuits["BUS"].pins == ("IN_0", "IN_1", "IN_2", "OUT")
+
+
+# --- parameter cycles: each map checked once, at the first node that uses it ---------
+
+_CYCLE = {"x": {"$formula": "y"}, "y": {"$formula": "x"}}
+_CYCLIC = {
+    "version": 1,
+    "models": [],
+    "components": [
+        {"name": "res", "ports": ["a", "b"], "params": {"R": 100}},
+        {"name": "loop", "ports": ["a", "b"], "params": _CYCLE},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"circuit": [{"op": "instance", "template": "loop", "nets": ["n1", "n2"]}]},
+        {"circuit": [{"op": "chain", "template": {"ref": "res", "params": _CYCLE}, "n": 3}]},
+        {"circuit": [{"op": "array", "template": {"ref": "loop", "nets": ["p", "q"]}, "shape": [2]}]},
+        {"circuit": [{"op": "inject", "p": 1, "seed": 1, "defect": "loop",
+                      "into": {"op": "chain", "template": "res", "n": 2}}]},
+        {"circuit": [{"op": "add_model", "name": "m", "type": "nmos", "params": _CYCLE}]},
+        {"models": [{"name": "m", "type": "nmos", "params": _CYCLE}]},
+        {"subcircuits": [{"name": "blk", "pins": ["p"], "params": _CYCLE}]},
+        {"circuit": [{"op": "into_subckt", "name": "blk", "pins": ["p"], "params": _CYCLE,
+                      "body": [{"op": "instance", "template": "res", "nets": ["p", "0"]}]}]},
+        # a map nothing prints is checked too, at the node that names it
+        {"circuit": [{"op": "parallel", "template": "loop", "n": 0}]},
+        # and before any later node is read
+        {"circuit": [{"op": "instance", "template": "loop"}, {"op": "warp"}]},
+    ],
+    ids=["instance", "chain-bound-params", "array-bound-nets", "inject-defect", "add-model",
+         "model", "subcircuit", "into-subckt", "parallel-of-zero", "before-a-later-node"],
+)
+def test_a_parameter_cycle_fails_the_build_at_its_node(tmp_path, edit):
+    with pytest.raises(CyclicDependencyError):
+        build(tmp_path, dict(_CYCLIC, **edit))
+
+
+def test_a_map_no_node_uses_or_overrides_away_is_not_checked(tmp_path):
+    doc = dict(
+        _CYCLIC,
+        circuit=[{"op": "instance", "template": "loop", "params": {"x": 1}, "nets": ["n1", "n2"]}],
+    )
+    assert len(build(tmp_path, doc).instances) == 1
+
+
+def test_each_map_is_checked_once_per_build(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(builddoc, "validate_dependencies", calls.append)
+    doc = dict(
+        _CYCLIC,
+        models=[{"name": "m", "type": "nmos"}],
+        circuit=[
+            {"op": "chain", "template": "res", "n": 50},
+            {"op": "parallel", "template": "res", "n": 3},
+            {"op": "instance", "template": {"ref": "res", "params": {"R": 5}}},
+            {"op": "instance", "template": {"ref": "res", "nets": ["p", "q"]}},
+        ],
+    )
+    for _ in range(2):
+        calls.clear()
+        build(tmp_path, doc)
+        # the model's map, res's map once, and the one merged map
+        assert [dict(p) for p in calls] == [{}, {"R": 100}, {"R": 5}]

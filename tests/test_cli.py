@@ -500,6 +500,72 @@ def test_sweep_rejects_a_corner_that_is_not_a_string(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def _ro_with(doc_dir, edit):
+    doc = json.loads((doc_dir / RO_DOC).read_text())
+    edit(doc)
+    path = doc_dir / "edited.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+_RES = json.loads(_RES_COMPONENT)
+
+# name -> (the edit of ro.json, the path of the error); each ended in a
+# traceback (exit 1) or, for "fixed" and a negative $repeat count, was accepted
+_MALFORMED = {
+    "verilog_a not a string": (
+        lambda doc: doc["components"][2].update(verilog_a=[1]), "components[2].verilog_a"),
+    "metadata not an object": (
+        lambda doc: doc["components"].append({**_RES, "metadata": [1]}), "components[3].metadata"),
+    "metadata value not a string": (
+        lambda doc: doc["components"].append({**_RES, "metadata": {"a": 1}}),
+        "components[3].metadata"),
+    "verilog_a metadata not an object": (
+        lambda doc: doc["components"][2].update(metadata=[1]), "components[2].metadata"),
+    "verilog_a metadata value not a string": (
+        lambda doc: doc["components"][2].update(metadata={"a": 1}), "components[2].metadata"),
+    "substituted inf": (
+        lambda doc: doc["variables"].update(N_RO_PER_CHAIN=1e400), "subcircuits[2].body[0].n"),
+    "substituted -inf": (
+        lambda doc: doc["circuit"][0].update(n="${-1e400}"), "circuit[0].n"),
+    "array shape 0": (lambda doc: doc["circuit"][1].update(shape=[0]), "circuit[1].shape[0]"),
+    "array shape -1": (lambda doc: doc["circuit"][1].update(shape=[2, -1]), "circuit[1].shape[1]"),
+    "parallel n -1": (
+        lambda doc: doc["circuit"].append({"op": "parallel", "template": "nmos_tt", "n": -1}),
+        "circuit[2].n"),
+    "fixed not a boolean": (
+        lambda doc: doc["subcircuits"][1].update(fixed="yes"), "subcircuits[1].fixed"),
+    "negative $repeat count": (
+        lambda doc: doc["subcircuits"][0]["pins"][0].update(count=-1),
+        "subcircuits[0].pins[0].count"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_a_malformed_document_is_a_schema_error_at_its_path(doc_dir, capsys, case):
+    edit, path = _MALFORMED[case]
+    doc = _ro_with(doc_dir, edit)
+    out = doc_dir / "out.sp"
+    code, stdout, err = run_cli(["export", doc, "--out", out], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+    assert not out.exists()
+    out_dir = doc_dir / "sweep"
+    code, stdout, err = run_cli(["sweep", doc, "--out", out_dir], capsys)
+    assert (code, stdout) == (3, "")
+    assert err.startswith(f"sweep failed: {path}: ") and "Traceback" not in err
+    [variant] = json.loads((out_dir / "manifest.json").read_text())["variants"]
+    assert variant["error"].startswith(f"{path}: ")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
+
+
+def test_a_chain_of_zero_stays_a_build_error(tmp_path, capsys):
+    doc = _count_doc(tmp_path, '{"op": "chain", "template": "res", "n": 0}')
+    code, out, err = run_cli(["export", doc], capsys)
+    assert (code, out) == (3, "")
+    assert "at least one instance" in err and "Traceback" not in err
+
+
 def _one_resistor_doc(tmp_path, name="res", param="r", value=1, model="m"):
     doc = tmp_path / "doc.json"
     doc.write_text(

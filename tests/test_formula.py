@@ -18,14 +18,43 @@ from netforge.formula import (
     Neg,
     Num,
     Var,
-    _apply_call,
-    _check_finite,
+    _call_error,
+    _non_finite,
     parse_formula,
     unparse,
 )
 
 
 # --- the tree-walking reference evaluator ---------------------------------------------
+
+def _check_finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise _non_finite(value)
+    return value
+
+
+def _apply_call(func: str, args: list[float]) -> float:
+    try:
+        if func == "min":
+            return min(args)
+        if func == "max":
+            return max(args)
+        if func == "abs":
+            return abs(args[0])
+        if func == "sqrt":
+            return math.sqrt(args[0])
+        if func == "exp":
+            return math.exp(args[0])
+        if func == "ln":
+            return math.log(args[0])
+        if func == "log10":
+            return math.log10(args[0])
+        if func == "pow":
+            return math.pow(args[0], args[1])
+    except (ValueError, OverflowError) as exc:
+        raise _call_error(func, args, exc) from exc
+    raise AssertionError(func)
+
 
 def evaluate(node, context) -> float:
     """Evaluate an AST with `context` mapping identifier -> number, by walking

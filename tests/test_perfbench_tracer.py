@@ -13,6 +13,7 @@ import pytest
 from test_param_plan import _chain_doc
 
 from netforge import builddoc, exporters
+from netforge.cli import main
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -60,3 +61,45 @@ def test_traced_counts_of_a_second_emit(tmp_path, n):
         "formula.evaluate": 2 * n + 1,
         "numfmt.format_number": 4 * n + 1,
     }
+
+
+def _load_workloads():
+    path = TRACER.with_name("workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _written(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_traced_sweep_rounds_repeat(tmp_path):
+    # a traced benchmark run fails when a round's counts differ from the
+    # last one's, or when tracing changes what the run writes
+    workloads = _load_workloads()
+    doc = workloads.write_inputs(workloads.spec("ro_sweep", 1), tmp_path / "inputs")
+    argv = ["sweep", str(doc), "--corner", "TT", "--corner", "FF", "--seeds", "2", "--out"]
+    assert main([*argv, str(tmp_path / "untraced")]) == 0
+    untraced = _written(tmp_path / "untraced")
+    tracer = _load_tracer().Tracer()
+    rounds = []
+    for k in range(2):
+        # as in a traced benchmark run, an untraced export comes before each round
+        assert main(["export", str(doc), "--out", str(tmp_path / "export.sp")]) == 0
+        out = tmp_path / f"traced{k}"
+        first = len(tracer)
+        tracer.install()
+        try:
+            with tracer.span("op.sweep"):
+                code = main([*argv, str(out)])
+        finally:
+            assert tracer.uninstall()
+        assert code == 0
+        assert _written(out) == untraced
+        spans = tracer.aggregate(first, len(tracer))["op.sweep"]
+        rounds.append({name: (row[0], row[3]) for name, row in spans.items()})
+    assert rounds[0] == rounds[1]
+    assert rounds[0]["builddoc.build_circuit"][0] == 2  # one build per corner
+    assert rounds[0]["builddoc.validate_dependencies"][0] > 0
