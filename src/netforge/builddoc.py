@@ -36,7 +36,9 @@ The document is read in one pass. Each parameter map is checked for
 formula cycles once, at the first node that uses it: the map a template
 prints (or the merged map of a template bound with params) at the node that
 places it, a model's where the build registers it, and a subcircuit's where
-it is built. A malformed part is a SchemaError at its path.
+it is built. A malformed part is a SchemaError at its path, and so is an
+add_model node in a subcircuit body, whose model no subcircuit carries, and
+a file named by the document that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -93,9 +95,16 @@ _OP_KEYS = {
 }
 
 
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    return f"not UTF-8, byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+
+
 def load_doc(path) -> dict:
-    """Read and JSON-decode a build document."""
-    text = Path(path).read_text()
+    """Read a build document as UTF-8, whatever the locale, and JSON-decode it."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: {_not_utf8(exc)}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -247,6 +256,16 @@ class _Builder:
 
     # -- document sections -------------------------------------------------
 
+    def _read(self, load, entry: str, path: str):
+        """`load` of the file `entry` names, next to the document; a file
+        that cannot be read, or is not UTF-8, is a SchemaError at `path`."""
+        try:
+            return load(self.doc_dir / entry)
+        except OSError as exc:
+            raise SchemaError(f"cannot read {entry!r}: {exc}", path) from exc
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"cannot read {entry!r}: {_not_utf8(exc)}", path) from None
+
     def load_params_files(self):
         raw = self.doc.get("params_files", [])
         if not isinstance(raw, list):
@@ -254,12 +273,7 @@ class _Builder:
         for i, entry in enumerate(raw):
             if not isinstance(entry, str):
                 raise SchemaError("expected a path string", f"params_files[{i}]")
-            try:
-                loaded = load_param_file(self.doc_dir / entry)
-            except OSError as exc:
-                raise SchemaError(
-                    f"cannot read {entry!r}: {exc}", f"params_files[{i}]"
-                ) from exc
+            loaded = self._read(load_param_file, entry, f"params_files[{i}]")
             for device, corners in loaded.items():
                 self.library[device] = corners
 
@@ -270,10 +284,7 @@ class _Builder:
         for i, entry in enumerate(raw):
             path = f"models[{i}]"
             if isinstance(entry, str):
-                try:
-                    cards = load_spice_models(self.doc_dir / entry)
-                except OSError as exc:
-                    raise SchemaError(f"cannot read {entry!r}: {exc}", path) from exc
+                cards = self._read(load_spice_models, entry, path)
             elif isinstance(entry, dict):
                 _check_keys(entry, {"name", "type", "params"}, path)
                 if "name" not in entry or "type" not in entry:
@@ -307,10 +318,7 @@ class _Builder:
                 source = entry["verilog_a"]
                 if not isinstance(source, str):
                     raise SchemaError("verilog_a must be a path string", f"{path}.verilog_a")
-                try:
-                    comp = load_veriloga(self.doc_dir / source)
-                except OSError as exc:
-                    raise SchemaError(f"cannot read {source!r}: {exc}", path) from exc
+                comp = self._read(load_veriloga, source, path)
                 if {"prefix", "params", "metadata"} & set(entry):
                     comp = Component(
                         comp.name,
@@ -373,7 +381,7 @@ class _Builder:
         if not isinstance(body, list):
             raise SchemaError("body must be an array of operator nodes", f"{path}.body")
         scratch = Circuit(rng_seed=self.seed)
-        self.run_ops(body, scratch, f"{path}.body")
+        self.run_ops(body, scratch, f"{path}.body", in_body=True)
         sub = scratch.into_subckt(node["name"], pins, params)
         fixed = node.get("fixed", False)
         if not isinstance(fixed, bool):
@@ -543,10 +551,16 @@ class _Builder:
             return Manipulation([made])
         raise SchemaError("this operator node must produce instances", path)
 
-    def run_ops(self, ops, target: Circuit, path: str):
+    def run_ops(self, ops, target: Circuit, path: str, in_body=False):
         if not isinstance(ops, list):
             raise SchemaError("expected an array of operator nodes", path)
         for i, node in enumerate(ops):
+            if in_body and isinstance(node, dict) and node.get("op") == "add_model":
+                # a subcircuit carries no models, so the model would be lost
+                raise SchemaError(
+                    "add_model cannot be in a subcircuit body; add the model to the circuit",
+                    f"{path}[{i}]",
+                )
             target.add(self.materialize(node, f"{path}[{i}]"))
 
     def build(self) -> Circuit:

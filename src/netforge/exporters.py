@@ -16,12 +16,7 @@ becomes one entry, the plan's run function (ParamPlan.run: the plan's
 generated kernel, with draws, formulas and number formatting inline) with
 the text before each of its lines; then, for each seed, call the run
 functions in line order with one rng seeded explicitly (_render), each
-rendering all of its lines in one call. The number
-formatter (format_number under this module) is looked up when the exporter
-is built, and so is whether RandomSpec.sample and Formula.evaluate are
-still netforge's own: while all three are, the run functions are kernels
-that format inline with numfmt.line_source; once one is wrapped, they call
-through it once per value instead. A table holds only what a dialect
+rendering all of its lines in one call. A table holds only what a dialect
 changes: header, keyword prefix, parameter and net formats, and footer. So
 equal (circuit, seed) pairs always produce byte-identical output, every
 text dialect draws the same values in the same order, and different seeds
@@ -89,9 +84,10 @@ from .errors import (
 )
 from .formula import Formula
 from .io_readers import ParamFile, value_from_json
-from .numfmt import format_number
-# perfbench/tracer.py wraps eval_params under this module's name, so it stays
-# importable here although text export renders through ParamPlan.run
+# perfbench/tracer.py TARGETS resolve eval_params and format_number under this
+# module's name, so both stay importable here although text export renders
+# through ParamPlan.run
+from .numfmt import format_number  # noqa: F401
 from .params import Params, RandomSpec, eval_params, plan_of  # noqa: F401
 from .rng import Xoshiro256StarStar
 
@@ -453,12 +449,8 @@ def _line_frame(dialect: _TextDialect, circuit: Circuit, report: LintReport, hea
     plan, its layout and its run function are looked up once per run, and
     the run's texts are made in one pass over its designators and net names.
 
-    format_number formats every number: the constants here, once per plan,
-    and the drawn and computed values in each call of a run function, inline
-    while it is numfmt's own. It is looked up here, as the exporter is
-    built, and so are the names each run function calls per value (see
-    ParamPlan.run), so that a wrapper installed around one of them by name
-    before then sees every call.
+    A plan formats its constants once, into its layout, and its run
+    function formats the drawn and computed values inline (ParamPlan.run).
     """
     frame: list = []  # (run, befores, contexts)
     text: list[str] = []  # since the last parameterised line
@@ -478,11 +470,11 @@ def _line_frame(dialect: _TextDialect, circuit: Circuit, report: LintReport, hea
         # `wrap` is the dialect's parameter format: "{}" takes the tokens
         plan = plan_of(params) if params else None
         if plan is not None:
-            head, slots = plan.layout(format_number)
+            head, slots = plan.layout()
             before, _, after = wrap.partition("{}")
             if slots:
                 text.extend((prefix, before))
-                extend(plan.run(format_number), ["".join(text)], [None])
+                extend(plan.run(), ["".join(text)], [None])
                 text[:] = (after, "\n")
                 return
             prefix = f"{prefix}{before}{head}{after}"
@@ -499,7 +491,7 @@ def _line_frame(dialect: _TextDialect, circuit: Circuit, report: LintReport, hea
             end = start + count
             insts = scope[start:end]
             plan = plan_of(params) if params else None
-            head, slots = plan.layout(format_number) if plan is not None else ("", ())
+            head, slots = plan.layout() if plan is not None else ("", ())
             if slots:
                 lead, tail = "\n", " "  # each text ends the line before it
             else:
@@ -512,7 +504,7 @@ def _line_frame(dialect: _TextDialect, circuit: Circuit, report: LintReport, hea
             ]
             if slots:
                 texts[0] = "".join(text) + texts[0][1:]
-                extend(plan.run(format_number), texts, [inst.context for inst in insts])
+                extend(plan.run(), texts, [inst.context for inst in insts])
                 text[:] = ("\n",)
             else:
                 text.extend(texts)
@@ -1003,7 +995,7 @@ def write_atomic(path, text: str) -> None:
     tmp = target.parent / f"{target.name}.{secrets.token_hex(8)}.tmp"
     handle = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(handle, "w") as stream:
+        with os.fdopen(handle, "w", encoding="utf-8") as stream:
             stream.write(text)
         os.replace(tmp, target)
     except BaseException:

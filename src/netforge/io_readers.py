@@ -247,7 +247,7 @@ def parse_spice_models(text: str) -> list[Model]:
 
 
 def load_spice_models(path) -> list[Model]:
-    return parse_spice_models(Path(path).read_text())
+    return parse_spice_models(Path(path).read_text(encoding="utf-8"))
 
 
 # --- Verilog-A signatures ---------------------------------------------------------
@@ -311,4 +311,4 @@ def parse_veriloga(text: str) -> Component:
 
 
 def load_veriloga(path) -> Component:
-    return parse_veriloga(Path(path).read_text())
+    return parse_veriloga(Path(path).read_text(encoding="utf-8"))

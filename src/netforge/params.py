@@ -12,31 +12,20 @@ seed) triple always produces bitwise-identical numbers.
 Everything about a parameter map that does not depend on the context or the
 seed is analysed once, into a ParamPlan that the Params keeps: the constant
 values, the random specs in name order (the draw order), and the formulas in
-dependency order. Once a text exporter asks, the plan also keeps its token layout, with the constants'
-`name=value` text, and its run function, `(befores, contexts, rng, out)`,
-which draws, computes and formats this map's values for a run of netlist
-lines, one per text in `befores`, appends each line to `out`, and does
-nothing else (ParamPlan.run). A text exporter calls it once for every
-stretch of consecutive lines that share the plan, such as a whole chain.
+dependency order. Once a text exporter asks, the plan also keeps its token
+layout, with the constants' `name=value` text, and its run function
+(ParamPlan.run), which a text exporter calls once for every stretch of
+consecutive lines that share the plan, such as a whole chain.
 
-The run function is normally the plan's kernel: one generated function
-that loads the generator's state into locals once, loops over the lines,
-and stores the state back when the run ends or raises. Each line steps the
-state (the step's source is rng.STEP), applies the uniform, gauss and
-lognormal transforms and the formulas' programs (formula._compile) inline,
-with RandomSpec.sample's and Formula.evaluate's checks, error types and
-messages, and formats all of a line's values at once with
-numfmt.line_source, the source of format_number's rule for a line: one `%`
-format and one exponent mend per line, and format_number per value only
-for a line whose text calls for it. Kernels are cached by plan shape
-(names, the kind of each value, formula programs and order, and whether
-the layout's text lets a line format at once), so plans that differ only
-in their values, such as the merged maps of many primitive instances with
-overrides, share one compile() and each binds its own values. While RandomSpec.sample,
-Formula.evaluate or the exporters' format_number is not netforge's own (a
-tracer or a counting test has wrapped it), the run function is instead
-_scope_run, which calls evaluate and then the exporters' format_number once
-per value, line by line, so traced and counted calls stay exact.
+The run function is the plan's kernel, and the only renderer: one generated
+function that draws, computes and formats this map's values for a run of
+lines inline (ParamPlan._kernel), with RandomSpec.sample's and
+Formula.evaluate's checks, error types and messages, and format_number's
+rule (numfmt.line_source). Kernels are cached by plan shape, so plans that
+differ only in their values, such as the merged maps of many primitive
+instances with overrides, share one compile(). ParamPlan.evaluate (and
+eval_params), RandomSpec.sample and Formula.evaluate are the per-value API,
+and the reference that kernels are tested against.
 Every mutation of a Params (item assignment or deletion, update, setdefault,
 |=, pop, popitem, clear) goes through one checked path, for names and
 values, that also drops the plan, so the next evaluation analyses the new
@@ -123,12 +112,6 @@ class RandomSpec:
 
     def __repr__(self):
         return f"{self.kind}({self.a}, {self.b})"
-
-
-# netforge's own per-value methods: ParamPlan.run compiles a kernel only while
-# these are in place, and otherwise calls through whatever replaced them
-_SAMPLE = RandomSpec.sample
-_EVALUATE = Formula.evaluate
 
 
 def gauss(mean: float, std: float) -> RandomSpec:
@@ -462,14 +445,13 @@ class ParamPlan:
         self.randoms = sorted(randoms, key=lambda item: item[0])
         self.formulas = [(name, params[name]) for name in _formula_order(params)]
 
-    def layout(self, fmt) -> tuple:
+    def layout(self) -> tuple:
         """This map's tokens (`name=value`, space-separated, in map order) as
         (head, ((name, tail), ...)): the head, then for each drawn or
         computed value its name and the text after it. Constants draw
         nothing and shadow the context, so their text is formatted here,
-        once, into the head and tails: text verbatim, a number with `fmt`
-        (the exporters' number formatter). Made on the first call and kept
-        with the plan."""
+        once, into the head and tails: text verbatim, a number with
+        format_number. Made on the first call and kept with the plan."""
         if self._layout is None:
             pieces = [""]
             slots = []
@@ -477,7 +459,7 @@ class ParamPlan:
                 space = " " if i else ""
                 if name in self.constants:
                     value = self.constants[name]
-                    text = value if isinstance(value, str) else fmt(value)
+                    text = value if isinstance(value, str) else format_number(value)
                     pieces[-1] += f"{space}{name}={text}"
                 else:
                     pieces[-1] += f"{space}{name}="
@@ -486,37 +468,18 @@ class ParamPlan:
             self._layout = (pieces[0], tuple(zip(slots, pieces[1:])))
         return self._layout
 
-    def run(self, fmt):
-        """This map's run function, `(befores, contexts, rng, out)`, which
-        renders one netlist line per text in `befores`: that text followed by
-        the tokens of layout(fmt), with each drawn or computed value
-        formatted by `fmt` and drawn from the generator `rng`, appended to the
-        list `out`. `contexts` holds each line's context (a mapping, or None
-        for an empty one). Each line draws and computes exactly what
-        evaluate does, in the same order, with the same checks and errors;
-        the lines before one that raises stay in `out`.
-
-        While `fmt` is numfmt's own format_number and RandomSpec.sample and
-        Formula.evaluate are netforge's own, the function is this plan's
-        kernel (_kernel), which formats inline; once one of them has been
-        replaced (a tracer or a counting test wraps it), it is _scope_run,
-        which calls the replacement once per draw, formula or value. The
-        names are looked up here, and the function is made again when `fmt`
-        or one of them is no longer the same object. Drawn and computed
-        values are always finite, so they go to `fmt` as they are."""
-        key = (fmt, RandomSpec.sample, Formula.evaluate)
-        if self._run is None or self._run[0] != key:
-            own = fmt is format_number and key[1] is _SAMPLE and key[2] is _EVALUATE
-            self._run = (key, self._kernel() if own else self._scope_run(fmt))
-        return self._run[1]
-
-    def _text(self, fmt) -> str:
-        """The line as a %-format: `before`, then layout(fmt) with a %s per value."""
-        head, slots = self.layout(fmt)
-        # the literal text keeps its %
-        return "%s" + head.replace("%", "%%") + "".join(
-            "%s" + tail.replace("%", "%%") for _, tail in slots
-        )
+    def run(self):
+        """This plan's kernel (_kernel), made on the first call and kept:
+        `(befores, contexts, rng, out)` appends to `out` one netlist line per
+        text in `befores`, that text followed by the tokens of layout(), with
+        each drawn or computed value drawn from the generator `rng` and
+        formatted by format_number's rule. `contexts` holds each line's
+        context (a mapping, or None for an empty one). Each line draws and
+        computes exactly what evaluate does, in the same order, with the same
+        checks and errors; the lines before one that raises stay in `out`."""
+        if self._run is None:
+            self._run = self._kernel()
+        return self._run
 
     def _kernel(self):
         """This plan's kernel: one generated function that renders a run of
@@ -548,27 +511,13 @@ class ParamPlan:
             for name in self.names
         )
         order = tuple(name for name, _ in self.formulas)
-        head, slots = self.layout(format_number)
+        head, slots = self.layout()
         text, fast = line_formats([head, *(tail for _, tail in slots)])
         factory, constants = _factory((self.names, kinds, order, fast is not None))
         return factory(
             text, fast, *[spec for _, spec in self.randoms],
             *[float(self.constants[name]) for name in constants],
         )
-
-    def _scope_run(self, fmt):
-        """The run function that calls evaluate, and so RandomSpec.sample
-        and Formula.evaluate as they are at each call, and then `fmt` once
-        per drawn or computed value, line by line."""
-        text = self._text(fmt)
-        names = [name for name, _ in self.layout(fmt)[1]]
-
-        def scope_run(befores, contexts, rng, out):
-            for before, context in zip(befores, contexts):
-                values = self.evaluate(context, rng)
-                out.append(text % (before, *[fmt(values[name]) for name in names]))
-
-        return scope_run
 
     def evaluate(self, extra_context=None, rng=None) -> dict:
         """Resolve every parameter; see eval_params."""

@@ -1,7 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -564,6 +566,100 @@ def test_a_chain_of_zero_stays_a_build_error(tmp_path, capsys):
     code, out, err = run_cli(["export", doc], capsys)
     assert (code, out) == (3, "")
     assert "at least one instance" in err and "Traceback" not in err
+
+
+# name -> (the file to write with a byte that is not UTF-8, the edit of ro.json
+# that reads it, the path of the error)
+_NOT_UTF8 = {
+    "models file": (
+        "bad.sp", b".model mbad nmos (vth=0.4)\n* \xff\n",
+        lambda doc: doc["models"].append("bad.sp"), "models[2]"),
+    "params file": (
+        "bad.json", b'{"bad": {"TT": {"w": "\xff"}}}',
+        lambda doc: doc["params_files"].append("bad.json"), "params_files[1]"),
+    "verilog_a file": (
+        "counter.va", None, lambda doc: None, "components[2]"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NOT_UTF8))
+def test_an_input_file_that_is_not_utf8_is_an_error_at_its_path(doc_dir, capsys, case):
+    name, data, edit, path = _NOT_UTF8[case]
+    if data is None:  # a byte that is not UTF-8 in a comment of the existing file
+        data = b"// \xff\n" + (doc_dir / name).read_bytes()
+    (doc_dir / name).write_bytes(data)
+    doc = _ro_with(doc_dir, edit)
+    out = doc_dir / "out.sp"
+    code, stdout, err = run_cli(["export", doc, "--out", out], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {path}: ") and "UTF-8" in err and "Traceback" not in err
+    assert not out.exists()
+    out_dir = doc_dir / "sweep"
+    code, stdout, err = run_cli(["sweep", doc, "--out", out_dir], capsys)
+    assert (code, stdout) == (3, "")
+    assert err.startswith(f"sweep failed: {path}: ") and "Traceback" not in err
+    [variant] = json.loads((out_dir / "manifest.json").read_text())["variants"]
+    assert variant["error"].startswith(f"{path}: ")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
+
+
+def test_a_document_that_is_not_utf8_is_a_document_error(doc_dir, capsys):
+    doc = doc_dir / "bad.json"
+    doc.write_bytes((doc_dir / RO_DOC).read_bytes().replace(b'"TT"', b'"T\xff"', 1))
+    out = doc_dir / "out.sp"
+    code, stdout, err = run_cli(["export", doc, "--out", out], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and "UTF-8" in err and str(doc) in err
+    assert "Traceback" not in err and not out.exists()
+    out_dir = doc_dir / "sweep"
+    assert run_cli(["sweep", doc, "--out", out_dir], capsys) == (2, "", err)
+    assert not out_dir.exists()
+
+
+def test_utf8_input_exports_the_same_bytes_whatever_the_locale(tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(json.dumps({
+        "version": 1,
+        "components": [{"name": "rµ", "ports": ["a", "b"], "prefix": "R", "params": {"r": 1}}],
+        "circuit": [{"op": "instance", "template": "rµ", "nets": ["n1", "0"]}],
+    }, ensure_ascii=False).encode("utf-8"))
+    src = Path(__file__).resolve().parent.parent / "src"
+    written = []
+    for locale in ({"LC_ALL": "C.UTF-8"}, {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}):
+        env = {**os.environ, **locale, "PYTHONUTF8": "0",
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        out = tmp_path / f"out{len(written)}.sp"
+        subprocess.run([sys.executable, "-m", "netforge", "export", str(doc), "--out", str(out)],
+                       env=env, capture_output=True, check=True)
+        written.append(out.read_bytes())
+    assert written[0] == written[1] and "R1 n1 0 rµ r=1\n".encode("utf-8") in written[0]
+
+
+def _model_in_a_body(kind):
+    body = [{"op": "add_model", "name": "mbody", "type": "nmos"},
+            {"op": "instance", "template": "res", "nets": ["a", "b"]}]
+    sub = {"name": "blk", "pins": ["a", "b"], "body": body}
+    doc = {"version": 1, "components": [json.loads(_RES_COMPONENT)],
+           "circuit": [{"op": "instance", "template": "blk", "nets": ["n1", "0"]}]}
+    if kind == "subcircuits":
+        doc["subcircuits"] = [sub]
+        return doc, "subcircuits[0].body[0]"
+    doc["circuit"].insert(0, {"op": "into_subckt", **sub})
+    return doc, "circuit[0].body[0]"
+
+
+@pytest.mark.parametrize("kind", ["subcircuits", "into_subckt"])
+def test_add_model_in_a_subcircuit_body_is_a_schema_error(tmp_path, capsys, kind):
+    # the body's model reached neither the subcircuit nor the netlist
+    content, path = _model_in_a_body(kind)
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(content))
+    out = tmp_path / "out.sp"
+    code, stdout, err = run_cli(["export", doc, "--out", out], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {path}: ") and "add_model" in err and not out.exists()
+    code, stdout, err = run_cli(["sweep", doc, "--out", tmp_path / "sweep"], capsys)
+    assert (code, stdout) == (3, "") and err.startswith(f"sweep failed: {path}: ")
 
 
 def _one_resistor_doc(tmp_path, name="res", param="r", value=1, model="m"):

@@ -94,7 +94,7 @@ _INLINE_EDGES = _EDGES + [
 
 
 def test_the_plan_kernel_formats_inline():
-    assert _INLINE.run(format_number).__name__ == "run"
+    assert _INLINE.run().__name__ == "run"
     for plain in (True, False):
         shape = (("y",), (Formula("x").program(),), ("y",), plain)
         source = [line.strip() for line in params._source(shape)[0].splitlines()]
@@ -116,5 +116,5 @@ def test_line_formats_leave_searched_text_to_format_number():
 @settings(max_examples=400, derandomize=True, deadline=None)
 def test_inline_format_equals_format_number(value):
     out = []
-    _INLINE.run(format_number)([""], [{"x": value}], Xoshiro256StarStar(0), out)
+    _INLINE.run()([""], [{"x": value}], Xoshiro256StarStar(0), out)
     assert out == [f"y={format_number(value)}"]

@@ -4,8 +4,8 @@ These tests count work instead of timing it: building and exporting a long
 chain must analyse each distinct Params once (one `_formula_order` call per
 plan) and compile each Formula object once, whatever the chain's length,
 and format each constant value once per plan; and a second seed through one
-text exporter lays no line out again, only drawing, evaluating and
-formatting values.
+text exporter lays no line out again, and only runs the kernels, which
+draw, evaluate and format values inline.
 """
 
 import json
@@ -114,16 +114,18 @@ def test_instances_with_overrides_get_their_own_plan(tmp_path, counters):
 
 @pytest.fixture
 def formatted(monkeypatch):
-    """Every value the exporters pass to format_number, in call order."""
+    """Every value a plan's layout passes to format_number, in call order."""
     calls = []
-    format_number = exporters.format_number
+    format_number = params.format_number
 
     def counting_format(value):
         calls.append(value)
         return format_number(value)
 
-    monkeypatch.setattr(exporters, "format_number", counting_format)
-    return calls
+    monkeypatch.setattr(params, "format_number", counting_format)
+    yield calls
+    # no kernel compiled with the counter outlives the test
+    params._factory.cache_clear()
 
 
 @pytest.mark.parametrize("n", [10, N])
@@ -186,9 +188,8 @@ def test_second_emit_only_draws_evaluates_and_formats(tmp_path, emit_counts, n):
     first_text, first = per_emit(5)
     second_text, second = per_emit(5)
     assert second_text == first_text == exporters.export(circuit, seed=5)
-    # l and vth drawn, 1/vth and w*l*2 computed, and formatted, per device;
-    # the load's 1/r computed and formatted; constants were formatted, and
-    # every line laid out, before
-    per_seed = {"layout": 0, "plan_layout": 0, "net_str": 0, "sample": 2 * n,
-                "evaluate": 2 * n + 1, "format": 4 * n + 1}
+    # the kernels draw, compute and format every value inline, without a
+    # per-value call; constants were formatted, and every line laid out, before
+    per_seed = {"layout": 0, "plan_layout": 0, "net_str": 0, "sample": 0,
+                "evaluate": 0, "format": 0}
     assert first == second == per_seed

@@ -1,13 +1,13 @@
-"""A plan's generated kernel renders exactly what the call-through path does.
+"""A plan's generated kernel renders exactly what per-value evaluation does.
 
 ParamPlan.run compiles each plan into one kernel that renders a run of lines
-(ParamPlan._kernel) while RandomSpec.sample and Formula.evaluate are
-netforge's own, and otherwise renders through ParamPlan._scope_run, which
-calls them once per value. These tests hold the kernel to _scope_run on
-generated plans (the same bytes, or the same error class and message and
-the same lines before it, and the same generator state after the run), to
-the generator's own methods bit for bit, and to one compile per plan shape,
-however many plans share it.
+(ParamPlan._kernel). These tests hold the kernel, on generated plans, to a
+call-through reference that evaluates each line with ParamPlan.evaluate and
+formats each value with format_number (the same bytes, or the same error
+class and message and the same lines before it, and the same generator
+state after the run), to the generator's own methods bit for bit, and to
+one compile per plan shape, however many plans share it. Wrapping the
+per-value names, as a tracer does, leaves the kernel in place.
 """
 
 import inspect
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_formula import _NAMES, _asts
+from test_render_reference import _tokens
 
 from netforge import Component, Formula, exporters, params
 from netforge.core import Circuit
@@ -70,6 +71,17 @@ def _render(run, context, seed):
     return outcome, (rng._s0, rng._s1, rng._s2, rng._s3)
 
 
+def _call_through(values):
+    """The run function the slow way: each line's values from
+    ParamPlan.evaluate, each formatted with format_number (text verbatim)."""
+
+    def run(befores, contexts, rng, out):
+        for before, context in zip(befores, contexts):
+            out.append(before + _tokens(values, context, rng))
+
+    return run
+
+
 @pytest.fixture
 def sources(monkeypatch):
     """The source of every kernel compiled while the test runs."""
@@ -96,22 +108,27 @@ def test_kernel_equals_the_call_through_path(sources, values, context, seed):
         plan = ParamPlan(values)
     except CyclicDependencyError:
         return
-    kernel, through = plan._kernel(), plan._scope_run(format_number)
-    assert _render(kernel, context, seed) == _render(through, context, seed)
+    assert _render(plan._kernel(), context, seed) == _render(_call_through(values), context, seed)
     # user values reach the kernel only as bound values, never as source
     assert not any(MARKER in source for source in sources)
 
 
-def test_run_uses_the_kernel_only_while_the_methods_are_netforges_own(monkeypatch):
+def test_run_returns_the_kernel_while_the_per_value_names_are_wrapped(monkeypatch):
     plan = Params({"w": 1.0, "l": uniform(1.0, 2.0), "a": Formula("w*l")}).plan
-    assert plan.run(format_number).__name__ == "run"
-    # a replaced formatter is called once per value, so the kernel's inline rule is not used
-    assert plan.run(lambda value: format_number(value)).__name__ == "scope_run"
-    sample = RandomSpec.sample
-    monkeypatch.setattr(RandomSpec, "sample", lambda spec, rng: sample(spec, rng))
-    assert plan.run(format_number).__name__ == "scope_run"
-    monkeypatch.undo()
-    assert plan.run(format_number).__name__ == "run"
+    kernel = plan.run()
+    calls = []
+    for owner, attr in ((RandomSpec, "sample"), (Formula, "evaluate"),
+                        (exporters, "format_number")):
+        original = getattr(owner, attr)
+        monkeypatch.setattr(
+            owner, attr, lambda *args, original=original: calls.append(1) or original(*args)
+        )
+    assert plan.run() is kernel and kernel.__name__ == "run"
+    fresh = Params(dict(plan.constants, l=uniform(1.0, 2.0), a=Formula("w*l"))).plan.run()
+    assert fresh.__name__ == "run"
+    out = []
+    fresh([""], [None], Xoshiro256StarStar(1), out)
+    assert out[0].startswith("w=1 l=1.") and calls == []
 
 
 # --- the rng stream ------------------------------------------------------------------
@@ -206,7 +223,7 @@ def test_equal_plans_of_other_values_share_the_kernel_source(sources):
     other = {"a": -3, "b": uniform(-1e300, 1e300), "c": Formula("a*b + _x"), "d": MARKER}
     texts = []
     for values in (shape, other):
-        Params(values).plan.run(format_number)([""], [{"_x": 1}], Xoshiro256StarStar(1), texts)
+        Params(values).plan.run()([""], [{"_x": 1}], Xoshiro256StarStar(1), texts)
     assert len(sources) == 1 and FACTORY.cache_info().hits == 1
     assert texts[0].startswith("a=1.5 b=0.") and texts[0].endswith(" d=x")
     assert texts[1].startswith("a=-3 b=") and texts[1].endswith(f" d={MARKER}")

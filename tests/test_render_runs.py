@@ -211,9 +211,8 @@ def test_an_error_in_the_middle_of_a_run_is_the_reference_error(dialect):
 
 @pytest.fixture
 def wrapped(monkeypatch):
-    """Pass-through wrappers around the per-value names, which send every
-    run through ParamPlan._scope_run and every value through format_number
-    by call; counts their calls."""
+    """Pass-through wrappers around the per-value names that a tracer
+    wraps; counts their calls."""
     calls = dict.fromkeys(["sample", "evaluate", "format"], 0)
 
     def wrap(owner, attr, key):
@@ -239,5 +238,6 @@ def test_the_wrapped_path_renders_the_same_bytes(wrapped, name, dialect):
     expected = [reference_text(circuit, dialect, seed) for seed in SEEDS]
     wrapped.update(dict.fromkeys(wrapped, 0))
     emit = exporters._seed_exporter(circuit, dialect)
+    # run functions are the kernels whatever wraps the names, and call none of them
     assert [emit(seed) for seed in SEEDS] == expected
-    assert wrapped["sample"] > 0 and wrapped["evaluate"] > 0 and wrapped["format"] > 0
+    assert wrapped == {"sample": 0, "evaluate": 0, "format": 0}
