@@ -37,8 +37,9 @@ formula cycles once, at the first node that uses it: the map a template
 prints (or the merged map of a template bound with params) at the node that
 places it, a model's where the build registers it, and a subcircuit's where
 it is built. A malformed part is a SchemaError at its path, and so is an
-add_model node in a subcircuit body, whose model no subcircuit carries, and
-a file named by the document that is not UTF-8.
+add_model node in a subcircuit body, whose model no subcircuit carries, an
+add_model node without a type, and a file named by the document that is not
+UTF-8.
 """
 
 from __future__ import annotations
@@ -247,7 +248,6 @@ class _Builder:
         self.seed_derived = False  # see build_circuit
 
         self.library: dict = {}  # device name -> ParamSet, later files shadow
-        self.file_models: dict[str, Model] = {}
         self.auto_models: list[Model] = []
         self.components: dict[str, Component] = {}
         self.subcircuits: dict[str, Subcircuit] = {}
@@ -293,9 +293,7 @@ class _Builder:
                 cards = [Model(entry["name"], entry["type"], params)]
             else:
                 raise SchemaError("expected a model object or a path string", path)
-            for model in cards:
-                self.file_models[model.name] = model
-                self.auto_models.append(model)
+            self.auto_models += cards
 
     def _params_from_ref(self, ref: str, path: str) -> Params:
         device, _, corner = ref.partition(".")
@@ -346,10 +344,8 @@ class _Builder:
                     raise SchemaError(
                         "params_from must be 'device' or 'device.corner'", path
                     )
-                params = params.merged(self._params_from_ref(ref, f"{path}.params_from"))
-            params = params.merged(
-                _params_node(entry.get("params"), self.variables, f"{path}.params")
-            )
+                params.update(self._params_from_ref(ref, f"{path}.params_from"))
+            params.update(_params_node(entry.get("params"), self.variables, f"{path}.params"))
             comp = Component(
                 entry["name"],
                 _string_list(entry["ports"], self.variables, f"{path}.ports"),
@@ -415,7 +411,8 @@ class _Builder:
         if "nets" in node:
             inst @= _string_list(node["nets"], self.variables, f"{path}.nets")
         if "params" in node:
-            inst %= _params_node(node["params"], self.variables, f"{path}.params")
+            # the instance is fresh, and so are its overrides
+            inst.overrides.update(_params_node(node["params"], self.variables, f"{path}.params"))
         return inst
 
     def _check(self, params) -> None:
@@ -526,18 +523,10 @@ class _Builder:
 
         if op == "add_model":
             name = node.get("name")
-            if not isinstance(name, str):
-                raise SchemaError("add_model needs a name", path)
-            if "type" in node:
-                model = Model(
-                    name,
-                    node["type"],
-                    _params_node(node.get("params"), self.variables, f"{path}.params"),
-                )
-            else:
-                model = self.file_models.get(name)
-                if model is None:
-                    raise SchemaError(f"unknown model {name!r}", path)
+            if not isinstance(name, str) or "type" not in node:
+                raise SchemaError("add_model needs a name and a type", path)
+            params = _params_node(node.get("params"), self.variables, f"{path}.params")
+            model = Model(name, node["type"], params)
             self._check(model.params)
             return model
 

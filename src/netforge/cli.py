@@ -3,8 +3,8 @@
 Commands: build, export, sweep, lint, formats. Exit codes are part of the
 contract: 0 success (warnings allowed), 2 unreadable or schema-invalid
 document, 3 build failure, 4 unknown dialect, 5 lint errors. Output bytes
-depend only on the document bytes and the flags given; NETFORGE_SEED
-provides a default seed when neither --seed nor the document sets one.
+depend only on the document bytes and the flags given; every command takes
+its seed from --seed, else the document, else NETFORGE_SEED, else 0 (_seed).
 """
 
 from __future__ import annotations
@@ -83,28 +83,26 @@ def _parse_vary(specs: list[str]) -> list[tuple[str, list[float]]]:
     return out
 
 
-def _default_seed(args) -> int | None:
+def _seed(args, doc: dict) -> int:
+    """The seed of a run: --seed, else the document's, else NETFORGE_SEED, else 0."""
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("NETFORGE_SEED")
-    if env is None:
-        return None
+    if "seed" in doc:
+        seed = doc["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise SchemaError("seed must be an integer", "seed")
+        return seed
+    env = os.environ.get("NETFORGE_SEED", "0")
     try:
         return int(env)
     except ValueError:
         raise SchemaError(f"NETFORGE_SEED must be an integer, got {env!r}", "env") from None
 
 
-def _build(args, extra_vars=None, corner=None):
+def _build(args):
     doc = builddoc.load_doc(args.doc)
-    variables = _parse_set(args.set)
-    if extra_vars:
-        variables.update(extra_vars)
-    seed = _default_seed(args)
-    if seed is None and "seed" not in doc:
-        seed = 0
     return builddoc.build_circuit(
-        doc, Path(args.doc).parent, set_vars=variables, seed=seed, corner=corner
+        doc, Path(args.doc).parent, set_vars=_parse_set(args.set), seed=_seed(args, doc)
     )
 
 
@@ -152,11 +150,7 @@ def _cmd_sweep(args) -> int:
     exporter_for(args.dialect)  # an unknown dialect fails before any output
     doc = builddoc.load_doc(args.doc)
     base_vars = _parse_set(args.set)
-    base_seed = _default_seed(args)
-    if base_seed is None:
-        base_seed = doc.get("seed", 0)
-        if isinstance(base_seed, bool) or not isinstance(base_seed, int):
-            raise SchemaError("seed must be an integer", "seed")
+    base_seed = _seed(args, doc)
 
     corners = args.corner or [doc.get("corner", builddoc.DEFAULT_CORNER)]
     # only the document's corner can be other than text; it names the files

@@ -8,11 +8,11 @@ one file writer, that the library and the CLI share.
 
 The text dialects are tables (_TextDialect) over one traversal,
 _text_exporter: lint once, in the one walk over the instances, which
-splits each scope into runs of instances with one template and one
-parameter map; lay the netlist out once (_line_frame) from what lint read,
-a lint run at a time, into the literal lines and runs: each stretch of
-consecutive lines with drawn or computed values that share a ParamPlan
-becomes one entry, the plan's run function (ParamPlan.run: the plan's
+splits each scope into runs of consecutive instances with one template and
+the same override objects; lay the netlist out once (_line_frame) from what
+lint read, a lint run at a time, into the literal lines and runs: each
+stretch of consecutive lines with drawn or computed values that share a
+ParamPlan becomes one entry, the plan's run function (ParamPlan.run: the plan's
 generated kernel, with draws, formulas and number formatting inline) with
 the text before each of its lines; then, for each seed, call the run
 functions in line order with one rng seeded explicitly (_render), each
@@ -32,9 +32,10 @@ so that a reader takes their line as an element, and text parameter values
 (BAD_TOKEN).
 Every other name was checked when its object was made. Lint also reports
 each name that a printed formula reads and that nothing on its line
-supplies as a number (UNRESOLVED_PARAM). Past a clean lint, export can still
-fail on a cycle among a map's formulas, found when the map is planned, and
-on values: a draw or result that is not finite, or a division by zero.
+supplies as a number (UNRESOLVED_PARAM), and a cycle among a printed map's
+formulas (CYCLIC_PARAM), planning each map where it first reads it. Past a
+clean lint, export can still fail only on values: a draw or result that is
+not finite, or a division by zero.
 
 The JSON dialect is different in kind: it round-trips the circuit losslessly,
 with formulas and distributions still unresolved, and therefore neither
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import secrets
 from collections import Counter
@@ -71,6 +73,7 @@ from .core import (
 )
 from .errors import (
     BadNameError,
+    CyclicDependencyError,
     DuplicateDialectError,
     DuplicatePinError,
     DuplicateSubcircuitError,
@@ -183,12 +186,19 @@ def _reachable_subcircuits(circuit: Circuit, duplicates=None) -> list[Subcircuit
     return ordered
 
 
-def _bad_values(params) -> list:
-    """A BAD_TOKEN message for each text value of `params` that is not one token."""
-    return [
-        f"text value {value!r} of parameter {name!r} is not one token"
+def _map_errors(params) -> list:
+    """(code, message) for each text value of `params` that is not one token
+    (BAD_TOKEN) and for a cycle among its formulas (CYCLIC_PARAM). The map
+    is planned here, and keeps its plan for the layout."""
+    errors = [
+        ("BAD_TOKEN", f"text value {value!r} of parameter {name!r} is not one token")
         for name, value in params.items() if isinstance(value, str) and not names.is_token(value)
     ]
+    try:
+        plan_of(params)
+    except CyclicDependencyError as exc:
+        errors.append(("CYCLIC_PARAM", str(exc)))
+    return errors
 
 
 def _free_names(params) -> dict:
@@ -233,6 +243,13 @@ def _master_error(template, known_subckts):
     return None
 
 
+def _same_objects(a, b) -> bool:
+    """Whether the maps `a` and `b` hold the same names, in the same order,
+    each bound to the same value object. Identity, not equality: equal
+    formulas can compute different values (an int and a float literal)."""
+    return list(a) == list(b) and all(map(operator.is_, a.values(), b.values()))
+
+
 def _joined(net_names: list, instances) -> list:
     """The space-joined net names of each of `instances`, from `net_names`,
     the names of all their nets one after another."""
@@ -249,12 +266,14 @@ def _lint_scope(findings, lines, instances, pins, scope, global_nets, known_subc
     instances' space-joined net names, and its runs' line maps and sizes.
 
     Designators and net names are read in one pass each over the scope. A
-    run is a stretch of consecutive instances with one template and one
-    line map (_line_params): all the instances without overrides between
-    two template changes, or one instance with overrides. A run's template,
-    line map and free names (`reads`, each map's by id) are looked up once,
-    and only the names its map reads are checked per line, against each
-    line's context. `maps` and `sizes` hold each run's line map, which they
+    run is a stretch of consecutive instances with one template and the
+    same overrides: the same names, in the same order, each bound to the
+    same value object (_same_objects), as every child of one combinator
+    holds; two empty maps are the same. A run's template, line map
+    (_line_params, one merge per run), its free names and plan (`reads`,
+    each map's by id, see _map_errors) are made once, and only the names
+    its map reads are checked per line, against each line's context. `maps`
+    and `sizes` hold each run's line map, which they
     keep alive for the layout, and its number of lines: two flat lists, as a
     pair per run would leave a tuple per run in CPython's free list once the
     layout drops it."""
@@ -282,11 +301,13 @@ def _lint_scope(findings, lines, instances, pins, scope, global_nets, known_subc
     start, count = 0, len(instances)
     while start < count:
         first = instances[start]
-        template = first.template
+        template, overrides = first.template, first.overrides
         end = start + 1
-        while end < count and not first.overrides:
+        while end < count:
             inst = instances[end]
-            if inst.template is not template or inst.overrides:
+            if inst.template is not template or (
+                (inst.overrides or overrides) and not _same_objects(inst.overrides, overrides)
+            ):
                 break
             end += 1
         message = _master_error(template, known_subckts)
@@ -299,7 +320,7 @@ def _lint_scope(findings, lines, instances, pins, scope, global_nets, known_subc
             free = reads.get(id(line_map))
             if free is None:
                 free = reads[id(line_map)] = _free_names(line_map)
-                errors += [(first, "BAD_TOKEN", message) for message in _bad_values(line_map)]
+                errors += [(first, *error) for error in _map_errors(line_map)]
             if free:
                 for inst in instances[start:end]:
                     errors += [(inst, *error)
@@ -353,13 +374,15 @@ def lint(circuit: Circuit) -> LintReport:
     subcircuit pin that never appears in its body), BAD_TOKEN (error, an
     instance without a designator, a designator that is not one token
     starting with [A-Za-z_], or a text parameter value that is not one
-    token, see netforge.names), and UNRESOLVED_PARAM (error, a name that a
+    token, see netforge.names), UNRESOLVED_PARAM (error, a name that a
     printed map's formulas read and that neither the map nor its line's
     context supplies as a number; a model or subcircuit header has no
-    context). Text values and read names are checked once per Params object,
-    at the model, subcircuit or first instance that prints them (or lacks
-    the name); a read name that a line's context does not give as a number,
-    on that line.
+    context), and CYCLIC_PARAM (error, a cycle among a printed map's
+    formulas). Text values, cycles and read names are checked once per
+    Params object, at the model, subcircuit or first instance of a run that
+    prints them (or lacks the name); a read name that a line's context does
+    not give as a number, on that line. Each printed map is planned here,
+    and keeps its plan for the layout.
     """
     duplicates: set[str] = set()
     globals_ = set(circuit.global_nets)
@@ -375,8 +398,8 @@ def lint(circuit: Circuit) -> LintReport:
     for d in (*circuit.models.values(), *subckts):
         if id(d.params) not in reads:
             free = reads[id(d.params)] = _free_names(d.params)
-            findings += [Finding("error", "BAD_TOKEN", m, d.name) for m in _bad_values(d.params)]
-            findings += [Finding("error", *e, d.name) for e in _unresolved(free, d.params, {})]
+            errors = _map_errors(d.params) + _unresolved(free, d.params, {})
+            findings += [Finding("error", *e, d.name) for e in errors]
     lines: list = []  # per scope, the top level first
     _lint_scope(findings, lines, circuit.instances, (), "", globals_, known, reads)
     for sub in subckts:
@@ -439,11 +462,10 @@ def _line_frame(dialect: _TextDialect, circuit: Circuit, report: LintReport, hea
     computes nothing, and the prefix of its own line, so the frame costs one
     string per line with drawn or computed values. Consecutive such lines
     that share a plan, and so its run function (ParamPlan.run), are one
-    run: every instance of a chain without overrides, and the lines of a
+    run: every instance of a chain, parallel or array, and the lines of a
     subcircuit body that share a template. Plans are shared through their
-    Params, except that a primitive instance with overrides brings the plan
-    of its merged map, and so a run of its own. `contexts` holds each
-    line's context.
+    Params; a lint run of primitive instances with overrides brings the plan
+    of its one merged map. `contexts` holds each line's context.
 
     Instances are laid out a lint run at a time (see _lint_scope): the
     plan, its layout and its run function are looked up once per run, and

@@ -49,43 +49,25 @@ __all__ = [
 ]
 
 
-class ParamFile:
+class ParamFile(dict):
     """A parameter library: device name -> ParamSet (corner -> Params)."""
 
     def __init__(self, devices=None):
-        self.devices: dict[str, ParamSet] = {}
-        for name, corners in dict(devices or {}).items():
-            self.devices[name] = (
-                corners if isinstance(corners, ParamSet) else ParamSet(corners)
-            )
+        super().__init__()
+        if devices:
+            for name, corners in dict(devices).items():
+                self[name] = corners
 
-    def __getitem__(self, device: str) -> ParamSet:
-        try:
-            return self.devices[device]
-        except KeyError:
-            raise KeyError(
-                f"unknown device {device!r}; available: {sorted(self.devices)}"
-            ) from None
+    def __setitem__(self, device, corners):
+        if not isinstance(corners, ParamSet):
+            corners = ParamSet(corners)
+        super().__setitem__(device, corners)
 
-    def __contains__(self, device: str) -> bool:
-        return device in self.devices
-
-    def __iter__(self):
-        return iter(self.devices)
-
-    def __len__(self) -> int:
-        return len(self.devices)
-
-    def items(self):
-        return self.devices.items()
-
-    def __eq__(self, other):
-        if not isinstance(other, ParamFile):
-            return NotImplemented
-        return list(self.devices.items()) == list(other.devices.items())
+    def __missing__(self, device):
+        raise KeyError(f"unknown device {device!r}; available: {sorted(self)}")
 
     def __repr__(self):
-        return f"ParamFile(devices={sorted(self.devices)})"
+        return f"ParamFile(devices={sorted(self)})"
 
 
 _DIRECTIVE_MAKERS = {

@@ -252,13 +252,46 @@ def test_export_json_ir_round_trips(doc_dir, capsys):
 
 
 def test_env_seed_used_as_default(doc_dir, capsys, monkeypatch):
-    _, baseline, _ = run_cli(["export", doc_dir / RO_DOC, "--seed", "123"], capsys)
+    # ro.json sets a seed, which the environment must not override
+    seedless = _ro_with(doc_dir, lambda doc: doc.pop("seed"))
+    _, baseline, _ = run_cli(["export", seedless, "--seed", "123"], capsys)
     monkeypatch.setenv("NETFORGE_SEED", "123")
-    _, from_env, _ = run_cli(["export", doc_dir / RO_DOC], capsys)
+    _, from_env, _ = run_cli(["export", seedless], capsys)
     assert from_env == baseline
     monkeypatch.setenv("NETFORGE_SEED", "not-a-number")
-    code, _, _ = run_cli(["export", doc_dir / RO_DOC], capsys)
+    code, _, _ = run_cli(["export", seedless], capsys)
     assert code == 2
+
+
+def _gauss_doc(tmp_path, seed=None):
+    doc = {"version": 1, "components": [{"name": "res", "ports": ["a", "b"], "prefix": "R",
+                                         "params": {"R": {"$gauss": [1000, 10]}}}],
+           "circuit": [{"op": "instance", "template": "res", "nets": ["n1", "0"]}]}
+    if seed is not None:
+        doc["seed"] = seed
+    path = tmp_path / ("doc.json" if seed is None else f"doc_s{seed}.json")
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_the_documents_seed_wins_over_the_env(tmp_path, capsys, monkeypatch):
+    doc = _gauss_doc(tmp_path, seed=7)
+    _, seed_7, _ = run_cli(["export", doc], capsys)
+    _, seed_3, _ = run_cli(["export", _gauss_doc(tmp_path), "--seed", "3"], capsys)
+    assert "R1 n1 0 res R=998.484272545\n" in seed_7 and seed_3 != seed_7
+    monkeypatch.setenv("NETFORGE_SEED", "3")
+    assert run_cli(["export", doc], capsys) == (0, seed_7, "")
+    assert run_cli(["build", doc], capsys)[1].endswith(", seed 7\n")
+    assert run_cli(["lint", doc], capsys)[0] == 0
+    # sweep names and seeds its files by the document's seed too
+    code, _, _ = run_cli(["sweep", doc, "--seeds", "2", "--out", tmp_path / "sweep"], capsys)
+    files = sorted(p.name for p in (tmp_path / "sweep").iterdir())
+    assert code == 0 and files == ["doc_s7__TT__s7.sp", "doc_s7__TT__s8.sp", "manifest.json"]
+    assert (tmp_path / "sweep" / "doc_s7__TT__s7.sp").read_text() == seed_7
+    # the environment still sets the seed of a document without one
+    assert run_cli(["export", _gauss_doc(tmp_path)], capsys) == (0, seed_3, "")
+    monkeypatch.setenv("NETFORGE_SEED", "not-a-number")
+    assert run_cli(["export", doc], capsys) == (0, seed_7, "")
 
 
 # --- lint -------------------------------------------------------------------------
@@ -660,6 +693,17 @@ def test_add_model_in_a_subcircuit_body_is_a_schema_error(tmp_path, capsys, kind
     assert err.startswith(f"error: {path}: ") and "add_model" in err and not out.exists()
     code, stdout, err = run_cli(["sweep", doc, "--out", tmp_path / "sweep"], capsys)
     assert (code, stdout) == (3, "") and err.startswith(f"sweep failed: {path}: ")
+
+
+@pytest.mark.parametrize("name", ["nmos_tt", "unlisted"])
+def test_add_model_without_a_type_is_a_schema_error(doc_dir, capsys, name):
+    # the build adds every `models` entry before the ops, so naming a listed
+    # model failed as already defined (exit 3) and any other as unknown
+    doc = _ro_with(doc_dir, lambda doc: doc["circuit"].append({"op": "add_model", "name": name}))
+    out = doc_dir / "out.sp"
+    code, stdout, err = run_cli(["export", doc, "--out", out], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: circuit[2]: ") and "type" in err and not out.exists()
 
 
 def _one_resistor_doc(tmp_path, name="res", param="r", value=1, model="m"):

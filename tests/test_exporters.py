@@ -221,7 +221,7 @@ def test_a_formula_name_the_line_context_supplies_is_resolved():
     assert "R1 p q r R=7\n" in export(circuit, "spice")
 
 
-@pytest.mark.parametrize("where", ["model", "subckt", "override", "chain"])
+@pytest.mark.parametrize("where", ["model", "subckt", "override", "separate-overrides", "chain"])
 def test_unresolved_param_is_reported_once_per_map(where):
     r = Component("r", ["a", "b"], prefix="R")
     circuit = Circuit()
@@ -238,12 +238,48 @@ def test_unresolved_param_is_reported_once_per_map(where):
     elif where == "override":
         circuit += (r % reads) @ ["n1", "n1"]
         circuit += (r % reads) @ ["n1", "n1"]
-        locations = ["R1", "R2"]  # each line has a merged map of its own
+        locations = ["R1"]  # both lines hold `reads`' objects: one run, one merged map
+    elif where == "separate-overrides":
+        circuit += (r % {"k": Formula("2 * x + y"), "y": 1}) @ ["n1", "n1"]
+        circuit += (r % {"k": Formula("2 * x + y"), "y": 1}) @ ["n1", "n1"]
+        locations = ["R1", "R2"]  # equal maps of other objects: a merged map per line
     else:
         circuit += Chain(Component("q", ["a", "b"], reads, prefix="R"), 3)
         locations = ["R1"]  # the three lines share the template's map
     found = [(f.code, f.location) for f in lint(circuit).errors]
     assert found == [("UNRESOLVED_PARAM", location) for location in locations]
+
+
+@pytest.mark.parametrize("where", ["instance", "model", "subckt", "override"])
+def test_lint_reports_a_formula_cycle_once_per_map(where):
+    # lint read such a circuit clean, and export then raised CyclicDependencyError
+    loop = {"x": Formula("y"), "y": Formula("x")}
+    r = Component("r", ["a", "b"], {"R": 1}, prefix="R")
+    circuit = Circuit()
+    if where == "instance":
+        comp = Component("loop", ["a", "b"], loop)
+        circuit += comp @ ["n1", "n2"]
+        circuit += comp @ ["n1", "n2"]
+        location = "L1"  # the two lines share the template's map
+    elif where == "model":
+        circuit += Model("m", "res", loop)
+        circuit += Chain(r, 2)
+        location = "m"
+    elif where == "subckt":
+        blk = Subcircuit("blk", ["p"], loop)
+        blk += r @ ["p", "p"]
+        circuit += blk @ ["n1"]
+        circuit += blk @ ["n1"]
+        location = "blk"
+    else:
+        circuit += Chain(r % {"R": Formula("x"), "x": Formula("R")}, 3)
+        location = "R1"  # the chain's lines hold one override map
+    report = lint(circuit)
+    assert [(f.code, f.location) for f in report.errors] == [("CYCLIC_PARAM", location)]
+    assert "cyclic parameter dependency: " in report.errors[0].message
+    for dialect in ("spice", "spectre"):
+        with pytest.raises(LintErrors, match="CYCLIC_PARAM"):
+            export(circuit, dialect)
 
 
 def test_lint_reports_a_formula_that_reads_map_text_once_per_map():

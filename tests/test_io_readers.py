@@ -20,7 +20,7 @@ from netforge.io_readers import (
     parse_veriloga,
     read_param_file,
 )
-from netforge.params import RandomSpec
+from netforge.params import Params, ParamSet, RandomSpec
 
 # --- parameter files -----------------------------------------------------------
 
@@ -157,6 +157,21 @@ def test_unknown_device_lists_available():
     pf = read_param_file('{"cap": {"TT": {"C": 1}}}')
     with pytest.raises(KeyError, match="cap"):
         pf["res"]
+
+
+def test_param_file_is_a_dict_of_param_sets():
+    pf = ParamFile({"a": {"TT": {"x": 1}}})
+    pf["b"] = {"FF": {"y": "nch"}}
+    assert all(isinstance(corners, ParamSet) for corners in pf.values())
+    assert isinstance(pf["b"]["FF"], Params) and pf["b"]["FF"]["y"] == "nch"
+    assert "a" in pf and "c" not in pf and pf.get("c") is None
+    assert list(pf) == ["a", "b"] and len(pf) == 2
+    with pytest.raises(KeyError, match=r"unknown device 'c'; available: \['a', 'b'\]"):
+        pf["c"]
+    # equal as ParamSet and Params are: whatever the device order
+    assert pf == ParamFile({"b": {"FF": {"y": "nch"}}, "a": {"TT": {"x": 1}}})
+    assert pf != ParamFile({"a": {"TT": {"x": 2}}, "b": {"FF": {"y": "nch"}}})
+    assert repr(pf) == "ParamFile(devices=['a', 'b'])"
 
 
 # --- SPICE .model cards -----------------------------------------------------------

@@ -7,20 +7,27 @@ and that every edge of a run gives the bytes of the plain line-by-line
 reference of test_render_reference, or the same error: per-line contexts,
 runs of one line, constant-only lines inside a run, subcircuit bodies, an
 error in the middle of a run, and the call-through path that wrapped
-methods take. Lint hands the layout its own runs (instances with one
-template and one line map); the layout must give the same bytes where one
-of those ends: at a template change, an overridden instance inside a chain,
-a constant-only line, a subcircuit body's edge and an instance without nets.
+methods take. Lint hands the layout its own runs: consecutive instances
+with one template and the same overrides, that is the same names, in the
+same order, each bound to the same value object, as every child of a
+Chain, Parallel or Array holds. Each such run has one merged map and one
+plan. The layout must give the same bytes where a run ends: at a template
+change, an overridden instance inside a chain, overrides that are equal
+but other objects or list their names in another order, a constant-only
+line, a subcircuit body's edge and an instance without nets.
 """
 
 import pytest
 from test_plan_kernel import _overridden_instances
 from test_render_reference import TITLE, reference_text
 
-from netforge import Array, Chain, Circuit, Component, Formula, Subcircuit, exporters, formula
+from netforge import (
+    Array, Chain, Circuit, Component, Formula, Parallel, Subcircuit, builddoc, exporters, formula
+)
 from netforge.core import Instance
 from netforge.errors import DivisionByZeroError
-from netforge.params import RandomSpec, gauss, uniform
+from netforge.formula import BinOp, Num
+from netforge.params import ParamPlan, Params, RandomSpec, gauss, uniform
 
 SEEDS = (0, 7, 2**64 - 1)
 DIALECTS = ("spice", "spectre")
@@ -65,8 +72,8 @@ def _subcircuit_bodies() -> Circuit:
     return circuit
 
 
-# Lint hands the layout runs of instances with one template and one line
-# map; the cases below end such runs at each kind of edge.
+# Lint hands the layout runs of instances with one template and the same
+# override objects; the cases below end such runs at each kind of edge.
 
 def _template_change() -> Circuit:
     # TWIN shares DEV's Params, and so its plan: the lines of both templates
@@ -123,8 +130,56 @@ def _instances_without_nets() -> Circuit:
     return circuit
 
 
+# A run's lines may also share overrides: instances of one template whose
+# override maps hold the same names, in the same order, each bound to the
+# same value object, which every child of one combinator does.
+
+def _bound() -> Circuit:
+    # the chain, parallel and array below are one run each, and each reads
+    # its merged map; the second chain's map shadows a formula with a draw
+    circuit = Circuit()
+    circuit += Chain(DEV % {"w": 2e-6, "vth": gauss(0.3, 0.01)}, 4)
+    circuit += Parallel(DEV % {"l": 1.5e-7} @ ["p", "q"], 3)
+    cell = Component("cell", ["p", "q"], {"r": uniform(1.0, 2.0), "g": Formula("r")}, prefix="R")
+    circuit += Array(5, cell % {"g": Formula("(_i + 1)*r"), "t": "x"},
+                     lambda i: [f"p{i}", f"q{i}"])
+    circuit += Chain(DEV % {"area": uniform(0.0, 1.0)}, 2)
+    return circuit
+
+
+def _twin_formulas() -> Circuit:
+    # equal formulas (the same AST) that compute different values: an int
+    # and a float literal; compared by value, the two lines would be one run
+    # and print the first line's value twice
+    def twin(number):
+        big = Num(number(2**60))
+        return Formula.from_ast(BinOp("-", BinOp("+", big, Num(number(1))), big))
+
+    first, second = ({"g": twin(kind)} for kind in (int, float))
+    assert first == second
+    circuit = Circuit()
+    circuit += (PLAIN % first) @ ["a", "b"]
+    circuit += (PLAIN % second) @ ["b", "c"]
+    circuit += (DEV % {"w": float("3e-6")}) @ ["c", "d"]
+    circuit += (DEV % {"w": float("3e-6")}) @ ["d", "e"]
+    return circuit
+
+
+def _new_keys_in_another_order() -> Circuit:
+    # the same objects under the same new keys, in two orders: each line
+    # keeps its own token order
+    p, q = 2.5, uniform(0.0, 1.0)
+    circuit = Circuit()
+    circuit += (DEV % {"p": p, "q": q}) @ ["a", "b"]
+    circuit += (DEV % {"q": q, "p": p}) @ ["b", "c"]
+    return circuit
+
+
 # name -> (circuit factory, the number of lines of each run, in frame order)
 CASES = {
+    "bound_templates": (_bound, [4, 3, 5, 2]),
+    "twin_formulas": (_twin_formulas, [1, 1, 1, 1]),
+    "new_keys_in_another_order": (_new_keys_in_another_order, [1, 1]),
     "array_reading_i": (_array_reading_i, [6]),
     "overridden_instances": (lambda: _overridden_instances(4), [1, 1, 1, 1]),
     "constant_lines_inside": (_constant_lines_inside, [4]),
@@ -241,3 +296,41 @@ def test_the_wrapped_path_renders_the_same_bytes(wrapped, name, dialect):
     # run functions are the kernels whatever wraps the names, and call none of them
     assert [emit(seed) for seed in SEEDS] == expected
     assert wrapped == {"sample": 0, "evaluate": 0, "format": 0}
+
+
+def _chain_doc(w: float, template) -> dict:
+    params = {"w": w, "l": {"$uniform": [1e-7, 2e-7]}, "vth": {"$gauss": [0.4, 0.05]},
+              "test": {"$formula": "1/vth"}, "area": {"$formula": "w*l*2"}}
+    return {"version": 1,
+            "components": [{"name": "dev", "ports": ["a", "b", "c", "d"], "prefix": "X",
+                            "params": params}],
+            "circuit": [{"op": "chain", "template": template, "n": 2_000, "out_port": 2}]}
+
+
+@pytest.mark.parametrize("dialect", DIALECTS)
+def test_a_chain_over_a_bound_template_merges_and_plans_once(monkeypatch, tmp_path, dialect):
+    # the chain's 2 000 children hold the same override objects: the build
+    # checks one merged map, and lint and the layout read one more
+    counts = dict.fromkeys(["merged", "plans"], 0)
+    merged, plan_init = Params.merged, ParamPlan.__init__
+
+    def counted_merged(self, overrides):
+        counts["merged"] += 1
+        return merged(self, overrides)
+
+    def counted_init(self, params):
+        counts["plans"] += 1
+        plan_init(self, params)
+
+    monkeypatch.setattr(Params, "merged", counted_merged)
+    monkeypatch.setattr(ParamPlan, "__init__", counted_init)
+    bound = builddoc.build_circuit(
+        _chain_doc(1e-6, {"ref": "dev", "params": {"w": 2e-6}}), tmp_path
+    )
+    emit = exporters._seed_exporter(bound, dialect)
+    texts = [emit(seed) for seed in SEEDS]
+    assert counts["merged"] <= 2 and counts["plans"] <= 2
+    assert len(_frame(bound, dialect)) == 1
+    plain = exporters._seed_exporter(builddoc.build_circuit(_chain_doc(2e-6, "dev"), tmp_path),
+                                     dialect)
+    assert texts == [plain(seed) for seed in SEEDS]
