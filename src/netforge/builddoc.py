@@ -225,7 +225,7 @@ class _Builder:
 
         self.doc = doc
         self.doc_dir = doc_dir
-        self.corner = corner or doc.get("corner", DEFAULT_CORNER)
+        self.corner = doc.get("corner", DEFAULT_CORNER) if corner is None else corner
         if not isinstance(self.corner, str):
             raise SchemaError("corner must be a string", "corner")
 

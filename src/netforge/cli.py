@@ -32,6 +32,8 @@ from .exporters import (
     registered_dialects,
     write_atomic,
 )
+from .io_readers import _checked
+from .names import identifier, nonempty_text
 from .numfmt import format_number
 
 EXIT_OK = 0
@@ -49,6 +51,7 @@ def _parse_set(pairs: list[str]) -> dict[str, float]:
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise SchemaError(f"--set expects NAME=VALUE, got {pair!r}", "--set")
+        _checked(identifier, name, "--set name", "--set")  # a name ${...} can read
         try:
             number = float(value)
         except ValueError:
@@ -66,6 +69,7 @@ def _parse_vary(specs: list[str]) -> list[tuple[str, list[float]]]:
         parts = rest.split(":")
         if not sep or not name or len(parts) != 3:
             raise SchemaError(f"--vary expects NAME=lo:hi:steps, got {spec!r}", "--vary")
+        _checked(identifier, name, "--vary name", "--vary")
         try:
             lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
@@ -152,6 +156,8 @@ def _cmd_sweep(args) -> int:
     base_vars = _parse_set(args.set)
     base_seed = _seed(args, doc)
 
+    for corner in args.corner or ():
+        _checked(nonempty_text, corner, "--corner name", "--corner")
     corners = args.corner or [doc.get("corner", builddoc.DEFAULT_CORNER)]
     # only the document's corner can be other than text; it names the files
     if not isinstance(corners[0], str):

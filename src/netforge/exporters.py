@@ -39,17 +39,19 @@ not finite, or a division by zero.
 
 The JSON dialect is different in kind: it round-trips the circuit losslessly,
 with formulas and distributions still unresolved, and therefore neither
-evaluates parameters nor runs lint. export_json writes the subcircuit and
-instance records straight to text, with the bytes json.dumps(indent=2) gives
-their dict form; import_json checks and coerces each net name once per scope
-(the top level and each subcircuit body), and the instances of a scope share
-one Net per name. Every definition name, designator and parameter name it
-reads goes through the rules of netforge.names, and a name they reject is a
-SchemaError at the name's path.
+evaluates parameters nor runs lint. export_json, and write_param_file for a
+parameter file, write every record straight to text, with the bytes
+json.dumps(indent=2) gives its dict form, and every parameter value through
+one writer (_param_text). import_json checks and coerces each net name once
+per scope (the top level and each subcircuit body), and the instances of a
+scope share one Net per name. Every definition name, designator and
+parameter name it reads goes through the rules of netforge.names, and a
+name they reject is a SchemaError at the name's path.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -86,7 +88,7 @@ from .errors import (
     VersionMismatchError,
 )
 from .formula import Formula
-from .io_readers import ParamFile, value_from_json
+from .io_readers import ParamFile, _checked, _key_path, value_from_json
 # perfbench/tracer.py TARGETS resolve eval_params and format_number under this
 # module's name, so both stay importable here although text export renders
 # through ParamPlan.run
@@ -578,32 +580,11 @@ def _render(frame: list, tail: str):
 
 # --- JSON intermediate representation ------------------------------------------------
 
-def _value_to_json(value):
-    if isinstance(value, Formula):
-        return {"$formula": value.text}
-    if isinstance(value, RandomSpec):
-        return {f"${value.kind}": [value.a, value.b]}
-    return value
-
-
-def _params_to_json(params: Params) -> dict:
-    return {name: _value_to_json(value) for name, value in params.items()}
-
-
-def _component_to_json(comp: Component) -> dict:
-    return {
-        "ports": [str(p) for p in comp.ports],
-        "params": _params_to_json(comp.params),
-        "prefix": comp.prefix,
-        "metadata": dict(comp.metadata),
-    }
-
-
-# The records below are written straight to text, byte for byte as
-# json.dumps(..., indent=2) writes their dict form: `indent` is the prefix of
-# the line on which a value starts, text goes through the encoder json itself
-# uses, ints and finite floats through int.__repr__ and float.__repr__ as json
-# does, and every other value through json.dumps, re-indented.
+# JSON IR and parameter file records are written straight to text, byte for
+# byte as json.dumps(..., indent=2) writes their dict form: `indent` is the
+# prefix of the line on which a value starts, text goes through json's own
+# encoder, ints and finite floats through int.__repr__ and float.__repr__ as
+# json does, and every other value through json.dumps, re-indented.
 
 _encode = json.encoder.encode_basestring_ascii
 
@@ -626,7 +607,7 @@ def _json_text(value, indent: str) -> str:
 
 
 def _param_text(value, indent: str) -> str:
-    """A parameter value as _value_to_json(value) is written."""
+    """A parameter value: itself, {"$formula": text} or {"$<kind>": [a, b]}."""
     inner = indent + "  "
     if isinstance(value, Formula):
         return f'{{\n{inner}"$formula": {_encode(value.text)}\n{indent}}}'
@@ -689,6 +670,24 @@ def _subckt_text(sub: Subcircuit, indent: str) -> str:
     )
 
 
+def _component_text(comp: Component, indent: str) -> str:
+    key = indent + "  "
+    return (
+        f'{{\n{key}"ports": {_dumped([str(p) for p in comp.ports], key)},\n'
+        f'{key}"params": {_object_text(comp.params, key, _param_text)},\n'
+        f'{key}"prefix": {_json_text(comp.prefix, key)},\n'
+        f'{key}"metadata": {_object_text(comp.metadata, key)}\n{indent}}}'
+    )
+
+
+def _model_text(model: Model, indent: str) -> str:
+    key = indent + "  "
+    return (
+        f'{{\n{key}"base_type": {_json_text(model.base_type, key)},\n'
+        f'{key}"params": {_object_text(model.params, key, _param_text)}\n{indent}}}'
+    )
+
+
 def _collect_components(circuit: Circuit) -> dict[str, Component]:
     components: dict[str, Component] = {}
 
@@ -715,25 +714,21 @@ def _collect_components(circuit: Circuit) -> dict[str, Component]:
 def export_json(circuit: Circuit) -> str:
     """Serialize a circuit losslessly, formulas and distributions unresolved.
 
-    The bytes are those of json.dumps(document, indent=2) + "\\n". The small
-    head goes through json.dumps; the subcircuit and instance records, which
-    grow with the circuit, are written straight to text.
+    The bytes are those of json.dumps(document, indent=2) + "\\n". Only the
+    head (version, rng_seed, globals, directives) goes through json.dumps;
+    the component, model, subcircuit and instance records are written
+    straight to text.
     """
     head = {
         "version": JSON_IR_VERSION,
         "rng_seed": circuit.rng_seed,
         "globals": list(circuit.global_nets),
         "directives": list(circuit.directives),
-        "components": {
-            name: _component_to_json(comp)
-            for name, comp in _collect_components(circuit).items()
-        },
-        "models": {
-            name: {"base_type": m.base_type, "params": _params_to_json(m.params)}
-            for name, m in circuit.models.items()
-        },
     }
     fields = [f"{_encode(name)}: {_dumped(value, '  ')}" for name, value in head.items()]
+    components = _collect_components(circuit)
+    fields.append(f'"components": {_object_text(components, "  ", _component_text)}')
+    fields.append(f'"models": {_object_text(circuit.models, "  ", _model_text)}')
     fields.append(f'"subcircuits": {_object_text(circuit.subcircuits, "  ", _subckt_text)}')
     fields.append(f'"instances": {_instances_text(circuit.instances, "  ")}')
     return "{\n  " + ",\n  ".join(fields) + "\n}\n"
@@ -746,20 +741,6 @@ def _expect(condition, message, path):
 
 def _is_text_list(raw) -> bool:
     return isinstance(raw, list) and all(isinstance(item, str) for item in raw)
-
-
-def _key_path(path: str, key) -> str:
-    """The path of the member `key` of the object at `path`, for any key text."""
-    return f"{path}[{json.dumps(key)}]"
-
-
-def _checked(rule, name, what: str, path: str):
-    """rule(name, what), a rule of netforge.names, with its BadNameError
-    raised as a SchemaError at `path`."""
-    try:
-        return rule(name, what)
-    except BadNameError as exc:
-        raise SchemaError(str(exc), path) from None
 
 
 def _members(raw: dict, key: str, path: str) -> dict:
@@ -940,17 +921,13 @@ def _export_json_dialect(circuit: Circuit, seed: int, options: dict) -> str:
 def write_param_file(param_file: ParamFile) -> str:
     """Serialize a ParamFile to canonical JSON; read_param_file inverts this.
 
-    Text values that happen to look like SI-suffixed numbers would read back
-    as numbers; keep text non-numeric if exact round-tripping matters.
+    The bytes are json.dumps(document, indent=2) + "\\n", written as the IR
+    writes parameter maps. Text that looks like an SI-suffixed number reads
+    back as a number; keep text non-numeric if exact round-tripping matters.
     """
-    document = {
-        device: {
-            corner: _params_to_json(params)
-            for corner, params in corners.items()
-        }
-        for device, corners in param_file.items()
-    }
-    return json.dumps(document, indent=2) + "\n"
+    params_text = functools.partial(_object_text, value_text=_param_text)
+    corners_text = functools.partial(_object_text, value_text=params_text)
+    return _object_text(param_file, "", corners_text) + "\n"
 
 
 # --- registry and atomic writing ----------------------------------------------------

@@ -36,7 +36,8 @@ from .errors import (
 )
 from .formula import parse_formula
 from .numfmt import parse_si_number
-from .params import ParamSet, Params, gauss, lognormal, uniform
+from .names import nonempty_text
+from .params import CheckedDict, ParamSet, Params, gauss, lognormal, uniform
 
 __all__ = [
     "ParamFile",
@@ -49,19 +50,12 @@ __all__ = [
 ]
 
 
-class ParamFile(dict):
+class ParamFile(CheckedDict):
     """A parameter library: device name -> ParamSet (corner -> Params)."""
 
-    def __init__(self, devices=None):
-        super().__init__()
-        if devices:
-            for name, corners in dict(devices).items():
-                self[name] = corners
-
     def __setitem__(self, device, corners):
-        if not isinstance(corners, ParamSet):
-            corners = ParamSet(corners)
-        super().__setitem__(device, corners)
+        nonempty_text(device, "device name")
+        super().__setitem__(device, corners if isinstance(corners, ParamSet) else ParamSet(corners))
 
     def __missing__(self, device):
         raise KeyError(f"unknown device {device!r}; available: {sorted(self)}")
@@ -133,8 +127,23 @@ def _params_from_json(raw, path: str) -> Params:
     return params
 
 
+def _key_path(path: str, key) -> str:
+    """The path of the member `key` of the object at `path`, for any key text."""
+    return f"{path}[{json.dumps(key)}]"
+
+
+def _checked(rule, name, what: str, path: str):
+    """rule(name, what), a rule of netforge.names, with its BadNameError
+    raised as a SchemaError at `path`."""
+    try:
+        return rule(name, what)
+    except BadNameError as exc:
+        raise SchemaError(str(exc), path) from None
+
+
 def read_param_file(source, format: str = "json") -> ParamFile:
-    """Parse a parameter file from bytes, text, or a binary stream."""
+    """Parse a parameter file from bytes, text, or a binary stream; an empty
+    device or corner name is a SchemaError at its path."""
     if format != "json":
         raise ValueError(f"unsupported parameter file format {format!r}")
     if hasattr(source, "read"):
@@ -148,15 +157,16 @@ def read_param_file(source, format: str = "json") -> ParamFile:
 
     if not isinstance(document, dict):
         raise SchemaError("top level must be an object of devices", "$")
-    devices: dict[str, ParamSet] = {}
+    param_file = ParamFile()
     for device, corners in document.items():
+        _checked(nonempty_text, device, "device name", _key_path("$", device))
         if not isinstance(corners, dict):
             raise SchemaError("expected an object of corners", device)
-        param_set = ParamSet()
+        param_set = param_file[device] = ParamSet()
         for corner, raw_params in corners.items():
+            _checked(nonempty_text, corner, "corner name", _key_path(device, corner))
             param_set[corner] = _params_from_json(raw_params, f"{device}.{corner}")
-        devices[device] = param_set
-    return ParamFile(devices)
+    return param_file
 
 
 def load_param_file(path) -> ParamFile:

@@ -2,7 +2,7 @@
 
 A simulator splits a netlist line at whitespace and reads each parameter as
 one `name=value` token. So every name and text value netforge prints has to
-be one token, or the line means something else than what was built. Three
+be one token, or the line means something else than what was built. These
 rules say what one token is, and every other module calls them instead of
 checking names itself:
 
@@ -18,6 +18,9 @@ checking names itself:
 - net: [A-Za-z_][A-Za-z0-9_.]* for a symbolic net or pin name (core.as_net
   also takes non-negative integers and decimal text), and [A-Za-z_]+ for a
   designator prefix.
+
+Corner and device names, which only parameter files print (as JSON keys),
+need only be non-empty text (nonempty_text).
 
 Each check returns the name it was given or raises a BadNameError:
 EmptyNameError (also a TypeError) for an empty or non-text name, NetNameError
@@ -37,7 +40,7 @@ from .errors import BadNameError, EmptyNameError, NetNameError
 
 __all__ = [
     "is_token", "token", "is_designator", "all_designators", "designator", "identifier", "net",
-    "prefix",
+    "prefix", "nonempty_text",
 ]
 
 _TOKEN_RE = re.compile(r"[^\s=]+\Z")
@@ -55,16 +58,18 @@ def is_token(text) -> bool:
     return isinstance(text, str) and (text.isalnum() or _TOKEN_RE.match(text) is not None)
 
 
-def _require_text(text, what: str) -> None:
+def nonempty_text(text, what: str):
+    """`text`, if it is non-empty text; a corner or device name."""
     if not isinstance(text, str) or not text:
         raise EmptyNameError(f"{what} must be a non-empty string, got {text!r}")
+    return text
 
 
 def token(text, what: str):
     """`text`, if it is one token; `what` names it in the error."""
     if is_token(text):
         return text
-    _require_text(text, what)
+    nonempty_text(text, what)
     raise BadNameError(f"{what} {text!r} must be one token, without whitespace or '='")
 
 
@@ -100,7 +105,7 @@ def identifier(text, what: str = "parameter name"):
     # an ASCII Python identifier is exactly that pattern
     if isinstance(text, str) and text.isascii() and text.isidentifier():
         return text
-    _require_text(text, what)
+    nonempty_text(text, what)
     raise BadNameError(f"{what} {text!r} must match [A-Za-z_][A-Za-z0-9_]*")
 
 

@@ -26,10 +26,12 @@ differ only in their values, such as the merged maps of many primitive
 instances with overrides, share one compile(). ParamPlan.evaluate (and
 eval_params), RandomSpec.sample and Formula.evaluate are the per-value API,
 and the reference that kernels are tested against.
-Every mutation of a Params (item assignment or deletion, update, setdefault,
-|=, pop, popitem, clear) goes through one checked path, for names and
-values, that also drops the plan, so the next evaluation analyses the new
-contents.
+Params, ParamSet and io_readers.ParamFile share one base, CheckedDict, whose
+constructor, update, setdefault and |= insert through __setitem__. There a
+Params checks the name and value and drops its plan (as deletion, pop,
+popitem and clear do), so the next evaluation analyses the new contents; a
+ParamSet or ParamFile makes each entry a Params or ParamSet, under a name
+that must be non-empty text.
 Evaluating or rendering through the plan gives the same values, drawn in the
 same order, bit for bit, as analysing the map on every call.
 """
@@ -47,7 +49,7 @@ from .errors import (
     UnknownCornerError,
 )
 from .formula import NAMESPACE, Formula, read_context, splice
-from .names import identifier
+from .names import identifier, nonempty_text
 from .numfmt import format_number, line_formats, line_source
 from .rng import GAUSS, STEP, UNIT, UNIT_OPEN, Xoshiro256StarStar, as_generator
 
@@ -146,32 +148,15 @@ def _check_value(name, value):
     )
 
 
-class Params(dict):
-    """Ordered parameter map; insertion order drives export order.
+class CheckedDict(dict):
+    """A dict whose constructor, update, setdefault and |= insert through __setitem__."""
 
-    Every name and value is checked on the way in, by every mutator. The
-    ParamPlan built on first evaluation is kept until the next mutation.
-    An empty map can also be made without __init__, as dict.__new__(Params)
-    (core._children makes one per combinator child): its plan slot is then
-    unset, which reads as no plan.
-    """
+    __slots__ = ()
 
-    __slots__ = ("_plan",)
-
-    def __init__(self, values=None):
+    def __init__(self, items=None):
         super().__init__()
-        self._plan = None
-        if values:
-            self.update(values)
-
-    def __setitem__(self, name, value):
-        value = _check_value(identifier(name), value)
-        self._plan = None
-        super().__setitem__(name, value)
-
-    def __delitem__(self, name):
-        self._plan = None
-        super().__delitem__(name)
+        if items:
+            self.update(items)
 
     def update(self, *args, **kwargs):
         for name, value in dict(*args, **kwargs).items():
@@ -185,6 +170,27 @@ class Params(dict):
     def __ior__(self, other):
         self.update(other)
         return self
+
+
+class Params(CheckedDict):
+    """Ordered parameter map; insertion order drives export order.
+
+    Every name and value is checked on the way in, by every mutator. The
+    ParamPlan built on first evaluation is kept until the next mutation.
+    An unset plan slot (a map never mutated or planned, such as one that
+    core._children made as dict.__new__(Params)) reads as no plan.
+    """
+
+    __slots__ = ("_plan",)
+
+    def __setitem__(self, name, value):
+        value = _check_value(identifier(name), value)
+        self._plan = None
+        super().__setitem__(name, value)
+
+    def __delitem__(self, name):
+        self._plan = None
+        super().__delitem__(name)
 
     def pop(self, name, *default):
         self._plan = None
@@ -207,7 +213,7 @@ class Params(dict):
         """The analysis of the current contents, built on first use."""
         try:
             plan = self._plan
-        except AttributeError:  # made by dict.__new__, never planned
+        except AttributeError:  # never mutated or planned
             plan = None
         if plan is None:
             plan = self._plan = ParamPlan(self)
@@ -226,18 +232,11 @@ class Params(dict):
         return out
 
 
-class ParamSet(dict):
+class ParamSet(CheckedDict):
     """Named parameter corners, e.g. {"TT": Params(...), "FF": Params(...)}."""
 
-    def __init__(self, corners=None):
-        super().__init__()
-        if corners:
-            for name, params in dict(corners).items():
-                self[name] = params
-
     def __setitem__(self, name, params):
-        if not isinstance(name, str) or not name:
-            raise TypeError("corner names must be non-empty strings")
+        nonempty_text(name, "corner name")
         super().__setitem__(name, params if isinstance(params, Params) else Params(params))
 
     def __missing__(self, name):

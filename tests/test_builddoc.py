@@ -227,6 +227,24 @@ def test_params_from_unknown_corner_is_build_error(tmp_path):
         build(tmp_path, doc, corner="SS")
 
 
+@pytest.mark.parametrize("corner, used", [(None, "FF"), ("TT", "TT"), ("", None)])
+def test_the_corner_argument_wins_whenever_it_is_given(tmp_path, corner, used):
+    (tmp_path / "lib.json").write_text(json.dumps({"nmos": {"TT": {"w": 1}, "FF": {"w": 2}}}))
+    doc = {
+        "version": 1,
+        "corner": "FF",
+        "params_files": ["lib.json"],
+        "components": [{"name": "a", "ports": ["p"], "params_from": "nmos"}],
+        "circuit": [{"op": "instance", "template": "a", "nets": ["n"]}],
+    }
+    if used is None:  # an empty corner is a corner of its own, not the document's
+        with pytest.raises(UnknownCornerError):
+            build(tmp_path, doc, corner=corner)
+    else:
+        [inst] = build(tmp_path, doc, corner=corner).instances
+        assert inst.template.params == {"w": {"TT": 1, "FF": 2}[used]}
+
+
 def test_params_from_unknown_device_is_schema_error(tmp_path):
     doc = {
         "version": 1,

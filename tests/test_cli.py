@@ -468,6 +468,35 @@ def test_vary_rejects_non_finite_numbers(doc_dir, tmp_path, capsys, spec):
     assert not (out_dir / "manifest.json").exists()
 
 
+def test_sweep_rejects_an_empty_corner_before_writing(doc_dir, tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    code, out, err = run_cli(
+        ["sweep", doc_dir / RO_DOC, "--corner", "TT", "--corner", "", "--out", out_dir], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --corner: ") and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("name", ["a/b", "a b", "1a", "a.b", "é", "a-b"])
+def test_set_and_vary_accept_only_names_a_formula_can_read(doc_dir, tmp_path, capsys, name):
+    for command in ("build", "export", "sweep"):
+        out_dir = tmp_path / command
+        args = [command, doc_dir / RO_DOC, "--set", f"{name}=1"]
+        code, out, err = run_cli(args + (["--out", out_dir] if command == "sweep" else []), capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --set: ") and "Traceback" not in err
+    (tmp_path / "sweep" / "ro__TT__a").mkdir(parents=True)
+    out_dir = tmp_path / "sweep"
+    code, out, err = run_cli(
+        ["sweep", doc_dir / RO_DOC, "--vary", f"{name}=1:1:1", "--out", out_dir], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --vary: ") and "Traceback" not in err
+    assert [p.name for p in out_dir.iterdir()] == ["ro__TT__a"]
+    assert not any((out_dir / "ro__TT__a").iterdir())
+
+
 @pytest.mark.parametrize("seeds", [0, -1])
 def test_sweep_rejects_fewer_than_one_seed(doc_dir, tmp_path, capsys, seeds):
     out_dir = tmp_path / "sweep"
@@ -579,7 +608,25 @@ _MALFORMED = {
 @pytest.mark.parametrize("case", list(_MALFORMED))
 def test_a_malformed_document_is_a_schema_error_at_its_path(doc_dir, capsys, case):
     edit, path = _MALFORMED[case]
-    doc = _ro_with(doc_dir, edit)
+    _assert_a_schema_error_at(path, _ro_with(doc_dir, edit), doc_dir, capsys)
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [('{"nmos": {"": {"w": 1}}}', 'nmos[""]'), ('{"": {"TT": {"w": 1}}}', '$[""]')],
+    ids=["corner", "device"],
+)
+def test_a_param_file_with_an_empty_name_is_a_schema_error_at_its_path(
+    doc_dir, capsys, text, path
+):
+    (doc_dir / "empty_name.json").write_text(text)
+    doc = _ro_with(doc_dir, lambda doc: doc["params_files"].append("empty_name.json"))
+    _assert_a_schema_error_at(path, doc, doc_dir, capsys)
+
+
+def _assert_a_schema_error_at(path, doc, doc_dir, capsys):
+    """`export --out` exits 2 and writes nothing; `sweep` records the error
+    in its manifest and exits 3; both report it at `path`."""
     out = doc_dir / "out.sp"
     code, stdout, err = run_cli(["export", doc, "--out", out], capsys)
     assert (code, stdout) == (2, "")

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from netforge.errors import (
+    EmptyNameError,
     MultipleModulesError,
     NoModuleError,
     NoPortsError,
@@ -172,6 +173,53 @@ def test_param_file_is_a_dict_of_param_sets():
     assert pf == ParamFile({"b": {"FF": {"y": "nch"}}, "a": {"TT": {"x": 1}}})
     assert pf != ParamFile({"a": {"TT": {"x": 2}}, "b": {"FF": {"y": "nch"}}})
     assert repr(pf) == "ParamFile(devices=['a', 'b'])"
+
+
+# every way into a ParamFile: the constructor, item assignment, update (a
+# mapping, pairs or keywords), setdefault and |=
+_DEVICE_INSERTIONS = {
+    "constructor": lambda pf, devices: ParamFile(devices),
+    "setitem": lambda pf, devices: [pf.__setitem__(k, v) for k, v in devices.items()] and pf,
+    "update": lambda pf, devices: pf.update(devices) or pf,
+    "update pairs": lambda pf, devices: pf.update(list(devices.items())) or pf,
+    "update keywords": lambda pf, devices: pf.update(**devices) or pf,
+    "setdefault": lambda pf, devices: [pf.setdefault(k, v) for k, v in devices.items()] and pf,
+    "ior": lambda pf, devices: pf.__ior__(devices),
+}
+
+
+@pytest.mark.parametrize("insert", list(_DEVICE_INSERTIONS))
+def test_param_file_coerces_every_insertion(insert):
+    devices = {"a": {"TT": {"x": 1}}, "b": ParamSet({"FF": {"y": "nch"}})}
+    pf = _DEVICE_INSERTIONS[insert](ParamFile(), devices)
+    assert type(pf) is ParamFile and list(pf) == ["a", "b"]
+    assert all(type(corners) is ParamSet for corners in pf.values())
+    assert type(pf["a"]["TT"]) is Params and pf["a"].corner("TT") == {"x": 1}
+    assert pf == ParamFile(devices)
+    with pytest.raises(EmptyNameError):  # a corner name ParamSet rejects
+        _DEVICE_INSERTIONS[insert](ParamFile(), {"a": {"": {"x": 1}}})
+
+
+@pytest.mark.parametrize("insert", sorted(set(_DEVICE_INSERTIONS) - {"update keywords"}))
+@pytest.mark.parametrize("name", ["", 5, None])
+def test_param_file_rejects_a_device_name_that_is_not_text(insert, name):
+    with pytest.raises(EmptyNameError, match="device name must be a non-empty string"):
+        _DEVICE_INSERTIONS[insert](ParamFile(), {name: {"TT": {"x": 1}}})
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ('{"": {"TT": {"x": 1}}}', '$[""]'),
+        ('{"d": {"": {"x": 1}}}', 'd[""]'),
+        ('{"d": {"TT": {"x": 1}, "": {"x": true}}}', 'd[""]'),
+    ],
+)
+def test_an_empty_device_or_corner_name_is_a_schema_error_at_its_path(text, path):
+    with pytest.raises(SchemaError) as err:
+        read_param_file(text)
+    assert err.value.path == path
+    assert "name must be a non-empty string" in str(err.value)
 
 
 # --- SPICE .model cards -----------------------------------------------------------

@@ -1,10 +1,10 @@
 """The JSON IR writer and reader against their references.
 
-export_json writes its records straight to text. The dict form below is the
-document it describes, and json.dumps(dict_form, indent=2) + "\\n" is the
-byte-identity oracle for the writer. import_json checks and coerces each net
-name once per scope and shares one Net per name; the counting tests check
-that by calls, not by time.
+export_json and write_param_file write their records straight to text. The
+dict form below is the document each describes, and
+json.dumps(dict_form, indent=2) + "\\n" is the byte-identity oracle for both.
+import_json checks and coerces each net name once per scope and shares one
+Net per name; the counting tests check that by calls, not by time.
 """
 
 import json
@@ -14,10 +14,11 @@ import pytest
 from netforge import core, exporters
 from netforge.core import Circuit, Component, Instance, Model, Net, Subcircuit, UnresolvedTemplate
 from netforge.errors import SchemaError
-from netforge.exporters import export_json, import_json
+from netforge.exporters import export_json, import_json, write_param_file
 from netforge.formula import Formula
+from netforge.io_readers import ParamFile, load_param_file, read_param_file
 from netforge.manip import Chain
-from netforge.params import Params, RandomSpec, gauss, uniform
+from netforge.params import Params, RandomSpec, gauss, lognormal, uniform
 
 from sample_circuits import capacitor_circuit, crossbar_circuit, defect_chain_circuit, ro_circuit
 from test_acceptance import _random_circuit
@@ -174,6 +175,52 @@ def test_export_json_raises_like_json_dumps_on_values_json_cannot_write():
         json.dumps(dict_form(circuit), indent=2)
     with pytest.raises(TypeError):
         export_json(circuit)
+
+
+# --- the parameter file writer: the same dict form per corner ----------------------------
+
+
+def _param_file_reference(param_file: ParamFile) -> str:
+    document = {
+        device: {corner: _params_to_json(params) for corner, params in corners.items()}
+        for device, corners in param_file.items()
+    }
+    return json.dumps(document, indent=2) + "\n"
+
+
+def _edge_param_file() -> ParamFile:
+    return ParamFile(
+        {
+            "nmos": {
+                "TT": {
+                    "w": 0.135,
+                    "big": 2**64 + 1,
+                    "vt": -0.0,
+                    "tiny": 5e-324,
+                    "flavor": "lvt",
+                    "note": "µ\"é\"\U0001f600",
+                    "test": Formula("1 / vth"),
+                    "vth": gauss(0.4, 0.1),
+                    "g": RandomSpec("gauss", 1, 2),  # int arguments stay ints
+                    "u": uniform(-0.0, 1e300),
+                    "ln": lognormal(0.0, 0.25),
+                },
+                "FF": {},
+            },
+            "mé": {"Ünter": {"x": "Ω"}},
+            "empty": {},
+        }
+    )
+
+
+def test_write_param_file_is_json_dumps_of_the_dict_form(data_dir):
+    for param_file in (
+        ParamFile(),
+        _edge_param_file(),
+        load_param_file(data_dir / "mos_params.json"),
+    ):
+        assert write_param_file(param_file) == _param_file_reference(param_file)
+    assert read_param_file(write_param_file(_edge_param_file())) == _edge_param_file()
 
 
 # --- the reader: one Net per name per scope ---------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from netforge import Circuit, Component, export
 from netforge.errors import (
     CyclicDependencyError,
+    EmptyNameError,
     InvalidDistributionError,
     UnknownCornerError,
     UnresolvedIdentifierError,
@@ -78,6 +79,43 @@ def test_paramset_unknown_corner_lists_available():
     assert err.value.available == ["TT"]
     with pytest.raises(UnknownCornerError):
         ParamSet().corner("TT")
+
+
+# every way into a ParamSet: the constructor, item assignment, update (a
+# mapping, pairs or keywords), setdefault and |=
+_CORNER_INSERTIONS = {
+    "constructor": lambda ps, corners: ParamSet(corners),
+    "setitem": lambda ps, corners: [ps.__setitem__(k, v) for k, v in corners.items()] and ps,
+    "update": lambda ps, corners: ps.update(corners) or ps,
+    "update pairs": lambda ps, corners: ps.update(list(corners.items())) or ps,
+    "update keywords": lambda ps, corners: ps.update(**corners) or ps,
+    "setdefault": lambda ps, corners: [ps.setdefault(k, v) for k, v in corners.items()] and ps,
+    "ior": lambda ps, corners: ps.__ior__(corners),
+}
+
+
+@pytest.mark.parametrize("insert", list(_CORNER_INSERTIONS))
+def test_paramset_coerces_every_insertion(insert):
+    ps = _CORNER_INSERTIONS[insert](ParamSet(), {"TT": {"w": 1.0}, "FF": Params({"w": 2.0})})
+    assert type(ps) is ParamSet and list(ps) == ["TT", "FF"]
+    assert all(type(params) is Params for params in ps.values())
+    assert ps.corner("TT") == {"w": 1.0} and ps.corner("FF") == {"w": 2.0}
+    with pytest.raises(TypeError):  # a value Params rejects
+        _CORNER_INSERTIONS[insert](ParamSet(), {"TT": {"w": True}})
+
+
+@pytest.mark.parametrize("insert", sorted(set(_CORNER_INSERTIONS) - {"update keywords"}))
+@pytest.mark.parametrize("name", ["", 5, None])
+def test_paramset_rejects_a_corner_name_that_is_not_text(insert, name):
+    with pytest.raises(EmptyNameError, match="corner name must be a non-empty string"):
+        _CORNER_INSERTIONS[insert](ParamSet(), {name: {"w": 1.0}})
+
+
+def test_paramset_setdefault_keeps_a_present_corner():
+    ps = ParamSet({"TT": {"w": 1.0}})
+    tt = ps["TT"]
+    assert ps.setdefault("TT", {"w": 2.0}) is tt and ps.corner("TT") == {"w": 1.0}
+    assert type(ps.setdefault("FF", {"w": 3.0})) is Params
 
 
 def test_random_spec_validation():
