@@ -29,17 +29,20 @@ variables (plus _i or _x/_y inside array port templates), so counts like
 lists (pins, nets, ports) additionally accept repeated entries of the form
 {"$repeat": "IN_${_i}", "count": "N_CHAINS"}.
 
-Parameter values use the same JSON forms as parameter files, including the
-$formula / $gauss / $uniform / $lognormal directives.
+Parameter maps are read as parameter files read them (io_readers.
+params_from_json), after ${...} substitution in text values.
 
-The document is read in one pass. Each parameter map is checked for
+The document is read in one pass, one way per record: one reader for the
+top-level arrays, one for models[] objects and add_model nodes, one for
+components and one for subcircuits. Each parameter map is checked for
 formula cycles once, at the first node that uses it: the map a template
 prints (or the merged map of a template bound with params) at the node that
 places it, a model's where the build registers it, and a subcircuit's where
 it is built. A malformed part is a SchemaError at its path, and so is an
-add_model node in a subcircuit body, whose model no subcircuit carries, an
-add_model node without a type, and a file named by the document that is not
-UTF-8.
+add_model node in a subcircuit body, whose model no subcircuit carries, a
+model without a text name or a type, and an empty params_from corner
+("nmos."). An unreadable file the document names, or a SchemaError or
+ParseError inside it, is a SchemaError at its entry that names the file.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .io_readers import (
     load_param_file,
     load_spice_models,
     load_veriloga,
+    params_from_json,
     value_from_json,
 )
 from .manip import Array, Chain, Inject, Manipulation, NamedChain, Parallel, concat
@@ -201,16 +205,16 @@ def _check_keys(node, allowed, path):
 
 
 def _params_node(raw, values, path) -> Params:
+    """A parameter map read as parameter files read it; null reads as none."""
     if raw is None:
         return Params()
-    if not isinstance(raw, dict):
-        raise SchemaError("expected a parameter object", path)
-    params = Params()
-    for name, value in raw.items():
+
+    def decode(value, path):
         if isinstance(value, str):
-            value = _substitute(value, values, f"{path}.{name}")
-        params[name] = value_from_json(value, f"{path}.{name}")
-    return params
+            value = _substitute(value, values, path)
+        return value_from_json(value, path)
+
+    return params_from_json(raw, path, decode)
 
 
 class _Builder:
@@ -256,113 +260,96 @@ class _Builder:
 
     # -- document sections -------------------------------------------------
 
+    def _entries(self, key: str, what: str, kinds=dict):
+        """(entry, "key[i]") per entry of the top-level array `key`, each one of `kinds`."""
+        raw = self.doc.get(key, [])
+        if not isinstance(raw, list):
+            raise SchemaError(f"{key} must be an array", key)
+        for i, entry in enumerate(raw):
+            if not isinstance(entry, kinds):
+                raise SchemaError(f"expected {what}", f"{key}[{i}]")
+            yield entry, f"{key}[{i}]"
+
     def _read(self, load, entry: str, path: str):
-        """`load` of the file `entry` names, next to the document; a file
-        that cannot be read, or is not UTF-8, is a SchemaError at `path`."""
+        """`load` of the file `entry` names, next to the document. A file
+        that cannot be read or is not UTF-8, and a SchemaError or ParseError
+        inside it, is a SchemaError at `path` that names the file."""
         try:
             return load(self.doc_dir / entry)
         except OSError as exc:
             raise SchemaError(f"cannot read {entry!r}: {exc}", path) from exc
         except UnicodeDecodeError as exc:
             raise SchemaError(f"cannot read {entry!r}: {_not_utf8(exc)}", path) from None
+        except SchemaError as exc:
+            raise SchemaError(f"in {entry!r} at {exc}", path) from exc
+        except ParseError as exc:
+            raise SchemaError(f"in {entry!r}: {exc}", path) from exc
 
     def load_params_files(self):
-        raw = self.doc.get("params_files", [])
-        if not isinstance(raw, list):
-            raise SchemaError("params_files must be an array of paths", "params_files")
-        for i, entry in enumerate(raw):
-            if not isinstance(entry, str):
-                raise SchemaError("expected a path string", f"params_files[{i}]")
-            loaded = self._read(load_param_file, entry, f"params_files[{i}]")
-            for device, corners in loaded.items():
-                self.library[device] = corners
+        for entry, path in self._entries("params_files", "a path string", str):
+            self.library.update(self._read(load_param_file, entry, path))
 
     def load_models(self):
-        raw = self.doc.get("models", [])
-        if not isinstance(raw, list):
-            raise SchemaError("models must be an array", "models")
-        for i, entry in enumerate(raw):
-            path = f"models[{i}]"
+        for entry, path in self._entries("models", "a model object or a path string", (dict, str)):
             if isinstance(entry, str):
-                cards = self._read(load_spice_models, entry, path)
-            elif isinstance(entry, dict):
-                _check_keys(entry, {"name", "type", "params"}, path)
-                if "name" not in entry or "type" not in entry:
-                    raise SchemaError("model needs name and type", path)
-                params = _params_node(entry.get("params"), self.variables, f"{path}.params")
-                cards = [Model(entry["name"], entry["type"], params)]
+                self.auto_models += self._read(load_spice_models, entry, path)
             else:
-                raise SchemaError("expected a model object or a path string", path)
-            self.auto_models += cards
+                _check_keys(entry, {"name", "type", "params"}, path)
+                self.auto_models.append(self.model(entry, path, "model"))
 
-    def _params_from_ref(self, ref: str, path: str) -> Params:
-        device, _, corner = ref.partition(".")
+    def model(self, node, path, kind) -> Model:
+        """The model of a models[] object or an add_model node."""
+        if not isinstance(node.get("name"), str) or "type" not in node:
+            raise SchemaError(f"{kind} needs a name and a type", path)
+        params = _params_node(node.get("params"), self.variables, f"{path}.params")
+        return Model(node["name"], node["type"], params)
+
+    def _params_from_ref(self, ref, path: str) -> Params:
+        if not isinstance(ref, str):
+            raise SchemaError("params_from must be 'device' or 'device.corner'", path)
+        device, dot, corner = ref.partition(".")
         if device not in self.library:
             raise SchemaError(
                 f"unknown device {device!r}; loaded: {sorted(self.library)}", path
             )
-        return self.library[device].corner(corner or self.corner)
+        if dot and not corner:  # an empty corner is never the document's
+            raise SchemaError(f"empty corner in {ref!r}; {device!r} reads the active one", path)
+        return self.library[device].corner(corner if dot else self.corner)
 
     def load_components(self):
-        raw = self.doc.get("components", [])
-        if not isinstance(raw, list):
-            raise SchemaError("components must be an array", "components")
-        for i, entry in enumerate(raw):
-            path = f"components[{i}]"
-            if not isinstance(entry, dict):
-                raise SchemaError("expected a component object", path)
+        """A verilog_a entry takes name, ports, params, prefix and metadata from
+        its file, a plain one from the document; its params, prefix and metadata
+        apply to both."""
+        for entry, path in self._entries("components", "a component object"):
             if "verilog_a" in entry:
                 _check_keys(entry, {"verilog_a", "prefix", "params", "metadata"}, path)
-                source = entry["verilog_a"]
-                if not isinstance(source, str):
+                if not isinstance(entry["verilog_a"], str):
                     raise SchemaError("verilog_a must be a path string", f"{path}.verilog_a")
-                comp = self._read(load_veriloga, source, path)
-                if {"prefix", "params", "metadata"} & set(entry):
-                    comp = Component(
-                        comp.name,
-                        comp.ports,
-                        comp.params.merged(
-                            _params_node(entry.get("params"), self.variables, f"{path}.params")
-                        ),
-                        prefix=entry.get("prefix", comp.prefix),
-                        metadata={
-                            **comp.metadata,
-                            **_metadata(entry.get("metadata"), f"{path}.metadata"),
-                        },
-                    )
-                self.components[comp.name] = comp
-                continue
-            _check_keys(
-                entry, {"name", "ports", "params", "params_from", "prefix", "metadata"}, path
-            )
-            if "name" not in entry or "ports" not in entry:
-                raise SchemaError("component needs name and ports", path)
-            params = Params()
-            if "params_from" in entry:
-                ref = entry["params_from"]
-                if not isinstance(ref, str):
-                    raise SchemaError(
-                        "params_from must be 'device' or 'device.corner'", path
-                    )
-                params.update(self._params_from_ref(ref, f"{path}.params_from"))
-            params.update(_params_node(entry.get("params"), self.variables, f"{path}.params"))
+                base = self._read(load_veriloga, entry["verilog_a"], path)
+                name, ports, params, prefix = base.name, base.ports, base.params, base.prefix
+                metadata = base.metadata
+            else:
+                _check_keys(
+                    entry, {"name", "ports", "params", "params_from", "prefix", "metadata"}, path
+                )
+                if "name" not in entry or "ports" not in entry:
+                    raise SchemaError("component needs name and ports", path)
+                name, prefix, metadata = entry["name"], None, {}
+                ports = _string_list(entry["ports"], self.variables, f"{path}.ports")
+                params = Params()
+                if "params_from" in entry:
+                    params = self._params_from_ref(entry["params_from"], f"{path}.params_from")
             comp = Component(
-                entry["name"],
-                _string_list(entry["ports"], self.variables, f"{path}.ports"),
-                params,
-                prefix=entry.get("prefix"),
-                metadata=_metadata(entry.get("metadata"), f"{path}.metadata"),
+                name,
+                ports,
+                params | _params_node(entry.get("params"), self.variables, f"{path}.params"),
+                prefix=entry.get("prefix", prefix),
+                metadata={**metadata, **_metadata(entry.get("metadata"), f"{path}.metadata")},
             )
             self.components[comp.name] = comp
 
     def load_subcircuits(self):
-        raw = self.doc.get("subcircuits", [])
-        if not isinstance(raw, list):
-            raise SchemaError("subcircuits must be an array", "subcircuits")
-        for i, entry in enumerate(raw):
-            path = f"subcircuits[{i}]"
-            if not isinstance(entry, dict):
-                raise SchemaError("expected a subcircuit object", path)
+        for entry, path in self._entries("subcircuits", "a subcircuit object"):
             _check_keys(entry, {"name", "pins", "params", "body", "fixed"}, path)
             self.subcircuit(entry, path, "subcircuit")
 
@@ -522,11 +509,7 @@ class _Builder:
             )
 
         if op == "add_model":
-            name = node.get("name")
-            if not isinstance(name, str) or "type" not in node:
-                raise SchemaError("add_model needs a name and a type", path)
-            params = _params_node(node.get("params"), self.variables, f"{path}.params")
-            model = Model(name, node["type"], params)
+            model = self.model(node, path, op)
             self._check(model.params)
             return model
 

@@ -97,6 +97,9 @@ class UnknownCornerError(NetforgeError, KeyError):
             self, f"unknown corner {name!r}; available: {self.available}"
         )
 
+    # KeyError's __str__ would print the message as a quoted repr
+    __str__ = Exception.__str__
+
 
 # --- manipulations ------------------------------------------------------------
 

@@ -5,7 +5,8 @@ Three formats are supported:
 * parameter files: JSON mapping device -> corner -> parameter -> value,
   where a value is a number, a string with an optional SI suffix ("1p"),
   plain text, or a directive object such as {"$formula": "1 / vth"},
-  {"$gauss": [0.4, 0.1]}, {"$uniform": [lo, hi]}, {"$lognormal": [mu, s]};
+  {"$gauss": [0.4, 0.1]}, {"$uniform": [lo, hi]}, {"$lognormal": [mu, s]}
+  (params_from_json reads one parameter map, here and in build documents);
 * SPICE .model cards, with "+" continuation lines and "*" comments (a card
   whose name, type or parameter name breaks the rules of netforge.names is a
   ParseError with its line);
@@ -118,12 +119,14 @@ def value_from_json(raw, path: str):
     raise SchemaError(f"unsupported value of type {type(raw).__name__}", path)
 
 
-def _params_from_json(raw, path: str) -> Params:
+def params_from_json(raw, path: str, decode=value_from_json) -> Params:
+    """A parameter map from its JSON form, each value read by decode(value,
+    its path); a build document passes one that substitutes ${...} first."""
     if not isinstance(raw, dict):
-        raise SchemaError("expected an object of parameters", path)
+        raise SchemaError("expected a parameter object", path)
     params = Params()
     for name, value in raw.items():
-        params[name] = value_from_json(value, f"{path}.{name}")
+        params[name] = decode(value, f"{path}.{name}")
     return params
 
 
@@ -165,7 +168,7 @@ def read_param_file(source, format: str = "json") -> ParamFile:
         param_set = param_file[device] = ParamSet()
         for corner, raw_params in corners.items():
             _checked(nonempty_text, corner, "corner name", _key_path(device, corner))
-            param_set[corner] = _params_from_json(raw_params, f"{device}.{corner}")
+            param_set[corner] = params_from_json(raw_params, f"{device}.{corner}")
     return param_file
 
 

@@ -149,7 +149,8 @@ def _check_value(name, value):
 
 
 class CheckedDict(dict):
-    """A dict whose constructor, update, setdefault and |= insert through __setitem__."""
+    """A dict whose constructor, update, setdefault, |= and | insert through
+    __setitem__; copy() and | (this map on the left) keep the map's type."""
 
     __slots__ = ()
 
@@ -170,6 +171,14 @@ class CheckedDict(dict):
     def __ior__(self, other):
         self.update(other)
         return self
+
+    def copy(self):
+        return type(self)(self)
+
+    def __or__(self, other):
+        if not isinstance(other, dict):
+            return NotImplemented
+        return self.copy().__ior__(other)
 
 
 class Params(CheckedDict):

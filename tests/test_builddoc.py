@@ -4,10 +4,12 @@ import pytest
 
 from netforge import builddoc
 from netforge.builddoc import build_circuit, load_doc
+from netforge.core import Component
 from netforge.errors import CyclicDependencyError, SchemaError, UnknownCornerError
 from netforge.exporters import export
 from netforge.formula import Formula
-from netforge.params import RandomSpec
+from netforge.io_readers import load_veriloga, read_param_file
+from netforge.params import Params, RandomSpec
 
 
 def build(tmp_path, doc, **kwargs):
@@ -385,3 +387,96 @@ def test_each_map_is_checked_once_per_build(tmp_path, monkeypatch):
         build(tmp_path, doc)
         # the model's map, res's map once, and the one merged map
         assert [dict(p) for p in calls] == [{}, {"R": 100}, {"R": 5}]
+
+
+# --- one reader per record kind ----------------------------------------------------
+
+
+def _model_error(tmp_path, fields, where):
+    """The SchemaError of `fields` as a models[] object or an add_model node."""
+    if where == "models":
+        doc = {"version": 1, "models": [fields], "circuit": []}
+    else:
+        doc = {"version": 1, "circuit": [{"op": "add_model", **fields}]}
+    with pytest.raises(SchemaError) as err:
+        build(tmp_path, doc)
+    return err.value
+
+
+def test_a_models_entry_and_an_add_model_node_give_the_same_model(tmp_path):
+    fields = {"name": "m", "type": "nmos", "params": {"vth": "0.4", "k": {"$formula": "vth*2"}}}
+    listed = build(tmp_path, {"version": 1, "models": [fields], "circuit": []}).models["m"]
+    added = build(tmp_path, {"version": 1, "circuit": [{"op": "add_model", **fields}]}).models["m"]
+    assert listed == added and list(listed.params) == ["vth", "k"]
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"type": "nmos"}, {"name": "m"}, {"name": 5, "type": "nmos"}, {"name": None, "type": "nmos"}],
+    ids=["no name", "no type", "number name", "null name"],
+)
+def test_a_model_without_a_name_or_a_type_is_the_same_error_either_way(tmp_path, fields):
+    # a models[] name that is not text was a BadNameError from Model (exit 3)
+    for where, kind, path in [("models", "model", "models[0]"), ("op", "add_model", "circuit[0]")]:
+        err = _model_error(tmp_path, fields, where)
+        assert (err.path, str(err)) == (path, f"{path}: {kind} needs a name and a type")
+
+
+def test_a_model_params_that_is_not_an_object_is_the_same_error_either_way(tmp_path):
+    fields = {"name": "m", "type": "nmos", "params": [1]}
+    errors = [_model_error(tmp_path, fields, where) for where in ("models", "op")]
+    assert [str(err) for err in errors] == [
+        "models[0].params: expected a parameter object",
+        "circuit[0].params: expected a parameter object",
+    ]
+
+
+def test_a_parameter_map_that_is_not_an_object_reads_the_same_in_a_file(tmp_path):
+    (tmp_path / "lib.json").write_text(json.dumps({"nmos": {"TT": 5}}))
+    doc = {"version": 1, "components": [{"name": "r", "ports": ["a"], "params": 5}]}
+    with pytest.raises(SchemaError) as in_doc:
+        build(tmp_path, doc)
+    with pytest.raises(SchemaError) as in_file:
+        read_param_file((tmp_path / "lib.json").read_text())
+    assert str(in_doc.value) == "components[0].params: expected a parameter object"
+    assert str(in_file.value) == "nmos.TT: expected a parameter object"
+
+
+# the overrides of a verilog_a entry; the expected Component is the loaded one
+# without overrides, else one with its params merged, its prefix replaced and
+# its metadata extended
+_VA_OVERRIDES = {
+    "none": {},
+    "prefix": {"prefix": "A"},
+    "null prefix": {"prefix": None},
+    "params": {"params": {"width": 8, "extra": "${2 * 3}"}},
+    "metadata": {"metadata": {"owner": "lab", "source": "doc"}},
+    "all": {"prefix": "A", "params": {"threshold": 0.25}, "metadata": {"owner": "lab"}},
+}
+
+
+@pytest.mark.parametrize("case", list(_VA_OVERRIDES))
+def test_a_verilog_a_component_builds_as_before(tmp_path, data_dir, case):
+    (tmp_path / "counter.va").write_bytes((data_dir / "counter.va").read_bytes())
+    entry = {"verilog_a": "counter.va", **_VA_OVERRIDES[case]}
+    doc = {"version": 1, "components": [entry]}
+    doc["circuit"] = [{"op": "instance", "template": "counter", "nets": ["n"]}]
+    [instance] = build(tmp_path, doc).instances
+    loaded = load_veriloga(tmp_path / "counter.va")
+    expected = loaded
+    if len(entry) > 1:
+        params = {"width": 8, "extra": 6.0} if case == "params" else entry.get("params", {})
+        expected = Component(
+            loaded.name,
+            loaded.ports,
+            loaded.params.merged(params),
+            prefix=entry.get("prefix", loaded.prefix),
+            metadata={**loaded.metadata, **entry.get("metadata", {})},
+        )
+    component = instance.template
+    assert component == expected and type(component.params) is Params
+    assert list(component.params) == list(expected.params)
+    assert list(component.metadata.items()) == list(expected.metadata.items())
+    assert [type(v) for v in component.params.values()] == [
+        type(v) for v in expected.params.values()
+    ]

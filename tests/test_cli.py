@@ -613,7 +613,10 @@ def test_a_malformed_document_is_a_schema_error_at_its_path(doc_dir, capsys, cas
 
 @pytest.mark.parametrize(
     "text, path",
-    [('{"nmos": {"": {"w": 1}}}', 'nmos[""]'), ('{"": {"TT": {"w": 1}}}', '$[""]')],
+    [
+        ('{"nmos": {"": {"w": 1}}}', """params_files[1]: in 'empty_name.json' at nmos[""]"""),
+        ('{"": {"TT": {"w": 1}}}', """params_files[1]: in 'empty_name.json' at $[""]"""),
+    ],
     ids=["corner", "device"],
 )
 def test_a_param_file_with_an_empty_name_is_a_schema_error_at_its_path(
@@ -639,6 +642,71 @@ def _assert_a_schema_error_at(path, doc, doc_dir, capsys):
     [variant] = json.loads((out_dir / "manifest.json").read_text())["variants"]
     assert variant["error"].startswith(f"{path}: ")
     assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
+
+
+# name -> (the file to write, its text, the edit of ro.json that reads it, the
+# start of the error); each was reported without the file's name
+_IN_A_FILE = {
+    "params file value": (
+        "bad.json", '{"d": {"TT": {"x": true}}}',
+        lambda doc: doc["params_files"].append("bad.json"), "params_files[1]: in 'bad.json' at d.TT.x"),
+    "params file JSON": (
+        "bad.json", '{\n  "d": }',
+        lambda doc: doc["params_files"].append("bad.json"), "params_files[1]: in 'bad.json'"),
+    "params file map": (
+        "bad.json", '{"d": {"TT": 5}}',
+        lambda doc: doc["params_files"].append("bad.json"), "params_files[1]: in 'bad.json' at d.TT"),
+    "models file": (
+        "bad.sp", ".model m nmos (vth=0.4\n",
+        lambda doc: doc["models"].append("bad.sp"), "models[2]: in 'bad.sp'"),
+    "verilog_a file": ("counter.va", "// no module\n", lambda doc: None, "components[2]: in 'counter.va'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_IN_A_FILE))
+def test_an_error_inside_a_named_file_names_the_file(doc_dir, capsys, case):
+    name, text, edit, path = _IN_A_FILE[case]
+    (doc_dir / name).write_text(text)
+    _assert_a_schema_error_at(path, _ro_with(doc_dir, edit), doc_dir, capsys)
+
+
+def test_a_bad_name_inside_a_named_file_stays_a_build_error(doc_dir, capsys):
+    # as it is in the document itself
+    (doc_dir / "bad.json").write_text('{"d": {"TT": {"bad name": 1}}}')
+    doc = _ro_with(doc_dir, lambda doc: doc["params_files"].append("bad.json"))
+    code, stdout, err = run_cli(["export", doc, "--out", doc_dir / "out.sp"], capsys)
+    assert (code, stdout) == (3, "")
+    assert "'bad name'" in err and "Traceback" not in err
+
+
+def _params_from_doc(tmp_path, ref):
+    (tmp_path / "lib.json").write_text(json.dumps({"nmos": {"TT": {"w": 1}, "FF": {"w": 2}}}))
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({
+        "version": 1,
+        "corner": "TT",
+        "params_files": ["lib.json"],
+        "components": [{"name": "r", "ports": ["a", "b"], "prefix": "R", "params_from": ref}],
+        "circuit": [{"op": "instance", "template": "r", "nets": ["n1", "0"]}],
+    }))
+    return doc
+
+
+@pytest.mark.parametrize("ref, line", [("nmos", "R1 n1 0 r w=1"), ("nmos.FF", "R1 n1 0 r w=2")])
+def test_params_from_uses_its_corner_or_the_active_one(tmp_path, capsys, ref, line):
+    code, out, err = run_cli(["export", _params_from_doc(tmp_path, ref)], capsys)
+    assert (code, err) == (0, "") and f"\n{line}\n" in out
+
+
+def test_params_from_with_an_empty_corner_is_a_schema_error(tmp_path, capsys):
+    # an empty corner is never the document's: "nmos." exported the TT values
+    doc = _params_from_doc(tmp_path, "nmos.")
+    _assert_a_schema_error_at("components[0].params_from", doc, tmp_path, capsys)
+
+
+def test_an_unknown_corner_prints_without_quotes(tmp_path, capsys):
+    code, out, err = run_cli(["export", _params_from_doc(tmp_path, "nmos.XX")], capsys)
+    assert (code, out, err) == (3, "", "error: unknown corner 'XX'; available: ['TT', 'FF']\n")
 
 
 def test_a_chain_of_zero_stays_a_build_error(tmp_path, capsys):

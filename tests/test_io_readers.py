@@ -185,6 +185,7 @@ _DEVICE_INSERTIONS = {
     "update keywords": lambda pf, devices: pf.update(**devices) or pf,
     "setdefault": lambda pf, devices: [pf.setdefault(k, v) for k, v in devices.items()] and pf,
     "ior": lambda pf, devices: pf.__ior__(devices),
+    "or": lambda pf, devices: pf | devices,
 }
 
 
@@ -198,6 +199,14 @@ def test_param_file_coerces_every_insertion(insert):
     assert pf == ParamFile(devices)
     with pytest.raises(EmptyNameError):  # a corner name ParamSet rejects
         _DEVICE_INSERTIONS[insert](ParamFile(), {"a": {"": {"x": 1}}})
+
+
+def test_param_file_copy_is_a_param_file():
+    pf = ParamFile({"a": {"TT": {"x": 1}}})
+    copied = pf.copy()
+    assert type(copied) is ParamFile and copied == pf and copied["a"] is pf["a"]
+    copied["b"] = {"FF": {"y": 2}}
+    assert list(pf) == ["a"]
 
 
 @pytest.mark.parametrize("insert", sorted(set(_DEVICE_INSERTIONS) - {"update keywords"}))

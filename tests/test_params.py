@@ -91,6 +91,7 @@ _CORNER_INSERTIONS = {
     "update keywords": lambda ps, corners: ps.update(**corners) or ps,
     "setdefault": lambda ps, corners: [ps.setdefault(k, v) for k, v in corners.items()] and ps,
     "ior": lambda ps, corners: ps.__ior__(corners),
+    "or": lambda ps, corners: ps | corners,
 }
 
 
@@ -283,6 +284,8 @@ def test_gauss_statistics():
         (lambda p: p.setdefault("a", float("inf")), ValueError),
         (lambda p: p.__ior__({"b": float("nan")}), ValueError),
         (lambda p: p.update({"": 1.0}), TypeError),
+        (lambda p: p | {"bad name": 1.0}, ValueError),
+        (lambda p: p | {"y": True}, TypeError),
     ],
 )
 def test_mutators_reject_bad_values(mutate, error):
@@ -290,6 +293,20 @@ def test_mutators_reject_bad_values(mutate, error):
     with pytest.raises(error):
         mutate(params)
     assert eval_params(params) == {"w": 1.0}
+
+
+def test_or_and_copy_keep_the_checked_type():
+    # dict's | and copy() returned plain dicts that no check had seen
+    params = Params({"x": 1.0})
+    merged = params | {"y": 2.0}
+    assert type(merged) is Params and merged == {"x": 1.0, "y": 2.0} and params == {"x": 1.0}
+    assert type(params.copy()) is Params
+    corners = ParamSet({"TT": {"x": 1.0}})
+    both = corners | {"FF": {"y": 2.0}}
+    assert type(both) is ParamSet and all(type(p) is Params for p in both.values())
+    copied = corners.copy()
+    assert type(copied) is ParamSet and copied == corners and copied["TT"] is corners["TT"]
+    assert type({"a": 1} | params) is dict  # a plain map on the left stays plain
 
 
 def test_ior_operator_checks_values():
