@@ -56,8 +56,9 @@ __all__ = [
     "fix",
 ]
 
-_LINK_NET_RE = re.compile(r"net_(\d+)_(\d+)\Z")
-_DESIGNATOR_RE = re.compile(r"([A-Za-z_]+)(\d+)\Z")
+# a designator and a chain link net name, each on a line of its own
+_DESIGNATOR_LINES_RE = re.compile(r"^([A-Za-z_]+)(\d+)$", re.M)
+_LINK_NET_LINES_RE = re.compile(r"^net_(\d+)_\d+$", re.M)
 
 DEFAULT_GLOBALS = ("GND", "VDD", "0")
 
@@ -551,25 +552,20 @@ class _InstanceScope:
         """Called once per run of instances that share `template`, before
         the first of them is appended."""
 
-    def _recover_counters(self, instances: Iterable[Instance], nets: Iterable[Net]) -> None:
-        """After an import, continue numbering past what is already used.
-
-        `nets` holds each distinct named net of `instances` at least once
-        (numeric names may be left out: a chain link name never is numeric).
-        """
-        for inst in instances:
-            if inst.designator:
-                m = _DESIGNATOR_RE.match(inst.designator)
-                if m:
-                    prefix, num = m.group(1), int(m.group(2))
-                    if num > self._counters.get(prefix, 0):
-                        self._counters[prefix] = num
-        for net in nets:
-            name = net.name
-            if name and name.startswith("net_"):
-                m = _LINK_NET_RE.match(name)
-                if m and int(m.group(1)) >= self._next_link_group:
-                    self._next_link_group = int(m.group(1)) + 1
+    def _continue_numbering(self, designators: str, net_names: str) -> None:
+        """After an import, continue numbering past what a scope already
+        uses: `designators` holds its designators, and `net_names` the
+        names of its named nets (numeric ones may be left out: a chain link
+        name never is numeric), one per line. Each is one token, so none
+        holds a newline of its own."""
+        counters = self._counters
+        for prefix, num in _DESIGNATOR_LINES_RE.findall(designators):
+            num = int(num)
+            if num > counters.get(prefix, 0):
+                counters[prefix] = num
+        groups = _LINK_NET_LINES_RE.findall(net_names)
+        if groups:
+            self._next_link_group = max(self._next_link_group, 1 + max(map(int, groups)))
 
 
 class Subcircuit(_TemplateOps, _InstanceScope):

@@ -90,15 +90,26 @@ class InvalidDistributionError(NetforgeError):
     pass
 
 
-class UnknownCornerError(NetforgeError, KeyError):
+class _UnknownNameError(NetforgeError, KeyError):
+    """A lookup of a `what` by a name that is not there; `available` lists
+    the names that are."""
+
+    what = "name"
+
     def __init__(self, name: str, available):
         self.available = list(available)
-        NetforgeError.__init__(
-            self, f"unknown corner {name!r}; available: {self.available}"
-        )
+        NetforgeError.__init__(self, f"unknown {self.what} {name!r}; available: {self.available}")
 
     # KeyError's __str__ would print the message as a quoted repr
     __str__ = Exception.__str__
+
+
+class UnknownCornerError(_UnknownNameError):
+    what = "corner"
+
+
+class UnknownDeviceError(_UnknownNameError):
+    what = "device"
 
 
 # --- manipulations ------------------------------------------------------------

@@ -42,11 +42,17 @@ with formulas and distributions still unresolved, and therefore neither
 evaluates parameters nor runs lint. export_json, and write_param_file for a
 parameter file, write every record straight to text, with the bytes
 json.dumps(indent=2) gives its dict form, and every parameter value through
-one writer (_param_text). import_json checks and coerces each net name once
-per scope (the top level and each subcircuit body), and the instances of a
-scope share one Net per name. Every definition name, designator and
-parameter name it reads goes through the rules of netforge.names, and a
-name they reject is a SchemaError at the name's path.
+one writer (_param_text). import_json reads a scope (the top level or a
+subcircuit body) in one loop over its records, in order: it makes the
+common record (a known template, nets that are text, no params, a plain
+designator) inline, and hands any other record whole to the per-record
+reader, which makes it or raises its error, so the first bad record is the
+one reported. It checks and coerces each net name once per scope, and the
+instances of a scope share one Net per name; one pattern match over the
+scope's designators and one over its net names continue its counters.
+Every definition name, designator and parameter name it reads goes through
+the rules of netforge.names, and a name they reject is a SchemaError at
+the name's path.
 """
 
 from __future__ import annotations
@@ -89,6 +95,7 @@ from .errors import (
 )
 from .formula import Formula
 from .io_readers import ParamFile, _checked, _key_path, value_from_json
+from .names import _DESIGNATOR_START
 # perfbench/tracer.py TARGETS resolve eval_params and format_number under this
 # module's name, so both stay importable here although text export renders
 # through ParamPlan.run
@@ -753,6 +760,10 @@ def _members(raw: dict, key: str, path: str) -> dict:
     return members
 
 
+# the default of an absent params or context field; never changed
+_NOTHING: dict = {}
+
+
 def _params_from_ir(raw, path) -> Params:
     _expect(isinstance(raw, dict), "expected a parameter object", path)
     params = Params()
@@ -814,13 +825,64 @@ def _instance_from_ir(raw, templates, scope_nets, path) -> Instance:
 
 def _instances_from_ir(raw_list, container, templates, path) -> None:
     """Import one scope's instance records into `container`, a circuit or a
-    subcircuit, with one Net per net name, and continue its counters."""
+    subcircuit, with one Net per net name, and continue its counters.
+
+    One loop visits the records in order and makes the common record
+    inline: an object whose template names one of `templates`, whose nets
+    are an array of text, whose params are absent or empty, whose context
+    is absent or an object, and whose designator is alphanumeric text that
+    starts with a letter. A net name new to the scope is coerced once, by
+    as_net. Any other record goes whole to _instance_from_ir, which makes
+    it or raises its error; so the first bad record is reported, at its
+    own path. Then one pattern match over the scope's designators and one
+    over its net names continue the counters."""
     _expect(isinstance(raw_list, list), "expected an array of instances", path)
     instances = container.instances if isinstance(container, Circuit) else container.body
     scope_nets: dict[str, Net] = {}
-    for i, inst_raw in enumerate(raw_list):
-        instances.append(_instance_from_ir(inst_raw, templates, scope_nets, f"{path}[{i}]"))
-    container._recover_counters(instances, scope_nets.values())
+    get_net = scope_nets.get
+    for i, raw in enumerate(raw_list):
+        inst = None
+        if type(raw) is dict:
+            name = raw.get("template")
+            template = templates.get(name) if type(name) is str else None
+            raw_nets = raw.get("nets")
+            context = raw.get("context", _NOTHING)
+            designator = raw.get("designator")
+            if (
+                template is not None
+                and type(raw_nets) is list
+                and type(context) is dict
+                and raw.get("params", _NOTHING) == _NOTHING
+                and type(designator) is str
+                and designator.isalnum()
+                and designator[0] in _DESIGNATOR_START
+            ):
+                nets = []
+                for net_name in raw_nets:
+                    if type(net_name) is not str:
+                        break
+                    net = get_net(net_name)
+                    if net is None:
+                        try:
+                            net = scope_nets[net_name] = as_net(net_name)
+                        except NetNameError:
+                            break
+                    nets.append(net)
+                else:
+                    # plain stores in field order, as core._children makes them
+                    inst = object.__new__(Instance)
+                    inst.template = template
+                    inst.nets = tuple(nets)
+                    inst.overrides = dict.__new__(Params)
+                    inst.designator = designator
+                    inst.context = dict(context)
+        if inst is None:
+            inst = _instance_from_ir(raw, templates, scope_nets, f"{path}[{i}]")
+        instances.append(inst)
+    container._continue_numbering(
+        "\n".join(filter(None, map(operator.attrgetter("designator"), instances))),
+        "\n".join(scope_nets),
+    )
 
 
 def _subckt_shell_from_ir(name, raw, path) -> Subcircuit:

@@ -33,6 +33,7 @@ from .errors import (
     NoPortsError,
     ParseError,
     SchemaError,
+    UnknownDeviceError,
     UnknownDirectiveError,
 )
 from .formula import parse_formula
@@ -59,7 +60,7 @@ class ParamFile(CheckedDict):
         super().__setitem__(device, corners if isinstance(corners, ParamSet) else ParamSet(corners))
 
     def __missing__(self, device):
-        raise KeyError(f"unknown device {device!r}; available: {sorted(self)}")
+        raise UnknownDeviceError(device, sorted(self))
 
     def __repr__(self):
         return f"ParamFile(devices={sorted(self)})"

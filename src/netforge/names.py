@@ -93,7 +93,8 @@ def all_designators(texts: list) -> bool:
 
 def designator(text, what: str = "designator"):
     """`text`, if it is one token that starts with [A-Za-z_]."""
-    # is_designator, inline: import_json checks every designator it reads
+    # is_designator, inline: import_json checks here every designator that
+    # is not alphanumeric text starting with a letter (those it tests inline)
     if is_token(text) and text[0] in _DESIGNATOR_START:
         return text
     token(text, what)

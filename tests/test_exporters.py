@@ -686,8 +686,10 @@ def _set_subckt(**fields):
     return mutate
 
 
-def _set_template(raw):
-    raw["instances"][0]["template"] = 5
+def _set_template(value):
+    def mutate(raw):
+        raw["instances"][0]["template"] = value
+    return mutate
 
 
 def _set_param(where, name):
@@ -720,7 +722,9 @@ def _set_param(where, name):
         (_set_top("instances", 5), "instances"),
         (_set_top("instances", {}), "instances"),
         (_set_subckt(body=5), "subcircuits.S.body"),
-        (_set_template, "instances[0].template"),
+        (_set_template(5), "instances[0].template"),
+        (_set_template({"name": "Cap"}), "instances[0].template"),
+        (_set_template(["Cap"]), "instances[0].template"),
         (_set_subckt(fixed="no"), "subcircuits.S.fixed"),
         (_set_top("models", {"m": {"base_type": 5}}), "models.m.base_type"),
         (_set_subckt(pins=[1]), "subcircuits.S.pins"),
@@ -741,7 +745,7 @@ def _set_param(where, name):
         "designator-number", "designator-space", "designator-equals", "designator-empty",
         "prefix-number", "metadata-number", "components-pairs", "models-pairs",
         "subcircuits-pairs", "nested-pairs", "instances-number", "instances-object",
-        "body-number", "template-number", "fixed-text", "base-type-number", "pin-number",
+        "body-number", "template-number", "template-object", "template-array", "fixed-text", "base-type-number", "pin-number",
         "component-empty-name", "model-empty-name", "subcircuit-empty-name",
         "nested-empty-name", "component-space-name", "model-space-name",
         "subcircuit-space-name", "nested-space-name", "component-param-space-name",

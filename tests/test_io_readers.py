@@ -6,6 +6,7 @@ import pytest
 from netforge.errors import (
     EmptyNameError,
     MultipleModulesError,
+    NetforgeError,
     NoModuleError,
     NoPortsError,
     ParseError,
@@ -160,6 +161,13 @@ def test_unknown_device_lists_available():
         pf["res"]
 
 
+def test_an_unknown_device_is_a_netforge_error_printed_without_quotes():
+    with pytest.raises(NetforgeError) as info:
+        ParamFile({"a": {"TT": {"x": 1}}})["c"]
+    assert isinstance(info.value, KeyError)
+    assert str(info.value) == "unknown device 'c'; available: ['a']"
+
+
 def test_param_file_is_a_dict_of_param_sets():
     pf = ParamFile({"a": {"TT": {"x": 1}}})
     pf["b"] = {"FF": {"y": "nch"}}
@@ -167,8 +175,9 @@ def test_param_file_is_a_dict_of_param_sets():
     assert isinstance(pf["b"]["FF"], Params) and pf["b"]["FF"]["y"] == "nch"
     assert "a" in pf and "c" not in pf and pf.get("c") is None
     assert list(pf) == ["a", "b"] and len(pf) == 2
-    with pytest.raises(KeyError, match=r"unknown device 'c'; available: \['a', 'b'\]"):
+    with pytest.raises(KeyError, match=r"unknown device 'c'; available: \['a', 'b'\]") as info:
         pf["c"]
+    assert isinstance(info.value, NetforgeError)
     # equal as ParamSet and Params are: whatever the device order
     assert pf == ParamFile({"b": {"FF": {"y": "nch"}}, "a": {"TT": {"x": 1}}})
     assert pf != ParamFile({"a": {"TT": {"x": 2}}, "b": {"FF": {"y": "nch"}}})

@@ -3,8 +3,12 @@
 export_json and write_param_file write their records straight to text. The
 dict form below is the document each describes, and
 json.dumps(dict_form, indent=2) + "\\n" is the byte-identity oracle for both.
-import_json checks and coerces each net name once per scope and shares one
-Net per name; the counting tests check that by calls, not by time.
+import_json reads a scope in one loop over its records: it makes the common
+record inline and hands any other to _instance_from_ir, so a bad record is
+reported at its own path, and the first one in record order. It coerces
+each net name once per scope, shares one Net per name, and continues the
+scope's designator and link-net counters; the counting tests check which
+records take which path, and how often as_net runs, by calls, not by time.
 """
 
 import json
@@ -271,10 +275,142 @@ def test_import_coerces_each_net_name_once_per_scope(monkeypatch):
 
     monkeypatch.setattr(core, "as_net", counting)
     monkeypatch.setattr(exporters, "as_net", counting)
+    handed_off = _count_handed_off(monkeypatch)
     circuit = import_json(text)
     assert len(circuit.instances) == 2_001
     assert len(calls) == distinct + ports
     assert distinct == 2_003 + 33
+    # every record of a built chain is a common one, made inline
+    assert handed_off == []
+
+
+def _count_handed_off(monkeypatch) -> list:
+    """The designators of the records import_json hands to _instance_from_ir
+    from now on, in order."""
+    handed_off = []
+    instance_from_ir = exporters._instance_from_ir
+
+    def counting(raw, *args):
+        handed_off.append(raw.get("designator") if isinstance(raw, dict) else raw)
+        return instance_from_ir(raw, *args)
+
+    monkeypatch.setattr(exporters, "_instance_from_ir", counting)
+    return handed_off
+
+
+def _mixed_scope_circuit() -> Circuit:
+    """One scope whose common records alternate with records of every kind
+    that import_json hands off."""
+    cap = Component("cap", ["a", "b"])
+    circuit = Circuit()
+    circuit += cap @ ["a", "b"]
+    circuit += cap(["b", "1"], {"w": 2, "f": Formula("w * 2")})  # params
+    circuit += Instance(cap, ["1", ""], context={"i": 3, "tag": "x"})  # a context: common
+    circuit += cap @ ["c", "a"]
+    circuit.instances.append(
+        Instance(UnresolvedTemplate("ghost", 2), ["a", "c"], designator="U1")
+    )
+    circuit.instances.append(Instance(cap, ["c", "d"], designator="X_1"))
+    circuit.instances.append(Instance(cap, ["d", "a"], designator="X.1"))
+    circuit += cap @ ["d", "e"]
+    circuit += cap @ ["1", "1"]  # written as [1, "1"] below
+    circuit += cap @ ["e", "net_0_1"]
+    return circuit
+
+
+def test_import_round_trips_a_scope_of_common_and_handed_off_records(monkeypatch):
+    circuit = _mixed_scope_circuit()
+    text = export_json(circuit)
+    raw = json.loads(text)
+    assert raw["instances"][8]["nets"] == ["1", "1"]
+    raw["instances"][8]["nets"] = [1, "1"]
+    numeric = json.dumps(raw, indent=2) + "\n"
+    handed_off = _count_handed_off(monkeypatch)
+    again = import_json(text)
+    assert again == circuit
+    assert export_json(again) == text
+    assert handed_off == ["C2", "U1", "X_1", "X.1"]
+    handed_off.clear()
+    assert export_json(import_json(numeric)) == text
+    assert handed_off == ["C2", "U1", "X_1", "X.1", "C6"]
+    # every instance owns its context and overrides, which stay mutable
+    for field in ("context", "overrides"):
+        assert len({id(getattr(inst, field)) for inst in again.instances}) == 10
+    # both paths share the scope's Nets, and the counters continue past both
+    nets = [inst.nets for inst in again.instances]
+    assert nets[0][1] is nets[1][0] and nets[1][1] is nets[2][0] and nets[3][0] is nets[5][0]
+    again += circuit.instances[0].template @ ["a", "b"]
+    again += Chain(NMOS, 2, 0, 2)
+    assert again.instances[-3].designator == "C8"
+    assert str(again.instances[-2].nets[2]) == "net_1_0"
+
+
+def _bad_designator(rec):
+    rec["designator"] = "1R"
+
+
+def _bad_net(rec):
+    rec["nets"][0] = "a b"
+
+
+def _bad_record(raw, where, index, mutate):
+    records = raw["instances"] if where == "top" else raw["subcircuits"]["LINE"]["body"]
+    mutate(records[index])
+
+
+@pytest.mark.parametrize(
+    "faults, path, message",
+    [
+        (
+            [("top", 3, _bad_designator), ("top", 10, _bad_net)],
+            "instances[3].designator",
+            "designator '1R' must start with [A-Za-z_], as a designator prefix does",
+        ),
+        (
+            [("top", 10, _bad_designator), ("top", 3, _bad_net)],
+            "instances[3].nets",
+            "invalid net name 'a b'",
+        ),
+        (
+            [("body", 2, _bad_designator), ("body", 1, _bad_net), ("top", 0, _bad_net)],
+            "subcircuits.LINE.body[1].nets",
+            "invalid net name 'a b'",
+        ),
+    ],
+    ids=["designator-first", "net-first", "body-before-top"],
+)
+def test_import_reports_the_first_bad_record_in_record_order(faults, path, message):
+    raw = json.loads(export_json(_chain_circuit(20, 4)))
+    for where, index, mutate in faults:
+        _bad_record(raw, where, index, mutate)
+    with pytest.raises(SchemaError) as info:
+        import_json(json.dumps(raw))
+    assert info.value.path == path
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "field, value, path, message",
+    [
+        ("designator", "1R", "designator", "designator '1R' must start with [A-Za-z_], "
+         "as a designator prefix does"),
+        ("nets", [[1]], "nets", "expected a net name, got list"),
+        ("template", {"a": 1}, "template", "template must be a name"),
+        ("params", None, "params", "expected a parameter object"),
+        ("context", None, "context", "context must be an object"),
+    ],
+    ids=[
+        "designator", "net-array", "template-object", "params-null", "context-null",
+    ],
+)
+def test_import_reports_a_bad_last_record_of_a_long_scope(field, value, path, message):
+    raw = json.loads(export_json(_chain_circuit(4_999, 2)))
+    assert len(raw["instances"]) == 5_000
+    raw["instances"][-1][field] = value
+    with pytest.raises(SchemaError) as info:
+        import_json(json.dumps(raw))
+    assert info.value.path == f"instances[4999].{path}"
+    assert str(info.value) == f"instances[4999].{path}: {message}"
 
 
 @pytest.mark.parametrize("value", [True, 1.5, -1, [1], {"a": 1}, "a b"])
@@ -314,3 +450,67 @@ def test_import_continues_chain_counter_of_links_only_in_a_subcircuit():
     # the top level holds no link, so its first chain starts at net_0_
     again += Chain(NMOS, 2, 0, 2)
     assert str(again.instances[-2].nets[2]) == "net_0_0"
+
+
+def _counters_document() -> dict:
+    """An IR whose designators and link nets the import must continue past:
+    several prefixes, an `X_` prefix, a designator with no number at its end
+    (`X1a`), one whose number is in Arabic-Indic digits (C15), and link groups
+    at the top level and in a nested subcircuit."""
+    res = {"ports": ["a", "b"], "params": {}, "prefix": "R", "metadata": {}}
+    cap = {"ports": ["a", "b"], "params": {}, "prefix": "C", "metadata": {}}
+    tap = {"ports": ["a", "b"], "params": {}, "prefix": "X_", "metadata": {}}
+
+    def rec(template, nets, designator):
+        return {"template": template, "nets": nets, "params": {}, "designator": designator}
+
+    inner = {
+        "pins": ["p"], "params": {}, "fixed": False, "nested": {},
+        "body": [rec("res", ["p", "net_2_0"], "R4"), rec("res", ["net_2_0", "net_0_1"], "R2")],
+    }
+    outer = {
+        "pins": ["p"], "params": {}, "fixed": False, "nested": {"T": inner},
+        "body": [rec("cap", ["p", "q"], "C9"), rec("T", ["q"], "X3")],
+    }
+    return {
+        "version": exporters.JSON_IR_VERSION,
+        "components": {"res": res, "cap": cap, "tap": tap},
+        "subcircuits": {"S": outer},
+        "instances": [
+            rec("res", ["a", "net_0_5"], "R1"),
+            rec("res", ["net_0_5", "net_4_1"], "R7"),
+            rec("cap", ["a", "net_07_1"], "C12"),
+            rec("cap", ["a", "b"], "C١٥"),
+            rec("tap", ["a", "net_9_2_3"], "X_3"),
+            rec("tap", ["a", "xnet_8_1"], "X1a"),
+            rec("S", ["net_6_x"], "R٣"),
+        ],
+    }
+
+
+def test_import_continues_designators_and_link_groups_per_scope():
+    circuit = import_json(json.dumps(_counters_document()))
+    templates = {**exporters._collect_components(circuit), **circuit.subcircuits}
+
+    def added(scope, *names):
+        for name in names:
+            scope += templates[name] @ ["a", "b"][: templates[name].arity]
+        body = scope.instances if isinstance(scope, Circuit) else scope.body
+        return [inst.designator for inst in body[-len(names):]]
+
+    def next_link(scope):
+        scope += Chain(NMOS, 2, 0, 2)
+        body = scope.instances if isinstance(scope, Circuit) else scope.body
+        return str(body[-2].nets[2])
+
+    # R past R7 (R3 in Arabic-Indic digits is less), C past C15, X_ past X_3;
+    # X1a ends in no number, so X starts at X1
+    assert added(circuit, "res", "cap", "tap", "S") == ["R8", "C16", "X_4", "X1"]
+    # net_07_1 is group 7; net_9_2_3, xnet_8_1 and net_6_x are no link names
+    assert next_link(circuit) == "net_8_0"
+    outer = circuit.subcircuits["S"]
+    inner = outer.nested[0]
+    assert added(outer, "cap", "res") == ["C10", "R1"]
+    assert next_link(outer) == "net_0_0"
+    assert added(inner, "res", "cap") == ["R5", "C1"]
+    assert next_link(inner) == "net_3_0"

@@ -1,4 +1,5 @@
-"""tools/phase_times.py prints one row per export phase, in ref units."""
+"""tools/phase_times.py prints one row per export phase, in ref units, and
+a table of the JSON IR import of the built circuit."""
 
 import importlib.util
 import json
@@ -6,6 +7,7 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "phase_times.py"
 PHASES = ("load_doc", "build", "lint", "layout", "emit", "write")
+IMPORT_PHASES = ("json_loads", "records")
 
 
 def _load_tool():
@@ -24,12 +26,17 @@ def test_phase_times_reports_every_phase_of_a_tiny_document(tmp_path, capsys):
         "circuit": [{"op": "chain", "template": "res", "n": 3}],
     }))
     assert _load_tool().main(["--doc", str(doc), "--repeats", "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "== tiny.json, spice: medians of 2 repeats =="
-    rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}
-    assert list(rows) == [*PHASES, "total"]
-    for phase in PHASES:
-        ref, ms, share = rows[phase]
-        assert float(ref) >= 0 and float(ms) >= 0 and share.endswith("%")
-    assert rows["total"][2] == "100.0%"
+    export, imports = capsys.readouterr().out.split("\n\n")
+    for table, title, phases in (
+        (export, "tiny.json, spice: medians of 2 repeats", PHASES),
+        (imports, "JSON IR import of the built circuit: medians of 2 repeats", IMPORT_PHASES),
+    ):
+        lines = table.splitlines()
+        assert lines[0] == f"== {title} =="
+        rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}
+        assert list(rows) == [*phases, "total"]
+        for phase in phases:
+            ref, ms, share = rows[phase]
+            assert float(ref) >= 0 and float(ms) >= 0 and share.endswith("%")
+        assert rows["total"][2] == "100.0%"
     assert list(tmp_path.iterdir()) == [doc]  # the output went to a temporary directory

@@ -21,14 +21,23 @@ process, in order, each timed on its own after a garbage collection:
 
 These are the steps of exporters._seed_exporter and its seed -> text
 function, for a text dialect, one by one; a report with errors stops the
-run with LintErrors, as an export does.
+run with LintErrors, as an export does. Each repeat then writes the built
+circuit's JSON IR (exporters.export_json, not timed) and reads it back:
+
+    json_loads  json.loads of that text
+    records     exporters.import_json of that text, less json_loads: the
+                reading of its records into a circuit
+
+so the second table shows where the time of one import_json goes.
 
 A phase's time counts in multiples of perfbench/run.py:reference(), the
 mean of one pass just before and one just after its repeat, as the
 benchmark counts whole operations; so a slow stretch of a shared machine
-moves the figures less. The table gives each phase's median over the
+moves the figures less. Each table gives each phase's median over the
 repeats, in ref units and in milliseconds, and its share of the summed
-medians. Stdlib only; perfbench/ is imported, never changed.
+medians; the records row is the median of import_json less that of
+json_loads, so the import table's total is import_json's median. Stdlib
+only; perfbench/ is imported, never changed.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib.util
+import json
 import statistics
 import sys
 import tempfile
@@ -45,6 +55,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 PHASES = ("load_doc", "build", "lint", "layout", "emit", "write")
+IMPORT_PHASES = ("json_loads", "import_json")
 
 
 def _perfbench(name: str):
@@ -65,7 +76,8 @@ def _timed(fn, *args):
 
 
 def measure(doc_path: Path, repeats: int, dialect: str, out: Path, reference) -> dict:
-    """phase -> (ref units per repeat, seconds per repeat)."""
+    """phase -> (ref units per repeat, seconds per repeat), for PHASES and
+    IMPORT_PHASES."""
     from netforge import builddoc, exporters
 
     table = exporters.exporter_for(dialect)
@@ -81,8 +93,8 @@ def measure(doc_path: Path, repeats: int, dialect: str, out: Path, reference) ->
             raise exporters.LintErrors(report)
         return report
 
-    ratios: dict[str, list[float]] = {phase: [] for phase in PHASES}
-    seconds: dict[str, list[float]] = {phase: [] for phase in PHASES}
+    ratios: dict[str, list[float]] = {phase: [] for phase in PHASES + IMPORT_PHASES}
+    seconds: dict[str, list[float]] = {phase: [] for phase in PHASES + IMPORT_PHASES}
     for _ in range(repeats):
         before = reference()
         doc, t_load = _timed(builddoc.load_doc, doc_path)
@@ -91,20 +103,27 @@ def measure(doc_path: Path, repeats: int, dialect: str, out: Path, reference) ->
         layout, t_layout = _timed(exporters._line_frame, table, circuit, report, header)
         text, t_emit = _timed(exporters._render(*layout), circuit.rng_seed)
         _, t_write = _timed(exporters.write_atomic, out, text)
+        ir = exporters.export_json(circuit)
+        _, t_loads = _timed(json.loads, ir)
+        _, t_import = _timed(exporters.import_json, ir)
         ref = (before + reference()) / 2
-        times = (t_load, t_build, t_lint, t_layout, t_emit, t_write)
-        for phase, elapsed in zip(PHASES, times):
+        times = (t_load, t_build, t_lint, t_layout, t_emit, t_write, t_loads, t_import)
+        for phase, elapsed in zip(PHASES + IMPORT_PHASES, times):
             ratios[phase].append(elapsed / ref)
             seconds[phase].append(elapsed)
-        del doc, circuit, report, layout, text
-    return {phase: (ratios[phase], seconds[phase]) for phase in PHASES}
+        del doc, circuit, report, layout, text, ir
+    return {phase: (ratios[phase], seconds[phase]) for phase in ratios}
 
 
-def report(title: str, times: dict) -> None:
-    medians = {
-        phase: (statistics.median(ratios), statistics.median(seconds))
-        for phase, (ratios, seconds) in times.items()
+def _medians(times: dict, phases: tuple) -> dict:
+    """phase -> (median ref units, median seconds), for `phases`."""
+    return {
+        phase: (statistics.median(times[phase][0]), statistics.median(times[phase][1]))
+        for phase in phases
     }
+
+
+def report(title: str, medians: dict) -> None:
     total_ref = sum(ref for ref, _ in medians.values())
     total_ms = sum(sec for _, sec in medians.values()) * 1e3
     print(f"== {title} ==")
@@ -145,7 +164,15 @@ def main(argv=None) -> int:
             doc_path = workloads.write_inputs(workloads.spec(workload, args.seed), temp / "inputs")
             title = f"{workload} seed {args.seed}, {args.dialect}"
         times = measure(doc_path, args.repeats, args.dialect, temp / "out.txt", reference)
-    report(f"{title}: medians of {args.repeats} repeats", times)
+    report(f"{title}: medians of {args.repeats} repeats", _medians(times, PHASES))
+    imports = _medians(times, IMPORT_PHASES)
+    loads, whole = imports["json_loads"], imports["import_json"]
+    records = (whole[0] - loads[0], whole[1] - loads[1])
+    print()
+    report(
+        f"JSON IR import of the built circuit: medians of {args.repeats} repeats",
+        {"json_loads": loads, "records": records},
+    )
     return 0
 
 
