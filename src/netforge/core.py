@@ -20,6 +20,7 @@ alphabetic. Designators can still be set from Python, so lint checks them.
 from __future__ import annotations
 
 import re
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -175,7 +176,13 @@ def as_net(value: NetLike) -> Net | PendingNet:
         if value == "":
             return UNCONNECTED
         if value.isdecimal():
-            return Net(str(int(value)))
+            try:
+                return Net(str(int(value)))
+            except ValueError:  # more digits than Python converts to an int
+                raise NetNameError(
+                    f"numeric net name has {len(value)} digits, more than "
+                    f"{sys.get_int_max_str_digits()}"
+                ) from None
         return Net(names.net(value))
     raise TypeError(f"expected a net name, got {type(value).__name__}")
 

@@ -19,6 +19,7 @@ from typing import Iterable
 
 from . import names
 from .core import (
+    GND,
     Component,
     Instance,
     Net,
@@ -26,9 +27,9 @@ from .core import (
     _children,
     _LinkGroup,
     _made,
+    _rebound_nets,
     as_instance,
     as_net,
-    rebind,
 )
 from .errors import (
     InvalidProbabilityError,
@@ -216,20 +217,33 @@ class Inject(Manipulation):
     instance is emitted just before it, wired from the instance's last port
     to GND. The default defect is a 10 kOhm resistor. `rng` is a seed or
     generator; equal seeds reproduce the same defect pattern.
+
+    The batch draws once: one random() per child, in child order, in one
+    call (Xoshiro256StarStar.randoms), so the pattern and the generator's
+    state are those of a draw per child. The defects are made in one call
+    too, and `defect` is instantiated and checked only when one is drawn.
     """
 
     def __init__(self, children, p: float = 0.5, defect=None, rng=None):
         if not 0.0 <= p <= 1.0:
             raise InvalidProbabilityError(f"probability must be in [0, 1], got {p}")
         gen = as_generator(rng)
-        defect = defect if defect is not None else _DEFAULT_DEFECT
-        out = []
-        for child in children:
-            if not isinstance(child, Instance):
-                child = as_instance(child)
-            if gen.random() < p:
-                out.append(rebind(defect, [child.nets[-1], "GND"]))
-            out.append(child)
+        children = [
+            child if isinstance(child, Instance) else as_instance(child) for child in children
+        ]
+        hits = [k for k, u in enumerate(gen.randoms(len(children))) if u < p]
+        if not hits:
+            self.children = children
+            return
+        proto = as_instance(defect if defect is not None else _DEFAULT_DEFECT)
+        rows = [(children[k].nets[-1], GND) for k in hits]
+        _rebound_nets(proto, rows[0])  # the defect's arity, checked as rebind does
+        out, start = [], 0
+        for k, made in zip(hits, _children(proto, rows)):
+            out += children[start:k]
+            out.append(made)
+            start = k
+        out += children[start:]
         self.children = out
 
 

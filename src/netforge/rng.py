@@ -12,12 +12,16 @@ slots. The kernel that a ParamPlan compiles for a run of netlist lines
 (params.ParamPlan.run) splices STEP in once per draw, with UNIT,
 UNIT_OPEN and GAUSS for the float transforms that random and gauss apply
 to the output, so no other module holds a copy of the generator.
-tests/test_rng.py pins next_u64, the float draws and a kernel's draws bit
-for bit, and checks that next_u64 runs the lines of STEP.
+Xoshiro256StarStar.randoms, which draws a batch of random() doubles, runs a
+loop generated from STEP and UNIT too; it is compiled on its first call,
+not at import. tests/test_rng.py pins next_u64, the float draws, randoms
+and a kernel's draws bit for bit, and checks that next_u64 and the loop
+of randoms run the lines of STEP.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 _MASK64 = (1 << 64) - 1
@@ -41,6 +45,29 @@ UNIT = f"(x >> 11) * {_DOUBLE!r}"
 UNIT_OPEN = f"((x >> 11) + 1) * {_DOUBLE!r}"
 # gauss(0, 1) from the uniforms u1 and u2 (Box-Muller, cosine branch)
 GAUSS = f"math.sqrt(-2.0 * math.log(u1)) * math.cos({2.0 * math.pi!r} * u2)"
+
+
+def _randoms_source() -> str:
+    """Source of the loop behind Xoshiro256StarStar.randoms: the state in
+    locals, STEP and UNIT once per draw, the state stored back."""
+    step = "".join(f"\n        {line}" for line in STEP)
+    return (
+        "def randoms(self, n):\n"
+        "    s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3\n"
+        "    out = []\n"
+        "    append = out.append\n"
+        f"    for _ in range(n):{step}\n"
+        f"        append({UNIT})\n"
+        "    self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3\n"
+        "    return out\n"
+    )
+
+
+@functools.cache
+def _randoms_loop():
+    namespace: dict = {}
+    exec(compile(_randoms_source(), "<rng randoms>", "exec"), namespace)
+    return namespace["randoms"]
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -88,6 +115,11 @@ class Xoshiro256StarStar:
     def random(self) -> float:
         """Uniform double in [0, 1)."""
         return (self.next_u64() >> 11) * _DOUBLE
+
+    def randoms(self, n: int) -> list[float]:
+        """The n doubles that n calls of random() give, in order, leaving
+        the state where those calls leave it; one loop over STEP."""
+        return _randoms_loop()(self, n)
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()

@@ -821,7 +821,7 @@ def test_add_model_without_a_type_is_a_schema_error(doc_dir, capsys, name):
     assert err.startswith("error: circuit[2]: ") and "type" in err and not out.exists()
 
 
-def _one_resistor_doc(tmp_path, name="res", param="r", value=1, model="m"):
+def _one_resistor_doc(tmp_path, name="res", param="r", value=1, model="m", net="n1"):
     doc = tmp_path / "doc.json"
     doc.write_text(
         json.dumps(
@@ -832,7 +832,7 @@ def _one_resistor_doc(tmp_path, name="res", param="r", value=1, model="m"):
                     {"name": name, "ports": ["a", "b"], "prefix": "R",
                      "params": {param: value, "model": model}}
                 ],
-                "circuit": [{"op": "instance", "template": name, "nets": ["n1", "0"]}],
+                "circuit": [{"op": "instance", "template": name, "nets": [net, "0"]}],
             }
         )
     )
@@ -846,8 +846,9 @@ def _one_resistor_doc(tmp_path, name="res", param="r", value=1, model="m"):
         ({"param": "r x"}, "parameter name 'r x'"),
         ({"param": "k=1"}, "parameter name 'k=1'"),
         ({"model": "bad name"}, "model name 'bad name'"),
+        ({"net": "1" * 5000}, "numeric net name has 5000 digits"),
     ],
-    ids=["component", "parameter-space", "parameter-equals", "model"],
+    ids=["component", "parameter-space", "parameter-equals", "model", "net-digits"],
 )
 def test_a_name_that_is_not_one_token_is_a_build_error(tmp_path, capsys, fields, message):
     doc = _one_resistor_doc(tmp_path, **fields)

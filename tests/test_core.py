@@ -34,6 +34,7 @@ def test_net_normalization():
     assert as_net(0) == Net("0")
     assert as_net(7) == Net("7")
     assert as_net("007") == Net("7")
+    assert as_net("0" * 4299 + "7") == Net("7")
     assert as_net("") is UNCONNECTED
     assert as_net(None) is UNCONNECTED
     assert as_net(GND) is GND
@@ -50,6 +51,9 @@ def test_net_rejects_bad_names():
         as_net("a b")
     with pytest.raises(NetNameError):
         as_net(-1)
+    # more digits than Python converts between text and int
+    with pytest.raises(NetNameError, match="^numeric net name has 5000 digits, more than "):
+        as_net("1" * 5000)
     with pytest.raises(TypeError):
         as_net(1.5)
 

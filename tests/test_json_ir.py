@@ -413,7 +413,9 @@ def test_import_reports_a_bad_last_record_of_a_long_scope(field, value, path, me
     assert str(info.value) == f"instances[4999].{path}: {message}"
 
 
-@pytest.mark.parametrize("value", [True, 1.5, -1, [1], {"a": 1}, "a b"])
+@pytest.mark.parametrize(
+    "value", [True, 1.5, -1, [1], {"a": 1}, "a b", pytest.param("1" * 5000, id="5000-digits")],
+)
 def test_import_rejects_a_bad_net_with_path(value):
     raw = json.loads(export_json(_chain_circuit(3, 2)))
     raw["instances"][1]["nets"][0] = value

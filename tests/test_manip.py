@@ -8,6 +8,7 @@ from netforge.core import (
     Subcircuit,
 )
 from netforge.errors import (
+    ArityMismatchError,
     EmptyNameError,
     InvalidProbabilityError,
     PortFnArityError,
@@ -17,6 +18,7 @@ from netforge.errors import (
 )
 from netforge.formula import Formula
 from netforge.manip import Array, Chain, Inject, Manipulation, NamedChain, Parallel, concat
+from netforge.rng import Xoshiro256StarStar
 
 RES = Component("res", [1, "GND"])
 NMOS = Component("nmos", [1, "INPUT", 3, "GND"])
@@ -319,6 +321,74 @@ def test_inject_accepts_plain_instance_lists():
     instances = [NMOS(), NMOS()]
     injected = Inject(instances, p=0.0, rng=0)
     assert list(injected) == instances
+
+
+# the defect pattern of Inject(Chain(NMOS, 12), 0.5) at seed 9, then of a
+# second Inject that shares its generator: one random() per child, in order
+SHARED_PATTERNS = (
+    [True, True, True, False, False, False, False, False, True, True, False, False],
+    [True, False, False, False, True, True, False, False, False, False, True, True],
+)
+
+
+def _pattern(batch) -> list:
+    """Whether each non-defect child of `batch` has a defect just before it."""
+    names = [inst.template.name for inst in batch]
+    return [k > 0 and names[k - 1] == "Res" for k, name in enumerate(names) if name != "Res"]
+
+
+def test_injects_sharing_a_generator_draw_one_uniform_per_child_in_turn():
+    gen, reference = Xoshiro256StarStar(9), Xoshiro256StarStar(9)
+    first = Inject(Chain(NMOS, 12), p=0.5, rng=gen)
+    second = Inject(Chain(NMOS, 12), p=0.5, rng=gen)
+    assert (_pattern(first), _pattern(second)) == SHARED_PATTERNS
+    expected = [[reference.random() < 0.5 for _ in range(12)] for _ in range(2)]
+    assert tuple(expected) == SHARED_PATTERNS
+    assert gen.next_u64() == reference.next_u64()
+
+
+def test_inject_accepts_a_generator_of_instances_and_bare_templates():
+    made = Inject((NMOS() for _ in range(3)), p=1.0, rng=1)
+    assert [inst.template.name for inst in made] == ["Res", "nmos"] * 3
+    bare = Inject([NMOS, RES], p=1.0, rng=1)
+    assert [inst.template for inst in bare][1::2] == [NMOS, RES]
+    assert bare[1].nets == NMOS().nets and bare[3].nets == RES().nets
+    assert [defect.nets for defect in bare[::2]] == [
+        (Net("GND"), Net("GND")), (Net("GND"), Net("GND"))
+    ]
+    assert bare[0].nets[0] is bare[1].nets[-1]
+
+
+def test_inject_at_the_probability_bounds():
+    children = list(Chain(NMOS, 50))
+    none = Inject(children, p=0.0, rng=4)
+    assert none.children == children
+    every = Inject(children, p=1.0, rng=4)
+    assert every[1::2] == children
+    assert [defect.template.name for defect in every[::2]] == ["Res"] * 50
+    assert len({id(defect) for defect in every[::2]}) == 50
+    assert len({id(defect.overrides) for defect in every[::2]}) == 50
+
+
+def test_inject_checks_the_defect_only_when_one_is_drawn():
+    three = Component("tri", ["a", "b", "c"], prefix="X")
+    assert len(Inject(Chain(NMOS, 3), p=0.0, defect=three, rng=1)) == 3
+    with pytest.raises(ArityMismatchError) as info:
+        Inject(Chain(NMOS, 3), p=1.0, defect=three, rng=1)
+    assert str(info.value) == "tri has 3 ports, got 2 nets"
+    assert len(Inject(Chain(NMOS, 3), p=0.0, defect="not a template", rng=1)) == 3
+    with pytest.raises(TypeError):
+        Inject(Chain(NMOS, 3), p=1.0, defect="not a template", rng=1)
+
+
+def test_inject_copies_an_instance_defect_per_hit():
+    leak = Component("leak", ["a", "k"], {"isat": 1e-15}, prefix="D") % {"isat": 2e-15}
+    leak.context["_i"] = 3
+    injected = Inject(Chain(NMOS, 2), p=1.0, defect=leak, rng=1)
+    a, b = injected[0], injected[2]
+    assert a.overrides == b.overrides == leak.overrides
+    assert a.overrides is not b.overrides and a.context is not b.context
+    assert a.context == {"_i": 3} and a.designator is None
 
 
 # --- concat / composition ------------------------------------------------------------

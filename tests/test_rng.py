@@ -1,4 +1,6 @@
 import hashlib
+import subprocess
+import sys
 
 import pytest
 
@@ -131,3 +133,28 @@ def test_interleaved_draws_known_answer():
     assert tokens[:3] == ["1546998764402558742", "0x1.84136619b444ep-2", "0x1.9039f092211cap-1"]
     assert tokens[-1] == "4758693520164521517"
     assert _digest(tokens) == "ecd4aa118343a2a7aaa636e90a8a41685794246404897e0cbb7009fd7bb0f862"
+
+
+# --- randoms: a batch of random() from one generated loop ---------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1, 1000])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_randoms_equals_that_many_random_calls_bit_for_bit(seed, n):
+    batch, reference = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    values = batch.randoms(n)
+    assert [v.hex() for v in values] == [reference.random().hex() for _ in range(n)]
+    # and leaves the state where those calls leave it
+    assert batch.next_u64() == reference.next_u64()
+
+
+def test_importing_netforge_compiles_no_randoms_loop():
+    script = (
+        "import netforge\n"
+        "from netforge import rng\n"
+        "assert rng._randoms_loop.cache_info().currsize == 0\n"
+        "rng.Xoshiro256StarStar(1).randoms(2)\n"
+        "assert rng._randoms_loop.cache_info().currsize == 1\n"
+    )
+    # a fresh process, as the import of a command-line run is
+    subprocess.run([sys.executable, "-c", script], check=True)
