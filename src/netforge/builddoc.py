@@ -47,7 +47,6 @@ ParseError inside it, is a SchemaError at its entry that names the file.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from pathlib import Path
@@ -60,6 +59,7 @@ from .io_readers import (
     load_spice_models,
     load_veriloga,
     params_from_json,
+    read_json,
     value_from_json,
 )
 from .manip import Array, Chain, Inject, Manipulation, NamedChain, Parallel, concat
@@ -110,10 +110,7 @@ def load_doc(path) -> dict:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read {path}: {_not_utf8(exc)}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc.msg}", line=exc.lineno) from exc
+    doc = read_json(text, path)
     if not isinstance(doc, dict):
         raise SchemaError("build document must be an object", "$")
     return doc

@@ -42,17 +42,23 @@ with formulas and distributions still unresolved, and therefore neither
 evaluates parameters nor runs lint. export_json, and write_param_file for a
 parameter file, write every record straight to text, with the bytes
 json.dumps(indent=2) gives its dict form, and every parameter value through
-one writer (_param_text). import_json reads a scope (the top level or a
-subcircuit body) in one loop over its records, in order: it makes the
-common record (a known template, nets that are text, no params, a plain
-designator) inline, and hands any other record whole to the per-record
-reader, which makes it or raises its error, so the first bad record is the
-one reported. It checks and coerces each net name once per scope, and the
-instances of a scope share one Net per name; one pattern match over the
-scope's designators and one over its net names continue its counters.
-Every definition name, designator and parameter name it reads goes through
-the rules of netforge.names, and a name they reject is a SchemaError at
-the name's path.
+one writer (_param_text). export_json writes the instance records of a
+scope as columns, joined once (_instance_records): a head per template
+object, the net names cut into rows by lint's row cutter, and names and
+designators quoted without a call per name when none needs escaping; the
+top level's records join straight into the document.
+
+import_json reads a scope (the top level or a subcircuit body) in one loop
+over its records, in order: it makes the common record (a known template,
+nets that are text, no params, a plain designator) inline, and hands any
+other record whole to the per-record reader, which makes it or raises its
+error, so the first bad record is the one reported. It checks and coerces
+each net name once per scope, and the instances of a scope share one Net
+per name; one pattern match over the scope's designators and one over its
+net names continue its counters. Every definition name, designator and
+parameter name it reads goes through the rules of netforge.names, and a
+name they reject is a SchemaError at the name's path. Its text goes
+through io_readers.read_json, as every JSON input does.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ import os
 import secrets
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress, repeat
 from pathlib import Path
 
 from . import names
@@ -88,13 +94,12 @@ from .errors import (
     LintErrors,
     NetforgeError,
     NetNameError,
-    ParseError,
     SchemaError,
     UnknownDialectError,
     VersionMismatchError,
 )
 from .formula import Formula
-from .io_readers import ParamFile, _checked, _key_path, value_from_json
+from .io_readers import ParamFile, _checked, _key_path, read_json, value_from_json
 from .names import _DESIGNATOR_START
 # perfbench/tracer.py TARGETS resolve eval_params and format_number under this
 # module's name, so both stay importable here although text export renders
@@ -259,15 +264,15 @@ def _same_objects(a, b) -> bool:
     return list(a) == list(b) and all(map(operator.is_, a.values(), b.values()))
 
 
-def _joined(net_names: list, instances) -> list:
-    """The space-joined net names of each of `instances`, from `net_names`,
-    the names of all their nets one after another."""
-    arities = {len(inst.nets) for inst in instances}
-    if len(arities) == 1 and 0 not in arities:
+def _joined(net_names: list, arities: list, sep: str = " ") -> list:
+    """The `sep`-joined net names of each line, from `net_names`, the names
+    of all the lines' nets one after another, and `arities`, each line's
+    number of nets."""
+    widths = set(arities)
+    if len(widths) == 1 and 0 not in widths:
         # every line has as many nets: cut the names into rows of that many
-        return list(map(" ".join, zip(*[iter(net_names)] * arities.pop())))
-    ends = accumulate(len(inst.nets) for inst in instances)
-    return [" ".join(net_names[end - len(inst.nets):end]) for inst, end in zip(instances, ends)]
+        return list(map(sep.join, zip(*[iter(net_names)] * widths.pop())))
+    return [sep.join(net_names[end - n:end]) for n, end in zip(arities, accumulate(arities))]
 
 
 def _lint_scope(findings, lines, instances, pins, scope, global_nets, known_subckts, reads):
@@ -303,7 +308,7 @@ def _lint_scope(findings, lines, instances, pins, scope, global_nets, known_subc
         nets = [" ".join([name for name in row if name is not None]) for row in rows]
         used = [name for name in used if name is not None]
     else:
-        nets = _joined(used, instances)
+        nets = _joined(used, [len(inst.nets) for inst in instances])
 
     maps: list = []
     sizes: list[int] = []
@@ -639,29 +644,72 @@ def _object_text(mapping, indent: str, value_text=_json_text) -> str:
     return f"{{\n{inner}" + f",\n{inner}".join(fields) + f"\n{indent}}}"
 
 
-def _instances_text(instances, indent: str) -> str:
-    """Instance records, each as {"template", "nets", "params", "designator"}
-    and "context" when it is not empty."""
+def _plain(texts: list) -> bool:
+    """Whether `texts` are all text and none needs escaping in JSON. The
+    encoder writes each escaped character as two or more, so it does so for
+    none exactly when the encoded join is only two quotes longer."""
+    try:
+        joined = " ".join(texts)
+    except TypeError:  # None, or another value that is not text
+        return False
+    return len(_encode(joined)) == len(joined) + 2
+
+
+def _instance_records(instances, indent: str):
+    """The text of a list of instance records, in pieces to join: each
+    record as {"template", "nets", "params", "designator"} and "context"
+    when it is not empty.
+
+    The records of a scope are written a column at a time, and the columns
+    interleaved: one head per template object, every net name read in one
+    pass and cut into rows (_joined, as lint cuts them), "{}" for empty
+    overrides, and names and designators quoted without a call per name
+    when no text of the scope needs escaping (_plain)."""
     if not instances:
-        return "[]"
+        return ["[]"]
     record = indent + "  "
     key = record + "  "
     item = key + "  "
-    net_sep = ",\n" + item
-    records = []
-    for inst in instances:
-        nets = net_sep.join([_encode(str(net)) for net in inst.nets])
-        nets = f"[\n{item}{nets}\n{key}]" if inst.nets else "[]"
-        params = _object_text(inst.overrides, key, _param_text)
-        designator = _json_text(inst.designator, key)
-        context = inst.context
-        context = f',\n{key}"context": {_object_text(context, key)}' if context else ""
-        records.append(
-            f'{{\n{key}"template": {_json_text(inst.template.name, key)},\n'
-            f'{key}"nets": {nets},\n{key}"params": {params},\n'
-            f'{key}"designator": {designator}{context}\n{record}}}'
-        )
-    return f"[\n{record}" + f",\n{record}".join(records) + f"\n{indent}]"
+
+    arities = [len(inst.nets) for inst in instances]
+    used = [net.name for inst in instances for net in inst.nets]
+    if None in used:
+        used = [name or "" for name in used]
+    if _plain(used):  # quoted by the text around each name
+        rows = _joined(used, arities, f'",\n{item}"')
+        first, last = f'[\n{item}"', f'"\n{key}]'
+    else:
+        rows = _joined(list(map(_encode, used)), arities, f",\n{item}")
+        first, last = f"[\n{item}", f"\n{key}]"
+    if 0 in arities:  # "[]" for no nets; a row of one unconnected net is empty too
+        rows = [first + row + last if n else "[]" for n, row in zip(arities, rows)]
+        first = last = ""
+
+    def head(template) -> str:
+        return f'{{\n{key}"template": {_json_text(template.name, key)},\n{key}"nets": {first}'
+
+    templates = [inst.template for inst in instances]
+    ids = list(map(id, templates))
+    head_of = {i: f",\n{record}{head(t)}" for i, t in dict(zip(ids, templates)).items()}
+    heads = list(map(head_of.__getitem__, ids))
+    heads[0] = f"[\n{record}{head(templates[0])}"
+
+    params = [_object_text(inst.overrides, key, _param_text) if inst.overrides else "{}"
+              for inst in instances]
+
+    designators = [inst.designator for inst in instances]
+    quote = '"' if _plain(designators) else ""
+    if not quote:
+        designators = [_json_text(designator, key) for designator in designators]
+
+    end = f"{quote}\n{record}}}"
+    tails = [f'{quote},\n{key}"context": {_object_text(inst.context, key)}\n{record}}}'
+             if inst.context else end for inst in instances]
+    columns = zip(
+        heads, rows, repeat(f'{last},\n{key}"params": '), params,
+        repeat(f',\n{key}"designator": {quote}'), designators, tails,
+    )
+    return chain(chain.from_iterable(columns), [f"\n{indent}]"])
 
 
 def _subckt_text(sub: Subcircuit, indent: str) -> str:
@@ -673,7 +721,7 @@ def _subckt_text(sub: Subcircuit, indent: str) -> str:
         f'{key}"params": {_object_text(sub.params, key, _param_text)},\n'
         f'{key}"fixed": {_dumped(sub.fixed, key)},\n'
         f'{key}"nested": {nested},\n'
-        f'{key}"body": {_instances_text(sub.body, key)}\n{indent}}}'
+        f'{key}"body": {"".join(_instance_records(sub.body, key))}\n{indent}}}'
     )
 
 
@@ -737,8 +785,9 @@ def export_json(circuit: Circuit) -> str:
     fields.append(f'"components": {_object_text(components, "  ", _component_text)}')
     fields.append(f'"models": {_object_text(circuit.models, "  ", _model_text)}')
     fields.append(f'"subcircuits": {_object_text(circuit.subcircuits, "  ", _subckt_text)}')
-    fields.append(f'"instances": {_instances_text(circuit.instances, "  ")}')
-    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
+    fields.append('"instances": ')
+    records = _instance_records(circuit.instances, "  ")
+    return "".join(chain(["{\n  ", ",\n  ".join(fields)], records, ["\n}\n"]))
 
 
 def _expect(condition, message, path):
@@ -915,10 +964,7 @@ def _fill_subckt_from_ir(sub: Subcircuit, raw, templates, path) -> None:
 
 def import_json(text: str) -> Circuit:
     """Rebuild a circuit from its JSON form; inverse of export_json."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    raw = read_json(text)
     _expect(isinstance(raw, dict), "top level must be an object", "$")
     version = raw.get("version")
     if version != JSON_IR_VERSION:

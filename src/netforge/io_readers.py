@@ -13,7 +13,9 @@ Three formats are supported:
 * Verilog-A module signatures (module name, port list, and
   "parameter real|integer name = value;" declarations; bodies are ignored).
 
-All readers are pure functions of the input bytes.
+All readers are pure functions of the input bytes. Every JSON input, here
+and in netforge.builddoc and netforge.exporters, goes through read_json,
+so whatever json.loads cannot read is a ParseError.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 from .core import Component, Model, UNCONNECTED
@@ -145,6 +148,21 @@ def _checked(rule, name, what: str, path: str):
         raise SchemaError(str(exc), path) from None
 
 
+def read_json(text: str, source=None):
+    """json.loads(text); text it cannot read is a ParseError, naming `source`
+    when given: invalid JSON, at its line, and an integer literal of more
+    digits than Python converts (sys.get_int_max_str_digits())."""
+    where = "invalid JSON" if source is None else f"invalid JSON in {source}"
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: {exc.msg}", line=exc.lineno) from exc
+    except ValueError:  # int() of a literal past the digit limit
+        raise ParseError(
+            f"{where}: an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def read_param_file(source, format: str = "json") -> ParamFile:
     """Parse a parameter file from bytes, text, or a binary stream; an empty
     device or corner name is a SchemaError at its path."""
@@ -154,11 +172,7 @@ def read_param_file(source, format: str = "json") -> ParamFile:
         source = source.read()
     if isinstance(source, bytes):
         source = source.decode("utf-8")
-    try:
-        document = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
-
+    document = read_json(source)
     if not isinstance(document, dict):
         raise SchemaError("top level must be an object of devices", "$")
     param_file = ParamFile()

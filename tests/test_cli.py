@@ -859,6 +859,17 @@ def test_a_name_that_is_not_one_token_is_a_build_error(tmp_path, capsys, fields,
         assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+def test_a_json_integer_of_too_many_digits_is_a_document_error(tmp_path, capsys):
+    # the net is the JSON number 11...1, not text: json.loads itself cannot read it
+    doc = _one_resistor_doc(tmp_path)
+    doc.write_text(doc.read_text().replace('"n1"', "1" * 5000))
+    for command in ("build", "lint", "export"):
+        code, out, err = run_cli([command, doc], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: invalid JSON in {doc}: ") and "Traceback" not in err
+        assert "integer" in err
+
+
 @pytest.mark.parametrize("value", ["foo bar=1", "a=b", ""])
 def test_a_text_value_that_is_not_one_token_is_a_lint_error(tmp_path, capsys, value):
     doc = _one_resistor_doc(tmp_path, value=value)

@@ -138,6 +138,16 @@ def test_bad_json_reports_line():
     assert err.value.line is not None
 
 
+def test_a_json_integer_of_too_many_digits_is_a_parse_error(tmp_path):
+    text = '{"d": {"TT": {"x": %s}}}' % ("1" * 5000)
+    with pytest.raises(ParseError, match="^invalid JSON: .*integer"):
+        read_param_file(text)
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="^invalid JSON: .*integer"):
+        load_param_file(path)
+
+
 def test_reads_bytes_and_streams():
     raw = b'{"d": {"TT": {"x": 1}}}'
     assert read_param_file(raw)["d"]["TT"]["x"] == 1

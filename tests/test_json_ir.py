@@ -17,11 +17,11 @@ import pytest
 
 from netforge import core, exporters
 from netforge.core import Circuit, Component, Instance, Model, Net, Subcircuit, UnresolvedTemplate
-from netforge.errors import SchemaError
+from netforge.errors import ParseError, SchemaError
 from netforge.exporters import export_json, import_json, write_param_file
 from netforge.formula import Formula
 from netforge.io_readers import ParamFile, load_param_file, read_param_file
-from netforge.manip import Chain
+from netforge.manip import Array, Chain
 from netforge.params import Params, RandomSpec, gauss, lognormal, uniform
 
 from sample_circuits import capacitor_circuit, crossbar_circuit, defect_chain_circuit, ro_circuit
@@ -101,10 +101,71 @@ def _reference(circuit: Circuit) -> str:
 # --- the writer -------------------------------------------------------------------------
 
 
+def _last_record_with_context() -> Circuit:
+    circuit = Circuit()
+    bare = Component("bare", ["p"])
+    body = Subcircuit("BODY", ["x"])
+    body += bare @ ["x"]
+    body += Instance(bare, ["x"], context={"k": 1})
+    circuit += body
+    circuit += body @ ["n1"]
+    circuit += Instance(bare, ["n1"], context={"last": "é"})
+    return circuit
+
+
+def _quoting_scopes() -> Circuit:
+    """A scope per way of quoting: the writer quotes a scope's names and
+    designators without a call per name only when all of them need no
+    escaping, so each odd value sits in a scope of its own."""
+    bare = Component("bare", ["p"])
+    dev = Component("dev", ["a", "b"])
+    pinless = Subcircuit("PINLESS", [])
+    pinless += bare @ ["z"]
+    escaped = Subcircuit("ESCAPED", ["x"])
+    escaped += bare @ [Net("é")]  # nets made directly can hold any text
+    escaped += dev @ [Net('q"t'), "x"]
+    escaped.body[1].designator = None  # set after insertion
+    odd = Subcircuit("ODD", ["x"])
+    odd += bare @ ["x"]
+    odd.body[0].designator = 5  # not text: json.dumps writes it as it is
+    circuit = Circuit()
+    circuit += pinless
+    circuit += escaped
+    circuit += odd
+    circuit += pinless @ []  # no nets, next to one port on the unconnected net
+    circuit += bare @ [""]
+    circuit += dev @ ["n1", "n2"]
+    circuit.instances[-1].designator = 'R"1'
+    return circuit
+
+
+def _combinator_scopes() -> Circuit:
+    circuit = Circuit()
+    dev = Component("dev", ["a", "b"], {"w": 1, "l": Formula("w * 2")})
+    bare = Component("bare", ["p"])
+    bound = dev(["in", "out"], {"w": uniform(1, 2), "note": "é"})
+    body = Subcircuit("BLK", ["in", "out"])
+    body += Chain(dev, 3)
+    body += Array(3, bare, lambda i: [f"x{i}"])
+    circuit += body
+    circuit += Chain(bound, 4)
+    circuit += Array(3, dev % {"w": Formula("_i + 1")}, lambda i: [f"a{i}", f"b{i}"])
+    circuit += body @ ["in", "out"]
+    return circuit
+
+
 @pytest.mark.parametrize(
     "factory",
-    [capacitor_circuit, crossbar_circuit, defect_chain_circuit, ro_circuit],
-    ids=["capacitor", "crossbar", "defect_chain", "ro"],
+    [
+        capacitor_circuit,
+        crossbar_circuit,
+        defect_chain_circuit,
+        ro_circuit,
+        _quoting_scopes,
+        _last_record_with_context,
+        _combinator_scopes,
+    ],
+    ids=["capacitor", "crossbar", "defect_chain", "ro", "quoting", "last-context", "combinators"],
 )
 def test_export_json_is_json_dumps_of_the_dict_form(factory):
     circuit = factory()
@@ -422,6 +483,12 @@ def test_import_rejects_a_bad_net_with_path(value):
     with pytest.raises(SchemaError) as info:
         import_json(json.dumps(raw))
     assert info.value.path == "instances[1].nets"
+
+
+def test_import_reads_a_json_integer_of_too_many_digits_as_a_parse_error():
+    text = export_json(_chain_circuit(3, 2)).replace('"net_0_1"', "1" * 5000, 1)
+    with pytest.raises(ParseError, match="^invalid JSON: .*integer"):
+        import_json(text)
 
 
 def test_import_normalizes_numeric_nets():

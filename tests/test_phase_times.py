@@ -1,5 +1,5 @@
 """tools/phase_times.py prints one row per export phase, in ref units, and
-a table of the JSON IR import of the built circuit."""
+a table of the JSON IR export and import of the built circuit."""
 
 import importlib.util
 import json
@@ -7,7 +7,7 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "phase_times.py"
 PHASES = ("load_doc", "build", "lint", "layout", "emit", "write")
-IMPORT_PHASES = ("json_loads", "records")
+IR_PHASES = ("export_json", "write", "json_loads", "records")
 
 
 def _load_tool():
@@ -26,10 +26,10 @@ def test_phase_times_reports_every_phase_of_a_tiny_document(tmp_path, capsys):
         "circuit": [{"op": "chain", "template": "res", "n": 3}],
     }))
     assert _load_tool().main(["--doc", str(doc), "--repeats", "2"]) == 0
-    export, imports = capsys.readouterr().out.split("\n\n")
+    export, ir = capsys.readouterr().out.split("\n\n")
     for table, title, phases in (
         (export, "tiny.json, spice: medians of 2 repeats", PHASES),
-        (imports, "JSON IR import of the built circuit: medians of 2 repeats", IMPORT_PHASES),
+        (ir, "JSON IR of the built circuit, export and import: medians of 2 repeats", IR_PHASES),
     ):
         lines = table.splitlines()
         assert lines[0] == f"== {title} =="

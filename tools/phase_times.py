@@ -21,14 +21,18 @@ process, in order, each timed on its own after a garbage collection:
 
 These are the steps of exporters._seed_exporter and its seed -> text
 function, for a text dialect, one by one; a report with errors stops the
-run with LintErrors, as an export does. Each repeat then writes the built
-circuit's JSON IR (exporters.export_json, not timed) and reads it back:
+run with LintErrors, as an export does. Each repeat then exports the built
+circuit to the JSON IR, as `netforge export --dialect json-ir` does, and
+reads it back:
 
+    export_json exporters.export_json of the built circuit
+    write       exporters.write_atomic of that text, to the temporary directory
     json_loads  json.loads of that text
     records     exporters.import_json of that text, less json_loads: the
                 reading of its records into a circuit
 
-so the second table shows where the time of one import_json goes.
+so the second table shows where the time of one IR export and of one
+import_json goes.
 
 A phase's time counts in multiples of perfbench/run.py:reference(), the
 mean of one pass just before and one just after its repeat, as the
@@ -36,8 +40,8 @@ benchmark counts whole operations; so a slow stretch of a shared machine
 moves the figures less. Each table gives each phase's median over the
 repeats, in ref units and in milliseconds, and its share of the summed
 medians; the records row is the median of import_json less that of
-json_loads, so the import table's total is import_json's median. Stdlib
-only; perfbench/ is imported, never changed.
+json_loads, so the last two rows of the IR table add up to import_json's
+median. Stdlib only; perfbench/ is imported, never changed.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 PHASES = ("load_doc", "build", "lint", "layout", "emit", "write")
-IMPORT_PHASES = ("json_loads", "import_json")
+IR_PHASES = ("export_json", "ir_write", "json_loads", "import_json")
 
 
 def _perfbench(name: str):
@@ -77,7 +81,7 @@ def _timed(fn, *args):
 
 def measure(doc_path: Path, repeats: int, dialect: str, out: Path, reference) -> dict:
     """phase -> (ref units per repeat, seconds per repeat), for PHASES and
-    IMPORT_PHASES."""
+    IR_PHASES."""
     from netforge import builddoc, exporters
 
     table = exporters.exporter_for(dialect)
@@ -93,8 +97,8 @@ def measure(doc_path: Path, repeats: int, dialect: str, out: Path, reference) ->
             raise exporters.LintErrors(report)
         return report
 
-    ratios: dict[str, list[float]] = {phase: [] for phase in PHASES + IMPORT_PHASES}
-    seconds: dict[str, list[float]] = {phase: [] for phase in PHASES + IMPORT_PHASES}
+    ratios: dict[str, list[float]] = {phase: [] for phase in PHASES + IR_PHASES}
+    seconds: dict[str, list[float]] = {phase: [] for phase in PHASES + IR_PHASES}
     for _ in range(repeats):
         before = reference()
         doc, t_load = _timed(builddoc.load_doc, doc_path)
@@ -103,12 +107,14 @@ def measure(doc_path: Path, repeats: int, dialect: str, out: Path, reference) ->
         layout, t_layout = _timed(exporters._line_frame, table, circuit, report, header)
         text, t_emit = _timed(exporters._render(*layout), circuit.rng_seed)
         _, t_write = _timed(exporters.write_atomic, out, text)
-        ir = exporters.export_json(circuit)
+        ir, t_export_json = _timed(exporters.export_json, circuit)
+        _, t_ir_write = _timed(exporters.write_atomic, out, ir)
         _, t_loads = _timed(json.loads, ir)
         _, t_import = _timed(exporters.import_json, ir)
         ref = (before + reference()) / 2
-        times = (t_load, t_build, t_lint, t_layout, t_emit, t_write, t_loads, t_import)
-        for phase, elapsed in zip(PHASES + IMPORT_PHASES, times):
+        times = (t_load, t_build, t_lint, t_layout, t_emit, t_write,
+                 t_export_json, t_ir_write, t_loads, t_import)
+        for phase, elapsed in zip(PHASES + IR_PHASES, times):
             ratios[phase].append(elapsed / ref)
             seconds[phase].append(elapsed)
         del doc, circuit, report, layout, text, ir
@@ -165,13 +171,14 @@ def main(argv=None) -> int:
             title = f"{workload} seed {args.seed}, {args.dialect}"
         times = measure(doc_path, args.repeats, args.dialect, temp / "out.txt", reference)
     report(f"{title}: medians of {args.repeats} repeats", _medians(times, PHASES))
-    imports = _medians(times, IMPORT_PHASES)
-    loads, whole = imports["json_loads"], imports["import_json"]
+    ir = _medians(times, IR_PHASES)
+    loads, whole = ir["json_loads"], ir["import_json"]
     records = (whole[0] - loads[0], whole[1] - loads[1])
     print()
     report(
-        f"JSON IR import of the built circuit: medians of {args.repeats} repeats",
-        {"json_loads": loads, "records": records},
+        f"JSON IR of the built circuit, export and import: medians of {args.repeats} repeats",
+        {"export_json": ir["export_json"], "write": ir["ir_write"],
+         "json_loads": loads, "records": records},
     )
     return 0
 
