@@ -94,29 +94,23 @@ VDD = Net("VDD")
 
 class _LinkGroup:
     """Identity token shared by the generated nets of one chain; `size` is
-    its number of links. Until a scope first names the links, `chain` is
-    how the chain laid out its instances' nets, (nets, in_port, out_port,
-    made): instance i has `nets`, with link i-1 on in_port and link i on
-    out_port (the first in_port and the last out_port keep `nets`), in the
-    tuple made[i]. It is None for a chain whose `nets` hold pending nets
-    of their own."""
+    its number of links."""
 
-    __slots__ = ("size", "chain")
+    __slots__ = ("size",)
 
     def __init__(self, size: int):
         self.size = size
-        self.chain = None
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class PendingNet:
     """A chain-generated net awaiting its final name.
 
-    Chains create one PendingNet per link; a container replaces it with
-    Net(f"net_{k}_{index}") at insertion, where k is the container's chain
-    counter, and the instances one add() puts on a link share that Net. Two
-    pending nets compare equal when their link index matches, which is what
-    construction-determinism checks need.
+    A chain read before insertion makes one PendingNet per link (manip); a
+    container replaces it with Net(f"net_{k}_{index}") at insertion, where k
+    is the container's chain counter, and the instances one add() puts on a
+    link share that Net. Two pending nets compare equal when their link
+    index matches, which is what construction-determinism checks need.
     """
 
     group: _LinkGroup
@@ -382,22 +376,22 @@ class Instance(_TemplateOps):
         return f"<{self.designator or '?'} {getattr(self.template, 'name', '?')} ({nets})>"
 
 
-def _children(proto: Instance, nets_list) -> list:
-    """Uninserted copies of `proto`, one per tuple of `nets_list`, which must
-    hold Nets and PendingNets only, as `proto`'s nets do. Each copy gets its
-    own overrides and context, since it stays mutable."""
+def _children(proto: Instance, nets_list, designators=None) -> list:
+    """Copies of `proto`, one per tuple of `nets_list` (Nets and PendingNets
+    only, as `proto`'s nets hold), designated by `designators` or None. Each
+    copy gets its own overrides and context, since it stays mutable."""
     template, context = proto.template, proto.context
     # an empty map needs no Params.__init__ (see Params)
     params = proto.overrides.copy if proto.overrides else partial(dict.__new__, Params)
     children = []
-    for nets in nets_list:
+    for nets, designator in zip(nets_list, designators or repeat(None)):
         # plain stores in field order, as __init__ makes them, keep the
         # instance dicts key-sharing
         child = object.__new__(Instance)
         child.template = template
         child.nets = nets
         child.overrides = params()
-        child.designator = None
+        child.designator = designator
         child.context = dict(context)
         children.append(child)
     return children
@@ -453,44 +447,14 @@ def override_params(template_or_instance, overrides) -> Instance:
     return inst
 
 
-class _Rows:
-    """What one add() needs to give the instances of the chains it names
-    their final nets: a row per tuple of nets such a chain made, found by
-    the tuple's id (`of`), with the tuple itself (`made`), the nets its
-    instance joins on the chain's in_port and out_port, and the chain's
-    layout, (a list of its nets, in_port, out_port). Flat lists of
-    references, so that setting them up makes no object per row. While a
-    tuple's id is in `of`, `made` keeps the tuple alive, and so the id
-    unique; an instance that takes its row drops both, and its final tuple
-    is made then, so that it can reuse the memory of the tuple it replaces."""
-
-    __slots__ = ("of", "made", "ins", "outs", "layouts")
-
-    def __init__(self):
-        self.of: dict[int, int] = {}
-        self.made, self.ins, self.outs, self.layouts = [], [], [], []
-
-    def add(self, nets, in_port: int, out_port: int, made: list, named: list) -> None:
-        """Rows for the tuples `made` of a chain whose links are `named`;
-        the rest are the chain's layout (see _LinkGroup)."""
-        self.of.update(zip(map(id, made), range(len(self.made), len(self.made) + len(made))))
-        self.made += made
-        self.ins += [nets[in_port], *named]
-        self.outs += [*named, nets[out_port]]
-        self.layouts += [(list(nets), in_port, out_port)] * len(made)
-
-
 class _InstanceScope:
     """Shared insertion machinery: designator counters and chain-net naming.
 
-    Insertion names a chain's links once per chain and add(): the first of
-    its instances that an add() meets names every link (one Net each) and
-    sets up, for every tuple of nets the chain made, the Nets its instance
-    joins, so that each of the chain's instances finds its final nets by
-    one lookup (_Rows). An instance rebound since, a defect tapped off a
-    link, or the rest of a chain whose links an earlier add() named, is
-    relinked net by net to the same Nets; so the result is the one
-    per-instance insertion gives."""
+    A chain (or an Inject over one) not made yet is placed in one run: the
+    scope names its links and the chain makes its children on those Nets,
+    with their designators (_place). Other instances are inserted one by
+    one; their PendingNets are relinked net by net, one add() naming each
+    link group once, so the result is the one per-instance insertion gives."""
 
     def _init_scope(self):
         self._counters: dict[str, int] = {}
@@ -504,22 +468,14 @@ class _InstanceScope:
         meets it, so the instances a link joins share one Net."""
         counters = self._counters
         links: dict[_LinkGroup, list] = {}  # each link group met so far -> its Nets
-        rows = _Rows()
-        row_of = rows.of
         template = None
-        for item in _iter_addable(element):
+        for item in _iter_addable(element, partial(self._place, instances)):
             if not isinstance(item, Instance):
                 self._define(item)
                 continue
             nets = item.nets
-            k = row_of.pop(id(nets), None)
-            if k is not None:
-                rows.made[k] = None
-                row, in_port, out_port = rows.layouts[k]
-                row[in_port], row[out_port] = rows.ins[k], rows.outs[k]
-                item.nets = tuple(row)
-            elif PendingNet in map(type, nets):
-                item.nets = self._relink(nets, links, rows)
+            if PendingNet in map(type, nets):
+                item.nets = self._relink(nets, links)
             if item.template is not template:
                 template = item.template
                 self._uses(template)
@@ -529,20 +485,34 @@ class _InstanceScope:
                 item.designator = f"{prefix}{count}"
             instances.append(item)
 
-    def _relink(self, nets: tuple, links: dict, rows: _Rows) -> tuple:
+    def _place(self, instances: list, batch) -> list:
+        """Append the children `batch` makes here to `instances` and return
+        []; or return its children, to insert one by one, also if it uses a
+        template this scope rejects, so the add fails where that fails."""
+        try:
+            placed = batch._place(self)
+        except DuplicateSubcircuitError:  # from _uses, before anything changed
+            placed = None
+        if placed is None:
+            return batch.children
+        instances.extend(placed)
+        return []
+
+    def _designators(self, prefix: str, n: int):
+        """The next `n` designators of `prefix`, counted as used."""
+        count = self._counters.get(prefix, 0)
+        self._counters[prefix] = count + n
+        return map(prefix.__add__, map(str, range(count + 1, count + n + 1)))
+
+    def _relink(self, nets: tuple, links: dict) -> tuple:
         """`nets` with each PendingNet replaced by its link's Net, naming
-        each link group not in `links` yet, and giving `rows` the rows of
-        its chain, if the group keeps one (see _LinkGroup)."""
+        each link group not in `links` yet."""
         relinked = list(nets)
         for i, net in enumerate(nets):
             if type(net) is PendingNet:
-                group = net.group
-                named = links.get(group)
+                named = links.get(net.group)
                 if named is None:
-                    named = links[group] = self._link_nets(group)
-                    chain, group.chain = group.chain, None
-                    if chain is not None:
-                        rows.add(*chain, named)
+                    named = links[net.group] = self._link_nets(net.group)
                 relinked[i] = named[net.index]
         return tuple(relinked)
 
@@ -752,22 +722,23 @@ class Circuit(_InstanceScope):
         )
 
 
-def _iter_addable(element):
+def _iter_addable(element, place=None):
     """Flatten whatever `add` accepts into a stream of addable items.
 
-    Manipulations and nested sequences flatten depth-first in child order.
+    Manipulations and nested sequences flatten depth-first in child order;
+    a manipulation yields `place(manipulation)`, when given, not its children.
     """
     from .manip import Manipulation  # local import avoids a cycle
 
     if isinstance(element, (Instance, Model, Subcircuit)):
         yield element
     elif isinstance(element, Manipulation):
-        yield from element.children
+        yield from element.children if place is None else place(element)
     elif isinstance(element, (str, bytes, dict)):
         raise TypeError(f"cannot add {type(element).__name__} to a container")
     elif isinstance(element, Iterable):
         for item in element:
-            yield from _iter_addable(item)
+            yield from _iter_addable(item, place)
     else:
         yield element  # let the caller produce its TypeError
 

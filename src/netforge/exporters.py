@@ -744,25 +744,20 @@ def _model_text(model: Model, indent: str) -> str:
 
 
 def _collect_components(circuit: Circuit) -> dict[str, Component]:
+    """The component templates of the circuit's instances and of reachable
+    subcircuit bodies by name, in order of first use; each scope's distinct
+    template objects are looked at once, as _instance_records keys them."""
     components: dict[str, Component] = {}
-
-    def record(inst: Instance):
-        template = inst.template
-        if isinstance(template, Component):
-            existing = components.get(template.name)
-            if existing is None:
-                components[template.name] = template
-            elif existing is not template and existing != template:
-                raise NetforgeError(
-                    f"two different component templates named {template.name!r}; "
-                    "rename one before exporting to JSON"
-                )
-
-    for inst in circuit.instances:
-        record(inst)
-    for sub in _reachable_subcircuits(circuit):
-        for inst in sub.body:
-            record(inst)
+    for body in (circuit.instances, *(sub.body for sub in _reachable_subcircuits(circuit))):
+        templates = [inst.template for inst in body]
+        for template in dict(zip(map(id, templates), templates)).values():
+            if isinstance(template, Component):
+                existing = components.setdefault(template.name, template)
+                if existing is not template and existing != template:
+                    raise NetforgeError(
+                        f"two different component templates named {template.name!r}; "
+                        "rename one before exporting to JSON"
+                    )
     return components
 
 

@@ -151,12 +151,15 @@ def _checked(rule, name, what: str, path: str):
 def read_json(text: str, source=None):
     """json.loads(text); text it cannot read is a ParseError, naming `source`
     when given: invalid JSON, at its line, and an integer literal of more
-    digits than Python converts (sys.get_int_max_str_digits())."""
+    digits than Python converts (sys.get_int_max_str_digits()), and nesting
+    deeper than Python's recursion limit."""
     where = "invalid JSON" if source is None else f"invalid JSON in {source}"
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{where}: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError:
+        raise ParseError(f"{where}: nested too deeply") from None
     except ValueError:  # int() of a literal past the digit limit
         raise ParseError(
             f"{where}: an integer has more than {sys.get_int_max_str_digits()} digits"

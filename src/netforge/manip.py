@@ -6,10 +6,11 @@ involved), so equal calls produce equal batches. Batches compose: they can
 be concatenated, fed to Inject, or added to circuits and subcircuits
 wherever a sequence of instances is accepted.
 
-Chains wire consecutive instances through generated link nets. Those nets
-are placeholders until the batch enters a circuit, which names them
-net_<k>_<i> with k taken from its per-circuit chain counter (so two chains
-in one circuit never collide, and golden files stay stable).
+Chains wire consecutive instances through generated link nets, which a
+circuit names net_<k>_<i> with k taken from its per-circuit chain counter
+(so two chains in one circuit never collide, and golden files stay stable).
+A chain made before insertion, because its children were read, holds
+PendingNet placeholders for those nets until then.
 """
 
 from __future__ import annotations
@@ -48,13 +49,27 @@ class Manipulation:
 
     Children can be read and replaced in place before insertion; nested
     manipulations flatten depth-first at construction. The combinators set
-    `children` to the instances they make.
+    `children` to the instances they make; Chain, NamedChain and Inject
+    make them (`_make`) when first read, or when a scope places the batch
+    (`_place`), and keep them. Until then their length is `_size`.
     """
 
+    _list = None
+
     def __init__(self, children=None):
-        self.children: list[Instance] = []
+        self.children = []
         if children is not None:
             self._extend(children)
+
+    @property
+    def children(self) -> list[Instance]:
+        if self._list is None:
+            self._list = self._make()
+        return self._list
+
+    @children.setter
+    def children(self, value) -> None:
+        self._list = value
 
     def _extend(self, children) -> None:
         for child in children:
@@ -71,7 +86,7 @@ class Manipulation:
         return iter(self.children)
 
     def __len__(self) -> int:
-        return len(self.children)
+        return self._size if self._list is None else len(self._list)
 
     def __getitem__(self, index):
         return self.children[index]
@@ -83,7 +98,11 @@ class Manipulation:
         return concat([self, other])
 
     def __repr__(self):
-        return f"{type(self).__name__}({len(self.children)} instances)"
+        return f"{type(self).__name__}({len(self)} instances)"
+
+    def _place(self, scope) -> list | None:
+        """None: the children are inserted one by one (see Chain._place)."""
+        return None
 
 
 class Parallel(Manipulation):
@@ -96,9 +115,9 @@ class Parallel(Manipulation):
         self.children = _children(proto, [proto.nets] * n)
 
 
-def _chain_children(template, n, in_port, out_port, out_name=None):
-    """The children of a chain; `out_name`, when given, replaces the last
-    out_port net."""
+def _chain_plan(template, n, in_port, out_port, out_name=None) -> tuple:
+    """A chain's template instance, nets (`out_name`, when given, replacing
+    the out_port net), in_port and out_port, its arguments checked."""
     proto = as_instance(template)
     arity = proto.arity
     if n < 1:
@@ -112,23 +131,10 @@ def _chain_children(template, n, in_port, out_port, out_name=None):
             )
     if in_port == out_port:
         raise SamePortError(f"in_port and out_port are both {in_port}")
-
     nets = list(proto.nets)
     if out_name is not None:
         nets[out_port] = as_net(out_name)
-    group = _LinkGroup(n - 1)
-    links = _made(PendingNet, n - 1, group=repeat(group), index=range(n - 1))
-    made = []
-    row = list(nets)
-    # instance i joins link i-1 on in_port and link i on out_port
-    for net_in, net_out in zip([nets[in_port], *links], [*links, nets[out_port]]):
-        row[in_port] = net_in
-        row[out_port] = net_out
-        made.append(tuple(row))
-    if PendingNet not in map(type, nets):
-        # a scope that names the links sets up every instance's final nets from this
-        group.chain = (nets, in_port, out_port, made)
-    return _children(proto, made)
+    return proto, nets, in_port, out_port
 
 
 class Chain(Manipulation):
@@ -141,10 +147,38 @@ class Chain(Manipulation):
     """
 
     def __init__(self, template, n: int, in_port: int = 0, out_port: int | None = None):
-        self.children = _chain_children(template, n, in_port, out_port)
+        self._plan, self._size = _chain_plan(template, n, in_port, out_port), n
+
+    def _make(self, scope=None, designators=None) -> list:
+        """The children, on PendingNets or on the link Nets `scope` names."""
+        proto, nets, in_port, out_port = self._plan
+        n = self._size
+        group = _LinkGroup(n - 1)
+        if scope is None:
+            links = _made(PendingNet, n - 1, group=repeat(group), index=range(n - 1))
+        else:
+            links = scope._link_nets(group) if n > 1 else []
+        # instance i joins link i-1 on in_port and link i on out_port
+        columns = [repeat(net, n) for net in nets]
+        columns[in_port] = [nets[in_port], *links]
+        columns[out_port] = [*links, nets[out_port]]
+        return _children(proto, zip(*columns), designators)
+
+    def _placeable(self) -> bool:
+        # a template on another chain's links is relinked net by net, in order
+        return self._list is None and PendingNet not in map(type, self._plan[1])
+
+    def _place(self, scope) -> list | None:
+        """The children made on `scope`'s link Nets, if not made yet."""
+        if not self._placeable():
+            return None
+        template = self._plan[0].template
+        scope._uses(template)
+        self._list = self._make(scope, scope._designators(template.prefix, self._size))
+        return self._list
 
 
-class NamedChain(Manipulation):
+class NamedChain(Chain):
     """Like Chain, but the final out_port net is renamed to `out_name`."""
 
     def __init__(
@@ -157,7 +191,7 @@ class NamedChain(Manipulation):
     ):
         # an empty name would leave the end unconnected
         names.token(out_name, "out_name")
-        self.children = _chain_children(template, n, in_port, out_port, out_name)
+        self._plan, self._size = _chain_plan(template, n, in_port, out_port, out_name), n
 
 
 class Array(Manipulation):
@@ -218,33 +252,59 @@ class Inject(Manipulation):
     to GND. The default defect is a 10 kOhm resistor. `rng` is a seed or
     generator; equal seeds reproduce the same defect pattern.
 
-    The batch draws once: one random() per child, in child order, in one
-    call (Xoshiro256StarStar.randoms), so the pattern and the generator's
-    state are those of a draw per child. The defects are made in one call
-    too, and `defect` is instantiated and checked only when one is drawn.
+    The batch draws once, when constructed: one random() per child, in child
+    order, in one call (Xoshiro256StarStar.randoms), so the pattern and the
+    generator's state are those of a draw per child. `defect` is
+    instantiated and checked only when one is drawn. Over a chain whose
+    children are not made yet, a scope places the chain first, and the
+    defects tap its link Nets; any other batch is listed at once.
     """
 
     def __init__(self, children, p: float = 0.5, defect=None, rng=None):
         if not 0.0 <= p <= 1.0:
             raise InvalidProbabilityError(f"probability must be in [0, 1], got {p}")
         gen = as_generator(rng)
-        children = [
-            child if isinstance(child, Instance) else as_instance(child) for child in children
-        ]
-        hits = [k for k, u in enumerate(gen.randoms(len(children))) if u < p]
+        if not (isinstance(children, Chain) and children._list is None):
+            children = [c if isinstance(c, Instance) else as_instance(c) for c in children]
+        self._source = children
+        self._hits = [k for k, u in enumerate(gen.randoms(len(children))) if u < p]
+        self._size = len(children) + len(self._hits)
+        if self._hits:
+            self._defect = as_instance(defect if defect is not None else _DEFAULT_DEFECT)
+            _rebound_nets(self._defect, (GND, GND))  # its arity, checked as rebind does
+        if isinstance(children, list):
+            self._list, self._source = self._make(), None
+
+    def _make(self, children=None, designators=None) -> list:
+        """`children` (the source's), a defect with `designators` before each hit."""
+        children = list(self._source) if children is None else children
+        hits = self._hits
         if not hits:
-            self.children = children
-            return
-        proto = as_instance(defect if defect is not None else _DEFAULT_DEFECT)
+            return children
         rows = [(children[k].nets[-1], GND) for k in hits]
-        _rebound_nets(proto, rows[0])  # the defect's arity, checked as rebind does
         out, start = [], 0
-        for k, made in zip(hits, _children(proto, rows)):
+        for k, made in zip(hits, _children(self._defect, rows, designators)):
             out += children[start:k]
             out.append(made)
             start = k
         out += children[start:]
-        self.children = out
+        return out
+
+    def _place(self, scope) -> list | None:
+        source, hits = self._source, self._hits
+        if self._list is not None or not source._placeable():
+            return None
+        if not hits:  # the batch is the chain's children
+            return source._place(scope)
+        defect = self._defect.template
+        if defect.prefix == source._plan[0].template.prefix:
+            return None  # one counter, in batch order: numbered one by one
+        # different prefixes: at most one template is a Subcircuit, so
+        # _uses may come in any order, and fail before anything is placed
+        scope._uses(defect)
+        children = source._place(scope)
+        self._list = self._make(children, scope._designators(defect.prefix, len(hits)))
+        return self._list
 
 
 def concat(manips: Iterable) -> Manipulation:

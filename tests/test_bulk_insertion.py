@@ -11,6 +11,7 @@ link names, counters, and the same sharing of `Net` and instance objects.
 """
 
 import copy
+import gc
 import pickle
 import sys
 
@@ -294,6 +295,8 @@ def _failing_add(insert, element):
     lambda: [Chain(RES, 3), Chain(BUF, 2), Chain(RES, 2)],  # a second buf
     lambda: [Chain(RES, 3), "text", Chain(RES, 2)],
     lambda: [Parallel(RES, 2), 7],
+    lambda: [Chain(RES, 2), Inject(Chain(BUF, 3), 1.0, rng=0)],  # buf chained
+    lambda: [Inject(Chain(NMOS, 6), 0.5, defect=BUF, rng=1)],  # buf as the defect
 ])
 def test_a_failing_add_leaves_what_the_reference_leaves(make):
     assert _failing_add(bulk_add, make()) == _failing_add(reference_add, make())
@@ -325,16 +328,135 @@ def test_a_built_chain_survives_deepcopy_and_pickle(round_trip):
 # --- the heap guard ----------------------------------------------------------------
 
 def test_naming_a_chains_links_lets_go_of_its_pending_nets():
-    # a scope keeps each link group for good, but not the tuples the chain made
+    # a scope keeps each link group for good, but no tuple the chain made
     chain = Chain(NMOS, 4, 0, 2)
-    group = chain[0].nets[2].group
-    assert group.chain[-1] == [child.nets for child in chain]
+    made = [child.nets for child in chain]  # read first: on pending nets
+    group = made[0][2].group
     circuit = Circuit()
     circuit += chain[:2]
-    assert group.chain is None and group in circuit._link_groups
+    assert group in circuit._link_groups
+    assert gc.get_referrers(made[0], made[1]) == [made]
     circuit += chain[2:]  # the rest is relinked net by net
+    assert gc.get_referrers(*made) == [made]
     ends = [inst.nets[2].name for inst in circuit.instances]
     assert ends == ["net_0_0", "net_0_1", "net_0_2", "s"]
+    placed = Circuit()
+    placed += Chain(NMOS, 4, 0, 2)  # unread: made once, on the scope's Nets
+    assert all(gc.get_referrers(inst.nets) == [inst] for inst in placed.instances)
+
+
+# --- batches made where they are inserted ------------------------------------------
+
+def _both(fill):
+    """observed() of the containers `fill(insert)` returns, once through
+    bulk_add and once through reference_add, which reads every batch first."""
+    bulk, ref = (observed(*fill(insert)) for insert in (bulk_add, reference_add))
+    assert bulk == ref
+    return bulk
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Chain(NMOS, 1, 0, 2),
+    lambda: NamedChain(BOUND, 1, 0, 2, out_name="OUT"),
+    lambda: Inject(Chain(NMOS, 1), 1.0, rng=0),
+])
+def test_a_chain_of_one_names_no_link_group(make):
+    def fill(insert):
+        circuit = Circuit()
+        insert(circuit, [make(), Chain(RES, 2)])
+        return [circuit]
+
+    [(rows, _, groups, next_group, *_)] = _both(fill)
+    assert groups == [0] and next_group == 1
+    assert rows[-1][2] == ("net_0_0", "b")
+
+
+def test_a_chain_read_before_add_is_relinked_as_the_reference():
+    def fill(insert):
+        circuit = Circuit()
+        chain = Chain(NMOS, 5, 0, 2)
+        assert isinstance(chain[1].nets[0], PendingNet)  # read: made on pending nets
+        insert(circuit, [Chain(RES, 2), chain, NamedChain(NMOS, 2, 0, 2, out_name="OUT")])
+        return [circuit]
+
+    [(rows, *_)] = _both(fill)
+    assert [row[2][2] for row in rows[2:7]] == ["net_1_0", "net_1_1", "net_1_2", "net_1_3", "s"]
+
+
+def test_a_chain_added_to_a_second_circuit_appends_the_same_instances():
+    def fill(insert):
+        first, second = Circuit(), Circuit()
+        chain = Chain(NMOS, 3, 0, 2)
+        insert(second, Chain(RES, 2))
+        insert(first, chain)
+        placed = [(inst, inst.designator, inst.nets) for inst in first.instances]
+        insert(second, chain)
+        assert [(inst, inst.designator, inst.nets) for inst in second.instances[2:]] == placed
+        assert all(a is b for a, b in zip(second.instances[2:], first.instances))
+        return first, second
+
+    assert _both(fill)[1][3] == 1  # the second circuit named only its own chain
+
+
+@pytest.mark.parametrize("ports", [(1, 3), (3, 0)])
+def test_a_chain_on_another_chains_pending_link_equals_the_reference(ports):
+    # (1, 3): the inner chain's links come first in net order; (3, 0): the new one's
+    def fill(insert):
+        circuit = Circuit()
+        inner = Chain(NMOS, 3, 0, 2)
+        insert(circuit, [Chain(inner[1], 3, *ports), inner])
+        return [circuit]
+
+    [(rows, *_)] = _both(fill)
+    assert not any(isinstance(net, PendingNet) for row in rows for net in row[0].nets)
+
+
+@pytest.mark.parametrize("template", [NMOS, RES])  # RES: the default defect's prefix
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_inject_over_an_unread_chain_equals_the_reference(p, template, monkeypatch):
+    def fill(insert):
+        circuit = Circuit()
+        insert(circuit, [Chain(RES, 2), Inject(Chain(template, 8), p, rng=5)])
+        return [circuit]
+
+    _both(fill)
+    circuit = fill(bulk_add)[0]
+    for inst, after in zip(circuit.instances[2:], circuit.instances[3:]):
+        if inst.template.name == "Res" and after.template is template:
+            assert inst.nets[0] is after.nets[-1]  # the defect taps the link's Net
+    if template is NMOS:  # placed: no net is relinked, defect taps included
+        monkeypatch.setattr(Circuit, "_relink", None)
+        assert observed(*fill(bulk_add)) == observed(circuit)
+
+
+def test_inject_over_a_chain_read_after_the_draw_equals_the_reference():
+    def fill(insert):
+        circuit = Circuit()
+        chain = Chain(NMOS, 6)
+        injected = Inject(chain, 0.5, rng=5)
+        assert isinstance(chain[0].nets[-1], PendingNet)  # read before the add
+        insert(circuit, injected)
+        return [circuit]
+
+    [(rows, *_)] = _both(fill)
+    assert not any(isinstance(net, PendingNet) for row in rows for net in row[0].nets)
+
+
+def test_a_chain_in_a_body_then_into_subckt_continues_the_counters():
+    def fill(insert):
+        body = Subcircuit("blk", ["p"])
+        insert(body, [Chain(NMOS, 3, 0, 2), NamedChain(RES, 2, out_name="p")])
+        circuit = Circuit()
+        insert(circuit, [Chain(NMOS, 2, 0, 2), Inject(Chain(NMOS, 3, 0, 2), 1.0, rng=2)])
+        sub = circuit.into_subckt("top", ["d"])
+        insert(sub, Chain(NMOS, 3, 0, 2))
+        insert(circuit, Chain(RES, 2))
+        return body, circuit, sub
+
+    body, circuit, sub = _both(fill)
+    assert body[2] == [0, 1] and circuit[2] == [0, 1, 2] and sub[2] == [0, 1, 2]
+    assert [row[1] for row in sub[0][-3:]] == ["M6", "M7", "M8"]
+    assert sub[0][-1][2][0] == "net_2_1" and circuit[0][-1][2][0] == "net_2_0"
 
 
 def _combinator_children():

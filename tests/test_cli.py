@@ -870,6 +870,15 @@ def test_a_json_integer_of_too_many_digits_is_a_document_error(tmp_path, capsys)
         assert "integer" in err
 
 
+def test_json_nested_too_deeply_is_a_document_error(tmp_path, capsys):
+    # deeper than Python's recursion limit: json.loads itself cannot read it
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(["build", doc], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid JSON in {doc}: nested too deeply\n"
+
+
 @pytest.mark.parametrize("value", ["foo bar=1", "a=b", ""])
 def test_a_text_value_that_is_not_one_token_is_a_lint_error(tmp_path, capsys, value):
     doc = _one_resistor_doc(tmp_path, value=value)

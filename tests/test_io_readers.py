@@ -148,6 +148,11 @@ def test_a_json_integer_of_too_many_digits_is_a_parse_error(tmp_path):
         load_param_file(path)
 
 
+def test_json_nested_too_deeply_is_a_parse_error():
+    with pytest.raises(ParseError, match="^invalid JSON: nested too deeply$"):
+        read_param_file("[" * 100000 + "]" * 100000)
+
+
 def test_reads_bytes_and_streams():
     raw = b'{"d": {"TT": {"x": 1}}}'
     assert read_param_file(raw)["d"]["TT"]["x"] == 1

@@ -17,7 +17,7 @@ import pytest
 
 from netforge import core, exporters
 from netforge.core import Circuit, Component, Instance, Model, Net, Subcircuit, UnresolvedTemplate
-from netforge.errors import ParseError, SchemaError
+from netforge.errors import NetforgeError, ParseError, SchemaError
 from netforge.exporters import export_json, import_json, write_param_file
 from netforge.formula import Formula
 from netforge.io_readers import ParamFile, load_param_file, read_param_file
@@ -489,6 +489,26 @@ def test_import_reads_a_json_integer_of_too_many_digits_as_a_parse_error():
     text = export_json(_chain_circuit(3, 2)).replace('"net_0_1"', "1" * 5000, 1)
     with pytest.raises(ParseError, match="^invalid JSON: .*integer"):
         import_json(text)
+
+
+def test_import_reads_json_nested_too_deeply_as_a_parse_error():
+    with pytest.raises(ParseError, match="^invalid JSON: nested too deeply$"):
+        import_json("[" * 100000 + "]" * 100000)
+
+
+def test_components_are_collected_per_template_object_in_first_use_order():
+    r1 = Component("r", ["a", "b"], {"R": 1.0})
+    twin = Component("r", ["a", "b"], {"R": 1.0})  # equal, another object
+    cap = Component("c", ["a", "b"])
+    body = Subcircuit("blk", ["a"])
+    body += [Chain(cap, 3), twin @ ["a", "x"]]
+    circuit = Circuit()
+    circuit += [Chain(r1, 4), body @ ["n"], twin @ ["y", "z"]]
+    assert list(exporters._collect_components(circuit).items()) == [("r", r1), ("c", cap)]
+    other = Component("r", ["a", "b"], {"R": 2.0})
+    body += other @ ["a", "y"]  # reached only through the subcircuit
+    with pytest.raises(NetforgeError, match="^two different component templates named 'r'"):
+        export_json(circuit)
 
 
 def test_import_normalizes_numeric_nets():

@@ -1,5 +1,9 @@
+import copy
+import pickle
+
 import pytest
 
+from netforge import manip
 from netforge.core import (
     Circuit,
     Component,
@@ -16,6 +20,7 @@ from netforge.errors import (
     SamePortError,
     ZeroLengthError,
 )
+from netforge.exporters import export
 from netforge.formula import Formula
 from netforge.manip import Array, Chain, Inject, Manipulation, NamedChain, Parallel, concat
 from netforge.rng import Xoshiro256StarStar
@@ -389,6 +394,68 @@ def test_inject_copies_an_instance_defect_per_hit():
     assert a.overrides == b.overrides == leak.overrides
     assert a.overrides is not b.overrides and a.context is not b.context
     assert a.context == {"_i": 3} and a.designator is None
+
+
+# --- made where inserted ------------------------------------------------------------
+
+THREE = Component("tri", ["a", "b", "c"], prefix="X")
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Chain(NMOS, 0, 0, 2), ZeroLengthError, "a chain needs at least one instance, got n=0"),
+    (lambda: NamedChain(NMOS, 3, 0, 9, out_name="o"), PortOutOfRangeError,
+     "port 9 out of range for 4-port template"),
+    (lambda: Chain(NMOS, 3, 2, 2), SamePortError, "in_port and out_port are both 2"),
+    (lambda: Inject(Chain(NMOS, 3), p=1.5), InvalidProbabilityError,
+     "probability must be in [0, 1], got 1.5"),
+    (lambda: Inject(Chain(NMOS, 3), p=1.0, defect=THREE, rng=1), ArityMismatchError,
+     "tri has 3 ports, got 2 nets"),
+])
+def test_constructors_raise_what_they_raised(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_the_length_of_an_unread_batch_makes_no_children(monkeypatch):
+    def made(*args):
+        raise AssertionError("children made")
+
+    monkeypatch.setattr(manip, "_children", made)
+    chain, injected = Chain(NMOS, 5), Inject(Chain(NMOS, 5), p=1.0, rng=1)
+    assert (len(chain), len(injected)) == (5, 10)
+    assert repr(chain) == "Chain(5 instances)" and repr(injected) == "Inject(10 instances)"
+    monkeypatch.undo()
+    assert len(list(chain)) == 5 and len(list(injected)) == 10
+
+
+def test_injects_over_unread_chains_leave_a_shared_generator_as_a_draw_per_child():
+    gen, reference = Xoshiro256StarStar(9), Xoshiro256StarStar(9)
+    first = Inject(Chain(NMOS, 12), p=0.5, rng=gen)
+    second = Inject(Chain(NMOS, 12), p=0.5, rng=gen)
+    for _ in range(24):
+        reference.random()
+    assert gen.next_u64() == reference.next_u64()  # drawn before any child is made
+    circuit = Circuit()
+    circuit += [first, second]
+    assert (_pattern(first), _pattern(second)) == SHARED_PATTERNS
+
+
+@pytest.mark.parametrize("round_trip", [copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b))])
+@pytest.mark.parametrize("make", [
+    lambda: Chain(NMOS, 6, 0, 2),
+    lambda: NamedChain(NMOS % {"w": 2e-6}, 4, 1, 2, out_name="OUT"),
+    lambda: Inject(Chain(NMOS, 9), p=0.5, rng=3),
+])
+def test_an_unread_batch_copied_exports_the_bytes_of_the_original(make, round_trip):
+    batch = make()
+    copied = round_trip(batch)
+    texts = []
+    for inserted in (batch, copied):
+        circuit = Circuit(rng_seed=4)
+        circuit += [Chain(RES, 2), inserted]
+        texts.append((export(circuit, "spice"), export(circuit, "json-ir")))
+    assert texts[0] == texts[1]
 
 
 # --- concat / composition ------------------------------------------------------------
