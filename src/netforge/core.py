@@ -22,7 +22,6 @@ from __future__ import annotations
 import re
 import sys
 from collections import deque
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
 from typing import Iterable, Union
@@ -36,6 +35,7 @@ from .errors import (
     EmptyPortsError,
     FrozenSubcircuitError,
     NetNameError,
+    Record,
 )
 from .params import Params
 
@@ -64,8 +64,7 @@ _LINK_NET_LINES_RE = re.compile(r"^net_(\d+)_\d+$", re.M)
 DEFAULT_GLOBALS = ("GND", "VDD", "0")
 
 
-@dataclass(frozen=True, slots=True)
-class Net:
+class Net(Record):
     """A named electrical node; `name` is None for the unconnected marker.
 
     Integer literals are accepted wherever nets are and normalize to their
@@ -74,7 +73,11 @@ class Net:
     values without a __dict__, so instances may share one freely.
     """
 
+    __slots__ = _fields = ("name",)
     name: str | None
+
+    def __init__(self, name: str | None):
+        object.__setattr__(self, "name", name)
 
     @property
     def is_unconnected(self) -> bool:
@@ -102,8 +105,7 @@ class _LinkGroup:
         self.size = size
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class PendingNet:
+class PendingNet(Record):
     """A chain-generated net awaiting its final name.
 
     A chain read before insertion makes one PendingNet per link (manip); a
@@ -113,8 +115,13 @@ class PendingNet:
     index matches, which is what construction-determinism checks need.
     """
 
+    __slots__ = _fields = ("group", "index")
     group: _LinkGroup
     index: int
+
+    def __init__(self, group: _LinkGroup, index: int):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "index", index)
 
     def __eq__(self, other):
         if not isinstance(other, PendingNet):
@@ -138,10 +145,9 @@ class PendingNet:
 
 
 def _made(cls, n: int, **columns) -> list:
-    """`n` new instances of the frozen, slotted dataclass `cls`, each field
-    set from its column of `columns` (n values each), without a call of the
-    dataclass __init__ per instance. For the link nets of a chain, which
-    need no checks."""
+    """`n` new instances of the slotted record `cls`, each field set from
+    its column of `columns` (n values each), without a call of its __init__
+    per instance. For the link nets of a chain, which need no checks."""
     made = list(map(object.__new__, repeat(cls, n)))
     for name, values in columns.items():
         deque(map(getattr(cls, name).__set__, made, values), maxlen=0)
@@ -215,8 +221,7 @@ class _TemplateOps:
         return inst
 
 
-@dataclass(frozen=True, init=False)
-class Component(_TemplateOps):
+class Component(_TemplateOps, Record):
     """Reusable device template.
 
     `ports` holds the default nets that new instances start from; its length
@@ -224,6 +229,7 @@ class Component(_TemplateOps):
     R2, ...) and defaults to the first letter of the name, uppercased.
     """
 
+    _fields = ("name", "ports", "params", "prefix", "metadata")
     name: str
     ports: tuple
     params: Params
@@ -235,12 +241,11 @@ class Component(_TemplateOps):
         ports = tuple(as_net(p) for p in (ports or ()))
         if not ports:
             raise EmptyPortsError(f"component {name!r} needs at least one port")
-        if prefix is None:
-            prefix = _derive_prefix(name)
-        object.__setattr__(self, "prefix", names.prefix(prefix))
+        prefix = names.prefix(_derive_prefix(name) if prefix is None else prefix)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "ports", ports)
         object.__setattr__(self, "params", params if isinstance(params, Params) else Params(params))
+        object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "metadata", _as_metadata(metadata))
 
     @property
@@ -255,11 +260,11 @@ class Component(_TemplateOps):
         return f"Component({self.name!r}, ports={len(self.ports)}, prefix={self.prefix!r})"
 
 
-@dataclass(frozen=True, init=False)
-class UnresolvedTemplate:
+class UnresolvedTemplate(Record):
     """Master known only by name, e.g. from an imported document whose
     definition is missing; lint reports it as UNDEFINED_MASTER."""
 
+    _fields = ("name", "arity")
     name: str
     arity: int
 
@@ -280,10 +285,10 @@ class UnresolvedTemplate:
         return "U"
 
 
-@dataclass(frozen=True, init=False)
-class Model:
+class Model(Record):
     """A device model card: name, base type (nmos, pmos, ...), parameters."""
 
+    _fields = ("name", "base_type", "params")
     name: str
     base_type: str
     params: Params
@@ -297,7 +302,6 @@ class Model:
         return f"Model({self.name!r}, {self.base_type!r})"
 
 
-@dataclass(eq=False)
 class Instance(_TemplateOps):
     """A concrete placement of a template on specific nets.
 
@@ -311,17 +315,20 @@ class Instance(_TemplateOps):
 
     template: object
     nets: tuple
-    overrides: Params = field(default_factory=Params)
-    designator: str | None = None
-    context: dict = field(default_factory=dict)
+    overrides: Params
+    designator: str | None
+    context: dict
 
-    def __post_init__(self):
-        nets = self.nets
+    def __init__(self, template, nets, overrides=None, designator=None, context=None):
+        # stores in this order keep the instance dicts key-sharing (_children)
+        self.template = template
         # nets that are already Nets (built or imported ones) need no coercion
         if type(nets) is not tuple or not all(isinstance(n, _NET_TYPES) for n in nets):
-            self.nets = tuple(as_net(n) for n in nets)
-        if not isinstance(self.overrides, Params):
-            self.overrides = Params(self.overrides)
+            nets = tuple(as_net(n) for n in nets)
+        self.nets = nets
+        self.overrides = overrides if isinstance(overrides, Params) else Params(overrides)
+        self.designator = designator
+        self.context = {} if context is None else context
 
     @property
     def arity(self) -> int:

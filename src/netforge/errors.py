@@ -1,7 +1,10 @@
-"""Exception hierarchy for the netforge package.
+"""Exception hierarchy for the netforge package, and the base of its value
+records.
 
 Everything raised on purpose derives from NetforgeError so callers can catch
 one base class at API boundaries (the CLI maps subfamilies to exit codes).
+Record sits here because this module imports nothing of the package, so
+every other module can build on it.
 """
 
 from __future__ import annotations
@@ -194,3 +197,50 @@ class DuplicateDialectError(NetforgeError):
 
 class VersionMismatchError(NetforgeError):
     pass
+
+
+# --- value records ------------------------------------------------------------
+
+class Record:
+    """Base of the package's immutable values: nets, templates, formula
+    nodes, distributions, lint findings and text dialects.
+
+    A subclass lists its fields in `_fields`, in order, and sets them in its
+    __init__ with object.__setattr__, into `__slots__` named after them or
+    else into its __dict__. Two records are equal when they are of one
+    class and their tuples of fields are, and a record hashes as that
+    tuple, so one that holds a dict is unhashable. repr reads
+    Name(field=value, ...). Assigning or deleting an attribute raises
+    AttributeError. copy and pickle carry the tuple of fields and set it
+    back without calling __init__.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    __getstate__ = _values
+
+    def __setstate__(self, state):
+        for name, value in zip(self._fields, state):
+            object.__setattr__(self, name, value)

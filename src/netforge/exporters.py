@@ -68,9 +68,7 @@ import json
 import math
 import operator
 import os
-import secrets
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
 from pathlib import Path
 
@@ -94,6 +92,7 @@ from .errors import (
     LintErrors,
     NetforgeError,
     NetNameError,
+    Record,
     SchemaError,
     UnknownDialectError,
     VersionMismatchError,
@@ -128,12 +127,18 @@ JSON_IR_VERSION = 1
 
 # --- lint (ERC-lite) -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(Record):
+    _fields = ("severity", "code", "message", "location")
     severity: str  # "warn" | "error"
     code: str
     message: str
     location: str
+
+    def __init__(self, severity: str, code: str, message: str, location: str):
+        object.__setattr__(self, "severity", severity)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "location", location)
 
     def __str__(self):
         return f"{self.severity.upper():5s} {self.code:21s} {self.location}: {self.message}"
@@ -433,14 +438,22 @@ def lint(circuit: Circuit) -> LintReport:
 
 # --- text dialects: one traversal, a table of what differs per dialect --------
 
-@dataclass(frozen=True)
-class _TextDialect:
+class _TextDialect(Record):
+    _fields = ("header", "keyword", "model_params", "subckt_params", "nets", "footer")
     header: tuple  # lines before the models; "{title}" takes the title option
     keyword: str  # prefix of the model/subckt/ends keywords
     model_params: str  # appended to a model line; "{}" takes the k=v tokens
     subckt_params: str  # appended to a subckt header; "{}" takes the k=v tokens
     nets: str  # an instance's nets; "{}" takes the space-joined net names
     footer: tuple  # lines after the directives
+
+    def __init__(self, header, keyword, model_params, subckt_params, nets, footer):
+        object.__setattr__(self, "header", header)
+        object.__setattr__(self, "keyword", keyword)
+        object.__setattr__(self, "model_params", model_params)
+        object.__setattr__(self, "subckt_params", subckt_params)
+        object.__setattr__(self, "nets", nets)
+        object.__setattr__(self, "footer", footer)
 
     def __call__(self, circuit: Circuit, seed: int, options: dict) -> str:
         # the registered exporter contract; _seed_exporter lints once for many seeds
@@ -1094,7 +1107,7 @@ def write_atomic(path, text: str) -> None:
     file (0666 less the umask).
     """
     target = Path(path)
-    tmp = target.parent / f"{target.name}.{secrets.token_hex(8)}.tmp"
+    tmp = target.parent / f"{target.name}.{os.urandom(8).hex()}.tmp"
     handle = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(handle, "w", encoding="utf-8") as stream:

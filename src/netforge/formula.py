@@ -35,12 +35,12 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import (
     DivisionByZeroError,
     FormulaSyntaxError,
     NonFiniteResultError,
+    Record,
     UnknownFunctionError,
     UnresolvedIdentifierError,
 )
@@ -52,33 +52,51 @@ __all__ = ["Formula", "parse_formula", "Num", "Var", "Neg", "BinOp", "Call"]
 MAX_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(Record):
     # Always non-negative: negative literals parse as Neg(Num(...)).
+    _fields = ("value",)
     value: float
 
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
-@dataclass(frozen=True)
-class Var:
+
+class Var(Record):
+    _fields = ("name",)
     name: str
 
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class BinOp:
+class Neg(Record):
+    _fields = ("operand",)
+    operand: Expr
+
+    def __init__(self, operand: Expr):
+        object.__setattr__(self, "operand", operand)
+
+
+class BinOp(Record):
+    _fields = ("op", "left", "right")
     op: str  # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
+    left: Expr
+    right: Expr
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Record):
+    _fields = ("func", "args")
     func: str
-    args: tuple["Expr", ...]
+    args: tuple[Expr, ...]
+
+    def __init__(self, func: str, args: tuple[Expr, ...]):
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "args", args)
 
 
 Expr = Num | Var | Neg | BinOp | Call

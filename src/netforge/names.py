@@ -34,7 +34,6 @@ This module imports only errors, so every other module can use it.
 from __future__ import annotations
 
 import re
-import string
 
 from .errors import BadNameError, EmptyNameError, NetNameError
 
@@ -47,7 +46,7 @@ _TOKEN_RE = re.compile(r"[^\s=]+\Z")
 _NET_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
 _PREFIX_RE = re.compile(r"[A-Za-z_]+\Z")
 # what a designator may start with: what a designator prefix is made of
-_DESIGNATOR_START = frozenset(string.ascii_letters + "_")
+_DESIGNATOR_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 # designators, one per line: [^\s=] takes no newline
 _DESIGNATOR_LINES_RE = re.compile(r"[A-Za-z_][^\s=]*(?:\n[A-Za-z_][^\s=]*)*\Z")
 

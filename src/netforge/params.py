@@ -40,12 +40,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .errors import (
     CyclicDependencyError,
     InvalidDistributionError,
     NonFiniteResultError,
+    Record,
     UnknownCornerError,
 )
 from .formula import NAMESPACE, Formula, read_context, splice
@@ -69,28 +69,29 @@ __all__ = [
 _DRAW_KINDS = ("gauss", "uniform", "lognormal")
 
 
-@dataclass(frozen=True)
-class RandomSpec:
+class RandomSpec(Record):
     """Distribution descriptor: gauss(mean, std), uniform(lo, hi), lognormal(mu, sigma)."""
 
+    _fields = ("kind", "a", "b")
     kind: str
     a: float
     b: float
 
-    def __post_init__(self):
-        if self.kind not in _DRAW_KINDS:
-            raise InvalidDistributionError(f"unknown distribution {self.kind!r}")
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise InvalidDistributionError(f"{self.kind} arguments must be finite")
-        if self.kind in ("gauss", "lognormal") and self.b < 0:
-            raise InvalidDistributionError(f"{self.kind} spread must be >= 0, got {self.b}")
-        if self.kind == "uniform" and self.a > self.b:
-            raise InvalidDistributionError(f"uniform bounds inverted: {self.a} > {self.b}")
-        if self.kind == "uniform" and not math.isfinite(self.b - self.a):
+    def __init__(self, kind: str, a: float, b: float):
+        if kind not in _DRAW_KINDS:
+            raise InvalidDistributionError(f"unknown distribution {kind!r}")
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise InvalidDistributionError(f"{kind} arguments must be finite")
+        if kind in ("gauss", "lognormal") and b < 0:
+            raise InvalidDistributionError(f"{kind} spread must be >= 0, got {b}")
+        if kind == "uniform" and a > b:
+            raise InvalidDistributionError(f"uniform bounds inverted: {a} > {b}")
+        if kind == "uniform" and not math.isfinite(b - a):
             # every draw would be inf (or nan), so nothing could ever export
-            raise InvalidDistributionError(
-                f"uniform span overflows: {self.b} - {self.a} is not finite"
-            )
+            raise InvalidDistributionError(f"uniform span overflows: {b} - {a} is not finite")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def args(self) -> tuple[float, float]:

@@ -40,3 +40,23 @@ def test_phase_times_reports_every_phase_of_a_tiny_document(tmp_path, capsys):
             assert float(ref) >= 0 and float(ms) >= 0 and share.endswith("%")
         assert rows["total"][2] == "100.0%"
     assert list(tmp_path.iterdir()) == [doc]  # the output went to a temporary directory
+
+
+def test_phase_times_startup_compares_cli_imports_with_bare_interpreters(capsys):
+    assert _load_tool().main(["--startup", "2"]) == 0
+    processes, modules = capsys.readouterr().out.split("\n\n")
+    lines = processes.splitlines()
+    assert lines[0] == "== start-up: medians of 2 fresh processes =="
+    rows = {line.rsplit(None, 1)[0]: float(line.split()[-1]) for line in lines[2:]}
+    assert list(rows) == ["python -c pass", "python -c 'import netforge.cli'", "difference"]
+    bare, cli = rows["python -c pass"], rows["python -c 'import netforge.cli'"]
+    assert bare > 0 and cli > 0
+    assert abs(rows["difference"] - (cli - bare)) < 0.02  # printed to 0.01 ms
+    lines = modules.splitlines()
+    assert lines[0] == "== -X importtime of import netforge.cli: netforge modules, one process =="
+    rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}
+    assert {"netforge", "netforge.core", "netforge.exporters", "netforge.cli"} <= set(rows)
+    assert all(name.startswith("netforge") for name in rows)
+    assert list(rows)[-1] == "netforge.cli"  # the last to finish importing
+    for self_ms, cumulative_ms in rows.values():
+        assert 0 <= float(self_ms) <= float(cumulative_ms)

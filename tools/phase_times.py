@@ -5,6 +5,7 @@ Usage, from anywhere inside a checkout:
 
     python3 tools/phase_times.py [--workload W] [--seed K] [--repeats N] [--dialect D]
     python3 tools/phase_times.py --doc path/to/doc.json [--repeats N] [--dialect D]
+    python3 tools/phase_times.py --startup N
 
 With --workload (chain_mc by default) the inputs of that benchmark
 workload, as perfbench/workloads.py writes them for seed K, go to a
@@ -42,6 +43,15 @@ repeats, in ref units and in milliseconds, and its share of the summed
 medians; the records row is the median of import_json less that of
 json_loads, so the last two rows of the IR table add up to import_json's
 median. Stdlib only; perfbench/ is imported, never changed.
+
+--startup N times what every CLI process pays before any work: it starts N
+fresh `python -c "import netforge.cli"` processes, each after one bare
+`python -c pass`, with this checkout's src/ on PYTHONPATH and the rest of
+the environment as given (so PYTHONDONTWRITEBYTECODE decides whether the
+sources are compiled in every process), and prints the median wall time of
+each and their difference. Then it prints each netforge module's self and
+cumulative import time, in the order the modules finished importing, from
+one `python -X importtime -c "import netforge.cli"` process.
 """
 
 from __future__ import annotations
@@ -50,7 +60,9 @@ import argparse
 import gc
 import importlib.util
 import json
+import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -140,17 +152,65 @@ def report(title: str, medians: dict) -> None:
     print(f"{'total':12s} {total_ref:8.3f} {total_ms:9.2f} {100.0:6.1f}%")
 
 
+def startup(n: int) -> tuple[dict, list]:
+    """({"pass": seconds, "import netforge.cli": seconds}, the medians of n
+    fresh processes each) and [(module, self us, cumulative us)] for each
+    netforge module, from one `-X importtime` process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    codes = ("pass", "import netforge.cli")
+    times: dict[str, list[float]] = {code: [] for code in codes}
+    for _ in range(n):
+        for code in codes:
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-c", code], env=env, check=True)
+            times[code].append(time.perf_counter() - start)
+    log = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import netforge.cli"],
+        env=env, check=True, capture_output=True, text=True,
+    ).stderr
+    modules = []
+    for line in log.splitlines():  # "import time: self [us] | cumulative | imported package"
+        if line.startswith("import time:"):
+            self_us, cumulative_us, name = line.removeprefix("import time:").split("|")
+            if name.strip().startswith("netforge"):
+                modules.append((name.strip(), int(self_us), int(cumulative_us)))
+    return {code: statistics.median(times[code]) for code in codes}, modules
+
+
+def report_startup(n: int, medians: dict, modules: list) -> None:
+    bare, cli = medians["pass"], medians["import netforge.cli"]
+    print(f"== start-up: medians of {n} fresh processes ==")
+    print(f"{'process':32s} {'ms':>9s}")
+    for label, seconds in (("python -c pass", bare),
+                           ("python -c 'import netforge.cli'", cli),
+                           ("difference", cli - bare)):
+        print(f"{label:32s} {seconds * 1e3:9.2f}")
+    print()
+    print("== -X importtime of import netforge.cli: netforge modules, one process ==")
+    print(f"{'module':32s} {'self ms':>9s} {'cum. ms':>9s}")
+    for name, self_us, cumulative_us in modules:
+        print(f"{name:32s} {self_us / 1e3:9.2f} {cumulative_us / 1e3:9.2f}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     source = parser.add_mutually_exclusive_group()
     source.add_argument("--workload", help="a perfbench workload (default chain_mc)")
     source.add_argument("--doc", type=Path, help="a build document instead of a workload")
+    source.add_argument("--startup", type=int, metavar="N",
+                        help="time N fresh CLI imports against N bare interpreters instead")
     parser.add_argument("--seed", type=int, default=1, help="the workload's seed")
     parser.add_argument("--repeats", type=int, default=21)
     parser.add_argument("--dialect", default="spice", help="a text dialect (default spice)")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    if args.startup is not None:
+        if args.startup < 1:
+            parser.error("--startup must be at least 1")
+        report_startup(args.startup, *startup(args.startup))
+        return 0
     from netforge import exporters
 
     if not isinstance(exporters._REGISTRY.get(args.dialect), exporters._TextDialect):
