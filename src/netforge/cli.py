@@ -10,6 +10,7 @@ its seed from --seed, else the document, else NETFORGE_SEED, else 0 (_seed).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -179,43 +180,30 @@ def _cmd_sweep(args) -> int:
 
     variants = []
     failure: Exception | None = None
-    for corner in corners:
-        for combo in combos:
-            # one build and one lint per corner x values serve every seed,
-            # unless the build derived a seed from the document seed
-            emit = None
-            for seed in seeds:
-                file_name = _variant_name(stem, corner, combo, seed, ext)
-                variants.append(
-                    {
-                        "file": file_name,
-                        "corner": corner,
-                        "vars": {name: value for name, value in combo},
-                        "seed": seed,
-                    }
+    for corner, combo, seed in itertools.product(corners, combos, seeds):
+        file_name = _variant_name(stem, corner, combo, seed, ext)
+        variant = {"file": file_name, "corner": corner, "vars": dict(combo), "seed": seed}
+        variants.append(variant)
+        try:
+            # the first seed of a corner x values builds and lints once for
+            # all its seeds, unless the build derived a seed from the document seed
+            if seed == base_seed or circuit.seed_derived:
+                circuit = builddoc.build_circuit(
+                    doc,
+                    Path(args.doc).parent,
+                    set_vars={**base_vars, **dict(combo)},
+                    seed=seed,
+                    corner=corner,
                 )
-                try:
-                    if emit is None or circuit.seed_derived:
-                        circuit = builddoc.build_circuit(
-                            doc,
-                            Path(args.doc).parent,
-                            set_vars={**base_vars, **dict(combo)},
-                            seed=seed,
-                            corner=corner,
-                        )
-                        emit = _seed_exporter(circuit, args.dialect)
-                    # export_json writes rng_seed and ignores the seed argument
-                    circuit.rng_seed = seed
-                    text = emit(seed)
-                except NetforgeError as exc:
-                    variants[-1]["error"] = str(exc)
-                    failure = exc
-                    break
-                write_atomic(out_dir / file_name, text)
-            if failure:
-                break
-        if failure:
+                emit = _seed_exporter(circuit, args.dialect)
+            # export_json writes rng_seed and ignores the seed argument
+            circuit.rng_seed = seed
+            text = emit(seed)
+        except NetforgeError as exc:
+            variant["error"] = str(exc)
+            failure = exc
             break
+        write_atomic(out_dir / file_name, text)
 
     manifest = {
         "version": 1,

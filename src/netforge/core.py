@@ -77,6 +77,8 @@ class Net(Record):
     name: str | None
 
     def __init__(self, name: str | None):
+        # one store, not Record.__init__'s loop, which takes twice as long:
+        # nets are the one record made in volume (thousands per IR import)
         object.__setattr__(self, "name", name)
 
     @property
@@ -118,10 +120,6 @@ class PendingNet(Record):
     __slots__ = _fields = ("group", "index")
     group: _LinkGroup
     index: int
-
-    def __init__(self, group: _LinkGroup, index: int):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "index", index)
 
     def __eq__(self, other):
         if not isinstance(other, PendingNet):
@@ -242,11 +240,8 @@ class Component(_TemplateOps, Record):
         if not ports:
             raise EmptyPortsError(f"component {name!r} needs at least one port")
         prefix = names.prefix(_derive_prefix(name) if prefix is None else prefix)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ports", ports)
-        object.__setattr__(self, "params", params if isinstance(params, Params) else Params(params))
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "metadata", _as_metadata(metadata))
+        params = params if isinstance(params, Params) else Params(params)
+        Record.__init__(self, name, ports, params, prefix, _as_metadata(metadata))
 
     @property
     def arity(self) -> int:
@@ -269,8 +264,7 @@ class UnresolvedTemplate(Record):
     arity: int
 
     def __init__(self, name: str, arity: int):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "arity", int(arity))
+        Record.__init__(self, name, int(arity))
 
     @property
     def ports(self) -> tuple:
@@ -294,9 +288,10 @@ class Model(Record):
     params: Params
 
     def __init__(self, name, base_type, params=None):
-        object.__setattr__(self, "name", names.token(name, "model name"))
-        object.__setattr__(self, "base_type", names.token(base_type, "model base type"))
-        object.__setattr__(self, "params", params if isinstance(params, Params) else Params(params))
+        name = names.token(name, "model name")
+        base_type = names.token(base_type, "model base type")
+        params = params if isinstance(params, Params) else Params(params)
+        Record.__init__(self, name, base_type, params)
 
     def __repr__(self):
         return f"Model({self.name!r}, {self.base_type!r})"

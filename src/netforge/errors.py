@@ -202,21 +202,32 @@ class VersionMismatchError(NetforgeError):
 # --- value records ------------------------------------------------------------
 
 class Record:
-    """Base of the package's immutable values: nets, templates, formula
-    nodes, distributions, lint findings and text dialects.
+    """Base of the package's immutable values: nets, templates, formulas and
+    their nodes, distributions, lint findings and text dialects.
 
-    A subclass lists its fields in `_fields`, in order, and sets them in its
-    __init__ with object.__setattr__, into `__slots__` named after them or
-    else into its __dict__. Two records are equal when they are of one
-    class and their tuples of fields are, and a record hashes as that
-    tuple, so one that holds a dict is unhashable. repr reads
-    Name(field=value, ...). Assigning or deleting an attribute raises
-    AttributeError. copy and pickle carry the tuple of fields and set it
-    back without calling __init__.
+    A subclass lists its fields in `_fields`, in order, kept in `__slots__`
+    named after them or else in its __dict__. Record.__init__ stores one
+    value per field, positionally, and raises TypeError on a wrong count; a
+    subclass that checks or converts its arguments calls it once, after.
+    core.Net stores its one field itself, as the one record made in volume.
+
+    Two records are equal when they are of one class and their tuples of
+    fields are, and a record hashes as that tuple, so one that holds a dict
+    is unhashable. repr reads Name(field=value, ...). Assigning or deleting
+    any attribute raises AttributeError. copy and pickle carry the tuple of
+    fields and set it back without calling __init__.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__name__} takes one value per field of {self._fields}, "
+                f"got {len(values)}"
+            )
+        self.__setstate__(values)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

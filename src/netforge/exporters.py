@@ -134,12 +134,6 @@ class Finding(Record):
     message: str
     location: str
 
-    def __init__(self, severity: str, code: str, message: str, location: str):
-        object.__setattr__(self, "severity", severity)
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "location", location)
-
     def __str__(self):
         return f"{self.severity.upper():5s} {self.code:21s} {self.location}: {self.message}"
 
@@ -446,14 +440,6 @@ class _TextDialect(Record):
     subckt_params: str  # appended to a subckt header; "{}" takes the k=v tokens
     nets: str  # an instance's nets; "{}" takes the space-joined net names
     footer: tuple  # lines after the directives
-
-    def __init__(self, header, keyword, model_params, subckt_params, nets, footer):
-        object.__setattr__(self, "header", header)
-        object.__setattr__(self, "keyword", keyword)
-        object.__setattr__(self, "model_params", model_params)
-        object.__setattr__(self, "subckt_params", subckt_params)
-        object.__setattr__(self, "nets", nets)
-        object.__setattr__(self, "footer", footer)
 
     def __call__(self, circuit: Circuit, seed: int, options: dict) -> str:
         # the registered exporter contract; _seed_exporter lints once for many seeds

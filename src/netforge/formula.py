@@ -57,24 +57,15 @@ class Num(Record):
     _fields = ("value",)
     value: float
 
-    def __init__(self, value: float):
-        object.__setattr__(self, "value", value)
-
 
 class Var(Record):
     _fields = ("name",)
     name: str
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
 
 class Neg(Record):
     _fields = ("operand",)
     operand: Expr
-
-    def __init__(self, operand: Expr):
-        object.__setattr__(self, "operand", operand)
 
 
 class BinOp(Record):
@@ -83,20 +74,11 @@ class BinOp(Record):
     left: Expr
     right: Expr
 
-    def __init__(self, op: str, left: Expr, right: Expr):
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
 
 class Call(Record):
     _fields = ("func", "args")
     func: str
     args: tuple[Expr, ...]
-
-    def __init__(self, func: str, args: tuple[Expr, ...]):
-        object.__setattr__(self, "func", func)
-        object.__setattr__(self, "args", args)
 
 
 Expr = Num | Var | Neg | BinOp | Call
@@ -488,39 +470,30 @@ def _function(program: tuple):
     return namespace["formula"]
 
 
-class Formula:
+class Formula(Record):
     """A parsed arithmetic expression over parameter names.
 
     Formulas compare equal when their ASTs are equal, regardless of the
-    whitespace in the original text. Instances are immutable; the program
-    compiled on first use and the function evaluate() runs are caches, never
-    copied or pickled (a copy is re-parsed from the text and compiles again
-    when first used).
+    whitespace in the original text. Instances are immutable. The program
+    compiled on first use and the function evaluate() runs are caches in
+    slots left unset until then; copies and pickles carry the text and the
+    AST only, and compile again when first used.
     """
 
     __slots__ = ("text", "ast", "_program", "_function")
+    _fields = ("text", "ast")
+    text: str
+    ast: Expr
 
     def __init__(self, text: str):
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "ast", _parse_text(text))
-        object.__setattr__(self, "_program", None)
-        object.__setattr__(self, "_function", None)
+        Record.__init__(self, text, _parse_text(text))
 
     @classmethod
     def from_ast(cls, ast: Expr) -> "Formula":
         _check_depth(ast)  # before unparse, which recurses
         self = cls.__new__(cls)
-        object.__setattr__(self, "text", unparse(ast))
-        object.__setattr__(self, "ast", ast)
-        object.__setattr__(self, "_program", None)
-        object.__setattr__(self, "_function", None)
+        Record.__init__(self, unparse(ast), ast)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Formula is immutable")
-
-    def __reduce__(self):
-        return (Formula, (self.text,))
 
     @property
     def identifiers(self) -> list[str]:
@@ -531,16 +504,18 @@ class Formula:
 
     def program(self) -> tuple:
         """This formula's straight-line source (see _compile), made on first use."""
-        program = self._program
-        if program is None:
+        try:
+            return self._program
+        except AttributeError:  # not made yet
             program = _compile(self.ast)
             object.__setattr__(self, "_program", program)
-        return program
+            return program
 
     def evaluate(self, context) -> float:
         """Value under `context` (identifier -> number), via the compiled program."""
-        function = self._function
-        if function is None:
+        try:
+            function = self._function
+        except AttributeError:  # not made yet
             function = _function(self.program())
             object.__setattr__(self, "_function", function)
         return function(context)

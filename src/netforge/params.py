@@ -89,9 +89,7 @@ class RandomSpec(Record):
         if kind == "uniform" and not math.isfinite(b - a):
             # every draw would be inf (or nan), so nothing could ever export
             raise InvalidDistributionError(f"uniform span overflows: {b} - {a} is not finite")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        Record.__init__(self, kind, a, b)
 
     @property
     def args(self) -> tuple[float, float]:

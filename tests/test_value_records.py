@@ -1,10 +1,11 @@
 """The value records of netforge behave as fixed here: `==` and `hash`,
-`repr`, refusal of assignment, storage (slots or `__dict__`), and copy and
-pickle round trips.
+`repr`, refusal of assignment and deletion, storage (slots or `__dict__`),
+the shared constructor's one value per field, and copy and pickle round
+trips.
 
 The records are core's Net, PendingNet, Component, UnresolvedTemplate,
-Model and Instance; formula's Num, Var, Neg, BinOp and Call; params'
-RandomSpec; and exporters' Finding and _TextDialect."""
+Model and Instance; formula's Formula, Num, Var, Neg, BinOp and Call;
+params' RandomSpec; and exporters' Finding and _TextDialect."""
 
 import copy
 import pickle
@@ -21,9 +22,9 @@ from netforge.core import (
     UnresolvedTemplate,
     _LinkGroup,
 )
-from netforge.errors import InvalidDistributionError
+from netforge.errors import InvalidDistributionError, Record
 from netforge.exporters import _SPECTRE, _SPICE, Finding, _TextDialect
-from netforge.formula import BinOp, Call, Neg, Num, Var
+from netforge.formula import BinOp, Call, Formula, Neg, Num, Var
 from netforge.params import Params, RandomSpec
 
 RES = Component("res", ["a", "b"], {"R": 1e3})
@@ -48,6 +49,7 @@ def _frozen():
          BinOp("-", Var("a"), Num(2.0))),
         (Call("max", (Var("a"), Num(1.0))), Call("max", (Var("a"), Num(1.0))),
          Call("min", (Var("a"), Num(1.0)))),
+        (Formula("a+1"), Formula("a + 1"), Formula("a+2")),
         (RandomSpec("gauss", 0.0, 1.0), RandomSpec("gauss", 0.0, 1.0),
          RandomSpec("uniform", 0.0, 1.0)),
         (Finding("warn", "DANGLING", "used once", "n1"), Finding("warn", "DANGLING", "used once", "n1"),
@@ -69,12 +71,17 @@ FIELDS = {
     Neg: ("operand",),
     BinOp: ("op", "left", "right"),
     Call: ("func", "args"),
+    Formula: ("text", "ast"),
     RandomSpec: ("kind", "a", "b"),
     Finding: ("severity", "code", "message", "location"),
     _TextDialect: ("header", "keyword", "model_params", "subckt_params", "nets", "footer"),
 }
 UNHASHABLE = (Component, Model)  # their params (and metadata) are dicts
-SLOTTED = (Net, PendingNet)
+SLOTS = {  # the slotted records and their slots; the others keep a __dict__
+    Net: ("name",),
+    PendingNet: ("group", "index"),
+    Formula: ("text", "ast", "_program", "_function"),
+}
 
 
 def _values(record) -> tuple:
@@ -105,7 +112,8 @@ def test_a_record_hashes_as_its_fields_or_not_at_all(record, twin, other):
     elif isinstance(record, PendingNet):
         assert hash(record) == hash(twin) == hash(("pending-net", record.index))
     else:
-        assert hash(record) == hash(twin) == hash(_values(record))
+        key = record.ast if isinstance(record, Formula) else _values(record)
+        assert hash(record) == hash(twin) == hash(key)
         assert len({record, twin, other}) == 2
 
 
@@ -178,6 +186,7 @@ def test_custom_reprs_and_strs():
     assert repr(RES) == "Component('res', ports=2, prefix='R')"
     assert repr(Model("nch", "nmos")) == "Model('nch', 'nmos')"
     assert repr(RandomSpec("gauss", 0.0, 1.0)) == "gauss(0.0, 1.0)"
+    assert repr(Formula("a + 1")) == "Formula('a + 1')"
     assert str(Finding("warn", "DANGLING", "used once", "n1")) == (
         "WARN  DANGLING              n1: used once"
     )
@@ -202,8 +211,8 @@ def test_assigning_or_deleting_a_field_raises_attribute_error(record, twin, othe
 @pytest.mark.parametrize("record, twin, other", FROZEN, ids=IDS)
 def test_a_record_keeps_its_fields_in_slots_or_in_its_dict(record, twin, other):
     cls = type(record)
-    if cls in SLOTTED:
-        assert cls.__slots__ == FIELDS[cls]
+    if cls in SLOTS:
+        assert cls.__slots__ == SLOTS[cls]
         assert not hasattr(record, "__dict__")
         assert not hasattr(record, "__weakref__")
     else:
@@ -211,6 +220,18 @@ def test_a_record_keeps_its_fields_in_slots_or_in_its_dict(record, twin, other):
         with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
             record.extra = 1
         assert "extra" not in vars(record)
+
+
+@pytest.mark.parametrize("name", ["_program", "_function"])
+def test_a_formula_cache_slot_can_be_neither_assigned_nor_deleted(name):
+    formula = Formula("2*a")
+    for _ in range(2):  # unset, then made by evaluate
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(formula, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(formula, name)
+        assert formula.evaluate({"a": 3.0}) == 6.0
+    assert getattr(formula, name) is not None
 
 
 def test_nets_and_pending_nets_have_no_dict():
@@ -257,6 +278,20 @@ def test_an_instance_stores_its_fields_in_order_and_stays_mutable():
     assert list(vars(inst)) == ["template", "nets", "overrides", "designator", "context"]
 
 
+@pytest.mark.parametrize("record, twin, other", FROZEN, ids=IDS)
+def test_a_record_takes_one_value_per_field(record, twin, other):
+    cls, values = type(record), _values(record)
+    makers = [lambda *wrong: Record.__init__(cls.__new__(cls), *wrong)]
+    if cls.__init__ is Record.__init__:  # the class only stores its fields
+        assert cls(*values) == record
+        makers.append(cls)
+    for make in makers:
+        for wrong in (values[:-1], values + (values[-1],)):
+            message = rf"{cls.__name__} takes one value per field of .*, got {len(wrong)}$"
+            with pytest.raises(TypeError, match=message):
+                make(*wrong)
+
+
 def test_random_specs_check_their_fields():
     with pytest.raises(InvalidDistributionError, match="unknown distribution 'beta'"):
         RandomSpec("beta", 0.0, 1.0)
@@ -296,6 +331,17 @@ def test_a_copied_record_is_an_equal_frozen_record(record, twin, other, how, tri
     assert hasattr(made, "__dict__") == hasattr(record, "__dict__")
     if how == "copy":
         assert all(a is b for a, b in zip(_values(made), _values(record)))
+
+
+@pytest.mark.parametrize("how, trip", ROUND_TRIPS, ids=[how for how, _ in ROUND_TRIPS])
+def test_a_copied_formula_carries_text_and_ast_and_still_evaluates(how, trip):
+    formula = Formula("max(a, 2) * -b")
+    assert formula.evaluate({"a": 3.0, "b": 2.0}) == -6.0  # fills both caches
+    made = trip(formula)
+    assert made.text == formula.text and made.ast == formula.ast
+    assert not hasattr(made, "_program") and not hasattr(made, "_function")
+    assert made.evaluate({"a": 1.0, "b": 0.5}) == -1.0
+    assert made.program() == formula.program()
 
 
 def test_copies_of_pending_nets_share_their_group_as_the_originals_do():
