@@ -53,7 +53,7 @@ from pathlib import Path
 
 from .core import Circuit, Component, Instance, Model, Subcircuit, as_instance
 from .errors import NetforgeError, ParseError, SchemaError
-from .formula import parse_formula
+from .formula import MAX_DEPTH, parse_formula
 from .io_readers import (
     load_param_file,
     load_spice_models,
@@ -253,6 +253,7 @@ class _Builder:
         self.components: dict[str, Component] = {}
         self.subcircuits: dict[str, Subcircuit] = {}
         self._op_counter = 0
+        self._nesting = 0  # the operator nodes being materialized, see materialize
         self._checked: dict = {}  # id -> Params, see _check
 
     # -- document sections -------------------------------------------------
@@ -424,7 +425,18 @@ class _Builder:
         return self.resolve_template(node["template"], path)
 
     def materialize(self, node, path):
-        """Turn one operator node into something a circuit can add."""
+        """Turn one operator node into something a circuit can add. A node
+        inside more than MAX_DEPTH others (through inject, concat and
+        into_subckt) is a SchemaError at its path."""
+        if self._nesting > MAX_DEPTH:
+            raise SchemaError(f"operator nodes nest deeper than {MAX_DEPTH} levels", path)
+        self._nesting += 1
+        try:
+            return self._made(node, path)
+        finally:
+            self._nesting -= 1
+
+    def _made(self, node, path):
         if not isinstance(node, dict):
             raise SchemaError("operator node must be an object", path)
         op = node.get("op")
@@ -500,10 +512,12 @@ class _Builder:
             parts_raw = node.get("of")
             if not isinstance(parts_raw, list):
                 raise SchemaError("concat needs an array 'of' operator nodes", path)
-            return concat(
+            # every part is made before concat reads any, so that a level of
+            # nesting costs three frames, not five
+            return concat([
                 self._as_batch(self.materialize(part, f"{path}.of[{k}]"), f"{path}.of[{k}]")
                 for k, part in enumerate(parts_raw)
-            )
+            ])
 
         if op == "add_model":
             model = self.model(node, path, op)

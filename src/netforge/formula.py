@@ -10,7 +10,9 @@ Grammar, loosest to tightest binding:
 
 Unary minus binds looser than '^', so "-x^2" parses as "-(x^2)", while the
 exponent itself may be negated: "2^-3". Known functions: min, max, abs,
-sqrt, exp, ln, log10, pow.
+sqrt, exp, ln, log10, pow. A NUMBER past the float range ("1e999") is a
+FormulaSyntaxError. Formula.from_ast keeps only a tree that parsing its own
+text gives back, as every tree the parser makes does.
 
 Nesting is capped at MAX_DEPTH levels, counted across parentheses, unary
 minus, '^' and calls while parsing, and over the finished tree's depth, so
@@ -24,7 +26,9 @@ division by zero and unresolved or text identifiers, with the error types
 in errors.py. Formula.evaluate runs that source as a function over its
 mapping (compiled once per distinct program, _function); the kernels of
 params.ParamPlan splice the same steps into a netlist line's code and read
-the plan's own values from locals instead of the mapping. Generated source
+the plan's own values from locals instead of the mapping. What a formula
+reads, Formula.identifiers, is the names of its program's read steps, so
+the compiler alone defines it, and params orders formulas by it. Generated source
 holds user text only as repr() literals. A plain tree walk with the same
 arithmetic and checks lives in tests/test_formula.py as the reference the
 compiled formulas are compared with.
@@ -196,7 +200,10 @@ class _Parser:
     def atom(self) -> Expr:
         kind, value, offset = self.advance()
         if kind == "number":
-            return Num(float(value))
+            number = float(value)
+            if number == math.inf:
+                raise FormulaSyntaxError(f"number out of range: {value}", offset)
+            return Num(number)
         if kind == "ident":
             nkind, nvalue, _ = self.peek()
             if nkind == "op" and nvalue == "(":
@@ -291,14 +298,15 @@ def _wrap(node: Expr, minimum: int) -> str:
 
 
 def unparse(node: Expr) -> str:
-    """Render an AST back to text; parse(unparse(ast)) == ast."""
-    if isinstance(node, Num):
+    """Render an AST back to text; parse(unparse(ast)) == ast for a tree the
+    parser makes. A value that is not a formula node raises TypeError."""
+    if isinstance(node, Num) and isinstance(node.value, (int, float)):
         return format_number(node.value)
-    if isinstance(node, Var):
+    if isinstance(node, Var) and isinstance(node.name, str):
         return node.name
     if isinstance(node, Neg):
         return "-" + _wrap(node.operand, 3)
-    if isinstance(node, BinOp):
+    if isinstance(node, BinOp) and node.op in _LEVEL:
         level = _LEVEL[node.op]
         if node.op == "^":
             # right-associative; the exponent may carry a unary minus
@@ -317,14 +325,6 @@ def _non_finite(value) -> NonFiniteResultError:
 
 def _call_error(func: str, args, exc: Exception) -> NonFiniteResultError:
     return NonFiniteResultError(f"{func}({', '.join(map(repr, args))}): {exc}")
-
-
-def _free_vars(node: Expr, seen: list[str]) -> None:
-    if isinstance(node, Var):
-        if node.name not in seen:
-            seen.append(node.name)
-    for child in _children(node):
-        _free_vars(child, seen)
 
 
 # --- the compiler: straight-line source -------------------------------------------------
@@ -348,17 +348,10 @@ NAMESPACE = {
 
 
 def _literal(value) -> str:
-    """A number as a Python literal with exactly its value (never user text)."""
-    if isinstance(value, float):
-        if math.isfinite(value):
-            text = float.__repr__(value)
-        else:
-            text = "1e999 * 0.0" if value != value else "-1e999" if value < 0 else "1e999"
-    elif isinstance(value, int):
-        text = int.__repr__(value)
-    else:
-        raise TypeError(f"not a formula node: {Num(value)!r}")
-    return f"({text})" if text[0] == "-" or " " in text else text
+    """A number as a Python literal with exactly its value (never user text):
+    an int or a finite float, the only literals the parser and from_ast keep."""
+    text = float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+    return f"({text})" if text[0] == "-" else text
 
 
 def read_context(temp: str, name: str) -> list[str]:
@@ -490,17 +483,26 @@ class Formula(Record):
 
     @classmethod
     def from_ast(cls, ast: Expr) -> "Formula":
+        """The Formula of `ast`, which parsing its own text must give back, as
+        for every tree the parser makes: else a FormulaSyntaxError, or a
+        TypeError for a value that is not a formula node."""
         _check_depth(ast)  # before unparse, which recurses
+        try:
+            text = unparse(ast)
+        except (ValueError, OverflowError) as exc:  # a literal format_number refuses
+            raise FormulaSyntaxError(f"no text holds this tree: {exc}", 0) from None
+        if _parse_text(text) != ast:
+            raise FormulaSyntaxError(f"{text!r} does not parse back to {ast!r}", 0)
         self = cls.__new__(cls)
-        Record.__init__(self, unparse(ast), ast)
+        Record.__init__(self, text, ast)
         return self
 
     @property
     def identifiers(self) -> list[str]:
-        """Free identifiers in first-occurrence order."""
-        seen: list[str] = []
-        _free_vars(self.ast, seen)
-        return seen
+        """The distinct identifiers this formula reads, in the order its
+        program first reads them: the names of the program's read steps."""
+        reads = [step[1] for step in self.program()[0] if isinstance(step, tuple)]
+        return list(dict.fromkeys(reads))
 
     def program(self) -> tuple:
         """This formula's straight-line source (see _compile), made on first use."""

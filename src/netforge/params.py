@@ -12,10 +12,14 @@ seed) triple always produces bitwise-identical numbers.
 Everything about a parameter map that does not depend on the context or the
 seed is analysed once, into a ParamPlan that the Params keeps: the constant
 values, the random specs in name order (the draw order), and the formulas in
-dependency order. Once a text exporter asks, the plan also keeps its token
-layout, with the constants' `name=value` text, and its run function
-(ParamPlan.run), which a text exporter calls once for every stretch of
-consecutive lines that share the plan, such as a whole chain.
+dependency order, where a formula depends on the formulas of the map that
+its compiled program reads (Formula.identifiers, the program's read steps).
+No analysis recurses, so a chain of formulas of any length orders, or
+reports its cycle as a CyclicDependencyError. Once a text exporter asks,
+the plan also keeps its token layout, with the constants' `name=value`
+text, and its run function (ParamPlan.run), which a text exporter calls
+once for every stretch of consecutive lines that share the plan, such as a
+whole chain.
 
 The run function is the plan's kernel, and the only renderer: one generated
 function that draws, computes and formats this map's values for a run of
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import insort
 
 from .errors import (
     CyclicDependencyError,
@@ -256,14 +261,16 @@ class ParamSet(CheckedDict):
 
 
 def _formula_order(params: Params) -> list[str]:
-    """Topological order of formula-valued parameters, ties broken by name."""
+    """Topological order of formula-valued parameters, ties broken by name.
+    On a cycle, CyclicDependencyError names the one reached from the first
+    unplaced formula by name along first unplaced dependencies by name (each
+    unplaced formula has one, or the order would have placed it)."""
     formula_names = {n for n, v in params.items() if isinstance(v, Formula)}
     deps = {
         name: sorted(set(params[name].identifiers) & formula_names)
         for name in formula_names
     }
-    # edges run dep -> name
-    indegree = {name: len(deps[name]) for name in formula_names}
+    indegree = {name: len(dlist) for name, dlist in deps.items()}
     dependents: dict[str, list[str]] = {name: [] for name in formula_names}
     for name, dlist in deps.items():
         for dep in dlist:
@@ -274,47 +281,19 @@ def _formula_order(params: Params) -> list[str]:
     while ready:
         name = ready.pop(0)
         order.append(name)
-        freed = []
         for dependent in dependents[name]:
             indegree[dependent] -= 1
             if indegree[dependent] == 0:
-                freed.append(dependent)
-        if freed:
-            ready = sorted(ready + freed)
+                insort(ready, dependent)
     if len(order) != len(formula_names):
-        raise CyclicDependencyError(_find_cycle(deps, set(order)))
+        placed = set(order)
+        path = [min(formula_names - placed)]
+        step = {}  # name -> its place on the path
+        while path[-1] not in step:
+            step[path[-1]] = len(path) - 1
+            path.append(next(dep for dep in deps[path[-1]] if dep not in placed))
+        raise CyclicDependencyError(path[step[path[-1]]:])
     return order
-
-
-def _find_cycle(deps: dict[str, list[str]], done: set[str]) -> list[str]:
-    remaining = [n for n in sorted(deps) if n not in done]
-    stack: list[str] = []
-    on_stack: set[str] = set()
-    visited: set[str] = set()
-
-    def walk(node: str):
-        stack.append(node)
-        on_stack.add(node)
-        for dep in deps[node]:
-            if dep in done:
-                continue
-            if dep in on_stack:
-                start = stack.index(dep)
-                return stack[start:] + [dep]
-            if dep not in visited:
-                found = walk(dep)
-                if found:
-                    return found
-        on_stack.discard(node)
-        visited.add(stack.pop())
-        return None
-
-    for node in remaining:
-        if node not in visited:
-            cycle = walk(node)
-            if cycle:
-                return cycle
-    return remaining  # unreachable in practice
 
 
 def _draw(kind: str, i: int) -> tuple[list[str], list[str]]:

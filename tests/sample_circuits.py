@@ -53,3 +53,28 @@ def duplicate_subckt_circuit() -> Circuit:
     circuit += wrap @ ["x", "y"]
     circuit += other @ ["x", "y"]
     return circuit
+
+
+def long_cycle_formulas(n: int = 1200) -> dict:
+    """Parameter name -> formula text: f0 reads f1, ..., f{n-1} reads f{n},
+    and f{n} reads f{n-1}. A chain longer than Python's recursion limit that
+    ends in the cycle f{n-1} -> f{n} -> f{n-1}."""
+    texts = {f"f{i}": f"f{i + 1}" for i in range(n)}
+    texts[f"f{n}"] = f"f{n - 1}"
+    return texts
+
+
+def nested_node(op: str, depth: int, leaf: dict) -> dict:
+    """A build document's operator node: `depth` nodes `op` (concat, inject
+    or into_subckt), each holding the next, around the operator node `leaf`.
+    The inject nodes draw no defect: with p > 0 each level would add about
+    p times as many instances as it holds."""
+    node = leaf
+    for k in range(depth):
+        if op == "concat":
+            node = {"op": "concat", "of": [node]}
+        elif op == "inject":
+            node = {"op": "inject", "p": 0, "into": node}
+        else:
+            node = {"op": "into_subckt", "name": f"W{k}", "pins": [], "body": [node]}
+    return node

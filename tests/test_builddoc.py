@@ -6,10 +6,12 @@ from netforge import builddoc
 from netforge.builddoc import build_circuit, load_doc
 from netforge.core import Component
 from netforge.errors import CyclicDependencyError, SchemaError, UnknownCornerError
-from netforge.exporters import export
-from netforge.formula import Formula
+from netforge.exporters import export, export_json, import_json
+from netforge.formula import MAX_DEPTH, Formula
 from netforge.io_readers import load_veriloga, read_param_file
 from netforge.params import Params, RandomSpec
+
+from sample_circuits import nested_node
 
 
 def build(tmp_path, doc, **kwargs):
@@ -480,3 +482,17 @@ def test_a_verilog_a_component_builds_as_before(tmp_path, data_dir, case):
     assert [type(v) for v in component.params.values()] == [
         type(v) for v in expected.params.values()
     ]
+
+
+# --- operator nodes nest at most MAX_DEPTH deep ---------------------------------------
+
+@pytest.mark.parametrize("op", ["concat", "inject", "into_subckt"])
+def test_operator_nesting_cap_is_inclusive(tmp_path, op):
+    leaf = {"op": "instance", "template": "res", "nets": ["n1", "n2"]}
+    circuit = build(tmp_path, dict(BASE, circuit=[nested_node(op, MAX_DEPTH, leaf)]))
+    again = import_json(export_json(circuit))
+    assert again == circuit and export(again) == export(circuit)
+    with pytest.raises(SchemaError, match=f"nest deeper than {MAX_DEPTH} levels") as err:
+        build(tmp_path, dict(BASE, circuit=[nested_node(op, MAX_DEPTH + 1, leaf)]))
+    inner = {"concat": ".of[0]", "inject": ".into", "into_subckt": ".body[0]"}[op]
+    assert err.value.path == "circuit[0]" + inner * (MAX_DEPTH + 1)

@@ -10,7 +10,7 @@ import pytest
 from netforge import builddoc
 from netforge.cli import main
 
-from sample_circuits import duplicate_subckt_circuit
+from sample_circuits import duplicate_subckt_circuit, long_cycle_formulas, nested_node
 
 RO_DOC = "ro.json"
 
@@ -50,6 +50,14 @@ def test_build_malformed_json_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["build", bad], capsys)
     assert code == 2
     assert "error:" in err
+
+
+def test_a_document_that_is_not_an_object_exits_2(tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text("[1]")
+    for args in (["build", doc], ["sweep", doc, "--out", tmp_path / "sweep"]):
+        assert run_cli(args, capsys) == (2, "", "error: $: build document must be an object\n")
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_build_schema_error_exits_2_with_path(tmp_path, capsys):
@@ -108,6 +116,25 @@ def test_build_error_exits_3(tmp_path, capsys):
         code, _, err = run_cli([command, doc], capsys)
         assert code == 3
         assert "cyclic" in err.lower()
+
+
+def test_a_cycle_at_the_end_of_a_long_formula_chain_exits_3(tmp_path, capsys):
+    # a RecursionError traceback, exit 1
+    params = {name: {"$formula": text} for name, text in long_cycle_formulas().items()}
+    doc = tmp_path / "doc.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "version": 1,
+                "components": [{"name": "r", "ports": ["a", "b"], "params": params}],
+                "circuit": [{"op": "instance", "template": "r", "nets": ["n1", "n2"]}],
+            }
+        )
+    )
+    for command in ("build", "export", "lint"):
+        code, out, err = run_cli([command, doc], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: cyclic parameter dependency: f1199 -> f1200 -> f1199\n"
 
 
 @pytest.mark.parametrize("where", ["count", "param", "formula"])
@@ -396,6 +423,15 @@ def test_sweep_vary_controls_chain_length(doc_dir, tmp_path, capsys):
         assert len(top_chain_lines) == n
 
 
+def test_a_one_step_vary_takes_its_low_end(doc_dir, tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    args = ["sweep", doc_dir / RO_DOC, "--vary", "N_CHAINS=2:9:1", "--out", out_dir]
+    assert run_cli(args, capsys) == (0, "", "")
+    [variant] = json.loads((out_dir / "manifest.json").read_text())["variants"]
+    assert variant == {"file": "ro__TT__N_CHAINS=2__s7.sp", "corner": "TT",
+                       "vars": {"N_CHAINS": 2}, "seed": 7}
+
+
 def test_sweep_single_variant_matches_export(doc_dir, tmp_path, capsys):
     out_dir = tmp_path / "sweep"
     code, _, _ = run_cli(["sweep", doc_dir / RO_DOC, "--out", out_dir], capsys)
@@ -449,7 +485,7 @@ def test_sweep_rejects_bad_vary_spec(doc_dir, tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400", "many"])
 def test_set_rejects_non_finite_numbers(doc_dir, capsys, value):
     code, out, err = run_cli(["build", doc_dir / RO_DOC, "--set", f"N_CHAINS={value}"], capsys)
     assert code == 2
@@ -457,7 +493,9 @@ def test_set_rejects_non_finite_numbers(doc_dir, capsys, value):
     assert err.startswith("error: --set:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("spec", ["0:inf:2", "nan:1:2", "0:1e400:3", "-1e308:1e308:3"])
+@pytest.mark.parametrize(
+    "spec", ["0:inf:2", "nan:1:2", "0:1e400:3", "-1e308:1e308:3", "1:x:2", "1:2:0"]
+)
 def test_vary_rejects_non_finite_numbers(doc_dir, tmp_path, capsys, spec):
     out_dir = tmp_path / "sweep"
     code, _, err = run_cli(
@@ -478,7 +516,7 @@ def test_sweep_rejects_an_empty_corner_before_writing(doc_dir, tmp_path, capsys)
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("name", ["a/b", "a b", "1a", "a.b", "é", "a-b"])
+@pytest.mark.parametrize("name", ["a/b", "a b", "1a", "a.b", "é", "a-b", ""])
 def test_set_and_vary_accept_only_names_a_formula_can_read(doc_dir, tmp_path, capsys, name):
     for command in ("build", "export", "sweep"):
         out_dir = tmp_path / command
@@ -574,6 +612,12 @@ def _ro_with(doc_dir, edit):
 
 _RES = json.loads(_RES_COMPONENT)
 
+
+def _nested(op, depth):
+    leaf = {"op": "instance", "template": "nmos_tt", "nets": ["d", "g", "s", "b"]}
+    return nested_node(op, depth, leaf)
+
+
 # name -> (the edit of ro.json, the path of the error); each ended in a
 # traceback (exit 1) or, for "fixed" and a negative $repeat count, was accepted
 _MALFORMED = {
@@ -602,6 +646,36 @@ _MALFORMED = {
     "negative $repeat count": (
         lambda doc: doc["subcircuits"][0]["pins"][0].update(count=-1),
         "subcircuits[0].pins[0].count"),
+    # read as inf, it printed a ValueError traceback at export
+    "formula literal past the float range": (
+        lambda doc: doc["components"].append({**_RES, "params": {"y": {"$formula": "1 / 1e999"}}}),
+        "components[3].params.y"),
+    # the node inside more than MAX_DEPTH (100) others; concat and into_subckt
+    # nested this deep ended in a RecursionError
+    "concat nested 200 deep": (
+        lambda doc: doc["circuit"].append(_nested("concat", 200)), "circuit[2]" + ".of[0]" * 101),
+    "inject nested 200 deep": (
+        lambda doc: doc["circuit"].append(_nested("inject", 200)), "circuit[2]" + ".into" * 101),
+    "into_subckt nested 400 deep": (
+        lambda doc: doc["circuit"].append(_nested("into_subckt", 400)),
+        "circuit[2]" + ".body[0]" * 101),
+    "into_subckt nested in a subcircuit": (
+        lambda doc: doc["subcircuits"][1]["body"].append(_nested("into_subckt", 101)),
+        "subcircuits[1].body[2]" + ".body[0]" * 101),
+    # raise statements that no other test reached
+    "variables not an object": (lambda doc: doc.update(variables=[1]), "variables"),
+    "models not an array": (lambda doc: doc.update(models={}), "models"),
+    "missing template": (lambda doc: doc["circuit"][0].pop("template"), "circuit[0]"),
+    "operator node not an object": (lambda doc: doc["circuit"].append(1), "circuit[2]"),
+    "array shape not an array": (lambda doc: doc["circuit"][1].update(shape=3), "circuit[1].shape"),
+    "inject without into": (
+        lambda doc: doc["circuit"].append({"op": "inject", "p": 0.5}), "circuit[2]"),
+    "concat of not an array": (
+        lambda doc: doc["circuit"].append({"op": "concat", "of": 1}), "circuit[2]"),
+    "$repeat template not a string": (
+        lambda doc: doc["subcircuits"][0]["pins"][0].update({"$repeat": 1}),
+        "subcircuits[0].pins[0]"),
+    "body not an array": (lambda doc: doc["subcircuits"][1].update(body={}), "subcircuits[1].body"),
 }
 
 

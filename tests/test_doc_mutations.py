@@ -2,12 +2,16 @@
 
 A bounded, derandomized property: one or two leaves of tests/data/ro.json,
 or of the chain_mc document of perfbench/workloads.py (read, never changed),
-are replaced with a JSON value of another type. Each mutated document goes
-through `netforge.cli.main` as `export --out` and as `sweep`, and each run
-must exit 0, 2, 3 or 5 with no exception escaping `main` (the console would
-print it as a traceback). A failed `export --out` must leave no file. The
-same mutations of the golden JSON IR files must make `import_json` raise
-nothing but a NetforgeError.
+are replaced with a JSON value of another type, or one operator node of the
+document is wrapped in up to twice formula.MAX_DEPTH concat, inject or
+into_subckt nodes, each holding the next. Each such document goes through
+`netforge.cli.main` as `export --out` and as `sweep`, and each run must exit
+0, 2, 3 or 5 with no exception escaping `main` (the console would print it
+as a traceback). A failed `export --out` must leave no file. Each run has
+the recursion limit the interpreter started with, which Hypothesis raises
+while a test runs, so a walk that nesting can drive past that limit fails
+here. The same leaf mutations of the golden JSON IR files must make
+`import_json` raise nothing but a NetforgeError.
 
 Generated numbers stay small (plus inf and nan). A huge finite count asks
 for that many instances: "N_CHAINS": 1e300 as a $repeat count ran for
@@ -22,6 +26,7 @@ import io
 import json
 import math
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -31,6 +36,9 @@ from hypothesis import strategies as st
 from netforge.cli import main
 from netforge.errors import NetforgeError
 from netforge.exporters import import_json
+from netforge.formula import MAX_DEPTH
+
+from sample_circuits import nested_node
 
 TESTS = Path(__file__).resolve().parent
 DATA = TESTS / "data"
@@ -96,10 +104,40 @@ def mutated(draw, bases):
     return name, doc
 
 
+def _op_paths(doc) -> list:
+    """The paths of the operator nodes in the circuit and the subcircuit bodies of `doc`."""
+    paths = [("circuit", i) for i in range(len(doc.get("circuit", [])))]
+    for j, sub in enumerate(doc.get("subcircuits", [])):
+        paths += [("subcircuits", j, "body", i) for i in range(len(sub.get("body", [])))]
+    return paths
+
+
+@st.composite
+def wrapped(draw, bases):
+    """A deep copy of one of `bases` with one operator node wrapped in up to
+    twice MAX_DEPTH nodes of one nesting op, the bound and one past it often."""
+    name = draw(st.sampled_from(sorted(bases)))
+    doc = copy.deepcopy(bases[name])
+    *parent, key = draw(st.sampled_from(_op_paths(doc)))
+    op = draw(st.sampled_from(["concat", "inject", "into_subckt"]))
+    depth = draw(st.sampled_from([MAX_DEPTH, MAX_DEPTH + 1]) | st.integers(1, 2 * MAX_DEPTH))
+    _get(doc, parent)[key] = nested_node(op, depth, _get(doc, parent)[key])
+    return name, doc
+
+
+# the recursion limit a console run has; Hypothesis raises it while a test runs
+_CONSOLE_LIMIT = sys.getrecursionlimit()
+
+
 def _run(argv) -> int:
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main([str(a) for a in argv])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_CONSOLE_LIMIT)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([str(a) for a in argv])
+    finally:
+        sys.setrecursionlimit(limit)
     assert code in (0, 2, 3, 5), (argv[0], code, stderr.getvalue())
     return code
 
@@ -112,10 +150,7 @@ _BOUNDED = settings(
 )
 
 
-@settings(_BOUNDED, max_examples=150)
-@given(case=mutated(BASES))
-def test_a_mutated_document_exits_with_a_documented_code(case):
-    name, doc = case
+def _export_and_sweep(name, doc):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for side in ("mos_params.json", "counter.va"):
@@ -128,6 +163,18 @@ def test_a_mutated_document_exits_with_a_documented_code(case):
         if _run(["export", path, "--out", out]) != 0:
             assert not out.exists()
         _run(["sweep", path, "--out", work / "sweep"])
+
+
+@settings(_BOUNDED, max_examples=150)
+@given(case=mutated(BASES))
+def test_a_mutated_document_exits_with_a_documented_code(case):
+    _export_and_sweep(*case)
+
+
+@settings(_BOUNDED, max_examples=30)
+@given(case=wrapped(BASES))
+def test_a_deeply_wrapped_document_exits_with_a_documented_code(case):
+    _export_and_sweep(*case)
 
 
 @settings(_BOUNDED, max_examples=150)

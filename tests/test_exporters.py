@@ -44,6 +44,7 @@ from sample_circuits import (
     crossbar_circuit,
     defect_chain_circuit,
     duplicate_subckt_circuit,
+    long_cycle_formulas,
     ro_circuit,
 )
 
@@ -280,6 +281,17 @@ def test_lint_reports_a_formula_cycle_once_per_map(where):
     for dialect in ("spice", "spectre"):
         with pytest.raises(LintErrors, match="CYCLIC_PARAM"):
             export(circuit, dialect)
+
+
+def test_lint_reports_a_cycle_at_the_end_of_a_long_chain():
+    # lint, which never raises, raised RecursionError
+    texts = long_cycle_formulas()
+    circuit = Circuit()
+    circuit += Component("long", ["a", "b"], {n: Formula(t) for n, t in texts.items()}) @ ["a", "b"]
+    report = lint(circuit)
+    assert [(f.code, f.location, f.message) for f in report.errors] == [
+        ("CYCLIC_PARAM", "L1", "cyclic parameter dependency: f1199 -> f1200 -> f1199")
+    ]
 
 
 def test_lint_reports_a_formula_that_reads_map_text_once_per_map():

@@ -221,6 +221,8 @@ def test_domain_errors_are_non_finite():
 def test_overflow_is_non_finite():
     with pytest.raises(NonFiniteResultError):
         parse_formula("exp(10000)").evaluate({})
+    with pytest.raises(NonFiniteResultError, match="^formula produced non-finite value inf$"):
+        parse_formula("1e308 * 10").evaluate({})
 
 
 def test_formula_equality_ignores_whitespace():
@@ -384,3 +386,62 @@ def test_nesting_cap_is_inclusive():
         parse_formula("-" * 101 + "3")
     with pytest.raises(FormulaSyntaxError):
         parse_formula("+".join(["1"] * 102))
+
+
+# --- from_ast keeps a tree only if parsing its text gives it back ----------------------
+
+# a tree the parser never makes -> the start of the FormulaSyntaxError
+_NOT_PARSED = {
+    # exported as r=2, and read back as "bad formula: sqrt() expects 1 argument(s), got 2"
+    "sqrt of two": (Call("sqrt", (Num(4.0), Num(9.0))), "sqrt() expects 1 argument(s), got 2"),
+    "unknown function": (Call("foo", (Num(1.0),)), "unknown function 'foo'"),
+    "negative literal": (Num(-1.0), "'-1' does not parse back to Num(value=-1.0)"),
+    "args as a list": (Call("abs", [Num(1.0)]), "'abs(1)' does not parse back to"),
+    "more digits than the text": (Num(2.0**60), "'1.15292150461e18' does not parse back to"),
+    "a name the grammar refuses": (Var("a b"), "unexpected 'b'"),
+    "infinite literal": (Num(math.inf), "no text holds this tree: cannot format non-finite"),
+    "int past the float range": (Num(10**400), "no text holds this tree: int too large"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NOT_PARSED))
+def test_from_ast_refuses_a_tree_the_parser_never_makes(case):
+    ast, message = _NOT_PARSED[case]
+    with pytest.raises(FormulaSyntaxError) as err:
+        Formula.from_ast(ast)
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "ast",
+    [BinOp("%", Num(1.0), Num(2.0)), Neg(BinOp("%", Var("a"), Num(2.0))), "a + 1", None,
+     Neg("a"), Num("1"), Var(5)],
+    ids=["unknown operator", "nested unknown operator", "text", "None", "text operand",
+         "text number", "number name"],
+)
+def test_from_ast_of_what_is_not_a_formula_node_is_a_type_error(ast):
+    # an unknown operator raised a bare KeyError
+    with pytest.raises(TypeError, match="not a formula node"):
+        Formula.from_ast(ast)
+
+
+def test_from_ast_keeps_an_int_literal_that_prints_exactly():
+    formula = Formula.from_ast(BinOp("+", Num(2**53), Num(1)))
+    assert formula.text == "9007199254740992 + 1"
+    assert formula == Formula(formula.text)
+    assert formula.ast.left.value == 2**53 and formula.evaluate({}) == 2**53 + 1
+
+
+@pytest.mark.parametrize("text", ["1e999", "x / 1e400", "2 * 1.8e308"])
+def test_a_number_past_the_float_range_is_a_syntax_error(text):
+    # parsed as inf: "1e999" evaluated to inf, and "x / 1e400" raised ValueError
+    with pytest.raises(FormulaSyntaxError, match="number out of range"):
+        parse_formula(text)
+
+
+def test_identifiers_are_the_distinct_reads_in_evaluation_order():
+    formula = parse_formula("min(b, a ^ c) * b - -d / a")
+    assert formula.identifiers == ["b", "a", "c", "d"]
+    reads = [step[1] for step in formula.program()[0] if isinstance(step, tuple)]
+    assert reads == ["b", "a", "c", "b", "d", "a"]
+    assert parse_formula("1 + 2").identifiers == []

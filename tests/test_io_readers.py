@@ -44,6 +44,9 @@ def test_si_suffix_capacitor():
         ("meg", 2.5e6),
         ("g", 2.5e9),
         ("t", 2.5e12),
+        # an exponent and a suffix add up
+        ("e-3k", 2.5),
+        ("E2meg", 2.5e8),
     ],
 )
 def test_all_si_suffixes(suffix, expected):
@@ -108,6 +111,22 @@ def test_malformed_distribution_args():
         read_param_file('{"d": {"TT": {"x": {"$gauss": [1, "a"]}}}}')
     with pytest.raises(SchemaError):
         read_param_file('{"d": {"TT": {"x": {"$gauss": [1, -2]}}}}')
+
+
+# a parameter value -> its SchemaError at d.TT.x
+_BAD_VALUES = {
+    "number past the float range": ("1e400", "number must be finite, got inf"),
+    "SI number past the float range": ('"1e308k"', "number out of range: '1e308k'"),
+    "formula not a string": ('{"$formula": 1}', "$formula expects a string"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_VALUES))
+def test_a_bad_value_is_a_schema_error_at_its_path(case):
+    raw, message = _BAD_VALUES[case]
+    with pytest.raises(SchemaError) as err:
+        read_param_file('{"d": {"TT": {"x": %s}}}' % raw)
+    assert str(err.value) == f"d.TT.x: {message}"
 
 
 def test_bad_formula_reported_as_schema_error():
@@ -318,6 +337,9 @@ def test_malformed_card_reports_line_number():
         parse_spice_models(".model m1 nmos (vth=0.4")  # unbalanced parens
     with pytest.raises(ParseError):
         parse_spice_models("+ w=1\n")
+    with pytest.raises(ParseError, match="malformed parameter 'a=' in .model m1") as err:
+        parse_spice_models("\n.model m1 nmos (a=)")
+    assert err.value.line == 2
 
 
 def test_whitespace_insensitive():
@@ -356,6 +378,16 @@ def test_two_modules_rejected():
     text = "module a (p); endmodule\nmodule b (q); endmodule"
     with pytest.raises(MultipleModulesError):
         parse_veriloga(text)
+
+
+def test_an_unparseable_port_is_a_parse_error():
+    with pytest.raises(ParseError, match="unparseable port declaration '7'"):
+        parse_veriloga("module m (a, 7); endmodule")
+
+
+def test_a_default_that_is_not_a_number_stays_text():
+    comp = parse_veriloga("module m (a); parameter real g = 2*x; parameter real h = 1e999; endmodule")
+    assert dict(comp.params) == {"g": "2*x", "h": "1e999"}
 
 
 def test_no_module_rejected():

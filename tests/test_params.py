@@ -27,7 +27,7 @@ from netforge.params import (
 )
 from netforge.rng import Xoshiro256StarStar
 
-from sample_circuits import defect_chain_circuit, ro_circuit
+from sample_circuits import defect_chain_circuit, long_cycle_formulas, ro_circuit
 
 
 def test_params_preserve_insertion_order():
@@ -183,6 +183,43 @@ def test_eval_cycle_rejected_with_cycle_members():
 def test_eval_self_reference_rejected():
     with pytest.raises(CyclicDependencyError):
         eval_params(Params({"a": Formula("a + 1")}))
+
+
+# the map -> the cycle it reports: from the first formula by name that no
+# order places, each formula's first such dependency by name until one repeats
+_CYCLES = {
+    "pair": ({"a": "b", "b": "a"}, "a -> b -> a"),
+    "self": ({"a": "a + 1"}, "a -> a"),
+    "tail": ({"x": "y", "y": "z", "z": "y"}, "y -> z -> y"),
+    "placed dependency": ({"c": "b + a", "b": "c", "a": "1"}, "b -> c -> b"),
+    "two cycles": ({"p": "q", "q": "p", "a": "b + a", "b": "2"}, "a -> a"),
+    "first by name": ({"z": "min(y, x)", "y": "z * x", "x": "w", "w": "y"}, "w -> y -> x -> w"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CYCLES))
+def test_a_cycle_is_reported_along_first_dependencies(case):
+    texts, cycle = _CYCLES[case]
+    with pytest.raises(CyclicDependencyError) as err:
+        eval_params(Params({name: Formula(text) for name, text in texts.items()}))
+    assert str(err.value) == f"cyclic parameter dependency: {cycle}"
+    assert err.value.cycle == cycle.split(" -> ")
+
+
+def _long_chain(**last) -> Params:
+    texts = long_cycle_formulas()
+    return Params({**{name: Formula(text) for name, text in texts.items()}, **last})
+
+
+def test_a_long_chain_into_a_cycle_is_a_cyclic_dependency_error():
+    # it ended in a RecursionError
+    with pytest.raises(CyclicDependencyError) as err:
+        eval_params(_long_chain())
+    assert str(err.value) == "cyclic parameter dependency: f1199 -> f1200 -> f1199"
+
+
+def test_a_long_acyclic_chain_evaluates():
+    assert eval_params(_long_chain(f1200=1.5))["f0"] == 1.5
 
 
 def test_eval_chained_formulas():

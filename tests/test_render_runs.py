@@ -150,9 +150,10 @@ def _bound() -> Circuit:
 def _twin_formulas() -> Circuit:
     # equal formulas (the same AST) that compute different values: an int
     # and a float literal; compared by value, the two lines would be one run
-    # and print the first line's value twice
+    # and print the first line's value twice. 2**53 prints exactly, so
+    # Formula.from_ast keeps both trees; (2**53 + 1) - 2**53 is 1 in ints, 0.0 in floats
     def twin(number):
-        big = Num(number(2**60))
+        big = Num(number(2**53))
         return Formula.from_ast(BinOp("-", BinOp("+", big, Num(number(1))), big))
 
     first, second = ({"g": twin(kind)} for kind in (int, float))
