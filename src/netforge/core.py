@@ -23,7 +23,7 @@ import re
 import sys
 from collections import deque
 from functools import partial
-from itertools import repeat
+from itertools import compress, filterfalse, repeat
 from typing import Iterable, Union
 
 from . import names
@@ -67,10 +67,11 @@ DEFAULT_GLOBALS = ("GND", "VDD", "0")
 class Net(Record):
     """A named electrical node; `name` is None for the unconnected marker.
 
-    Integer literals are accepted wherever nets are and normalize to their
-    decimal text ("0" is ground by SPICE convention). Symbolic names are
-    case-sensitive and follow the net rule of netforge.names. Nets are immutable
-    values without a __dict__, so instances may share one freely.
+    Integer literals and text of ASCII digits are accepted wherever nets are
+    and normalize to their decimal text ("0" is ground by SPICE convention).
+    Symbolic names are case-sensitive and follow the net rule of
+    netforge.names. Nets are immutable values without a __dict__, so
+    instances may share one freely.
     """
 
     __slots__ = _fields = ("name",)
@@ -158,8 +159,8 @@ _NET_TYPES = (Net, PendingNet)
 
 def as_net(value: NetLike) -> Net | PendingNet:
     """Normalize a net-like value: Net/PendingNet pass through, "" and None
-    mean unconnected, non-negative integers (and decimal strings) become their
-    decimal text, and anything else must be a valid symbolic name."""
+    mean unconnected, non-negative integers (and text of ASCII digits) become
+    their decimal text, and anything else must be a valid symbolic name."""
     if isinstance(value, (Net, PendingNet)):
         return value
     if value is None:
@@ -173,7 +174,9 @@ def as_net(value: NetLike) -> Net | PendingNet:
     if isinstance(value, str):
         if value == "":
             return UNCONNECTED
-        if value.isdecimal():
+        # ASCII digits only: other decimal digits ("３", "٣") would merge
+        # nets that were named differently
+        if value.isascii() and value.isdecimal():
             try:
                 return Net(str(int(value)))
             except ValueError:  # more digits than Python converts to an int
@@ -183,6 +186,38 @@ def as_net(value: NetLike) -> Net | PendingNet:
                 ) from None
         return Net(names.net(value))
     raise TypeError(f"expected a net name, got {type(value).__name__}")
+
+
+def _text_nets(texts: list) -> dict:
+    """as_net of each of the distinct texts `texts` that as_net takes, by
+    text. A symbolic name, the usual kind, takes no call of its own: one
+    pattern match over them all checks them (names.all_nets), and one pass
+    makes their Nets. Only digits and "" go through as_net one by one."""
+    nets = {}
+    special = list(compress(texts, map(str.isdigit, texts)))
+    if "" in texts:
+        special.append("")
+    if special:
+        texts = list(filterfalse(set(special).__contains__, texts))
+    if not names.all_nets(texts):  # a name as_net rejects: left out
+        special += texts
+        texts = []
+    for text in special:
+        try:
+            nets[text] = as_net(text)
+        except NetNameError:
+            pass
+    nets.update(zip(texts, _made(Net, len(texts), name=texts)))
+    return nets
+
+
+def _global_name(value) -> str:
+    """The name of the global net `value`, as as_net reads it: one that
+    is not a net name, or names no net, raises NetNameError."""
+    name = as_net(value).name
+    if name is None:
+        raise NetNameError(f"invalid global net name {value!r}")
+    return name
 
 
 def _as_metadata(metadata) -> dict[str, str]:
@@ -315,7 +350,7 @@ class Instance(_TemplateOps):
     context: dict
 
     def __init__(self, template, nets, overrides=None, designator=None, context=None):
-        # stores in this order keep the instance dicts key-sharing (_children)
+        # stores in this order keep the instance dicts key-sharing (_instances)
         self.template = template
         # nets that are already Nets (built or imported ones) need no coercion
         if type(nets) is not tuple or not all(isinstance(n, _NET_TYPES) for n in nets):
@@ -378,25 +413,38 @@ class Instance(_TemplateOps):
         return f"<{self.designator or '?'} {getattr(self.template, 'name', '?')} ({nets})>"
 
 
+def _instances(nets_rows, templates, overrides, designators, contexts) -> list:
+    """New instances, one per tuple of `nets_rows` (Nets and PendingNets
+    only), each given the next item of every other column, which may be
+    longer: its template, its own overrides (a Params) and context (a
+    dict), and its designator; no __init__, coercion or check per instance."""
+    made = []
+    for nets, template, params, designator, context in zip(
+        nets_rows, templates, overrides, designators, contexts
+    ):
+        # plain stores in field order, as __init__ makes them, keep the
+        # instance dicts key-sharing
+        inst = object.__new__(Instance)
+        inst.template = template
+        inst.nets = nets
+        inst.overrides = params
+        inst.designator = designator
+        inst.context = context
+        made.append(inst)
+    return made
+
+
 def _children(proto: Instance, nets_list, designators=None) -> list:
     """Copies of `proto`, one per tuple of `nets_list` (Nets and PendingNets
     only, as `proto`'s nets hold), designated by `designators` or None. Each
     copy gets its own overrides and context, since it stays mutable."""
-    template, context = proto.template, proto.context
+    overrides = proto.overrides
     # an empty map needs no Params.__init__ (see Params)
-    params = proto.overrides.copy if proto.overrides else partial(dict.__new__, Params)
-    children = []
-    for nets, designator in zip(nets_list, designators or repeat(None)):
-        # plain stores in field order, as __init__ makes them, keep the
-        # instance dicts key-sharing
-        child = object.__new__(Instance)
-        child.template = template
-        child.nets = nets
-        child.overrides = params()
-        child.designator = designator
-        child.context = dict(context)
-        children.append(child)
-    return children
+    params = map(Params.copy, repeat(overrides)) if overrides else map(dict.__new__, repeat(Params))
+    return _instances(
+        nets_list, repeat(proto.template), params, designators or repeat(None),
+        map(dict, repeat(proto.context)),
+    )
 
 
 def as_instance(obj) -> Instance:
@@ -542,7 +590,8 @@ class _InstanceScope:
             num = int(num)
             if num > counters.get(prefix, 0):
                 counters[prefix] = num
-        groups = _LINK_NET_LINES_RE.findall(net_names)
+        # the links of one group share its number: convert each number once
+        groups = set(_LINK_NET_LINES_RE.findall(net_names))
         if groups:
             self._next_link_group = max(self._next_link_group, 1 + max(map(int, groups)))
 
@@ -642,7 +691,7 @@ class Circuit(_InstanceScope):
         self.instances: list[Instance] = []
         self.subcircuits: dict[str, Subcircuit] = {}
         self.models: dict[str, Model] = {}
-        self.global_nets: list[str] = list(dict.fromkeys(global_nets))
+        self.global_nets: list[str] = list(dict.fromkeys(map(_global_name, global_nets)))
         self.directives: list[str] = []
         self.rng_seed = int(rng_seed)
         # True when a build derived part of the structure from rng_seed, so

@@ -48,17 +48,19 @@ object, the net names cut into rows by lint's row cutter, and names and
 designators quoted without a call per name when none needs escaping; the
 top level's records join straight into the document.
 
-import_json reads a scope (the top level or a subcircuit body) in one loop
-over its records, in order: it makes the common record (a known template,
-nets that are text, no params, a plain designator) inline, and hands any
-other record whole to the per-record reader, which makes it or raises its
-error, so the first bad record is the one reported. It checks and coerces
-each net name once per scope, and the instances of a scope share one Net
-per name; one pattern match over the scope's designators and one over its
-net names continue its counters. Every definition name, designator and
-parameter name it reads goes through the rules of netforge.names, and a
-name they reject is a SchemaError at the name's path. Its text goes
-through io_readers.read_json, as every JSON input does.
+import_json reads a scope (the top level or a subcircuit body) a column at a
+time (_instances_from_ir): it takes each field of every record in one pass
+and checks each column in one pass, and makes the common records (a known
+template, net names as text, no params, a designator) in one call; it hands
+any other record, in record order, whole to the per-record reader, which
+makes it or raises its error, so the first bad record is the one reported.
+It checks and makes each distinct net name once per scope, and the
+instances of a scope share one Net per name; the joins that checked the
+scope's designators and its net names continue its counters. Every
+definition name, designator and parameter name it reads goes through the
+rules of netforge.names, and a name they reject is a SchemaError at the
+name's path. Its text goes through io_readers.read_json, as every JSON
+input does.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ import math
 import operator
 import os
 from collections import Counter
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from pathlib import Path
 
 from . import names
@@ -81,6 +83,8 @@ from .core import (
     Net,
     Subcircuit,
     UnresolvedTemplate,
+    _instances,
+    _text_nets,
     as_net,
 )
 from .errors import (
@@ -99,7 +103,6 @@ from .errors import (
 )
 from .formula import Formula
 from .io_readers import ParamFile, _checked, _key_path, read_json, value_from_json
-from .names import _DESIGNATOR_START
 # perfbench/tracer.py TARGETS resolve eval_params and format_number under this
 # module's name, so both stay importable here although text export renders
 # through ParamPlan.run
@@ -263,15 +266,14 @@ def _same_objects(a, b) -> bool:
     return list(a) == list(b) and all(map(operator.is_, a.values(), b.values()))
 
 
-def _joined(net_names: list, arities: list, sep: str = " ") -> list:
-    """The `sep`-joined net names of each line, from `net_names`, the names
-    of all the lines' nets one after another, and `arities`, each line's
-    number of nets."""
+def _rows(items: list, arities: list, row) -> list:
+    """row(r) of each row r of `items`, the items of consecutive rows one
+    after another, cut into rows of `arities` items each: r is a tuple when
+    every row has as many items, else a slice of `items`."""
     widths = set(arities)
     if len(widths) == 1 and 0 not in widths:
-        # every line has as many nets: cut the names into rows of that many
-        return list(map(sep.join, zip(*[iter(net_names)] * widths.pop())))
-    return [sep.join(net_names[end - n:end]) for n, end in zip(arities, accumulate(arities))]
+        return list(map(row, zip(*[iter(items)] * widths.pop())))
+    return [row(items[end - n:end]) for n, end in zip(arities, accumulate(arities))]
 
 
 def _lint_scope(findings, lines, instances, pins, scope, global_nets, known_subckts, reads):
@@ -307,7 +309,7 @@ def _lint_scope(findings, lines, instances, pins, scope, global_nets, known_subc
         nets = [" ".join([name for name in row if name is not None]) for row in rows]
         used = [name for name in used if name is not None]
     else:
-        nets = _joined(used, [len(inst.nets) for inst in instances])
+        nets = _rows(used, [len(inst.nets) for inst in instances], " ".join)
 
     maps: list = []
     sizes: list[int] = []
@@ -661,7 +663,7 @@ def _instance_records(instances, indent: str):
 
     The records of a scope are written a column at a time, and the columns
     interleaved: one head per template object, every net name read in one
-    pass and cut into rows (_joined, as lint cuts them), "{}" for empty
+    pass and cut into rows (_rows, as lint cuts them), "{}" for empty
     overrides, and names and designators quoted without a call per name
     when no text of the scope needs escaping (_plain)."""
     if not instances:
@@ -675,10 +677,10 @@ def _instance_records(instances, indent: str):
     if None in used:
         used = [name or "" for name in used]
     if _plain(used):  # quoted by the text around each name
-        rows = _joined(used, arities, f'",\n{item}"')
+        rows = _rows(used, arities, f'",\n{item}"'.join)
         first, last = f'[\n{item}"', f'"\n{key}]'
     else:
-        rows = _joined(list(map(_encode, used)), arities, f",\n{item}")
+        rows = _rows(list(map(_encode, used)), arities, f",\n{item}".join)
         first, last = f"[\n{item}", f"\n{key}]"
     if 0 in arities:  # "[]" for no nets; a row of one unconnected net is empty too
         rows = [first + row + last if n else "[]" for n, row in zip(arities, rows)]
@@ -866,66 +868,99 @@ def _instance_from_ir(raw, templates, scope_nets, path) -> Instance:
     )
 
 
+def _misfits(fits, values) -> set:
+    """The indices of the values of which `fits` is false."""
+    return set(compress(count(), map(operator.not_, map(fits, values))))
+
+
+def _all_of(cls, values) -> bool:
+    """Whether every value (if any) is exactly a `cls`."""
+    return set(map(type, values)) <= {cls}
+
+
 def _instances_from_ir(raw_list, container, templates, path) -> None:
     """Import one scope's instance records into `container`, a circuit or a
     subcircuit, with one Net per net name, and continue its counters.
 
-    One loop visits the records in order and makes the common record
-    inline: an object whose template names one of `templates`, whose nets
-    are an array of text, whose params are absent or empty, whose context
-    is absent or an object, and whose designator is alphanumeric text that
-    starts with a letter. A net name new to the scope is coerced once, by
-    as_net. Any other record goes whole to _instance_from_ir, which makes
-    it or raises its error; so the first bad record is reported, at its
-    own path. Then one pattern match over the scope's designators and one
-    over its net names continue the counters."""
+    The records are read a column at a time: each field of every record is
+    taken in one pass and checked in one pass, and only a column that fails
+    its check is looked at a record at a time. A record is common when it is
+    an object whose template names one of `templates`, whose nets are an
+    array of net names as text, whose params are absent or empty, whose
+    context is absent or an object, and whose designator is one. Each
+    distinct net name is checked and made once (core._text_nets); the
+    common records are made in one call (core._instances), on their Nets cut
+    into rows as lint cuts their names (_rows). Any other record goes alone,
+    in record order, to _instance_from_ir, which makes it on the same Nets
+    or raises its error; so the first bad record is reported, at its own
+    path. The joined designators and net names continue the counters."""
     _expect(isinstance(raw_list, list), "expected an array of instances", path)
-    instances = container.instances if isinstance(container, Circuit) else container.body
-    scope_nets: dict[str, Net] = {}
-    get_net = scope_nets.get
-    for i, raw in enumerate(raw_list):
-        inst = None
-        if type(raw) is dict:
-            name = raw.get("template")
-            template = templates.get(name) if type(name) is str else None
-            raw_nets = raw.get("nets")
-            context = raw.get("context", _NOTHING)
-            designator = raw.get("designator")
-            if (
-                template is not None
-                and type(raw_nets) is list
-                and type(context) is dict
-                and raw.get("params", _NOTHING) == _NOTHING
-                and type(designator) is str
-                and designator.isalnum()
-                and designator[0] in _DESIGNATOR_START
-            ):
-                nets = []
-                for net_name in raw_nets:
-                    if type(net_name) is not str:
-                        break
-                    net = get_net(net_name)
-                    if net is None:
-                        try:
-                            net = scope_nets[net_name] = as_net(net_name)
-                        except NetNameError:
-                            break
-                    nets.append(net)
-                else:
-                    # plain stores in field order, as core._children makes them
-                    inst = object.__new__(Instance)
-                    inst.template = template
-                    inst.nets = tuple(nets)
-                    inst.overrides = dict.__new__(Params)
-                    inst.designator = designator
-                    inst.context = dict(context)
-        if inst is None:
-            inst = _instance_from_ir(raw, templates, scope_nets, f"{path}[{i}]")
-        instances.append(inst)
-    container._continue_numbering(
-        "\n".join(filter(None, map(operator.attrgetter("designator"), instances))),
-        "\n".join(scope_nets),
+    odd: set = set()  # the indices of the records that are not common
+    records = raw_list
+    if not _all_of(dict, records):
+        odd = _misfits(lambda raw: type(raw) is dict, records)
+        records = [raw if type(raw) is dict else _NOTHING for raw in records]
+
+    def column(key: str, absent=None):
+        return map(dict.get, records, repeat(key), repeat(absent))
+
+    try:
+        known = templates.keys() >= set(column("template"))
+    except TypeError:  # a name that is not hashable
+        known = False
+    if not known:
+        odd |= _misfits(lambda name: type(name) is str and name in templates, column("template"))
+    net_lists = list(column("nets"))
+    if not _all_of(list, net_lists):
+        odd |= _misfits(lambda nets: type(nets) is list, net_lists)
+        net_lists = [nets if type(nets) is list else [] for nets in net_lists]
+    try:
+        distinct = list(dict.fromkeys(chain.from_iterable(net_lists)))
+    except TypeError:  # a net that is not hashable, so not text
+        distinct = None
+    if distinct is None or not _all_of(str, distinct):
+        odd |= _misfits(functools.partial(_all_of, str), net_lists)
+        net_lists = [nets if _all_of(str, nets) else [] for nets in net_lists]
+        distinct = list(dict.fromkeys(chain.from_iterable(net_lists)))
+    scope_nets = _text_nets(distinct)
+    if len(scope_nets) < len(distinct):
+        odd |= _misfits(set(distinct).difference(scope_nets).isdisjoint, net_lists)
+    if not _all_of(dict, column("params", _NOTHING)) or any(column("params", _NOTHING)):
+        odd |= _misfits(
+            lambda params: type(params) is dict and not params, column("params", _NOTHING)
+        )
+    if not _all_of(dict, column("context", _NOTHING)):
+        odd |= _misfits(lambda context: type(context) is dict, column("context", _NOTHING))
+    designators = list(column("designator"))
+    joined = names.designator_lines(designators)
+    if joined is None:
+        odd |= _misfits(names.is_designator, designators)
+
+    wanted, contexts = column("template"), column("context", _NOTHING)
+    if odd:
+        common = list(map(operator.not_, map(odd.__contains__, range(len(records)))))
+        wanted, net_lists, designators, contexts = (
+            compress(values, common) for values in (wanted, net_lists, designators, contexts)
+        )
+        net_lists = list(net_lists)
+    made = _instances(
+        _rows(list(map(scope_nets.__getitem__, chain.from_iterable(net_lists))),
+              list(map(len, net_lists)), tuple),
+        map(templates.__getitem__, wanted), map(dict.__new__, repeat(Params)), designators,
+        map(dict, contexts),
     )
+    instances = container.instances if isinstance(container, Circuit) else container.body
+    if odd:
+        made = iter(made)
+        start = 0
+        for i in sorted(odd):
+            instances.extend(islice(made, i - start))
+            instances.append(_instance_from_ir(raw_list[i], templates, scope_nets, f"{path}[{i}]"))
+            start = i + 1
+    instances.extend(made)
+    if joined is None:  # some designators are not text, or not designators
+        joined = "\n".join(filter(None, map(operator.attrgetter("designator"), instances)))
+    container._continue_numbering(joined, "\n".join(scope_nets))
 
 
 def _subckt_shell_from_ir(name, raw, path) -> Subcircuit:
@@ -972,7 +1007,10 @@ def import_json(text: str) -> Circuit:
     _expect(_is_text_list(global_nets), "expected an array of net names", "globals")
     directives = raw.get("directives", [])
     _expect(_is_text_list(directives), "expected an array of strings", "directives")
-    circuit = Circuit(rng_seed=seed, global_nets=global_nets)
+    try:
+        circuit = Circuit(rng_seed=seed, global_nets=global_nets)
+    except NetNameError as exc:
+        raise SchemaError(str(exc), "globals") from None
     circuit.directives = list(directives)
 
     templates: dict[str, object] = {}

@@ -16,8 +16,8 @@ checking names itself:
   Parameter names, so every exported `k=v` names something a formula can
   refer to.
 - net: [A-Za-z_][A-Za-z0-9_.]* for a symbolic net or pin name (core.as_net
-  also takes non-negative integers and decimal text), and [A-Za-z_]+ for a
-  designator prefix.
+  also takes non-negative integers and text of ASCII digits), and [A-Za-z_]+
+  for a designator prefix.
 
 Corner and device names, which only parameter files print (as JSON keys),
 need only be non-empty text (nonempty_text).
@@ -26,7 +26,8 @@ Each check returns the name it was given or raises a BadNameError:
 EmptyNameError (also a TypeError) for an empty or non-text name, NetNameError
 for a net or pin. is_token and is_designator are the tests themselves, for
 lint, which reports designators and text values that break their rule as
-BAD_TOKEN; all_designators tests a whole scope's designators at once.
+BAD_TOKEN. all_designators and all_nets test a whole scope's designators or
+symbolic net names at once, and designator_lines also gives their join.
 
 This module imports only errors, so every other module can use it.
 """
@@ -38,8 +39,8 @@ import re
 from .errors import BadNameError, EmptyNameError, NetNameError
 
 __all__ = [
-    "is_token", "token", "is_designator", "all_designators", "designator", "identifier", "net",
-    "prefix", "nonempty_text",
+    "is_token", "token", "is_designator", "all_designators", "designator_lines", "designator",
+    "identifier", "net", "all_nets", "prefix", "nonempty_text",
 ]
 
 _TOKEN_RE = re.compile(r"[^\s=]+\Z")
@@ -47,8 +48,9 @@ _NET_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
 _PREFIX_RE = re.compile(r"[A-Za-z_]+\Z")
 # what a designator may start with: what a designator prefix is made of
 _DESIGNATOR_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-# designators, one per line: [^\s=] takes no newline
+# designators, and symbolic net names, one per line: neither class takes a newline
 _DESIGNATOR_LINES_RE = re.compile(r"[A-Za-z_][^\s=]*(?:\n[A-Za-z_][^\s=]*)*\Z")
+_NET_LINES_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*(?:\n[A-Za-z_][A-Za-z0-9_.]*)*\Z")
 
 
 def is_token(text) -> bool:
@@ -77,24 +79,33 @@ def is_designator(text) -> bool:
     return is_token(text) and text[0] in _DESIGNATOR_START
 
 
-def all_designators(texts: list) -> bool:
-    """is_designator of every text of `texts`, in one pattern match over
-    them all, joined by newlines: the pattern puts a designator on every
-    line, and no text may add a line of its own."""
+def _lines(pattern, texts: list):
+    """`texts` joined by newlines, if `pattern` matches the join and no text
+    adds a line of its own; else None."""
     try:
         joined = "\n".join(texts)
     except TypeError:  # not all text
-        return False
-    return not texts or (
-        joined.count("\n") == len(texts) - 1 and _DESIGNATOR_LINES_RE.match(joined) is not None
-    )
+        return None
+    if texts and (joined.count("\n") != len(texts) - 1 or pattern.match(joined) is None):
+        return None
+    return joined
+
+
+def designator_lines(texts: list):
+    """`texts` joined by newlines, if each is a designator (is_designator);
+    else None. One pattern match over the join tests them all."""
+    return _lines(_DESIGNATOR_LINES_RE, texts)
+
+
+def all_designators(texts: list) -> bool:
+    """is_designator of every text of `texts`, in one pattern match over
+    them all (designator_lines)."""
+    return designator_lines(texts) is not None
 
 
 def designator(text, what: str = "designator"):
     """`text`, if it is one token that starts with [A-Za-z_]."""
-    # is_designator, inline: import_json checks here every designator that
-    # is not alphanumeric text starting with a letter (those it tests inline)
-    if is_token(text) and text[0] in _DESIGNATOR_START:
+    if is_designator(text):
         return text
     token(text, what)
     raise BadNameError(f"{what} {text!r} must start with [A-Za-z_], as a designator prefix does")
@@ -114,6 +125,12 @@ def net(text, what: str = "net"):
     if isinstance(text, str) and _NET_RE.match(text):
         return text
     raise NetNameError(f"invalid {what} name {text!r}")
+
+
+def all_nets(texts: list) -> bool:
+    """Whether every text of `texts` is a symbolic net name, in one pattern
+    match over them all, joined by newlines."""
+    return _lines(_NET_LINES_RE, texts) is not None
 
 
 def prefix(text):

@@ -921,8 +921,14 @@ def _one_resistor_doc(tmp_path, name="res", param="r", value=1, model="m", net="
         ({"param": "k=1"}, "parameter name 'k=1'"),
         ({"model": "bad name"}, "model name 'bad name'"),
         ({"net": "1" * 5000}, "numeric net name has 5000 digits"),
+        # at exit 0 these were the net 3, shorted with any other net "3"
+        ({"net": "３"}, "invalid net name '３'"),
+        ({"net": "٣"}, "invalid net name '٣'"),
     ],
-    ids=["component", "parameter-space", "parameter-equals", "model", "net-digits"],
+    ids=[
+        "component", "parameter-space", "parameter-equals", "model", "net-digits",
+        "net-fullwidth-digit", "net-arabic-indic-digit",
+    ],
 )
 def test_a_name_that_is_not_one_token_is_a_build_error(tmp_path, capsys, fields, message):
     doc = _one_resistor_doc(tmp_path, **fields)

@@ -1,5 +1,6 @@
 import pytest
 
+from netforge import core
 from netforge.core import (
     GND,
     UNCONNECTED,
@@ -56,6 +57,51 @@ def test_net_rejects_bad_names():
         as_net("1" * 5000)
     with pytest.raises(TypeError):
         as_net(1.5)
+
+
+@pytest.mark.parametrize("name", ["３", "٣", "１２", "1٣", "²"])
+def test_net_takes_only_ascii_digits_as_a_number(name):
+    # other decimal digits named nets that are not "3": R1 in ３, R2 3 out
+    # and R3 out ٣ would all export on net 3, shorted together
+    with pytest.raises(NetNameError, match=f"^invalid net name '{name}'$"):
+        as_net(name)
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ["a", "b.c", "net_0_1", "_x"],
+        ["a", "0", "007", "", "12"],
+        ["a", "３", "b", "a b", "1" * 5000, "٣", "x\ny", "²"],
+        [],
+    ],
+    ids=["symbolic", "decimal-and-empty", "rejected", "none"],
+)
+def test_text_nets_is_as_net_of_each_text_it_takes(texts):
+    expected = {}
+    for text in texts:
+        try:
+            expected[text] = as_net(text)
+        except NetNameError:
+            pass
+    nets = core._text_nets(texts)
+    assert nets == expected and list(nets.values()) == [expected[t] for t in nets]
+    assert nets.get("") is (UNCONNECTED if "" in texts else None)
+
+
+def test_global_nets_follow_the_net_rule():
+    circuit = Circuit(global_nets=["GND", "007", 7, "0", Net("VDD")])
+    assert circuit.global_nets == ["GND", "7", "0", "VDD"]
+    for bad, message in (
+        ("a b", "invalid net name 'a b'"),
+        ("３", "invalid net name '３'"),
+        ("", "invalid global net name ''"),
+        (None, "invalid global net name None"),
+        (-1, "numeric nets must be >= 0, got -1"),
+    ):
+        with pytest.raises(NetNameError) as info:
+            Circuit(global_nets=["GND", bad])
+        assert str(info.value) == message
 
 
 def test_net_allows_dots_and_underscores():

@@ -477,6 +477,18 @@ def test_lint_globals_and_shared_nets_not_dangling():
     assert len(lint(circuit)) == 0
 
 
+def test_a_decimal_global_is_the_net_of_its_number():
+    res = Component("res", ["a", "b"])
+    circuit = Circuit(global_nets=["GND", "007"])
+    circuit += res @ ["n1", 7]
+    circuit += res @ ["n1", "GND"]
+    assert len(lint(circuit)) == 0
+    raw = json.loads(export_json(circuit))
+    assert raw["globals"] == ["GND", "7"]
+    raw["globals"] = ["GND", "007", "7"]
+    assert import_json(json.dumps(raw)).global_nets == ["GND", "7"]
+
+
 def test_lint_unconnected_is_error():
     circuit = Circuit()
     circuit += Component("res", ["a", "b"]) @ ["", "GND"]
@@ -751,6 +763,9 @@ def _set_param(where, name):
         (_set_param("component", "r x"), 'components.Cap.params["r x"]'),
         (_set_param("instance", "k=1 z"), 'instances[0].params["k=1 z"]'),
         (_set_top("models", {"m": {"base_type": "nm os"}}), "models.m.base_type"),
+        (_set_top("globals", ["GND", "a b"]), "globals"),
+        (_set_top("globals", ["GND", ""]), "globals"),
+        (_set_top("globals", ["３"]), "globals"),
     ],
     ids=[
         "globals-number", "context-array", "float-net", "seed-text", "directives-text",
@@ -761,7 +776,8 @@ def _set_param(where, name):
         "component-empty-name", "model-empty-name", "subcircuit-empty-name",
         "nested-empty-name", "component-space-name", "model-space-name",
         "subcircuit-space-name", "nested-space-name", "component-param-space-name",
-        "instance-param-equals-name", "base-type-space",
+        "instance-param-equals-name", "base-type-space", "globals-space", "globals-empty",
+        "globals-fullwidth-digit",
     ],
 )
 def test_import_rejects_malformed_fields_with_path(mutate, path):

@@ -3,17 +3,21 @@
 export_json and write_param_file write their records straight to text. The
 dict form below is the document each describes, and
 json.dumps(dict_form, indent=2) + "\\n" is the byte-identity oracle for both.
-import_json reads a scope in one loop over its records: it makes the common
-record inline and hands any other to _instance_from_ir, so a bad record is
-reported at its own path, and the first one in record order. It coerces
-each net name once per scope, shares one Net per name, and continues the
+import_json reads a scope a column at a time: it makes the common records
+in one call and hands any other to _instance_from_ir, so a bad record is
+reported at its own path, and the first one in record order. It makes each
+net name's Net once per scope, shares one Net per name, and continues the
 scope's designator and link-net counters; the counting tests check which
 records take which path, and how often as_net runs, by calls, not by time.
+A property test checks the column reader against _instance_from_ir on every
+record, on scopes that mix common, uncommon and malformed records.
 """
 
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netforge import core, exporters
 from netforge.core import Circuit, Component, Instance, Model, Net, Subcircuit, UnresolvedTemplate
@@ -323,10 +327,9 @@ def test_imported_chain_neighbours_share_one_net():
 def test_import_coerces_each_net_name_once_per_scope(monkeypatch):
     text = export_json(_chain_circuit(2_000, 30))
     raw = json.loads(text)
-    distinct = len({n for rec in raw["instances"] for n in rec["nets"]}) + len(
-        {n for rec in raw["subcircuits"]["LINE"]["body"] for n in rec["nets"]}
-    )
-    ports = sum(len(comp["ports"]) for comp in raw["components"].values())
+    scopes = (raw["instances"], raw["subcircuits"]["LINE"]["body"])
+    distinct = [{n for rec in records for n in rec["nets"]} for records in scopes]
+    ports = [port for comp in raw["components"].values() for port in comp["ports"]]
     calls = []
     as_net = core.as_net
 
@@ -339,9 +342,15 @@ def test_import_coerces_each_net_name_once_per_scope(monkeypatch):
     handed_off = _count_handed_off(monkeypatch)
     circuit = import_json(text)
     assert len(circuit.instances) == 2_001
-    assert len(calls) == distinct + ports
-    assert distinct == 2_003 + 33
-    # every record of a built chain is a common one, made inline
+    # one Net per distinct name of a scope
+    bodies = (circuit.instances, circuit.subcircuits["LINE"].body)
+    made = [{id(net) for inst in body for net in inst.nets} for body in bodies]
+    assert list(map(len, made)) == list(map(len, distinct)) == [2_003, 33]
+    # the decimal names take one as_net call per scope; the symbolic names,
+    # checked together, take none
+    assert calls == [*circuit.global_nets, *ports, "1", "3", "1", "3"]
+    assert {"1", "3"} <= distinct[0] and {"1", "3"} <= distinct[1]
+    # every record of a built chain is a common one, read in columns
     assert handed_off == []
 
 
@@ -360,8 +369,8 @@ def _count_handed_off(monkeypatch) -> list:
 
 
 def _mixed_scope_circuit() -> Circuit:
-    """One scope whose common records alternate with records of every kind
-    that import_json hands off."""
+    """One scope whose common records alternate with records that
+    import_json hands off."""
     cap = Component("cap", ["a", "b"])
     circuit = Circuit()
     circuit += cap @ ["a", "b"]
@@ -371,6 +380,7 @@ def _mixed_scope_circuit() -> Circuit:
     circuit.instances.append(
         Instance(UnresolvedTemplate("ghost", 2), ["a", "c"], designator="U1")
     )
+    # designators that are not alphanumeric: common
     circuit.instances.append(Instance(cap, ["c", "d"], designator="X_1"))
     circuit.instances.append(Instance(cap, ["d", "a"], designator="X.1"))
     circuit += cap @ ["d", "e"]
@@ -390,10 +400,10 @@ def test_import_round_trips_a_scope_of_common_and_handed_off_records(monkeypatch
     again = import_json(text)
     assert again == circuit
     assert export_json(again) == text
-    assert handed_off == ["C2", "U1", "X_1", "X.1"]
+    assert handed_off == ["C2", "U1"]
     handed_off.clear()
     assert export_json(import_json(numeric)) == text
-    assert handed_off == ["C2", "U1", "X_1", "X.1", "C6"]
+    assert handed_off == ["C2", "U1", "C6"]
     # every instance owns its context and overrides, which stay mutable
     for field in ("context", "overrides"):
         assert len({id(getattr(inst, field)) for inst in again.instances}) == 10
@@ -475,7 +485,8 @@ def test_import_reports_a_bad_last_record_of_a_long_scope(field, value, path, me
 
 
 @pytest.mark.parametrize(
-    "value", [True, 1.5, -1, [1], {"a": 1}, "a b", pytest.param("1" * 5000, id="5000-digits")],
+    "value",
+    [True, 1.5, -1, [1], {"a": 1}, "a b", pytest.param("1" * 5000, id="5000-digits"), "３", "٣"],
 )
 def test_import_rejects_a_bad_net_with_path(value):
     raw = json.loads(export_json(_chain_circuit(3, 2)))
@@ -603,3 +614,114 @@ def test_import_continues_designators_and_link_groups_per_scope():
     assert next_link(outer) == "net_0_0"
     assert added(inner, "res", "cap") == ["R5", "C1"]
     assert next_link(inner) == "net_3_0"
+
+
+# --- the column reader against a reader of every record alone ------------------------
+
+_ABSENT = object()  # a change that deletes its field
+_PROPERTY_TEMPLATES = {
+    "cap": Component("cap", ["a", "b"]),
+    "res": Component("res", ["a", "b", "c"], prefix="R"),
+}
+_GOOD_NETS = ["a", "b", "c", "x.y", "net_0_1", "net_2_0", "net_07_3", "", "0", "007", "12"]
+_DESIGNATORS = ["C1", "C12", "R7", "R٣", "C١٥", "Cé1", "X_3", "X.1", "R-2", "net_1_1"]
+# a change each that keeps a record readable; most make it uncommon
+_VALID_CHANGES = [
+    ("params", {"w": 1.5}), ("params", {"f": {"$formula": "w * 2"}}), ("params", _ABSENT),
+    ("context", {"i": 3, "tag": "x"}), ("context", {}), ("context", _ABSENT),
+    ("nets", [1, "a"]), ("nets", [0, "0"]), ("nets", ["0", "007", 7]), ("nets", []),
+    ("template", "ghost"), ("designator", _ABSENT), ("designator", None),
+]
+# a change each that makes a record an error
+_MALFORMED_CHANGES = [
+    ("designator", "1R"), ("designator", 5), ("designator", "Ω1"), ("designator", "C 1"),
+    ("designator", ""), ("nets", ["a b"]), ("nets", [[1]]), ("nets", ["３", "a"]),
+    ("nets", ["a", "٣"]), ("nets", [1.5]), ("nets", [-1]), ("nets", [True]), ("nets", "ab"),
+    ("nets", ["1" * 5000]), ("nets", _ABSENT), ("template", 5), ("template", {"a": 1}),
+    ("template", ["cap"]), ("template", _ABSENT), ("params", None), ("params", []),
+    ("params", {"k=1": 1}), ("context", None), ("context", [1]),
+]
+
+
+def _changed(record: dict, change) -> dict:
+    field, value = change
+    record = dict(record)
+    if value is _ABSENT:
+        record.pop(field, None)
+    else:
+        record[field] = value
+    return record
+
+
+_common_records = st.builds(
+    lambda template, nets, designator, context: {
+        "template": template, "nets": nets, "params": {}, "designator": designator, **context
+    },
+    st.sampled_from(list(_PROPERTY_TEMPLATES)),
+    st.lists(st.sampled_from(_GOOD_NETS), max_size=3),
+    st.sampled_from(_DESIGNATORS),
+    st.sampled_from([{}, {"context": {}}, {"context": {"i": 1}}]),
+)
+_valid_records = st.one_of(
+    _common_records, _common_records,
+    st.builds(_changed, _common_records, st.sampled_from(_VALID_CHANGES)),
+)
+_malformed_records = st.one_of(
+    st.builds(_changed, _common_records, st.sampled_from(_MALFORMED_CHANGES)),
+    st.sampled_from([5, "cap", [], None]),
+)
+
+
+def _read_scope(raw_list, every_record_alone):
+    """A subcircuit with the instances read from `raw_list`, as import_json
+    reads a scope or with every record through _instance_from_ir; or the
+    error as (type, message, path)."""
+    scope = Subcircuit("S", ["p"])
+    raw_list = json.loads(json.dumps(raw_list))  # a copy of its own, as read_json makes it
+    try:
+        if every_record_alone:
+            scope_nets = {}
+            for i, raw in enumerate(raw_list):
+                scope.body.append(exporters._instance_from_ir(
+                    raw, _PROPERTY_TEMPLATES, scope_nets, f"body[{i}]"
+                ))
+            scope._continue_numbering(
+                "\n".join(filter(None, (inst.designator for inst in scope.body))),
+                "\n".join(scope_nets),
+            )
+        else:
+            exporters._instances_from_ir(raw_list, scope, _PROPERTY_TEMPLATES, "body")
+    except NetforgeError as exc:
+        return type(exc), str(exc), exc.path
+    return scope
+
+
+def _net_identities(instances) -> list:
+    """Each net of each instance, as the index of its Net object's first use."""
+    first: dict = {}
+    return [first.setdefault(id(net), len(first)) for inst in instances for net in inst.nets]
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(_valid_records, max_size=12),
+    st.lists(st.tuples(st.integers(0, 12), _malformed_records), max_size=2),
+)
+def test_the_column_reader_reads_a_scope_as_every_record_alone(records, faults):
+    for where, fault in faults:
+        records.insert(where, fault)
+    columns, alone = _read_scope(records, False), _read_scope(records, True)
+    if isinstance(alone, tuple):  # the same first error, at the same path
+        assert columns == alone
+        return
+    assert isinstance(columns, Subcircuit), columns
+    read, expected = columns.body, alone.body
+    assert read == expected  # templates, nets, overrides and contexts
+    assert [inst.designator for inst in read] == [inst.designator for inst in expected]
+    assert [type(inst.template) for inst in read] == [type(inst.template) for inst in expected]
+    assert all(type(inst.overrides) is Params for inst in read)
+    assert _net_identities(read) == _net_identities(expected)
+    for field in ("overrides", "context"):  # every instance owns its own
+        assert len({id(getattr(inst, field)) for inst in read}) == len(read)
+    assert columns._counters == alone._counters
+    assert columns._next_link_group == alone._next_link_group

@@ -270,6 +270,22 @@ _NAMES = st.one_of(
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_all_designators_is_the_rule_of_each(texts):
     assert names.all_designators(texts) == all(map(names.is_designator, texts))
+    joined = names.designator_lines(texts)
+    assert joined == ("\n".join(texts) if names.all_designators(texts) else None)
+
+
+def _is_net(text) -> bool:
+    try:
+        return names.net(text) == text
+    except NetNameError:
+        return False
+
+
+@given(st.lists(_NAMES | st.sampled_from(["a.b", "x\ny", "\nn1", "n1\n", "", "0", None, 5]),
+                max_size=6))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_all_nets_is_the_net_rule_of_each(texts):
+    assert names.all_nets(texts) == all(map(_is_net, texts))
 
 
 # each place, with the name it has when another place is drawn

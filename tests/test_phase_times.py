@@ -42,16 +42,29 @@ def test_phase_times_reports_every_phase_of_a_tiny_document(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [doc]  # the output went to a temporary directory
 
 
-def test_phase_times_startup_compares_cli_imports_with_bare_interpreters(capsys):
+def _bytecode_files() -> set:
+    root = TOOL.parent.parent
+    return set(root.rglob("__pycache__")) | set(root.rglob("*.pyc"))
+
+
+def test_phase_times_startup_compares_cli_imports_with_bare_interpreters(capsys, monkeypatch):
+    # the environment as given writes no bytecode, so neither table may
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    before = _bytecode_files()
     assert _load_tool().main(["--startup", "2"]) == 0
-    processes, modules = capsys.readouterr().out.split("\n\n")
-    lines = processes.splitlines()
-    assert lines[0] == "== start-up: medians of 2 fresh processes =="
-    rows = {line.rsplit(None, 1)[0]: float(line.split()[-1]) for line in lines[2:]}
-    assert list(rows) == ["python -c pass", "python -c 'import netforge.cli'", "difference"]
-    bare, cli = rows["python -c pass"], rows["python -c 'import netforge.cli'"]
-    assert bare > 0 and cli > 0
-    assert abs(rows["difference"] - (cli - bare)) < 0.02  # printed to 0.01 ms
+    assert _bytecode_files() == before  # the bytecode went to a temporary directory
+    given, bytecode, modules = capsys.readouterr().out.split("\n\n")
+    for table, title in (
+        (given, "start-up: medians of 2 fresh processes"),
+        (bytecode, "start-up from bytecode: medians of 2 fresh processes, after one warm-up"),
+    ):
+        lines = table.splitlines()
+        assert lines[0] == f"== {title} =="
+        rows = {line.rsplit(None, 1)[0]: float(line.split()[-1]) for line in lines[2:]}
+        assert list(rows) == ["python -c pass", "python -c 'import netforge.cli'", "difference"]
+        bare, cli = rows["python -c pass"], rows["python -c 'import netforge.cli'"]
+        assert bare > 0 and cli > 0
+        assert abs(rows["difference"] - (cli - bare)) < 0.02  # printed to 0.01 ms
     lines = modules.splitlines()
     assert lines[0] == "== -X importtime of import netforge.cli: netforge modules, one process =="
     rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}

@@ -46,12 +46,17 @@ median. Stdlib only; perfbench/ is imported, never changed.
 
 --startup N times what every CLI process pays before any work: it starts N
 fresh `python -c "import netforge.cli"` processes, each after one bare
-`python -c pass`, with this checkout's src/ on PYTHONPATH and the rest of
-the environment as given (so PYTHONDONTWRITEBYTECODE decides whether the
-sources are compiled in every process), and prints the median wall time of
-each and their difference. Then it prints each netforge module's self and
+`python -c pass`, with this checkout's src/ on PYTHONPATH, and prints the
+median wall time of each and their difference. It does so twice. First with
+the rest of the environment as given, so PYTHONDONTWRITEBYTECODE decides
+whether the sources are compiled in every process. Then from bytecode, as
+an installed package starts: with PYTHONDONTWRITEBYTECODE unset and
+PYTHONPYCACHEPREFIX set to a temporary directory outside the checkout, after
+one warm-up process that writes the bytecode there, so nothing is written
+into the checkout. Then it prints each netforge module's self and
 cumulative import time, in the order the modules finished importing, from
-one `python -X importtime -c "import netforge.cli"` process.
+one `python -X importtime -c "import netforge.cli"` process, with the
+environment as given.
 """
 
 from __future__ import annotations
@@ -152,12 +157,22 @@ def report(title: str, medians: dict) -> None:
     print(f"{'total':12s} {total_ref:8.3f} {total_ms:9.2f} {100.0:6.1f}%")
 
 
-def startup(n: int) -> tuple[dict, list]:
-    """({"pass": seconds, "import netforge.cli": seconds}, the medians of n
-    fresh processes each) and [(module, self us, cumulative us)] for each
-    netforge module, from one `-X importtime` process."""
+def _environment(**changes) -> dict:
+    """The environment as given, with this checkout's src/ first on
+    PYTHONPATH and each of `changes` set, or unset when None."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for name, value in changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+def startup(n: int, env: dict) -> dict:
+    """{"pass": seconds, "import netforge.cli": seconds}, the medians of n
+    fresh processes each, run in `env`."""
     codes = ("pass", "import netforge.cli")
     times: dict[str, list[float]] = {code: [] for code in codes}
     for _ in range(n):
@@ -165,6 +180,12 @@ def startup(n: int) -> tuple[dict, list]:
             start = time.perf_counter()
             subprocess.run([sys.executable, "-c", code], env=env, check=True)
             times[code].append(time.perf_counter() - start)
+    return {code: statistics.median(times[code]) for code in codes}
+
+
+def import_times(env: dict) -> list:
+    """[(module, self us, cumulative us)] for each netforge module, from one
+    `-X importtime` process run in `env`."""
     log = subprocess.run(
         [sys.executable, "-X", "importtime", "-c", "import netforge.cli"],
         env=env, check=True, capture_output=True, text=True,
@@ -175,22 +196,40 @@ def startup(n: int) -> tuple[dict, list]:
             self_us, cumulative_us, name = line.removeprefix("import time:").split("|")
             if name.strip().startswith("netforge"):
                 modules.append((name.strip(), int(self_us), int(cumulative_us)))
-    return {code: statistics.median(times[code]) for code in codes}, modules
+    return modules
 
 
-def report_startup(n: int, medians: dict, modules: list) -> None:
+def report_startup(title: str, medians: dict) -> None:
     bare, cli = medians["pass"], medians["import netforge.cli"]
-    print(f"== start-up: medians of {n} fresh processes ==")
+    print(f"== {title} ==")
     print(f"{'process':32s} {'ms':>9s}")
     for label, seconds in (("python -c pass", bare),
                            ("python -c 'import netforge.cli'", cli),
                            ("difference", cli - bare)):
         print(f"{label:32s} {seconds * 1e3:9.2f}")
-    print()
+
+
+def report_import_times(modules: list) -> None:
     print("== -X importtime of import netforge.cli: netforge modules, one process ==")
     print(f"{'module':32s} {'self ms':>9s} {'cum. ms':>9s}")
     for name, self_us, cumulative_us in modules:
         print(f"{name:32s} {self_us / 1e3:9.2f} {cumulative_us / 1e3:9.2f}")
+
+
+def run_startup(n: int) -> None:
+    """The --startup tables: as given, from bytecode, and per module."""
+    given = _environment()
+    report_startup(f"start-up: medians of {n} fresh processes", startup(n, given))
+    print()
+    with tempfile.TemporaryDirectory(prefix="phase_times_pycache_") as cache:
+        env = _environment(PYTHONDONTWRITEBYTECODE=None, PYTHONPYCACHEPREFIX=cache)
+        subprocess.run([sys.executable, "-c", "import netforge.cli"], env=env, check=True)
+        report_startup(
+            f"start-up from bytecode: medians of {n} fresh processes, after one warm-up",
+            startup(n, env),
+        )
+    print()
+    report_import_times(import_times(given))
 
 
 def main(argv=None) -> int:
@@ -209,7 +248,7 @@ def main(argv=None) -> int:
     if args.startup is not None:
         if args.startup < 1:
             parser.error("--startup must be at least 1")
-        report_startup(args.startup, *startup(args.startup))
+        run_startup(args.startup)
         return 0
     from netforge import exporters
 
