@@ -80,7 +80,6 @@ from .core import (
     Component,
     Instance,
     Model,
-    Net,
     Subcircuit,
     UnresolvedTemplate,
     _instances,
@@ -878,6 +877,13 @@ def _all_of(cls, values) -> bool:
     return set(map(type, values)) <= {cls}
 
 
+def _not_of(cls, values: list) -> set:
+    """The indices of the values that are not exactly a `cls`."""
+    if _all_of(cls, values):
+        return set()
+    return set(compress(count(), map(operator.is_not, map(type, values), repeat(cls))))
+
+
 def _instances_from_ir(raw_list, container, templates, path) -> None:
     """Import one scope's instance records into `container`, a circuit or a
     subcircuit, with one Net per net name, and continue its counters.
@@ -895,11 +901,8 @@ def _instances_from_ir(raw_list, container, templates, path) -> None:
     or raises its error; so the first bad record is reported, at its own
     path. The joined designators and net names continue the counters."""
     _expect(isinstance(raw_list, list), "expected an array of instances", path)
-    odd: set = set()  # the indices of the records that are not common
-    records = raw_list
-    if not _all_of(dict, records):
-        odd = _misfits(lambda raw: type(raw) is dict, records)
-        records = [raw if type(raw) is dict else _NOTHING for raw in records]
+    odd = _not_of(dict, raw_list)  # the indices of the records that are not common
+    records = [raw if type(raw) is dict else _NOTHING for raw in raw_list] if odd else raw_list
 
     def column(key: str, absent=None):
         return map(dict.get, records, repeat(key), repeat(absent))
@@ -911,8 +914,9 @@ def _instances_from_ir(raw_list, container, templates, path) -> None:
     if not known:
         odd |= _misfits(lambda name: type(name) is str and name in templates, column("template"))
     net_lists = list(column("nets"))
-    if not _all_of(list, net_lists):
-        odd |= _misfits(lambda nets: type(nets) is list, net_lists)
+    misfits = _not_of(list, net_lists)
+    if misfits:
+        odd |= misfits
         net_lists = [nets if type(nets) is list else [] for nets in net_lists]
     try:
         distinct = list(dict.fromkeys(chain.from_iterable(net_lists)))
@@ -925,12 +929,11 @@ def _instances_from_ir(raw_list, container, templates, path) -> None:
     scope_nets = _text_nets(distinct)
     if len(scope_nets) < len(distinct):
         odd |= _misfits(set(distinct).difference(scope_nets).isdisjoint, net_lists)
-    if not _all_of(dict, column("params", _NOTHING)) or any(column("params", _NOTHING)):
-        odd |= _misfits(
-            lambda params: type(params) is dict and not params, column("params", _NOTHING)
-        )
-    if not _all_of(dict, column("context", _NOTHING)):
-        odd |= _misfits(lambda context: type(context) is dict, column("context", _NOTHING))
+    params = list(column("params", _NOTHING))
+    odd |= _not_of(dict, params)
+    if any(params):  # not empty
+        odd.update(compress(count(), params))
+    odd |= _not_of(dict, list(column("context", _NOTHING)))
     designators = list(column("designator"))
     joined = names.designator_lines(designators)
     if joined is None:
@@ -938,7 +941,9 @@ def _instances_from_ir(raw_list, container, templates, path) -> None:
 
     wanted, contexts = column("template"), column("context", _NOTHING)
     if odd:
-        common = list(map(operator.not_, map(odd.__contains__, range(len(records)))))
+        common = [True] * len(records)
+        for i in odd:
+            common[i] = False
         wanted, net_lists, designators, contexts = (
             compress(values, common) for values in (wanted, net_lists, designators, contexts)
         )
