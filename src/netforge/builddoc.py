@@ -35,14 +35,15 @@ params_from_json), after ${...} substitution in text values.
 The document is read in one pass, one way per record: one reader for the
 top-level arrays, one for models[] objects and add_model nodes, one for
 components and one for subcircuits. Each parameter map is checked for
-formula cycles once, at the first node that uses it: the map a template
-prints (or the merged map of a template bound with params) at the node that
-places it, a model's where the build registers it, and a subcircuit's where
-it is built. A malformed part is a SchemaError at its path, and so is an
-add_model node in a subcircuit body, whose model no subcircuit carries, a
-model without a text name or a type, and an empty params_from corner
-("nmos."). An unreadable file the document names, or a SchemaError or
-ParseError inside it, is a SchemaError at its entry that names the file.
+formula cycles once, at the first node that uses it: the map a template's
+lines print (exporters._line_params) at the node that places it, a model's
+where the build registers it, and a subcircuit's where it is built. A
+malformed part is a SchemaError at its path, and so is an add_model node in
+a subcircuit body, whose model no subcircuit carries, a model without a text
+name or a type, and an empty params_from corner ("nmos."). An unreadable
+file the document names, or a SchemaError or ParseError inside it (io_readers
+decodes every file, so bytes that are not UTF-8 are one), is a SchemaError
+at its entry that names the file.
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ from pathlib import Path
 
 from .core import Circuit, Component, Instance, Model, Subcircuit, as_instance
 from .errors import NetforgeError, ParseError, SchemaError
+from .exporters import _line_params
 from .formula import MAX_DEPTH, parse_formula
 from .io_readers import (
+    _utf8,
     load_param_file,
     load_spice_models,
     load_veriloga,
@@ -100,17 +103,9 @@ _OP_KEYS = {
 }
 
 
-def _not_utf8(exc: UnicodeDecodeError) -> str:
-    return f"not UTF-8, byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
-
-
 def load_doc(path) -> dict:
-    """Read a build document as UTF-8, whatever the locale, and JSON-decode it."""
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"cannot read {path}: {_not_utf8(exc)}") from None
-    doc = read_json(text, path)
+    """JSON-decode the build document at `path`, decoded by io_readers._utf8."""
+    doc = read_json(_utf8(Path(path).read_bytes(), path), path)
     if not isinstance(doc, dict):
         raise SchemaError("build document must be an object", "$")
     return doc
@@ -270,14 +265,12 @@ class _Builder:
 
     def _read(self, load, entry: str, path: str):
         """`load` of the file `entry` names, next to the document. A file
-        that cannot be read or is not UTF-8, and a SchemaError or ParseError
-        inside it, is a SchemaError at `path` that names the file."""
+        that cannot be read, and a SchemaError or ParseError inside it (such
+        as bytes that are not UTF-8), is a SchemaError at `path` naming it."""
         try:
             return load(self.doc_dir / entry)
         except OSError as exc:
             raise SchemaError(f"cannot read {entry!r}: {exc}", path) from exc
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"cannot read {entry!r}: {_not_utf8(exc)}", path) from None
         except SchemaError as exc:
             raise SchemaError(f"in {entry!r} at {exc}", path) from exc
         except ParseError as exc:
@@ -408,11 +401,11 @@ class _Builder:
             validate_dependencies(params)
 
     def _placed(self, template):
-        """`template`, once the parameter map its lines print is checked: a
-        bound instance's merged map at each node that places it, a template's
-        own map once per build."""
+        """`template`, once the parameter map its lines print
+        (exporters._line_params) is checked: a bound instance's at each node
+        that places it, a template's own map once per build."""
         if isinstance(template, Instance) and template.overrides:
-            validate_dependencies(template.effective_params())
+            self._check(_line_params(template))
         elif isinstance(template, Instance):
             self._check(template.template.params)
         else:

@@ -77,11 +77,6 @@ class Net(Record):
     __slots__ = _fields = ("name",)
     name: str | None
 
-    def __init__(self, name: str | None):
-        # one store, not Record.__init__'s loop, which takes twice as long:
-        # nets are the one record made in volume (thousands per IR import)
-        object.__setattr__(self, "name", name)
-
     @property
     def is_unconnected(self) -> bool:
         return self.name is None

@@ -209,7 +209,6 @@ class Record:
     named after them or else in its __dict__. Record.__init__ stores one
     value per field, positionally, and raises TypeError on a wrong count; a
     subclass that checks or converts its arguments calls it once, after.
-    core.Net stores its one field itself, as the one record made in volume.
 
     Two records are equal when they are of one class and their tuples of
     fields are, and a record hashes as that tuple, so one that holds a dict

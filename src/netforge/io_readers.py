@@ -4,8 +4,8 @@ Three formats are supported:
 
 * parameter files: JSON mapping device -> corner -> parameter -> value,
   where a value is a number, a string with an optional SI suffix ("1p"),
-  plain text, or a directive object such as {"$formula": "1 / vth"},
-  {"$gauss": [0.4, 0.1]}, {"$uniform": [lo, hi]}, {"$lognormal": [mu, s]}
+  plain text, or a directive object: {"$formula": "1 / vth"}, or "$" and a
+  distribution kind of netforge.params on two numbers, {"$gauss": [0.4, 0.1]}
   (params_from_json reads one parameter map, here and in build documents);
 * SPICE .model cards, with "+" continuation lines and "*" comments (a card
   whose name, type or parameter name breaks the rules of netforge.names is a
@@ -13,9 +13,11 @@ Three formats are supported:
 * Verilog-A module signatures (module name, port list, and
   "parameter real|integer name = value;" declarations; bodies are ignored).
 
-All readers are pure functions of the input bytes. Every JSON input, here
-and in netforge.builddoc and netforge.exporters, goes through read_json,
-so whatever json.loads cannot read is a ParseError.
+All readers are pure functions of the input bytes. Every file, here and in
+netforge.builddoc, is decoded by _utf8, so bytes that are not UTF-8 are a
+ParseError that names the file, the byte and its offset. Every JSON input,
+here and in netforge.builddoc and netforge.exporters, goes through
+read_json, so whatever json.loads cannot read is a ParseError.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import (
 from .formula import parse_formula
 from .numfmt import parse_si_number
 from .names import nonempty_text
-from .params import CheckedDict, ParamSet, Params, gauss, lognormal, uniform
+from .params import _DRAW_KINDS, CheckedDict, ParamSet, Params, RandomSpec
 
 __all__ = [
     "ParamFile",
@@ -69,22 +71,15 @@ class ParamFile(CheckedDict):
         return f"ParamFile(devices={sorted(self)})"
 
 
-_DIRECTIVE_MAKERS = {
-    "$gauss": gauss,
-    "$uniform": uniform,
-    "$lognormal": lognormal,
-}
-
-
-def _distribution_from_json(key, raw, path):
+def _distribution_from_json(kind, raw, path):
     if (
         not isinstance(raw, list)
         or len(raw) != 2
         or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in raw)
     ):
-        raise SchemaError(f"{key} expects a two-number array", path)
+        raise SchemaError(f"${kind} expects a two-number array", path)
     try:
-        return _DIRECTIVE_MAKERS[key](float(raw[0]), float(raw[1]))
+        return RandomSpec(kind, float(raw[0]), float(raw[1]))
     except InvalidDistributionError as exc:
         raise SchemaError(str(exc), path) from exc
 
@@ -115,8 +110,8 @@ def value_from_json(raw, path: str):
                 return parse_formula(payload)
             except FormulaSyntaxError as exc:
                 raise SchemaError(f"bad formula: {exc}", path) from exc
-        if key in _DIRECTIVE_MAKERS:
-            return _distribution_from_json(key, payload, path)
+        if key.startswith("$") and key[1:] in _DRAW_KINDS:
+            return _distribution_from_json(key[1:], payload, path)
         if key.startswith("$"):
             raise UnknownDirectiveError(f"unknown directive {key!r}", path)
         raise SchemaError(f"unexpected object key {key!r}", path)
@@ -148,6 +143,18 @@ def _checked(rule, name, what: str, path: str):
         raise SchemaError(str(exc), path) from None
 
 
+def _utf8(data: bytes, source) -> str:
+    """`data` decoded as UTF-8, whatever the locale; bytes that are not
+    UTF-8 are a ParseError that names `source`, the byte and its offset."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"cannot read {source}: not UTF-8, "
+            f"byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from None
+
+
 def read_json(text: str, source=None):
     """json.loads(text); text it cannot read is a ParseError, naming `source`
     when given: invalid JSON, at its line, and an integer literal of more
@@ -166,15 +173,13 @@ def read_json(text: str, source=None):
         ) from None
 
 
-def read_param_file(source, format: str = "json") -> ParamFile:
+def read_param_file(source) -> ParamFile:
     """Parse a parameter file from bytes, text, or a binary stream; an empty
     device or corner name is a SchemaError at its path."""
-    if format != "json":
-        raise ValueError(f"unsupported parameter file format {format!r}")
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        source = _utf8(source, "parameter file")
     document = read_json(source)
     if not isinstance(document, dict):
         raise SchemaError("top level must be an object of devices", "$")
@@ -191,7 +196,7 @@ def read_param_file(source, format: str = "json") -> ParamFile:
 
 
 def load_param_file(path) -> ParamFile:
-    return read_param_file(Path(path).read_bytes())
+    return read_param_file(_utf8(Path(path).read_bytes(), path))
 
 
 # --- SPICE .model cards ---------------------------------------------------------
@@ -260,7 +265,7 @@ def parse_spice_models(text: str) -> list[Model]:
 
 
 def load_spice_models(path) -> list[Model]:
-    return parse_spice_models(Path(path).read_text(encoding="utf-8"))
+    return parse_spice_models(_utf8(Path(path).read_bytes(), path))
 
 
 # --- Verilog-A signatures ---------------------------------------------------------
@@ -324,4 +329,4 @@ def parse_veriloga(text: str) -> Component:
 
 
 def load_veriloga(path) -> Component:
-    return parse_veriloga(Path(path).read_text(encoding="utf-8"))
+    return parse_veriloga(_utf8(Path(path).read_bytes(), path))

@@ -20,7 +20,7 @@ from netforge.exporters import export, export_json, import_json, lint, write_par
 from netforge.formula import BinOp, Call, Formula, Neg, Num, Var, parse_formula, unparse
 from netforge.io_readers import ParamFile, read_param_file
 from netforge.manip import Array, Chain, Inject, Parallel
-from netforge.params import ParamSet, Params, eval_params, gauss, uniform
+from netforge.params import _DRAW_KINDS, ParamSet, Params, RandomSpec, eval_params, gauss
 from netforge.rng import Xoshiro256StarStar
 
 from sample_circuits import (
@@ -205,6 +205,7 @@ _IDENTS = ("a", "b", "w", "vth")
 class _Rand:
     def __init__(self, seed):
         self.gen = Xoshiro256StarStar(seed)
+        self.draws = 0
 
     def int(self, lo, hi):
         return lo + self.gen.next_u64() % (hi - lo + 1)
@@ -230,6 +231,9 @@ class _Rand:
         return Call(self.pick(("abs", "sqrt", "exp")), (self.ast(depth - 1),))
 
     def param_value(self):
+        """A number, a word, a formula or (two times in five) a draw. The
+        draws take turns over every kind params defines and take no choice
+        from the generator, so the generated circuits keep their shapes."""
         kind = self.int(0, 4)
         if kind == 0:
             return self.number()
@@ -237,10 +241,10 @@ class _Rand:
             return self.pick(_WORDS)
         if kind == 2:
             return Formula.from_ast(self.ast(2))
-        if kind == 3:
-            return gauss(self.number(), abs(self.number()))
-        lo = self.number()
-        return uniform(lo, lo + abs(self.number()))
+        draw = _DRAW_KINDS[self.draws % len(_DRAW_KINDS)]
+        self.draws += 1
+        a, spread = self.number(), abs(self.number())
+        return RandomSpec(draw, a, a + spread if draw == "uniform" else spread)
 
     def params(self, max_keys=3):
         return Params({f"p{k}": self.param_value() for k in range(self.int(0, max_keys))})

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from netforge import builddoc
+from netforge import Array, Circuit, Component, Formula, Instance, Subcircuit, builddoc
 from netforge.cli import main
+from netforge.exporters import export, lint
 
 from sample_circuits import duplicate_subckt_circuit, long_cycle_formulas, nested_node
 
@@ -999,6 +1000,52 @@ def test_a_formula_name_nothing_supplies_is_a_lint_error(tmp_path, capsys):
     assert code == 5
     assert out == ""
     assert "UNRESOLVED_PARAM" in err and "'w'" in err and "Traceback" not in err
+
+
+# a subcircuit S's params -> the formula of b its bound instance overrides,
+# whether an array of two places it, and the error the library lints
+_BOUND_SUBCKT = {
+    "override reads a default": (
+        {"a": "b+1", "b": 2}, "a*2", False,
+        "X1: formula of 'b' reads 'a', which nothing on its line supplies"),
+    "override reads the array's _i": ({"_i": "b+1", "b": 2}, "_i*2", True, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_BOUND_SUBCKT))
+def test_a_bound_subcircuit_is_checked_by_the_overrides_its_lines_print(tmp_path, capsys, case):
+    # the merged map of S and its overrides is cyclic, but no line prints it
+    defaults, override, array, error = _BOUND_SUBCKT[case]
+    res = Component("res", ["a", "b"], {"r": 1}, prefix="R")
+    sub = Subcircuit("S", ["p", "q"], {
+        k: Formula(v) if isinstance(v, str) else v for k, v in defaults.items()})
+    sub += res @ ["p", "q"]
+    bound = Instance(sub, ["x", "0"], {"b": Formula(override)})
+    circuit = Circuit()
+    circuit += sub
+    circuit += Array((2,), bound) if array else bound
+    template = {"ref": "S", "nets": ["x", "0"], "params": {"b": {"$formula": override}}}
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({
+        "version": 1,
+        "components": [{"name": "res", "ports": ["a", "b"], "prefix": "R", "params": {"r": 1}}],
+        "subcircuits": [{
+            "name": "S", "pins": ["p", "q"],
+            "params": {k: {"$formula": v} if isinstance(v, str) else v
+                       for k, v in defaults.items()},
+            "body": [{"op": "instance", "template": "res", "nets": ["p", "q"]}]}],
+        "circuit": [{"op": "array", "shape": [2], "template": template} if array
+                    else {"op": "instance", "template": template}],
+    }))
+    report = lint(circuit)
+    assert [str(f).split(None, 2)[-1] for f in report.errors] == ([error] if error else [])
+    assert run_cli(["build", doc], capsys)[0] == 0
+    assert run_cli(["lint", doc], capsys) == (5 if error else 0, str(report) + "\n", "")
+    code, out, err = run_cli(["export", doc], capsys)
+    if error:
+        assert (code, out) == (5, "") and error in err and "Traceback" not in err
+    else:
+        assert (code, out, err) == (0, export(circuit, "spice"), "")
 
 
 # --- sweep: one build per corner x values, every seed exported from it --------------

@@ -10,8 +10,10 @@ into_subckt nodes, each holding the next. Each such document goes through
 as a traceback). A failed `export --out` must leave no file. Each run has
 the recursion limit the interpreter started with, which Hypothesis raises
 while a test runs, so a walk that nesting can drive past that limit fails
-here. The same leaf mutations of the golden JSON IR files must make
-`import_json` raise nothing but a NetforgeError.
+here. The same leaf mutations of the golden JSON IR files, and IR documents
+whose subcircuits nest up to the depth read_json accepts, must make
+`import_json`, and `export_json`, `lint` and `export` of what it reads,
+raise nothing but a NetforgeError, at that recursion limit too.
 
 Generated numbers stay small (plus inf and nan). A huge finite count asks
 for that many instances: "N_CHAINS": 1e300 as a $repeat count ran for
@@ -35,7 +37,7 @@ from hypothesis import strategies as st
 
 from netforge.cli import main
 from netforge.errors import NetforgeError
-from netforge.exporters import import_json
+from netforge.exporters import export, export_json, import_json, lint
 from netforge.formula import MAX_DEPTH
 
 from sample_circuits import nested_node
@@ -125,19 +127,46 @@ def wrapped(draw, bases):
     return name, doc
 
 
+def nested_ir(depth: int) -> str:
+    """The golden capacitor IR plus `depth` subcircuits S0, S1, ..., each
+    nested in the one before and placed in its body, with S0 placed at the
+    top: JSON nested about twice `depth` deep, written without recursion.
+    The subcircuits have no pins, so that each level is a few lines of IR."""
+    doc = copy.deepcopy(IR_BASES["capacitor.json"])
+    doc["subcircuits"] = "NESTED"
+    doc["instances"].append({"template": "S0", "nets": [], "params": {}, "designator": "X1"})
+    opens, closes = [], []
+    for k in range(depth):
+        record = (
+            {"template": "Cap", "nets": ["a", "b"], "params": {}, "designator": "C1"}
+            if k + 1 == depth
+            else {"template": f"S{k + 1}", "nets": [], "params": {}, "designator": "X1"}
+        )
+        opens.append(f'{{"S{k}": {{"pins": [], "params": {{}}, "fixed": false, "nested": ')
+        closes.append(f', "body": [{json.dumps(record)}]}}}}')
+    return json.dumps(doc).replace('"NESTED"', "".join(opens) + "{}" + "".join(closes[::-1]))
+
+
 # the recursion limit a console run has; Hypothesis raises it while a test runs
 _CONSOLE_LIMIT = sys.getrecursionlimit()
 
 
-def _run(argv) -> int:
-    stdout, stderr = io.StringIO(), io.StringIO()
+@contextlib.contextmanager
+def console_recursion_limit():
+    """Run the block at the recursion limit the interpreter started with."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_CONSOLE_LIMIT)
     try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([str(a) for a in argv])
+        yield
     finally:
         sys.setrecursionlimit(limit)
+
+
+def _run(argv) -> int:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with console_recursion_limit():
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([str(a) for a in argv])
     assert code in (0, 2, 3, 5), (argv[0], code, stderr.getvalue())
     return code
 
@@ -177,11 +206,39 @@ def test_a_deeply_wrapped_document_exits_with_a_documented_code(case):
     _export_and_sweep(*case)
 
 
+def _read_and_write_ir(text: str, write=True) -> bool:
+    """Whether import_json reads `text` at the console's recursion limit;
+    then, if `write`, export_json, lint and export what it read there. Only
+    a NetforgeError may end either."""
+    with console_recursion_limit():
+        try:
+            circuit = import_json(text)
+        except NetforgeError:
+            return False
+        if write:
+            with contextlib.suppress(NetforgeError):
+                export_json(circuit)
+                lint(circuit)
+                export(circuit, "spice")
+    return True
+
+
 @settings(_BOUNDED, max_examples=150)
 @given(case=mutated(IR_BASES))
 def test_a_mutated_ir_document_raises_only_netforge_errors(case):
-    _, doc = case
-    try:
-        import_json(json.dumps(doc))
-    except NetforgeError:
-        pass
+    _read_and_write_ir(json.dumps(case[1]))
+
+
+def test_subcircuits_nested_as_deep_as_read_json_reads_raise_only_netforge_errors():
+    # the deepest nesting import_json reads at the console's limit, by bisection
+    read, unread = 1, _CONSOLE_LIMIT
+    while unread - read > 1:
+        depth = (read + unread) // 2
+        if _read_and_write_ir(nested_ir(depth), write=False):
+            read = depth
+        else:
+            unread = depth
+    assert read > _CONSOLE_LIMIT // 3
+    for depth in (1, read // 2, read):
+        assert _read_and_write_ir(nested_ir(depth))
+    assert not _read_and_write_ir(nested_ir(unread))

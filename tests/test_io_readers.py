@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from netforge.builddoc import load_doc
 from netforge.errors import (
     EmptyNameError,
     MultipleModulesError,
@@ -17,6 +18,7 @@ from netforge.formula import Formula
 from netforge.io_readers import (
     ParamFile,
     load_param_file,
+    load_spice_models,
     load_veriloga,
     parse_spice_models,
     parse_veriloga,
@@ -178,9 +180,41 @@ def test_reads_bytes_and_streams():
     assert read_param_file(io.BytesIO(raw))["d"]["TT"]["x"] == 1
 
 
-def test_unsupported_format_rejected():
-    with pytest.raises(ValueError):
-        read_param_file("{}", format="yaml")
+# reader -> (what it is given, the source its error names), for bytes that
+# are not UTF-8 at offset 7
+_NOT_UTF8_READERS = {
+    "load_param_file": (load_param_file, "path", "{path}"),
+    "read_param_file bytes": (read_param_file, "bytes", "parameter file"),
+    "load_spice_models": (load_spice_models, "path", "{path}"),
+    "load_veriloga": (load_veriloga, "path", "{path}"),
+    "load_doc": (load_doc, "path", "{path}"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NOT_UTF8_READERS))
+def test_bytes_that_are_not_utf8_are_a_parse_error_naming_source_byte_and_offset(
+    tmp_path, case
+):
+    reader, given, source = _NOT_UTF8_READERS[case]
+    data = b'{"d": "\xff"}\n'
+    path = tmp_path / "bad"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        reader(path if given == "path" else data)
+    source = source.format(path=path)
+    assert str(err.value) == f"cannot read {source}: not UTF-8, byte 0xff at offset 7"
+
+
+def test_crlf_line_ends_read_as_lf(tmp_path, data_dir):
+    card = ".model m1 nmos (vth=0.4\n+ w=0.135)\n* note\n.model m2 pmos\n"
+    va = (data_dir / "counter.va").read_bytes().replace(b"\r\n", b"\n")
+    for name, data, load in (
+        ("m.sp", card.encode(), load_spice_models),
+        ("c.va", va, load_veriloga),
+    ):
+        (tmp_path / name).write_bytes(data)
+        (tmp_path / ("crlf_" + name)).write_bytes(data.replace(b"\n", b"\r\n"))
+        assert load(tmp_path / ("crlf_" + name)) == load(tmp_path / name)
 
 
 def test_load_param_file(tmp_path):

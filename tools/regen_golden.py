@@ -28,6 +28,7 @@ from sample_circuits import (  # noqa: E402
     ro_circuit,
 )
 
+from netforge.cli import _EXTENSIONS  # noqa: E402
 from netforge.exporters import export  # noqa: E402
 
 CASES = {
@@ -37,15 +38,12 @@ CASES = {
     "ro": ro_circuit,
 }
 
-EXTENSIONS = {"spice": "sp", "spectre": "scs", "json-ir": "json"}
-
-
 def golden_texts() -> dict[str, str]:
     """File name -> text of every golden file, made now."""
     return {
         f"{name}.{ext}": export(factory(), dialect)
         for name, factory in CASES.items()
-        for dialect, ext in EXTENSIONS.items()
+        for dialect, ext in _EXTENSIONS.items()
     }
 
 
