@@ -38,6 +38,7 @@ CASES = {
     "ro": ro_circuit,
 }
 
+
 def golden_texts() -> dict[str, str]:
     """File name -> text of every golden file, made now."""
     return {
