@@ -44,6 +44,14 @@ name or a type, and an empty params_from corner ("nmos."). An unreadable
 file the document names, or a SchemaError or ParseError inside it (io_readers
 decodes every file, so bytes that are not UTF-8 are one), is a SchemaError
 at its entry that names the file.
+
+A build asks for at most BUILD_BUDGET instances and list entries, so that no
+document can exhaust memory: each chain, named_chain and parallel count, the
+product of an array's shape and each $repeat count is taken from what is
+left before anything is made, and the defects an inject draws right after
+its draw (a batch that is a list already gets its defects with the draw, at
+most one per instance). A count past what is left is a SchemaError at its
+path.
 """
 
 from __future__ import annotations
@@ -74,6 +82,10 @@ __all__ = ["load_doc", "build_circuit", "DEFAULT_CORNER", "DOC_VERSION"]
 
 DOC_VERSION = 1
 DEFAULT_CORNER = "TT"
+# The instances and list entries one build may ask for: 200 times the largest
+# benchmark workload (chain_mc, 5 000 instances). A chain this long takes
+# about 0.5 GB once built.
+BUILD_BUDGET = 1_000_000
 
 _SUBST_RE = re.compile(r"\$\{([^}]*)\}")
 
@@ -154,8 +166,9 @@ def _count(raw, values, path, least=None) -> int:
     return int(number)
 
 
-def _string_list(raw, values, path) -> list:
-    """Expand a list of strings/ints, honoring ${...} and $repeat entries."""
+def _string_list(raw, values, path, spend) -> list:
+    """Expand a list of strings/ints, honoring ${...} and $repeat entries;
+    each $repeat count goes through `spend` (_Builder._spend) first."""
     if not isinstance(raw, list):
         raise SchemaError("expected an array", path)
     out = []
@@ -174,7 +187,8 @@ def _string_list(raw, values, path) -> list:
             template = entry["$repeat"]
             if not isinstance(template, str):
                 raise SchemaError("$repeat expects a string template", entry_path)
-            count = _count(entry.get("count", 0), values, f"{entry_path}.count", 0)
+            count = spend(_count(entry.get("count", 0), values, f"{entry_path}.count", 0),
+                          f"{entry_path}.count")
             for k in range(count):
                 out.append(_substitute(template, {**values, "_i": k}, entry_path))
         else:
@@ -250,6 +264,19 @@ class _Builder:
         self._op_counter = 0
         self._nesting = 0  # the operator nodes being materialized, see materialize
         self._checked: dict = {}  # id -> Params, see _check
+        self._left = BUILD_BUDGET  # see _spend
+
+    def _spend(self, count: int, path: str) -> int:
+        """`count`, taken from what is left of the build's BUILD_BUDGET
+        instances and list entries; a SchemaError at `path` if it is more."""
+        if count > self._left:
+            raise SchemaError(
+                f"count {count} is more than the {self._left} instances and list entries "
+                f"left of the build budget ({BUILD_BUDGET})",
+                path,
+            )
+        self._left -= max(count, 0)  # a negative count fails where it is used
+        return count
 
     # -- document sections -------------------------------------------------
 
@@ -326,7 +353,7 @@ class _Builder:
                 if "name" not in entry or "ports" not in entry:
                     raise SchemaError("component needs name and ports", path)
                 name, prefix, metadata = entry["name"], None, {}
-                ports = _string_list(entry["ports"], self.variables, f"{path}.ports")
+                ports = _string_list(entry["ports"], self.variables, f"{path}.ports", self._spend)
                 params = Params()
                 if "params_from" in entry:
                     params = self._params_from_ref(entry["params_from"], f"{path}.params_from")
@@ -349,7 +376,8 @@ class _Builder:
         or an into_subckt node; its body runs in a scratch circuit."""
         if "name" not in node or "pins" not in node:
             raise SchemaError(f"{kind} needs name and pins", path)
-        pins = [str(p) for p in _string_list(node["pins"], self.variables, f"{path}.pins")]
+        pins = _string_list(node["pins"], self.variables, f"{path}.pins", self._spend)
+        pins = [str(p) for p in pins]
         params = _params_node(node.get("params"), self.variables, f"{path}.params")
         body = node.get("body", [])
         if not isinstance(body, list):
@@ -387,7 +415,7 @@ class _Builder:
         """A fresh instance of `template` on the node's nets, with its params."""
         inst = as_instance(template)
         if "nets" in node:
-            inst @= _string_list(node["nets"], self.variables, f"{path}.nets")
+            inst @= _string_list(node["nets"], self.variables, f"{path}.nets", self._spend)
         if "params" in node:
             # the instance is fresh, and so are its overrides
             inst.overrides.update(_params_node(node["params"], self.variables, f"{path}.params"))
@@ -443,11 +471,12 @@ class _Builder:
 
         if op == "parallel":
             template = self._placed(self._template(node, path))
-            return Parallel(template, _count(node.get("n", 1), self.variables, f"{path}.n", 0))
+            n = _count(node.get("n", 1), self.variables, f"{path}.n", 0)
+            return Parallel(template, self._spend(n, f"{path}.n"))
 
         if op in ("chain", "named_chain"):
             template = self._placed(self._template(node, path))
-            n = _count(node.get("n", 1), self.variables, f"{path}.n")
+            n = self._spend(_count(node.get("n", 1), self.variables, f"{path}.n"), f"{path}.n")
             in_port = _count(node.get("in_port", 0), self.variables, f"{path}.in_port")
             out_port = node.get("out_port")
             if out_port is not None:
@@ -469,6 +498,7 @@ class _Builder:
                 _count(d, self.variables, f"{path}.shape[{k}]", 1)
                 for k, d in enumerate(raw_shape)
             )
+            self._spend(math.prod(shape), f"{path}.shape")
             port_templates = node.get("ports")
             port_fn = None
             if port_templates is not None:
@@ -499,7 +529,10 @@ class _Builder:
             else:
                 seed = derive_seed(self.seed, self._op_counter)
                 self.seed_derived = True
-            return Inject(source, p, defect=defect, rng=seed)
+            made = Inject(source, p, defect=defect, rng=seed)
+            # at most one defect per instance of the source, which is spent already
+            self._spend(len(made) - len(source), path)
+            return made
 
         if op == "concat":
             parts_raw = node.get("of")

@@ -5,6 +5,12 @@ contract: 0 success (warnings allowed), 2 unreadable or schema-invalid
 document, 3 build failure, 4 unknown dialect, 5 lint errors. Output bytes
 depend only on the document bytes and the flags given; every command takes
 its seed from --seed, else the document, else NETFORGE_SEED, else 0 (_seed).
+
+A sweep renders each seed in every corner x swept values. When that is more
+than one variant, it draws each seed's random stream once, in one batch,
+and every variant of the seed replays it (_replayed), with the bytes a live
+render gives; it keeps at most STREAM_CAP outputs over all seeds, and drops
+a seed's stream after its last variant.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import json
 import math
 import os
 import sys
+from array import array
 from pathlib import Path
 
 from . import builddoc
@@ -36,6 +43,7 @@ from .exporters import (
 from .io_readers import _checked
 from .names import identifier, nonempty_text
 from .numfmt import format_number
+from .rng import Xoshiro256StarStar
 
 EXIT_OK = 0
 EXIT_DOC = 2
@@ -44,6 +52,10 @@ EXIT_DIALECT = 4
 EXIT_LINT = 5
 
 _EXTENSIONS = {"spice": "sp", "spectre": "scs", "json-ir": "json"}
+
+# the generator outputs a sweep keeps drawn, over all its seeds (a double of
+# 8 bytes each, so 32 MiB); a variant whose seed would need more renders live
+STREAM_CAP = 1 << 22
 
 
 def _parse_set(pairs: list[str]) -> dict[str, float]:
@@ -151,6 +163,26 @@ def _variant_name(stem, corner, var_values, seed, ext) -> str:
     return "__".join(parts) + f".{ext}"
 
 
+def _replayed(emit, seed: int, streams: dict) -> str:
+    """emit(seed), replayed from the seed's stream in `streams`: seed ->
+    (array('d') of the random() doubles of its generator's outputs, the
+    generator after them), drawn on first need in one batch
+    (Xoshiro256StarStar.randoms) and extended when `emit` steps through
+    more outputs (exporters._Render.outputs). The live emit(seed) when emit
+    draws nothing or cannot replay, or the outputs kept would pass
+    STREAM_CAP."""
+    need = getattr(emit, "outputs", 0)
+    randoms, generator = streams.get(seed, ((), None))
+    more = need - len(randoms)
+    if need == 0 or more > STREAM_CAP - sum(len(kept) for kept, _ in streams.values()):
+        return emit(seed)
+    if more > 0:
+        if generator is None:
+            randoms, generator = streams[seed] = (array("d"), Xoshiro256StarStar(seed))
+        randoms.extend(generator.randoms(more))
+    return emit.replay(randoms)
+
+
 def _cmd_sweep(args) -> int:
     exporter_for(args.dialect)  # an unknown dialect fails before any output
     doc = builddoc.load_doc(args.doc)
@@ -178,9 +210,15 @@ def _cmd_sweep(args) -> int:
     for name, values in vary:
         combos = [combo + [(name, value)] for combo in combos for value in values]
 
+    # a seed in more than one variant draws its outputs once; seeds vary
+    # fastest, so each seed's last variant is in the last corner x values
+    replay = len(corners) * len(combos) > 1
+    last = (len(corners) * len(combos) - 1) * len(seeds)
+    streams: dict = {}
     variants = []
     failure: Exception | None = None
-    for corner, combo, seed in itertools.product(corners, combos, seeds):
+    product = itertools.product(corners, combos, seeds)
+    for index, (corner, combo, seed) in enumerate(product):
         file_name = _variant_name(stem, corner, combo, seed, ext)
         variant = {"file": file_name, "corner": corner, "vars": dict(combo), "seed": seed}
         variants.append(variant)
@@ -198,11 +236,13 @@ def _cmd_sweep(args) -> int:
                 emit = _seed_exporter(circuit, args.dialect)
             # export_json writes rng_seed and ignores the seed argument
             circuit.rng_seed = seed
-            text = emit(seed)
+            text = _replayed(emit, seed, streams) if replay else emit(seed)
         except NetforgeError as exc:
             variant["error"] = str(exc)
             failure = exc
             break
+        if index >= last:
+            streams.pop(seed, None)
         write_atomic(out_dir / file_name, text)
 
     manifest = {

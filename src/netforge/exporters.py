@@ -15,8 +15,11 @@ stretch of consecutive lines with drawn or computed values that share a
 ParamPlan becomes one entry, the plan's run function (ParamPlan.run: the plan's
 generated kernel, with draws, formulas and number formatting inline) with
 the text before each of its lines; then, for each seed, call the run
-functions in line order with one rng seeded explicitly (_render), each
-rendering all of its lines in one call. A table holds only what a dialect
+functions in line order with one rng seeded explicitly (_Render), each
+rendering all of its lines in one call. The frame also knows how many raw
+generator outputs a seed's text steps through, so a caller that renders one
+seed many times can draw their random() doubles once and replay them
+(_Render.replay), with the same bytes. A table holds only what a dialect
 changes: header, keyword prefix, parameter and net formats, and footer. So
 equal (circuit, seed) pairs always produce byte-identical output, every
 text dialect draws the same values in the same order, and different seeds
@@ -468,39 +471,39 @@ def _line_frame(dialect: _TextDialect, circuit: Circuit, report: LintReport, hea
     names and runs of lint's `report`, which it takes off the report: a
     report is laid out once.
 
-    `frame` is a list of runs, (run, befores, contexts): for each run, a
-    seed's netlist is what run(befores, contexts, rng, out) appends to
-    `out`, one line per text in `befores`, that text followed by the plan's
-    tokens rendered with the line's context; and then `tail`. A text holds
-    the end of the line before it, every line in between that draws and
-    computes nothing, and the prefix of its own line, so the frame costs one
-    string per line with drawn or computed values. Consecutive such lines
-    that share a plan, and so its run function (ParamPlan.run), are one
-    run: every instance of a chain, parallel or array, and the lines of a
+    `frame` is a list of runs, (plan, befores, contexts): for each run, a
+    seed's netlist is what the plan's run function (ParamPlan.run) appends
+    to `out` as run(befores, contexts, rng, out), one line per text in
+    `befores`, that text followed by the plan's tokens rendered with the
+    line's context; and then `tail`. A text holds the end of the line
+    before it, every line in between that draws and computes nothing, and
+    the prefix of its own line, so the frame costs one string per line with
+    drawn or computed values. Consecutive such lines that share a plan are
+    one run: every instance of a chain, parallel or array, and the lines of a
     subcircuit body that share a template. Plans are shared through their
     Params; a lint run of primitive instances with overrides brings the plan
     of its one merged map. `contexts` holds each line's context.
 
     Instances are laid out a lint run at a time (see _lint_scope): the
-    plan, its layout and its run function are looked up once per run, and
-    the run's texts are made in one pass over its designators and net names.
+    plan and its layout are looked up once per run, and the run's texts are
+    made in one pass over its designators and net names.
 
     A plan formats its constants once, into its layout, and its run
     function formats the drawn and computed values inline (ParamPlan.run).
     """
-    frame: list = []  # (run, befores, contexts)
+    frame: list = []  # (plan, befores, contexts)
     text: list[str] = []  # since the last parameterised line
     nets_before, _, nets_after = dialect.nets.partition("{}")
     # the nets token of an instance without nets, with its space, if any
     no_nets = dialect.nets.format("") and dialect.nets.format("") + " "
 
-    def extend(run, befores, contexts):
-        # the texts of lines that follow the last line of `run` join its entry
-        if frame and frame[-1][0] is run:
+    def extend(plan, befores, contexts):
+        # the texts of lines that follow the last line of `plan` join its entry
+        if frame and frame[-1][0] is plan:
             frame[-1][1].extend(befores)
             frame[-1][2].extend(contexts)
         else:
-            frame.append((run, befores, contexts))
+            frame.append((plan, befores, contexts))
 
     def line(prefix: str, params, wrap: str):
         # `wrap` is the dialect's parameter format: "{}" takes the tokens
@@ -510,7 +513,7 @@ def _line_frame(dialect: _TextDialect, circuit: Circuit, report: LintReport, hea
             before, _, after = wrap.partition("{}")
             if slots:
                 text.extend((prefix, before))
-                extend(plan.run(), ["".join(text)], [None])
+                extend(plan, ["".join(text)], [None])
                 text[:] = (after, "\n")
                 return
             prefix = f"{prefix}{before}{head}{after}"
@@ -540,7 +543,7 @@ def _line_frame(dialect: _TextDialect, circuit: Circuit, report: LintReport, hea
             ]
             if slots:
                 texts[0] = "".join(text) + texts[0][1:]
-                extend(plan.run(), texts, [inst.context for inst in insts])
+                extend(plan, texts, [inst.context for inst in insts])
                 text[:] = ("\n",)
             else:
                 text.extend(texts)
@@ -564,30 +567,53 @@ def _line_frame(dialect: _TextDialect, circuit: Circuit, report: LintReport, hea
 
 def _text_exporter(dialect: _TextDialect, circuit: Circuit, options: dict):
     """Lint once and lay the lines out once (_line_frame), then return
-    seed -> text (_render). The circuit must not change between calls."""
+    seed -> text (_Render). The circuit must not change between calls."""
     report = lint(circuit)
     if report.has_errors:
         report._lines = ()  # the exception keeps the report, not the maps
         raise LintErrors(report)
     title = str(options.get("title", "Generated netlist"))
     header = [line.format(title=title) for line in dialect.header]
-    return _render(*_line_frame(dialect, circuit, report, header))
+    return _Render(*_line_frame(dialect, circuit, report, header))
 
 
-def _render(frame: list, tail: str):
+class _Render:
     """seed -> text for a laid-out netlist (see _line_frame): each call
     draws with one rng through the frame in line order, so every text
-    dialect draws the same random values in the same order."""
+    dialect draws the same random values in the same order.
 
-    def emit(seed: int) -> str:
-        rng = Xoshiro256StarStar(seed)
+    `outputs` is the number of generator outputs that one call steps
+    through, and replay(randoms) renders from the random() doubles of at
+    least that many outputs, drawn before (rng.Xoshiro256StarStar.randoms),
+    with each plan's replay kernel (ParamPlan.replay): given the doubles of
+    a seed's generator, it returns the text, or raises the error, of a call
+    with that seed. So a sweep that renders one seed in many variants draws
+    the seed's outputs once. The replay kernels are made on the first
+    replay, so a render that is never replayed compiles none."""
+
+    __slots__ = ("_frame", "_tail", "_runs", "_replays", "outputs")
+
+    def __init__(self, frame: list, tail: str):
+        self._frame, self._tail = frame, tail
+        self._runs = [(plan.run(), befores, contexts) for plan, befores, contexts in frame]
+        self._replays = None
+        self.outputs = sum(plan.outputs() * len(befores) for plan, befores, _ in frame)
+
+    def _text(self, runs, rng) -> str:
         out: list[str] = []
-        for run, befores, contexts in frame:
+        for run, befores, contexts in runs:
             run(befores, contexts, rng, out)
-        out.append(tail)
+        out.append(self._tail)
         return "".join(out)
 
-    return emit
+    def __call__(self, seed: int) -> str:
+        return self._text(self._runs, Xoshiro256StarStar(seed))
+
+    def replay(self, randoms) -> str:
+        if self._replays is None:
+            self._replays = [(plan.replay(), befores, contexts)
+                             for plan, befores, contexts in self._frame]
+        return self._text(self._replays, iter(randoms))
 
 
 # --- JSON intermediate representation ------------------------------------------------
@@ -712,17 +738,30 @@ def _instance_records(instances, indent: str):
     return chain(chain.from_iterable(columns), [f"\n{indent}]"])
 
 
-def _subckt_text(sub: Subcircuit, indent: str) -> str:
-    """A subcircuit record: pins, params, fixed, nested records by name, body."""
-    key = indent + "  "
-    nested = _object_text({n.name: n for n in sub.nested}, key, _subckt_text)
-    return (
-        f'{{\n{key}"pins": {_dumped(list(sub.pins), key)},\n'
-        f'{key}"params": {_object_text(sub.params, key, _param_text)},\n'
-        f'{key}"fixed": {_dumped(sub.fixed, key)},\n'
-        f'{key}"nested": {nested},\n'
-        f'{key}"body": {"".join(_instance_records(sub.body, key))}\n{indent}}}'
-    )
+def _subckt_records(subckts, indent: str, out: list) -> None:
+    """Append to `out`, in pieces to join once, the object of subcircuit
+    records by name: each record's pins, params, fixed, nested records and
+    body. A nested record's text is appended where it goes, never copied
+    into its parent's, so the work is linear in the text however deep
+    subcircuits nest."""
+    if not subckts:
+        out.append("{}")
+        return
+    inner = indent + "  "
+    key = inner + "  "
+    opening = f"{{\n{inner}"
+    for name, sub in subckts.items():
+        out.append(
+            f'{opening}{_encode(name)}: {{\n{key}"pins": {_dumped(list(sub.pins), key)},\n'
+            f'{key}"params": {_object_text(sub.params, key, _param_text)},\n'
+            f'{key}"fixed": {_dumped(sub.fixed, key)},\n{key}"nested": '
+        )
+        _subckt_records({n.name: n for n in sub.nested}, key, out)
+        out.append(f',\n{key}"body": ')
+        out.extend(_instance_records(sub.body, key))
+        out.append(f"\n{inner}}}")
+        opening = f",\n{inner}"
+    out.append(f"\n{indent}}}")
 
 
 def _component_text(comp: Component, indent: str) -> str:
@@ -779,10 +818,12 @@ def export_json(circuit: Circuit) -> str:
     components = _collect_components(circuit)
     fields.append(f'"components": {_object_text(components, "  ", _component_text)}')
     fields.append(f'"models": {_object_text(circuit.models, "  ", _model_text)}')
-    fields.append(f'"subcircuits": {_object_text(circuit.subcircuits, "  ", _subckt_text)}')
-    fields.append('"instances": ')
-    records = _instance_records(circuit.instances, "  ")
-    return "".join(chain(["{\n  ", ",\n  ".join(fields)], records, ["\n}\n"]))
+    out = ["{\n  ", ",\n  ".join(fields), ',\n  "subcircuits": ']
+    _subckt_records(circuit.subcircuits, "  ", out)
+    out.append(',\n  "instances": ')
+    out.extend(_instance_records(circuit.instances, "  "))
+    out.append("\n}\n")
+    return "".join(out)
 
 
 def _expect(condition, message, path):

@@ -27,7 +27,10 @@ lines inline (ParamPlan._kernel), with RandomSpec.sample's and
 Formula.evaluate's checks, error types and messages, and format_number's
 rule (numfmt.line_source). Kernels are cached by plan shape, so plans that
 differ only in their values, such as the merged maps of many primitive
-instances with overrides, share one compile(). ParamPlan.evaluate (and
+instances with overrides, share one compile(). A kernel also has a replay
+form (ParamPlan.replay), compiled only when asked for, whose draws read the
+random() doubles of a generator's outputs drawn before instead of stepping
+the generator, with the same bytes and errors. ParamPlan.evaluate (and
 eval_params), RandomSpec.sample and Formula.evaluate are the per-value API,
 and the reference that kernels are tested against.
 Params, ParamSet and io_readers.ParamFile share one base, CheckedDict, whose
@@ -56,7 +59,16 @@ from .errors import (
 from .formula import NAMESPACE, Formula, read_context, splice
 from .names import identifier, nonempty_text
 from .numfmt import format_number, line_formats, line_source
-from .rng import GAUSS, STEP, UNIT, UNIT_OPEN, Xoshiro256StarStar, as_generator
+from .rng import (
+    GAUSS,
+    REPLAY_UNIT,
+    REPLAY_UNIT_OPEN,
+    STEP,
+    UNIT,
+    UNIT_OPEN,
+    Xoshiro256StarStar,
+    as_generator,
+)
 
 __all__ = [
     "Params",
@@ -72,6 +84,13 @@ __all__ = [
 
 
 _DRAW_KINDS = ("gauss", "uniform", "lognormal")
+# distribution kind -> the generator outputs one draw takes (see _draw)
+_OUTPUTS = {"gauss": 2, "uniform": 1, "lognormal": 2}
+# how a draw takes each output, and the uniforms it makes of it: the live
+# kernel steps the generator (rng.STEP), the replay form reads the next
+# random() double drawn before
+_LIVE = (STEP, UNIT, UNIT_OPEN)
+_REPLAY = (("x = take()",), REPLAY_UNIT, REPLAY_UNIT_OPEN)
 
 
 class RandomSpec(Record):
@@ -296,20 +315,22 @@ def _formula_order(params: Params) -> list[str]:
     return order
 
 
-def _draw(kind: str, i: int) -> tuple[list[str], list[str]]:
+def _draw(kind: str, i: int, form: tuple) -> tuple[list[str], list[str]]:
     """Source for RandomSpec.sample of the spec `d{i}` into the local `v{i}`,
-    on the generator state in the locals s0..s3, with the same steps,
-    arithmetic, checks and messages: (the lines that read the spec's
-    arguments once per plan, the lines of the draw)."""
+    with the same arithmetic, checks and messages, taking each of its
+    _OUTPUTS[kind] outputs as `form` says (_LIVE: rng.STEP on the generator
+    state in the locals s0..s3, or _REPLAY). Returns (the lines that read
+    the spec's arguments once per plan, the lines of the draw)."""
+    step, unit, unit_open = form
     a, b, target, spec = f"a{i}", f"b{i}", f"v{i}", f"d{i}"
-    lines = list(STEP)
+    lines = list(step)
     if kind == "uniform":
         # the span, as sample computes it; __post_init__ made sure it is finite
         arguments = [f"{a}, {b} = {spec}.a, {spec}.b - {spec}.a"]
-        lines.append(f"{target} = {a} + {b} * ({UNIT})")
+        lines.append(f"{target} = {a} + {b} * ({unit})")
     else:
         arguments = [f"{a}, {b} = {spec}.a, {spec}.b"]
-        lines += [f"u1 = {UNIT_OPEN}", *STEP, f"u2 = {UNIT}", f"z = {GAUSS}"]
+        lines += [f"u1 = {unit_open}", *step, f"u2 = {unit}", f"z = {GAUSS}"]
         if kind == "gauss":
             # a + b * generator.gauss(0.0, 1.0)
             lines.append(f"{target} = {a} + {b} * (0.0 + 1.0 * z)")
@@ -334,8 +355,11 @@ def _source(shape: tuple) -> tuple[str, tuple]:
     and the names of the constants that its formulas read, in the order the
     factory takes them. The factory takes the line formats of the plan's
     layout (numfmt.line_formats) first: `fast` is None unless the shape's
-    last item says the line text lets a line format at once."""
-    names, kinds, order, plain = shape
+    `plain` item says the line text lets a line format at once. Its last
+    item is the form: the live kernel steps the generator `rng`, the replay
+    form takes the random() double of each output from the iterator `rng`
+    instead."""
+    names, kinds, order, plain, replay = shape
     kind_of = dict(zip(names, kinds))
     # drawn and computed values and the constants formulas read -> their variables
     local: dict[str, str] = {}
@@ -343,7 +367,7 @@ def _source(shape: tuple) -> tuple[str, tuple]:
     body: list[str] = []
     draws = sorted(name for name in names if kind_of[name] in _DRAW_KINDS)
     for i, name in enumerate(draws):
-        read_arguments, lines = _draw(kind_of[name], i)
+        read_arguments, lines = _draw(kind_of[name], i, _REPLAY if replay else _LIVE)
         arguments += read_arguments
         body += lines
         local[name] = f"v{i}"
@@ -379,7 +403,9 @@ def _source(shape: tuple) -> tuple[str, tuple]:
     else:
         loop = ["for before in befores:"]
     loop += ["    " + line for line in body]
-    if draws:
+    if draws and replay:
+        loop = ["take = rng.__next__", *loop]
+    elif draws:
         loop = [
             "s0, s1, s2, s3 = rng._s0, rng._s1, rng._s2, rng._s3",
             "try:",
@@ -415,12 +441,12 @@ class ParamPlan:
     the constants, the random specs in name order, and the formulas in
     dependency order. Building one raises CyclicDependencyError on a cycle."""
 
-    __slots__ = ("names", "constants", "randoms", "formulas", "_layout", "_run")
+    __slots__ = ("names", "constants", "randoms", "formulas", "_layout", "_run", "_replay")
 
     def __init__(self, params):
         self.names = tuple(params)
         self._layout = None
-        self._run = None
+        self._run = self._replay = None
         self.constants = {}
         randoms = []
         for name, value in params.items():
@@ -467,7 +493,24 @@ class ParamPlan:
             self._run = self._kernel()
         return self._run
 
-    def _kernel(self):
+    def replay(self):
+        """This plan's kernel in replay form, made on the first call and
+        kept: run() with `rng` an iterator over the random() doubles of a
+        generator's outputs (rng.Xoshiro256StarStar.randoms), from which
+        each draw takes the next one instead of stepping a generator. Given
+        the doubles of the outputs that a generator would step through, it
+        appends the lines, and raises the errors, that run() appends and
+        raises with that generator, bit for bit (rng.REPLAY_UNIT_OPEN);
+        each line takes outputs() of them."""
+        if self._replay is None:
+            self._replay = self._kernel(replay=True)
+        return self._replay
+
+    def outputs(self) -> int:
+        """The raw generator outputs that one line of run() steps through."""
+        return sum(_OUTPUTS[spec.kind] for _, spec in self.randoms)
+
+    def _kernel(self, replay: bool = False):
         """This plan's kernel: one generated function that renders a run of
         lines. It loads the generator's state into locals once, and for
         each line steps it (rng.STEP) and transforms the output in place for
@@ -478,13 +521,14 @@ class ParamPlan:
         other names from the line's context; and formats the line's values
         into the layout's text at once (numfmt.line_source, format_number's
         rule), after the line's `before`, which is never searched or mended.
-        It stores the state back when the run ends or raises.
+        It stores the state back when the run ends or raises. In replay
+        form, each draw reads the next output's double instead (replay).
 
         The source depends only on the plan's shape: its names, the kind of
         each value (a number or text constant, a distribution kind, or a
-        formula's program), the formulas' order and whether the layout's
+        formula's program), the formulas' order, whether the layout's
         text lets a line format at once (numfmt.line_formats, decided here
-        once per plan), so plans of one shape share one compile()
+        once per plan) and the form, so plans of one shape share one compile()
         (_factory). Every user value (the layout text, the specs, the
         constants) is an argument of the factory, which each plan calls
         once; user text reaches the source only as repr() literals of
@@ -499,7 +543,7 @@ class ParamPlan:
         order = tuple(name for name, _ in self.formulas)
         head, slots = self.layout()
         text, fast = line_formats([head, *(tail for _, tail in slots)])
-        factory, constants = _factory((self.names, kinds, order, fast is not None))
+        factory, constants = _factory((self.names, kinds, order, fast is not None, replay))
         return factory(
             text, fast, *[spec for _, spec in self.randoms],
             *[float(self.constants[name]) for name in constants],

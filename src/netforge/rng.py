@@ -17,6 +17,14 @@ loop generated from STEP and UNIT too; it is compiled on its first call,
 not at import. tests/test_rng.py pins next_u64, the float draws, randoms
 and a kernel's draws bit for bit, and checks that next_u64 and the loop
 of randoms run the lines of STEP.
+
+A kernel also has a replay form (params.ParamPlan.replay), which reads the
+random() double of each output from a batch drawn before by randoms,
+instead of stepping: REPLAY_UNIT and REPLAY_UNIT_OPEN give UNIT and
+UNIT_OPEN from that double. UNIT_OPEN, ((x >> 11) + 1) * 2**-53, equals
+UNIT + 2**-53 bit for bit: with k = x >> 11 < 2**53, UNIT is k * 2**-53,
+and the exact sum (k + 1) * 2**-53 is a double, so the addition does not
+round.
 """
 
 from __future__ import annotations
@@ -43,6 +51,9 @@ STEP = (
 UNIT = f"(x >> 11) * {_DOUBLE!r}"
 # gauss's first uniform, shifted into (0, 1] so the log stays finite
 UNIT_OPEN = f"((x >> 11) + 1) * {_DOUBLE!r}"
+# UNIT and UNIT_OPEN of an output whose random() double is x, in the replay form
+REPLAY_UNIT = "x"
+REPLAY_UNIT_OPEN = f"x + {_DOUBLE!r}"
 # gauss(0, 1) from the uniforms u1 and u2 (Box-Muller, cosine branch)
 GAUSS = f"math.sqrt(-2.0 * math.log(u1)) * math.cos({2.0 * math.pi!r} * u2)"
 

@@ -496,3 +496,88 @@ def test_operator_nesting_cap_is_inclusive(tmp_path, op):
         build(tmp_path, dict(BASE, circuit=[nested_node(op, MAX_DEPTH + 1, leaf)]))
     inner = {"concat": ".of[0]", "inject": ".into", "into_subckt": ".body[0]"}[op]
     assert err.value.path == "circuit[0]" + inner * (MAX_DEPTH + 1)
+
+
+# --- bounded builds: BUILD_BUDGET instances and list entries per build -------------
+
+DEV4 = {"name": "dev", "ports": ["a", "b", "c", "d"], "params": {"w": 1e-6}}
+_HUGE = 1e300
+
+# node -> the path of the count that goes over the budget
+_OVER_BUDGET = {
+    "chain": ({"op": "chain", "template": "dev", "n": _HUGE}, "circuit[0].n"),
+    "named_chain": ({"op": "named_chain", "template": "dev", "n": "${1e6 * 1e6}", "out_name": "o"},
+                    "circuit[0].n"),
+    "parallel": ({"op": "parallel", "template": "dev", "n": _HUGE}, "circuit[0].n"),
+    "array": ({"op": "array", "template": "dev", "shape": [1e6, 1e6]}, "circuit[0].shape"),
+    "array_1d": ({"op": "array", "template": "dev", "shape": ["${1e12}"]}, "circuit[0].shape"),
+    "repeat_nets": ({"op": "instance", "template": "dev",
+                     "nets": [{"$repeat": "n${_i}", "count": _HUGE}]},
+                    "circuit[0].nets[0].count"),
+    "inject_of_chain": ({"op": "inject", "p": 1.0, "seed": 1,
+                         "into": {"op": "chain", "template": "dev", "n": 1e12}},
+                        "circuit[0].into.n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVER_BUDGET))
+def test_a_count_over_the_build_budget_is_a_schema_error_at_its_path(tmp_path, case):
+    node, path = _OVER_BUDGET[case]
+    doc = {"version": 1, "components": [DEV4], "circuit": [node]}
+    with pytest.raises(SchemaError, match="left of the build budget") as err:
+        build(tmp_path, doc)
+    assert err.value.path == path
+
+
+def test_nested_injects_stop_at_the_budget(tmp_path, monkeypatch):
+    # each level adds about half the instances it holds, so 50 levels over
+    # 5 000 would ask for 1.5**50 x 5 000 (about 3e12); a lower budget keeps
+    # the instances made before the check small
+    monkeypatch.setattr(builddoc, "BUILD_BUDGET", 50_000)
+    node = {"op": "chain", "template": "dev", "n": 5000}
+    for k in range(50):
+        node = {"op": "inject", "p": 0.5, "seed": k, "into": node}
+    with pytest.raises(SchemaError, match="left of the build budget") as err:
+        build(tmp_path, {"version": 1, "components": [DEV4], "circuit": [node]})
+    # an inner inject: 1.5**k x 5 000 passes 50 000 at about the sixth level
+    assert err.value.path == "circuit[0]" + ".into" * (50 - 6)
+
+
+@pytest.mark.parametrize("where", ["ports", "pins"])
+def test_a_repeat_count_over_the_budget_in_ports_or_pins_is_a_schema_error(tmp_path, where):
+    repeat = [{"$repeat": "p${_i}", "count": "${1e300}"}]
+    if where == "ports":
+        doc = {"version": 1, "components": [{"name": "big", "ports": repeat}]}
+        path = "components[0].ports[0].count"
+    else:
+        doc = {"version": 1, "subcircuits": [{"name": "S", "pins": repeat}]}
+        path = "subcircuits[0].pins[0].count"
+    with pytest.raises(SchemaError, match="left of the build budget") as err:
+        build(tmp_path, doc)
+    assert err.value.path == path
+
+
+def test_the_budget_is_shared_by_the_whole_build(tmp_path, monkeypatch):
+    monkeypatch.setattr(builddoc, "BUILD_BUDGET", 10)
+    chain = {"op": "chain", "template": "dev", "n": 6}
+    doc = {"version": 1, "components": [DEV4], "circuit": [chain, dict(chain, n=4)]}
+    assert len(build(tmp_path, doc).instances) == 10
+    doc["circuit"].append({"op": "parallel", "template": "dev", "n": 1})
+    with pytest.raises(SchemaError, match=r"count 1 is more than the 0 instances") as err:
+        build(tmp_path, doc)
+    assert err.value.path == "circuit[2].n"
+    # an inject spends the defects it drew: p = 1 draws one per instance
+    doc["circuit"] = [{"op": "inject", "p": 1.0, "seed": 1, "into": dict(chain, n=5)}]
+    assert len(build(tmp_path, doc).instances) == 10
+    doc["circuit"][0]["into"]["n"] = 6
+    with pytest.raises(SchemaError, match=r"count 6 is more than the 4 instances") as err:
+        build(tmp_path, doc)
+    assert err.value.path == "circuit[0]"
+
+
+def test_each_build_has_its_own_budget(tmp_path, monkeypatch):
+    monkeypatch.setattr(builddoc, "BUILD_BUDGET", 10)
+    doc = {"version": 1, "components": [DEV4],
+           "circuit": [{"op": "chain", "template": "dev", "n": 10}]}
+    for _ in range(2):
+        assert len(build(tmp_path, doc).instances) == 10

@@ -592,6 +592,34 @@ def test_a_non_finite_count_is_a_schema_error_at_its_path(tmp_path, capsys, case
     assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
 
 
+_HUGE_COUNTS = {
+    "chain n": ('{"op": "chain", "template": "res", "n": 1e300}', "circuit[0].n"),
+    "parallel n": ('{"op": "parallel", "template": "res", "n": "${1e12}"}', "circuit[0].n"),
+    "shape": ('{"op": "array", "template": "res", "shape": [1e6, 1e6]}', "circuit[0].shape"),
+    "repeat count": ('{"op": "instance", "template": "res", '
+                     '"nets": [{"$repeat": "n${_i}", "count": 1e300}]}',
+                     "circuit[0].nets[0].count"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HUGE_COUNTS))
+def test_a_count_over_the_build_budget_exits_2_from_export_and_3_from_sweep(
+    tmp_path, capsys, case
+):
+    node, path = _HUGE_COUNTS[case]
+    doc = _count_doc(tmp_path, node)
+    code, out, err = run_cli(["export", doc], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: count ") and "left of the build budget" in err
+    out_dir = tmp_path / "sweep"
+    code, out, err = run_cli(["sweep", doc, "--out", out_dir], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"sweep failed: {path}: count ") and "Traceback" not in err
+    [variant] = json.loads((out_dir / "manifest.json").read_text())["variants"]
+    assert variant["error"].startswith(f"{path}: count ")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
+
+
 def test_sweep_rejects_a_corner_that_is_not_a_string(tmp_path, capsys):
     doc = _count_doc(tmp_path, '{"op": "chain", "template": "res", "n": 2}')
     doc.write_text(doc.read_text().replace('"seed": 1', '"seed": 1, "corner": 5'))

@@ -15,10 +15,11 @@ whose subcircuits nest up to the depth read_json accepts, must make
 `import_json`, and `export_json`, `lint` and `export` of what it reads,
 raise nothing but a NetforgeError, at that recursion limit too.
 
-Generated numbers stay small (plus inf and nan). A huge finite count asks
-for that many instances: "N_CHAINS": 1e300 as a $repeat count ran for
-minutes. Whether counts get an upper bound is still undecided, so the
-generator leaves huge counts out.
+Generated numbers include huge finite ones (1e9, 2**40, 1e300 and
+"${1e12}"), besides small ones, inf and nan: a count past the build's budget
+(builddoc.BUILD_BUDGET) is a SchemaError before anything is made, so
+"N_CHAINS": 1e300 as a $repeat count exits 2 at once instead of running for
+minutes.
 """
 
 import contextlib
@@ -65,7 +66,8 @@ IR_BASES = {p.name: json.loads(p.read_text()) for p in sorted((TESTS / "golden")
 # one list, so that no kind of value is the generator's favourite
 _SCALARS = st.sampled_from(
     [-1, 0, 0.5, math.inf, "${1e400}", [1], None, True, False, -3, 1, 2, 8, -1.5, 1e-3,
-     -math.inf, math.nan, "", "x", "1", "-2", "a b", "GND", "nmos", "${N_CHAINS}", "${1/0}"]
+     -math.inf, math.nan, "", "x", "1", "-2", "a b", "GND", "nmos", "${N_CHAINS}", "${1/0}",
+     1e9, 2**40, 1e300, "${1e12}"]
 )
 _VALUES = st.one_of(
     _SCALARS,

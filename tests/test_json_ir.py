@@ -117,6 +117,32 @@ def _last_record_with_context() -> Circuit:
     return circuit
 
 
+def _nested_siblings(depth: int) -> Circuit:
+    """Subcircuits nested `depth` deep, each level holding two nested
+    definitions (a leaf and the next level), placed at the top."""
+    res = Component("res", ["a", "b"], {"R": 1.0})
+    inner = None
+    for k in reversed(range(depth)):
+        scratch = Circuit()
+        leaf = Subcircuit(f"LEAF{k}", ["p"])
+        leaf += res @ ["p", "0"]
+        for sub in (leaf, inner) if inner is not None else (leaf,):
+            scratch += sub
+            scratch += sub @ ["p"]
+        inner = scratch.into_subckt(f"L{k}", ["p"], Params({"k": float(k)}))
+    circuit = Circuit()
+    circuit += inner
+    circuit += inner @ ["top"]
+    return circuit
+
+
+def test_nested_subcircuits_write_the_bytes_of_their_dict_form():
+    # each record's nested records are written where they go, in one pass
+    for depth in (1, 2, 30):
+        circuit = _nested_siblings(depth)
+        assert export_json(circuit) == _reference(circuit)
+
+
 def _quoting_scopes() -> Circuit:
     """A scope per way of quoting: the writer quotes a scope's names and
     designators without a call per name only when all of them need no

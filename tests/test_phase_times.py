@@ -1,5 +1,6 @@
 """tools/phase_times.py prints one row per export phase, in ref units, and
-a table of the JSON IR export and import of the built circuit."""
+a table of the JSON IR export and import of the built circuit; with --sweep,
+one row per phase of a sweep and its live and replayed variants."""
 
 import importlib.util
 import json
@@ -73,3 +74,27 @@ def test_phase_times_startup_compares_cli_imports_with_bare_interpreters(capsys,
     assert list(rows)[-1] == "netforge.cli"  # the last to finish importing
     for self_ms, cumulative_ms in rows.values():
         assert 0 <= float(self_ms) <= float(cumulative_ms)
+
+
+def test_phase_times_sweep_reports_every_phase_and_counts_replayed_variants(tmp_path, capsys):
+    doc = tmp_path / "tiny.json"
+    doc.write_text(json.dumps({
+        "version": 1,
+        "seed": 1,
+        "components": [{"name": "res", "ports": ["a", "b"],
+                        "params": {"R": {"$gauss": [100, 1]}}}],
+        "circuit": [{"op": "chain", "template": "res", "n": 3}],
+    }))
+    argv = ["--sweep", "--doc", str(doc), "--corner", "TT", "--corner", "FF", "--seeds", "2",
+            "--repeats", "2"]
+    assert _load_tool().main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "== sweep of tiny.json, spice: medians of 2 repeats =="
+    rows = {line.split()[0]: line.split()[1:] for line in lines[2:-1]}
+    assert list(rows) == ["build", "lint_layout", "emit", "write", "other", "total"]
+    for phase in ("build", "lint_layout", "emit", "write"):
+        ref, ms, share = rows[phase]
+        assert float(ref) > 0 and float(ms) > 0 and share.endswith("%")
+    # each seed draws its outputs in its first corner and replays them in the second
+    assert lines[-1] == "variants per sweep: 0 live, 2 drew and replayed, 2 replayed"
+    assert list(tmp_path.iterdir()) == [doc]  # the output went to a temporary directory

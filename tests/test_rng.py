@@ -158,3 +158,19 @@ def test_importing_netforge_compiles_no_randoms_loop():
     )
     # a fresh process, as the import of a command-line run is
     subprocess.run([sys.executable, "-c", script], check=True)
+
+
+def test_the_replay_uniforms_equal_unit_and_unit_open_bit_for_bit():
+    # a kernel in replay form reads an output's random() double, UNIT, and
+    # makes UNIT_OPEN of it as that double plus 2**-53, with no rounding
+    from netforge.rng import REPLAY_UNIT, REPLAY_UNIT_OPEN, UNIT, UNIT_OPEN
+
+    unit, unit_open = (eval(f"lambda x: {expr}") for expr in (UNIT, UNIT_OPEN))
+    replay_unit, replay_open = (eval(f"lambda x: {e}") for e in (REPLAY_UNIT, REPLAY_UNIT_OPEN))
+    # the 53-bit values k = x >> 11 at both ends, and generated outputs
+    ks = [*range(1 << 16), *range((1 << 53) - (1 << 16), 1 << 53)]
+    gen = Xoshiro256StarStar(3)
+    outputs = [k << 11 | 0x7FF for k in ks] + [gen.next_u64() for _ in range(1 << 16)]
+    for x in outputs:
+        u = unit(x)
+        assert replay_unit(u) == u and replay_open(u).hex() == unit_open(x).hex()

@@ -6,6 +6,8 @@ Usage, from anywhere inside a checkout:
     python3 tools/phase_times.py [--workload W] [--seed K] [--repeats N] [--dialect D]
     python3 tools/phase_times.py --doc path/to/doc.json [--repeats N] [--dialect D]
     python3 tools/phase_times.py --startup N
+    python3 tools/phase_times.py --sweep [--workload W | --doc D [--corner C]... [--vary V]...
+                                 [--seeds N]] [--seed K] [--repeats N] [--dialect D]
 
 With --workload (chain_mc by default) the inputs of that benchmark
 workload, as perfbench/workloads.py writes them for seed K, go to a
@@ -16,8 +18,10 @@ process, in order, each timed on its own after a garbage collection:
     load_doc  builddoc.load_doc
     build     builddoc.build_circuit, with the document's seed
     lint      exporters.lint
-    layout    exporters._line_frame, the layout of every line, from lint's report
-    emit      one call of the seed -> text function of that layout (exporters._render)
+    layout    exporters._line_frame, the layout of every line, from lint's
+              report, and the seed -> text function of that layout
+              (exporters._Render), which makes each plan's kernel
+    emit      one call of that seed -> text function
     write     exporters.write_atomic of that text, to the temporary directory
 
 These are the steps of exporters._seed_exporter and its seed -> text
@@ -34,6 +38,23 @@ reads it back:
 
 so the second table shows where the time of one IR export and of one
 import_json goes.
+
+--sweep times one `netforge sweep` instead, through netforge.cli.main in
+this process, into the temporary directory: with a workload's sweep
+arguments (perfbench/workloads.py), or for --doc the --corner, --vary and
+--seeds given. Each repeat times the whole call, and the phases inside it
+by wrapping the names the sweep calls:
+
+    build        builddoc.build_circuit
+    lint_layout  cli._seed_exporter: lint, layout and kernels
+    emit         each variant's text: a live render, or the seed's outputs
+                 drawn or extended and replayed (cli._replayed)
+    write        cli.write_atomic, of every variant and of the manifest
+    other        the rest of the call: arguments, load_doc, the manifest's JSON
+
+and a line under the table counts, per sweep, the variants rendered live,
+those that drew (or extended) their seed's outputs and replayed them, and
+those that replayed outputs drawn before.
 
 A phase's time counts in multiples of perfbench/run.py:reference(), the
 mean of one pass just before and one just after its repeat, as the
@@ -71,12 +92,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 PHASES = ("load_doc", "build", "lint", "layout", "emit", "write")
 IR_PHASES = ("export_json", "ir_write", "json_loads", "import_json")
+SWEEP_PHASES = ("build", "lint_layout", "emit", "write", "other")
 
 
 def _perfbench(name: str):
@@ -114,6 +137,9 @@ def measure(doc_path: Path, repeats: int, dialect: str, out: Path, reference) ->
             raise exporters.LintErrors(report)
         return report
 
+    def lay_out(circuit, report):
+        return exporters._Render(*exporters._line_frame(table, circuit, report, header))
+
     ratios: dict[str, list[float]] = {phase: [] for phase in PHASES + IR_PHASES}
     seconds: dict[str, list[float]] = {phase: [] for phase in PHASES + IR_PHASES}
     for _ in range(repeats):
@@ -121,8 +147,8 @@ def measure(doc_path: Path, repeats: int, dialect: str, out: Path, reference) ->
         doc, t_load = _timed(builddoc.load_doc, doc_path)
         circuit, t_build = _timed(build, doc)
         report, t_lint = _timed(lint, circuit)
-        layout, t_layout = _timed(exporters._line_frame, table, circuit, report, header)
-        text, t_emit = _timed(exporters._render(*layout), circuit.rng_seed)
+        emit, t_layout = _timed(lay_out, circuit, report)
+        text, t_emit = _timed(emit, circuit.rng_seed)
         _, t_write = _timed(exporters.write_atomic, out, text)
         ir, t_export_json = _timed(exporters.export_json, circuit)
         _, t_ir_write = _timed(exporters.write_atomic, out, ir)
@@ -134,8 +160,82 @@ def measure(doc_path: Path, repeats: int, dialect: str, out: Path, reference) ->
         for phase, elapsed in zip(PHASES + IR_PHASES, times):
             ratios[phase].append(elapsed / ref)
             seconds[phase].append(elapsed)
-        del doc, circuit, report, layout, text, ir
+        del doc, circuit, report, emit, text, ir
     return {phase: (ratios[phase], seconds[phase]) for phase in ratios}
+
+
+class _Spans:
+    """Seconds and calls per phase of the wrapped names. A call inside
+    another wrapped call adds its time only to the outer call's phase, and
+    counts only if it wraps into that same phase."""
+
+    def __init__(self):
+        self.seconds: Counter = Counter()
+        self.calls: Counter = Counter()
+        self._open: str | None = None  # the phase of the outermost open call
+        self._saved: list = []
+
+    def wrap(self, owner, name: str, phase: str, counted: str | None = None) -> None:
+        original = getattr(owner, name)
+
+        def timed(*args, **kwargs):
+            if self._open is not None:
+                if self._open == phase:
+                    self.calls[counted or phase] += 1
+                return original(*args, **kwargs)
+            self.calls[counted or phase] += 1
+            self._open = phase
+            start = time.perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                self.seconds[phase] += time.perf_counter() - start
+                self._open = None
+
+        self._saved.append((owner, name, original))
+        setattr(owner, name, timed)
+
+    def unwrap(self) -> None:
+        while self._saved:
+            setattr(*self._saved.pop())
+
+
+def measure_sweep(argv: list, repeats: int, reference) -> tuple:
+    """({phase: (ref units per repeat, seconds per repeat)} for SWEEP_PHASES,
+    and per sweep the variants rendered live, the replayed variants that
+    drew or extended their seed's outputs, and those that only replayed)."""
+    from netforge import builddoc, cli, exporters, rng
+
+    ratios: dict[str, list[float]] = {phase: [] for phase in SWEEP_PHASES}
+    seconds: dict[str, list[float]] = {phase: [] for phase in SWEEP_PHASES}
+    calls: Counter = Counter()
+    for _ in range(repeats):
+        spans = _Spans()
+        spans.wrap(builddoc, "build_circuit", "build")
+        spans.wrap(cli, "_seed_exporter", "lint_layout")
+        spans.wrap(cli, "_replayed", "emit")
+        spans.wrap(exporters._Render, "__call__", "emit", "live")
+        spans.wrap(exporters._Render, "replay", "emit", "replayed")
+        spans.wrap(rng.Xoshiro256StarStar, "randoms", "emit", "drawn")
+        spans.wrap(cli, "write_atomic", "write")
+        before = reference()
+        try:
+            gc.collect()
+            start = time.perf_counter()
+            code = cli.main(argv)
+            total = time.perf_counter() - start
+        finally:
+            spans.unwrap()
+        ref = (before + reference()) / 2
+        if code != 0:
+            raise SystemExit(f"netforge sweep exited {code}")
+        spans.seconds["other"] = total - sum(spans.seconds.values())
+        for phase in SWEEP_PHASES:
+            ratios[phase].append(spans.seconds[phase] / ref)
+            seconds[phase].append(spans.seconds[phase])
+        calls = spans.calls
+    times = {phase: (ratios[phase], seconds[phase]) for phase in SWEEP_PHASES}
+    return times, calls["live"], calls["drawn"], calls["replayed"] - calls["drawn"]
 
 
 def _medians(times: dict, phases: tuple) -> dict:
@@ -239,6 +339,14 @@ def main(argv=None) -> int:
     source.add_argument("--doc", type=Path, help="a build document instead of a workload")
     source.add_argument("--startup", type=int, metavar="N",
                         help="time N fresh CLI imports against N bare interpreters instead")
+    parser.add_argument("--sweep", action="store_true",
+                        help="time one `netforge sweep` instead of an export")
+    parser.add_argument("--corner", action="append", default=[],
+                        help="with --sweep --doc: a corner to sweep (repeatable)")
+    parser.add_argument("--vary", action="append", default=[],
+                        help="with --sweep --doc: NAME=lo:hi:steps (repeatable)")
+    parser.add_argument("--seeds", type=int, default=1,
+                        help="with --sweep --doc: the number of seeds")
     parser.add_argument("--seed", type=int, default=1, help="the workload's seed")
     parser.add_argument("--repeats", type=int, default=21)
     parser.add_argument("--dialect", default="spice", help="a text dialect (default spice)")
@@ -260,6 +368,8 @@ def main(argv=None) -> int:
         temp = Path(temp)
         if args.doc is not None:
             doc_path, title = args.doc.resolve(), f"{args.doc.name}, {args.dialect}"
+            sweep_args = [*(f"--corner={corner}" for corner in args.corner),
+                          *(f"--vary={vary}" for vary in args.vary), f"--seeds={args.seeds}"]
         else:
             workloads = _perfbench("workloads")
             workload = args.workload or "chain_mc"
@@ -268,6 +378,16 @@ def main(argv=None) -> int:
                 parser.error(f"unknown workload {workload!r}; known: {known}")
             doc_path = workloads.write_inputs(workloads.spec(workload, args.seed), temp / "inputs")
             title = f"{workload} seed {args.seed}, {args.dialect}"
+            sweep_args = workloads.spec(workload, args.seed)["sweep_args"]
+        if args.sweep:
+            argv = ["sweep", str(doc_path), *sweep_args, "--dialect", args.dialect,
+                    "--out", str(temp / "sweep")]
+            times, live, drawn, replayed = measure_sweep(argv, args.repeats, reference)
+            report(f"sweep of {title}: medians of {args.repeats} repeats",
+                   _medians(times, SWEEP_PHASES))
+            print(f"variants per sweep: {live} live, {drawn} drew and replayed, "
+                  f"{replayed} replayed")
+            return 0
         times = measure(doc_path, args.repeats, args.dialect, temp / "out.txt", reference)
     report(f"{title}: medians of {args.repeats} repeats", _medians(times, PHASES))
     ir = _medians(times, IR_PHASES)
