@@ -8,7 +8,7 @@ its seed from --seed, else the document, else NETFORGE_SEED, else 0 (_seed).
 
 A sweep renders each seed in every corner x swept values. When that is more
 than one variant, it draws each seed's random stream once, in one batch,
-and every variant of the seed replays it (_replayed), with the bytes a live
+and every variant of the seed replays it (_Streams), with the bytes a live
 render gives; it keeps at most STREAM_CAP outputs over all seeds, and drops
 a seed's stream after its last variant.
 """
@@ -54,7 +54,8 @@ EXIT_LINT = 5
 _EXTENSIONS = {"spice": "sp", "spectre": "scs", "json-ir": "json"}
 
 # the generator outputs a sweep keeps drawn, over all its seeds (a double of
-# 8 bytes each, so 32 MiB); a variant whose seed would need more renders live
+# 8 bytes each, so 32 MiB; drawn straight into the arrays, with no list in
+# between); a variant whose seed would need more renders live
 STREAM_CAP = 1 << 22
 
 
@@ -163,24 +164,38 @@ def _variant_name(stem, corner, var_values, seed, ext) -> str:
     return "__".join(parts) + f".{ext}"
 
 
-def _replayed(emit, seed: int, streams: dict) -> str:
-    """emit(seed), replayed from the seed's stream in `streams`: seed ->
-    (array('d') of the random() doubles of its generator's outputs, the
-    generator after them), drawn on first need in one batch
-    (Xoshiro256StarStar.randoms) and extended when `emit` steps through
-    more outputs (exporters._Render.outputs). The live emit(seed) when emit
-    draws nothing or cannot replay, or the outputs kept would pass
-    STREAM_CAP."""
-    need = getattr(emit, "outputs", 0)
-    randoms, generator = streams.get(seed, ((), None))
-    more = need - len(randoms)
-    if need == 0 or more > STREAM_CAP - sum(len(kept) for kept, _ in streams.values()):
-        return emit(seed)
-    if more > 0:
-        if generator is None:
-            randoms, generator = streams[seed] = (array("d"), Xoshiro256StarStar(seed))
-        randoms.extend(generator.randoms(more))
-    return emit.replay(randoms)
+class _Streams:
+    """The random streams a sweep keeps: seed -> (array('d') of the random()
+    doubles of its generator's outputs, the generator after them), drawn on
+    a seed's first need, in one batch (Xoshiro256StarStar.randoms), and
+    extended when a variant steps through more outputs
+    (exporters._Render.outputs). `kept` counts the doubles kept over all
+    seeds, at most STREAM_CAP."""
+
+    def __init__(self):
+        self.seeds: dict = {}
+        self.kept = 0
+
+    def render(self, emit, seed: int) -> str:
+        """emit(seed), replayed from the seed's stream. The live emit(seed)
+        when emit draws nothing or cannot replay, or the doubles kept would
+        pass STREAM_CAP."""
+        need = getattr(emit, "outputs", 0)
+        randoms, generator = self.seeds.get(seed, ((), None))
+        more = need - len(randoms)
+        if need == 0 or self.kept + more > STREAM_CAP:
+            return emit(seed)
+        if more > 0:
+            if generator is None:
+                randoms, generator = self.seeds[seed] = (array("d"), Xoshiro256StarStar(seed))
+            generator.randoms(more, randoms)
+            self.kept += more
+        return emit.replay(randoms)
+
+    def drop(self, seed: int) -> None:
+        """Forget the seed's stream, after its last variant."""
+        randoms, _ = self.seeds.pop(seed, ((), None))
+        self.kept -= len(randoms)
 
 
 def _cmd_sweep(args) -> int:
@@ -214,7 +229,7 @@ def _cmd_sweep(args) -> int:
     # fastest, so each seed's last variant is in the last corner x values
     replay = len(corners) * len(combos) > 1
     last = (len(corners) * len(combos) - 1) * len(seeds)
-    streams: dict = {}
+    streams = _Streams()
     variants = []
     failure: Exception | None = None
     product = itertools.product(corners, combos, seeds)
@@ -236,13 +251,13 @@ def _cmd_sweep(args) -> int:
                 emit = _seed_exporter(circuit, args.dialect)
             # export_json writes rng_seed and ignores the seed argument
             circuit.rng_seed = seed
-            text = _replayed(emit, seed, streams) if replay else emit(seed)
+            text = streams.render(emit, seed) if replay else emit(seed)
         except NetforgeError as exc:
             variant["error"] = str(exc)
             failure = exc
             break
         if index >= last:
-            streams.pop(seed, None)
+            streams.drop(seed)
         write_atomic(out_dir / file_name, text)
 
     manifest = {

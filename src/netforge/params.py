@@ -84,8 +84,6 @@ __all__ = [
 
 
 _DRAW_KINDS = ("gauss", "uniform", "lognormal")
-# distribution kind -> the generator outputs one draw takes (see _draw)
-_OUTPUTS = {"gauss": 2, "uniform": 1, "lognormal": 2}
 # how a draw takes each output, and the uniforms it makes of it: the live
 # kernel steps the generator (rng.STEP), the replay form reads the next
 # random() double drawn before
@@ -318,7 +316,7 @@ def _formula_order(params: Params) -> list[str]:
 def _draw(kind: str, i: int, form: tuple) -> tuple[list[str], list[str]]:
     """Source for RandomSpec.sample of the spec `d{i}` into the local `v{i}`,
     with the same arithmetic, checks and messages, taking each of its
-    _OUTPUTS[kind] outputs as `form` says (_LIVE: rng.STEP on the generator
+    outputs (_OUTPUTS[kind]) as `form` says (_LIVE: rng.STEP on the generator
     state in the locals s0..s3, or _REPLAY). Returns (the lines that read
     the spec's arguments once per plan, the lines of the draw)."""
     step, unit, unit_open = form
@@ -348,6 +346,11 @@ def _draw(kind: str, i: int, form: tuple) -> tuple[list[str], list[str]]:
         f"raise NonFiniteResultError('sample from %r is not finite' % ({spec},))"
     )
     return arguments, lines
+
+
+# distribution kind -> the generator outputs one draw takes: the reads that
+# _draw splices into its replay form
+_OUTPUTS = {kind: _draw(kind, 0, _REPLAY)[1].count(_REPLAY[0][0]) for kind in _DRAW_KINDS}
 
 
 def _source(shape: tuple) -> tuple[str, tuple]:

@@ -60,12 +60,12 @@ GAUSS = f"math.sqrt(-2.0 * math.log(u1)) * math.cos({2.0 * math.pi!r} * u2)"
 
 def _randoms_source() -> str:
     """Source of the loop behind Xoshiro256StarStar.randoms: the state in
-    locals, STEP and UNIT once per draw, the state stored back."""
+    locals, STEP and UNIT once per draw, appended to `out`, the state
+    stored back."""
     step = "".join(f"\n        {line}" for line in STEP)
     return (
-        "def randoms(self, n):\n"
+        "def randoms(self, n, out):\n"
         "    s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3\n"
-        "    out = []\n"
         "    append = out.append\n"
         f"    for _ in range(n):{step}\n"
         f"        append({UNIT})\n"
@@ -127,10 +127,12 @@ class Xoshiro256StarStar:
         """Uniform double in [0, 1)."""
         return (self.next_u64() >> 11) * _DOUBLE
 
-    def randoms(self, n: int) -> list[float]:
+    def randoms(self, n: int, out=None):
         """The n doubles that n calls of random() give, in order, leaving
-        the state where those calls leave it; one loop over STEP."""
-        return _randoms_loop()(self, n)
+        the state where those calls leave it; one loop over STEP. They are
+        appended to `out` (a list or an array('d')), by default a new list,
+        and `out` is returned."""
+        return _randoms_loop()(self, n, [] if out is None else out)
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()

@@ -6,6 +6,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "phase_times.py"
 PHASES = ("load_doc", "build", "lint", "layout", "emit", "write")
 IR_PHASES = ("export_json", "write", "json_loads", "records")
@@ -85,8 +87,8 @@ def test_phase_times_sweep_reports_every_phase_and_counts_replayed_variants(tmp_
                         "params": {"R": {"$gauss": [100, 1]}}}],
         "circuit": [{"op": "chain", "template": "res", "n": 3}],
     }))
-    argv = ["--sweep", "--doc", str(doc), "--corner", "TT", "--corner", "FF", "--seeds", "2",
-            "--repeats", "2"]
+    argv = ["--sweep", "--doc", str(doc), "--repeats", "2",
+            "--", "--corner", "TT", "--corner", "FF", "--seeds", "2"]
     assert _load_tool().main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "== sweep of tiny.json, spice: medians of 2 repeats =="
@@ -98,3 +100,11 @@ def test_phase_times_sweep_reports_every_phase_and_counts_replayed_variants(tmp_
     # each seed draws its outputs in its first corner and replays them in the second
     assert lines[-1] == "variants per sweep: 0 live, 2 drew and replayed, 2 replayed"
     assert list(tmp_path.iterdir()) == [doc]  # the output went to a temporary directory
+
+
+def test_phase_times_takes_sweep_arguments_only_with_sweep_and_doc(tmp_path, capsys):
+    for argv in (["--doc", "d.json", "--", "--seeds", "2"], ["--sweep", "--", "--seeds", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            _load_tool().main(argv)
+        assert exc.value.code == 2
+        assert "sweep arguments go only with --sweep --doc" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+from array import array
 
 import pytest
 
@@ -146,6 +147,14 @@ def test_randoms_equals_that_many_random_calls_bit_for_bit(seed, n):
     assert [v.hex() for v in values] == [reference.random().hex() for _ in range(n)]
     # and leaves the state where those calls leave it
     assert batch.next_u64() == reference.next_u64()
+
+
+def test_randoms_appends_to_an_array_it_is_given():
+    batch, reference = Xoshiro256StarStar(5), Xoshiro256StarStar(5)
+    out = array("d", [0.5])
+    assert batch.randoms(3, out) is out
+    assert batch.randoms(2, out) is out
+    assert list(out) == [0.5, *reference.randoms(5)]
 
 
 def test_importing_netforge_compiles_no_randoms_loop():

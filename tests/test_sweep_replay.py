@@ -4,7 +4,7 @@ A sweep that renders one seed in several variants (corners x swept values)
 draws the random() doubles of the seed's generator outputs once, in one
 batch (Xoshiro256StarStar.randoms), and renders every variant of the seed with
 the replay form of each plan's kernel (ParamPlan.replay, through
-exporters._Render.replay and cli._replayed). These tests hold that path to
+exporters._Render.replay and cli._Streams). These tests hold that path to
 the live one: a replay kernel against the live kernel on generated plans,
 a replayed emit against the live emit on the generated circuits of
 test_acceptance, and a whole sweep against one `netforge export` per
@@ -231,3 +231,36 @@ def test_a_value_error_in_a_replayed_variant_stops_the_sweep_where_a_live_one_do
     # the TT variants, then the first SS variant, which failed
     assert len(variants) == 2 * SEED_COUNT + 1 and len(files) == 2 * SEED_COUNT
     assert variants[-1]["corner"] == "SS" and "error" in variants[-1]
+
+
+class _Emit:
+    """An emit that takes `outputs` doubles per render and shows them."""
+
+    def __init__(self, outputs):
+        self.outputs = outputs
+
+    def __call__(self, seed):
+        return "live"
+
+    def replay(self, randoms):
+        return list(randoms[: self.outputs])
+
+
+def test_the_streams_count_the_doubles_they_keep(monkeypatch):
+    monkeypatch.setattr(cli, "STREAM_CAP", 10)
+    streams = cli._Streams()
+    assert streams.render(_Emit(3), 1) == Xoshiro256StarStar(1).randoms(3)
+    assert streams.render(_Emit(3), 2) == Xoshiro256StarStar(2).randoms(3)
+    # extended by two, from where the generator stopped
+    assert streams.render(_Emit(5), 1) == Xoshiro256StarStar(1).randoms(5)
+    assert streams.kept == 8
+    # three more would pass the cap: live, and nothing kept
+    assert streams.render(_Emit(3), 3) == "live" and streams.kept == 8
+    assert streams.render(_Emit(0), 4) == "live"
+    streams.drop(1)
+    streams.drop(3)
+    assert streams.kept == 3
+    assert streams.render(_Emit(7), 3) == Xoshiro256StarStar(3).randoms(7)
+    streams.drop(2)
+    streams.drop(3)
+    assert streams.kept == 0 and streams.seeds == {}

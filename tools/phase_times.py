@@ -6,8 +6,8 @@ Usage, from anywhere inside a checkout:
     python3 tools/phase_times.py [--workload W] [--seed K] [--repeats N] [--dialect D]
     python3 tools/phase_times.py --doc path/to/doc.json [--repeats N] [--dialect D]
     python3 tools/phase_times.py --startup N
-    python3 tools/phase_times.py --sweep [--workload W | --doc D [--corner C]... [--vary V]...
-                                 [--seeds N]] [--seed K] [--repeats N] [--dialect D]
+    python3 tools/phase_times.py --sweep [--workload W] [--seed K] [--repeats N] [--dialect D]
+    python3 tools/phase_times.py --sweep --doc D [--repeats N] [--dialect D] -- [SWEEP ARGS]
 
 With --workload (chain_mc by default) the inputs of that benchmark
 workload, as perfbench/workloads.py writes them for seed K, go to a
@@ -41,14 +41,15 @@ import_json goes.
 
 --sweep times one `netforge sweep` instead, through netforge.cli.main in
 this process, into the temporary directory: with a workload's sweep
-arguments (perfbench/workloads.py), or for --doc the --corner, --vary and
---seeds given. Each repeat times the whole call, and the phases inside it
+arguments (perfbench/workloads.py), or for --doc the arguments after `--`,
+passed to the sweep as they are (e.g. `-- --corner TT --corner FF --seeds
+2`). Each repeat times the whole call, and the phases inside it
 by wrapping the names the sweep calls:
 
     build        builddoc.build_circuit
     lint_layout  cli._seed_exporter: lint, layout and kernels
     emit         each variant's text: a live render, or the seed's outputs
-                 drawn or extended and replayed (cli._replayed)
+                 drawn or extended and replayed (cli._Streams.render)
     write        cli.write_atomic, of every variant and of the manifest
     other        the rest of the call: arguments, load_doc, the manifest's JSON
 
@@ -213,7 +214,7 @@ def measure_sweep(argv: list, repeats: int, reference) -> tuple:
         spans = _Spans()
         spans.wrap(builddoc, "build_circuit", "build")
         spans.wrap(cli, "_seed_exporter", "lint_layout")
-        spans.wrap(cli, "_replayed", "emit")
+        spans.wrap(cli._Streams, "render", "emit")
         spans.wrap(exporters._Render, "__call__", "emit", "live")
         spans.wrap(exporters._Render, "replay", "emit", "replayed")
         spans.wrap(rng.Xoshiro256StarStar, "randoms", "emit", "drawn")
@@ -341,16 +342,14 @@ def main(argv=None) -> int:
                         help="time N fresh CLI imports against N bare interpreters instead")
     parser.add_argument("--sweep", action="store_true",
                         help="time one `netforge sweep` instead of an export")
-    parser.add_argument("--corner", action="append", default=[],
-                        help="with --sweep --doc: a corner to sweep (repeatable)")
-    parser.add_argument("--vary", action="append", default=[],
-                        help="with --sweep --doc: NAME=lo:hi:steps (repeatable)")
-    parser.add_argument("--seeds", type=int, default=1,
-                        help="with --sweep --doc: the number of seeds")
     parser.add_argument("--seed", type=int, default=1, help="the workload's seed")
     parser.add_argument("--repeats", type=int, default=21)
     parser.add_argument("--dialect", default="spice", help="a text dialect (default spice)")
+    parser.add_argument("sweep_args", nargs="*", metavar="SWEEP ARGS",
+                        help="with --sweep --doc, after --: arguments of `netforge sweep`")
     args = parser.parse_args(argv)
+    if args.sweep_args and not (args.sweep and args.doc):
+        parser.error("sweep arguments go only with --sweep --doc")
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     if args.startup is not None:
@@ -368,8 +367,7 @@ def main(argv=None) -> int:
         temp = Path(temp)
         if args.doc is not None:
             doc_path, title = args.doc.resolve(), f"{args.doc.name}, {args.dialect}"
-            sweep_args = [*(f"--corner={corner}" for corner in args.corner),
-                          *(f"--vary={vary}" for vary in args.vary), f"--seeds={args.seeds}"]
+            sweep_args = args.sweep_args
         else:
             workloads = _perfbench("workloads")
             workload = args.workload or "chain_mc"
