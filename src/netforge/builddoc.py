@@ -49,9 +49,8 @@ A build asks for at most BUILD_BUDGET instances and list entries, so that no
 document can exhaust memory: each chain, named_chain and parallel count, the
 product of an array's shape and each $repeat count is taken from what is
 left before anything is made, and the defects an inject draws right after
-its draw (a batch that is a list already gets its defects with the draw, at
-most one per instance). A count past what is left is a SchemaError at its
-path.
+its draw, before any of them is made. A count past what is left is a
+SchemaError at its path.
 """
 
 from __future__ import annotations

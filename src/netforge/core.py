@@ -60,6 +60,8 @@ __all__ = [
 # a designator and a chain link net name, each on a line of its own
 _DESIGNATOR_LINES_RE = re.compile(r"^([A-Za-z_]+)(\d+)$", re.M)
 _LINK_NET_LINES_RE = re.compile(r"^net_(\d+)_\d+$", re.M)
+# what an import leaves unset until it is read (_InstanceScope.__getattr__)
+_COUNTERS = ("_counters", "_next_link_group")
 
 DEFAULT_GLOBALS = ("GND", "VDD", "0")
 
@@ -499,7 +501,12 @@ class _InstanceScope:
     scope names its links and the chain makes its children on those Nets,
     with their designators (_place). Other instances are inserted one by
     one; their PendingNets are relinked net by net, one add() naming each
-    link group once, so the result is the one per-instance insertion gives."""
+    link group once, so the result is the one per-instance insertion gives.
+
+    An import only records the designators and net names a scope already
+    uses (_continue_numbering); its counters continue past them the first
+    time they are read (__getattr__), so an import that is only exported
+    never reads those texts again."""
 
     def _init_scope(self):
         self._counters: dict[str, int] = {}
@@ -579,8 +586,20 @@ class _InstanceScope:
         uses: `designators` holds its designators, and `net_names` the
         names of its named nets (numeric ones may be left out: a chain link
         name never is numeric), one per line. Each is one token, so none
-        holds a newline of its own."""
-        counters = self._counters
+        holds a newline of its own. The texts are kept, and the counters
+        left unset until they are first read (__getattr__)."""
+        self._numbering = (self._counters, self._next_link_group, designators, net_names)
+        del self._counters, self._next_link_group
+
+    def __getattr__(self, name: str):
+        """`_counters` and `_next_link_group`, read for the first time since
+        _continue_numbering: continued past its texts, once."""
+        numbering = self.__dict__.pop("_numbering", None) if name in _COUNTERS else None
+        if numbering is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}", name=name, obj=self
+            )
+        counters, next_group, designators, net_names = numbering
         for prefix, num in _DESIGNATOR_LINES_RE.findall(designators):
             num = int(num)
             if num > counters.get(prefix, 0):
@@ -588,7 +607,9 @@ class _InstanceScope:
         # the links of one group share its number: convert each number once
         groups = set(_LINK_NET_LINES_RE.findall(net_names))
         if groups:
-            self._next_link_group = max(self._next_link_group, 1 + max(map(int, groups)))
+            next_group = max(next_group, 1 + max(map(int, groups)))
+        self._counters, self._next_link_group = counters, next_group
+        return getattr(self, name)
 
 
 class Subcircuit(_TemplateOps, _InstanceScope):

@@ -59,16 +59,22 @@ any other record, in record order, whole to the per-record reader, which
 makes it or raises its error, so the first bad record is the one reported.
 It checks and makes each distinct net name once per scope, and the
 instances of a scope share one Net per name; the joins that checked the
-scope's designators and its net names continue its counters. Every
-definition name, designator and parameter name it reads goes through the
-rules of netforge.names, and a name they reject is a SchemaError at the
-name's path. Its text goes through io_readers.read_json, as every JSON
-input does.
+scope's designators and its net names are kept with it, and its counters
+continue past them the first time something is added. Every definition
+name, designator and parameter name it reads goes through the rules of
+netforge.names, and a name they reject is a SchemaError at the name's path.
+Its text goes through io_readers.read_json, as every JSON input does. The
+whole import, parse included, runs with the cyclic garbage collector paused
+(_gc_paused): it makes many containers and no reference cycles, so a
+collection during it finds nothing to free. The collector's state on entry
+is restored, also on an error.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import json
 import math
 import operator
@@ -1037,9 +1043,33 @@ def _fill_subckt_from_ir(sub: Subcircuit, raw, templates, path) -> None:
         sub.fix()
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """The cyclic garbage collector paused for the block, and enabled again
+    after it only if it was enabled on entry: a caller that disabled it
+    keeps it disabled, and of calls that overlap, only one that found it
+    enabled enables it again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def import_json(text: str) -> Circuit:
-    """Rebuild a circuit from its JSON form; inverse of export_json."""
-    raw = read_json(text)
+    """Rebuild a circuit from its JSON form; inverse of export_json.
+
+    The cyclic garbage collector is paused while it reads, and its state on
+    entry restored, on success and on every error. Each scope's designator
+    and link-group counters continue past what it holds the first time they
+    are read, when something is added to it."""
+    with _gc_paused():
+        return _circuit_from_ir(read_json(text))
+
+
+def _circuit_from_ir(raw) -> Circuit:
     _expect(isinstance(raw, dict), "top level must be an object", "$")
     version = raw.get("version")
     if version != JSON_IR_VERSION:

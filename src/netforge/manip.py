@@ -255,9 +255,11 @@ class Inject(Manipulation):
     The batch draws once, when constructed: one random() per child, in child
     order, in one call (Xoshiro256StarStar.randoms), so the pattern and the
     generator's state are those of a draw per child. `defect` is
-    instantiated and checked only when one is drawn. Over a chain whose
-    children are not made yet, a scope places the chain first, and the
-    defects tap its link Nets; any other batch is listed at once.
+    instantiated and checked only when one is drawn, and the defects are
+    made only when the children are read or placed, so a build's budget
+    counts them first. Over a chain whose children are not made yet, a
+    scope places the chain first, and the defects tap its link Nets; any
+    other batch is listed at once, and its defects made on first read.
     """
 
     def __init__(self, children, p: float = 0.5, defect=None, rng=None):
@@ -272,8 +274,6 @@ class Inject(Manipulation):
         if self._hits:
             self._defect = as_instance(defect if defect is not None else _DEFAULT_DEFECT)
             _rebound_nets(self._defect, (GND, GND))  # its arity, checked as rebind does
-        if isinstance(children, list):
-            self._list, self._source = self._make(), None
 
     def _make(self, children=None, designators=None) -> list:
         """`children` (the source's), a defect with `designators` before each hit."""
@@ -292,7 +292,7 @@ class Inject(Manipulation):
 
     def _place(self, scope) -> list | None:
         source, hits = self._source, self._hits
-        if self._list is not None or not source._placeable():
+        if self._list is not None or isinstance(source, list) or not source._placeable():
             return None
         if not hits:  # the batch is the chain's children
             return source._place(scope)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from netforge import builddoc
+from netforge import builddoc, manip
 from netforge.builddoc import build_circuit, load_doc
 from netforge.core import Component
 from netforge.errors import CyclicDependencyError, SchemaError, UnknownCornerError
@@ -573,6 +573,41 @@ def test_the_budget_is_shared_by_the_whole_build(tmp_path, monkeypatch):
     with pytest.raises(SchemaError, match=r"count 6 is more than the 4 instances") as err:
         build(tmp_path, doc)
     assert err.value.path == "circuit[0]"
+
+
+@pytest.mark.parametrize("into", [
+    lambda n: {"op": "parallel", "template": "dev", "n": n},
+    lambda n: {"op": "array", "template": "dev", "shape": [n]},
+    lambda n: {"op": "concat", "of": [{"op": "parallel", "template": "dev", "n": n}]},
+    lambda n: {"op": "inject", "p": 0.0, "seed": 2,
+               "into": {"op": "parallel", "template": "dev", "n": n}},
+], ids=["parallel", "array", "concat", "inject"])
+def test_an_inject_over_a_listed_batch_makes_no_defect_past_the_budget(
+    tmp_path, monkeypatch, into
+):
+    # p = 1 draws a defect per instance: 6 + 6 is more than a budget of 10,
+    # which the draw's check finds before a defect is made
+    monkeypatch.setattr(builddoc, "BUILD_BUDGET", 10)
+    made = []
+    children = manip._children
+
+    def spy(proto, *args):
+        made.append(proto.template.name)
+        return children(proto, *args)
+
+    monkeypatch.setattr(manip, "_children", spy)
+    node = {"op": "inject", "p": 1.0, "seed": 1, "into": into(6)}
+    with pytest.raises(SchemaError, match=r"count 6 is more than the 4 instances") as err:
+        build(tmp_path, {"version": 1, "components": [DEV4], "circuit": [node]})
+    assert err.value.path == "circuit[0]"
+    assert "Res" not in made
+    # within the budget, the defects are made when the batch is added
+    node["into"] = into(5)
+    circuit = build(tmp_path, {"version": 1, "components": [DEV4], "circuit": [node]})
+    assert [inst.designator for inst in circuit.instances] == [
+        f"{prefix}{k}" for k in range(1, 6) for prefix in "RD"
+    ]
+    assert made.count("Res") == 1  # one call makes all five
 
 
 def test_each_build_has_its_own_budget(tmp_path, monkeypatch):

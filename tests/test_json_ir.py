@@ -10,9 +10,12 @@ net name's Net once per scope, shares one Net per name, and continues the
 scope's designator and link-net counters; the counting tests check which
 records take which path, and how often as_net runs, by calls, not by time.
 A property test checks the column reader against _instance_from_ir on every
-record, on scopes that mix common, uncommon and malformed records.
+record, on scopes that mix common, uncommon and malformed records. The
+import pauses the cyclic collector and leaves it as it found it, and reads
+the designators again only when a scope's counters are first read.
 """
 
+import gc
 import json
 
 import pytest
@@ -21,8 +24,8 @@ from hypothesis import strategies as st
 
 from netforge import core, exporters
 from netforge.core import Circuit, Component, Instance, Model, Net, Subcircuit, UnresolvedTemplate
-from netforge.errors import NetforgeError, ParseError, SchemaError
-from netforge.exporters import export_json, import_json, write_param_file
+from netforge.errors import NetforgeError, ParseError, SchemaError, VersionMismatchError
+from netforge.exporters import export, export_json, import_json, write_param_file
 from netforge.formula import Formula
 from netforge.io_readers import ParamFile, load_param_file, read_param_file
 from netforge.manip import Array, Chain
@@ -640,6 +643,128 @@ def test_import_continues_designators_and_link_groups_per_scope():
     assert next_link(outer) == "net_0_0"
     assert added(inner, "res", "cap") == ["R5", "C1"]
     assert next_link(inner) == "net_3_0"
+
+
+# --- the cyclic collector during an import, and counters continued on first use ------
+
+def _deep_bad_record() -> str:
+    doc = _counters_document()
+    doc["subcircuits"]["S"]["nested"]["T"]["body"][1]["designator"] = "1R"
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, error", [
+    (export_json(_chain_circuit(6, 4)), None),
+    ('{"version": 1, ', ParseError),
+    (json.dumps({**_counters_document(), "version": 99}), VersionMismatchError),
+    (_deep_bad_record(), SchemaError),
+], ids=["valid", "invalid_json", "wrong_version", "bad_record_in_a_nested_body"])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_import_leaves_the_collector_as_it_found_it(text, error, enabled):
+    was = gc.isenabled()
+    if not enabled:
+        gc.disable()
+    try:
+        if error is None:
+            circuit = import_json(text)
+        else:
+            with pytest.raises(error):
+                import_json(text)
+        assert gc.isenabled() is enabled
+    finally:
+        if was:
+            gc.enable()
+    if error is None:
+        assert export_json(circuit) == text
+
+
+def test_an_import_defers_its_collections_and_exports_the_same_bytes():
+    circuit = _chain_circuit(3000, 40)
+    text = export_json(circuit)
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()  # so that no allocation before the pause starts one
+    gc.callbacks.append(count)
+    try:
+        again = import_json(text)
+    finally:
+        gc.callbacks.remove(count)
+    # at most the one young collection the pause put off, once it ends
+    assert starts in ([], [0])
+    assert export_json(again) == text
+    assert export(again, "spice") == export(circuit, "spice")
+
+
+class _FindallSpy:
+    """A compiled pattern that counts its findall calls."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def findall(self, text):
+        self.calls += 1
+        return self.pattern.findall(text)
+
+
+def _eager(circuit: Circuit) -> Circuit:
+    """`circuit` with every scope's counters read, as an import read them
+    when it made the scope."""
+    for scope in (circuit, *_all_subcircuits(circuit.subcircuits.values())):
+        scope._counters, scope._next_link_group
+    return circuit
+
+
+def _all_subcircuits(subckts) -> list:
+    found = []
+    for sub in subckts:
+        found += [sub, *_all_subcircuits(sub.nested)]
+    return found
+
+
+def test_an_import_only_exported_never_reads_its_designators_again(monkeypatch):
+    spy = _FindallSpy(core._DESIGNATOR_LINES_RE)
+    monkeypatch.setattr(core, "_DESIGNATOR_LINES_RE", spy)
+    circuit = import_json(json.dumps(_counters_document()))
+    export_json(circuit), export(circuit, "spice"), exporters.lint(circuit)
+    assert spy.calls == 0
+    circuit += Component("res", ["a", "b"]) @ ["a", "b"]  # reads the top level's only
+    assert spy.calls == 1 and circuit.instances[-1].designator == "R8"
+    circuit += Component("res", ["a", "b"]) @ ["a", "b"]
+    assert spy.calls == 1 and circuit.instances[-1].designator == "R9"
+    circuit.subcircuits["S"] += Component("cap", ["a", "b"], prefix="C") @ ["a", "b"]
+    assert spy.calls == 2 and circuit.subcircuits["S"].body[-1].designator == "C10"
+
+
+def test_into_subckt_of_a_fresh_import_carries_the_continued_counters():
+    subs = []
+    for read in (_eager, lambda circuit: circuit):
+        circuit = read(import_json(json.dumps(_counters_document())))
+        sub = circuit.into_subckt("WRAP", ["a"])
+        circuit += Component("res", ["a", "b"]) @ ["a", "b"]  # the circuit counts on its own
+        sub += Component("res", ["a", "b"]) @ ["a", "b"]
+        sub += Component("cap", ["a", "b"], prefix="C") @ ["a", "b"]
+        sub += Chain(NMOS, 2, 0, 2)
+        subs.append([
+            [inst.designator for inst in sub.body[-4:]], str(sub.body[-2].nets[2]),
+            circuit.instances[-1].designator,
+        ])
+    assert subs[0] == subs[1] == [["R8", "C16", "N1", "N2"], "net_8_0", "R8"]
+
+
+def test_a_chain_added_to_an_imported_body_continues_its_link_groups():
+    bodies = []
+    for read in (_eager, lambda circuit: circuit):
+        circuit = read(import_json(export_json(_chain_circuit(6, 4))))
+        line = circuit.subcircuits["LINE"]
+        line += Chain(NMOS, 3, 0, 2)
+        bodies.append([(inst.designator, tuple(map(str, inst.nets))) for inst in line.body])
+    assert bodies[0] == bodies[1]
+    assert [nets[2] for _, nets in bodies[1][-3:]] == ["net_1_0", "net_1_1", "3"]
+    assert [designator for designator, _ in bodies[1][-3:]] == ["N5", "N6", "N7"]
 
 
 # --- the column reader against a reader of every record alone ------------------------

@@ -429,6 +429,25 @@ def test_the_length_of_an_unread_batch_makes_no_children(monkeypatch):
     assert len(list(chain)) == 5 and len(list(injected)) == 10
 
 
+def test_an_inject_over_a_listed_batch_makes_its_defects_when_read(monkeypatch):
+    made = []
+    children = manip._children
+
+    def spy(proto, *args):
+        made.append(proto.template.name)
+        return children(proto, *args)
+
+    source = Parallel(RES, 3)
+    monkeypatch.setattr(manip, "_children", spy)
+    injected = Inject(Inject(source, p=0.0, rng=2), p=1.0, rng=1)
+    assert len(injected) == 6 and made == []
+    circuit = Circuit()
+    circuit += injected
+    assert made == ["Res"]
+    assert [inst.designator for inst in circuit.instances] == ["R1", "R2", "R3", "R4", "R5", "R6"]
+    assert [inst.template.name for inst in circuit.instances] == ["Res", "res"] * 3
+
+
 def test_injects_over_unread_chains_leave_a_shared_generator_as_a_draw_per_child():
     gen, reference = Xoshiro256StarStar(9), Xoshiro256StarStar(9)
     first = Inject(Chain(NMOS, 12), p=0.5, rng=gen)

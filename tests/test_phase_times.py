@@ -1,9 +1,11 @@
 """tools/phase_times.py prints one row per export phase, in ref units, and
 a table of the JSON IR export and import of the built circuit; with --sweep,
-one row per phase of a sweep and its live and replayed variants."""
+one row per phase of a sweep and its live and replayed variants. Under each
+table, one line gives each phase's cyclic collections per repeat."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,20 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "phase_times.py"
 PHASES = ("load_doc", "build", "lint", "layout", "emit", "write")
 IR_PHASES = ("export_json", "write", "json_loads", "records")
+
+
+def _collections(line: str, phases) -> dict:
+    """phase -> its (generation 0, 1, 2) collections per repeat, from the
+    line under a table."""
+    head, cells = line.split(": ", 1)
+    assert head == "gc collections per repeat, generations 0/1/2"
+    counts = {}
+    for cell in cells.split(", "):
+        phase, gens = cell.split(" ")
+        assert re.fullmatch(r"[\d.]+/[\d.]+/[\d.]+", gens), cell
+        counts[phase] = tuple(map(float, gens.split("/")))
+    assert list(counts) == list(phases)
+    return counts
 
 
 def _load_tool():
@@ -36,12 +52,13 @@ def test_phase_times_reports_every_phase_of_a_tiny_document(tmp_path, capsys):
     ):
         lines = table.splitlines()
         assert lines[0] == f"== {title} =="
-        rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}
+        rows = {line.split()[0]: line.split()[1:] for line in lines[2:-1]}
         assert list(rows) == [*phases, "total"]
         for phase in phases:
             ref, ms, share = rows[phase]
             assert float(ref) >= 0 and float(ms) >= 0 and share.endswith("%")
         assert rows["total"][2] == "100.0%"
+        _collections(lines[-1], phases)
     assert list(tmp_path.iterdir()) == [doc]  # the output went to a temporary directory
 
 
@@ -92,8 +109,9 @@ def test_phase_times_sweep_reports_every_phase_and_counts_replayed_variants(tmp_
     assert _load_tool().main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "== sweep of tiny.json, spice: medians of 2 repeats =="
-    rows = {line.split()[0]: line.split()[1:] for line in lines[2:-1]}
+    rows = {line.split()[0]: line.split()[1:] for line in lines[2:-2]}
     assert list(rows) == ["build", "lint_layout", "emit", "write", "other", "total"]
+    _collections(lines[-2], ["build", "lint_layout", "emit", "write", "other"])
     for phase in ("build", "lint_layout", "emit", "write"):
         ref, ms, share = rows[phase]
         assert float(ref) > 0 and float(ms) > 0 and share.endswith("%")

@@ -32,7 +32,8 @@ reads it back:
 
     export_json exporters.export_json of the built circuit
     write       exporters.write_atomic of that text, to the temporary directory
-    json_loads  json.loads of that text
+    json_loads  json.loads of that text, with the cyclic garbage collector
+                paused as import_json pauses it
     records     exporters.import_json of that text, less json_loads: the
                 reading of its records into a circuit
 
@@ -64,7 +65,12 @@ moves the figures less. Each table gives each phase's median over the
 repeats, in ref units and in milliseconds, and its share of the summed
 medians; the records row is the median of import_json less that of
 json_loads, so the last two rows of the IR table add up to import_json's
-median. Stdlib only; perfbench/ is imported, never changed.
+median. Under each table, one line gives each phase's cyclic garbage
+collections per repeat, by generation, from gc.get_stats() before and after
+the phase (or, in a sweep, each outermost wrapped call); the records entry
+counts every collection of import_json, its own parse included, and other
+those of the sweep outside the wrapped calls. Stdlib only; perfbench/ is
+imported, never changed.
 
 --startup N times what every CLI process pays before any work: it starts N
 fresh `python -c "import netforge.cli"` processes, each after one bare
@@ -113,16 +119,21 @@ def _perfbench(name: str):
     return module
 
 
-def _timed(fn, *args):
-    gc.collect()
-    start = time.perf_counter()
-    result = fn(*args)
-    return result, time.perf_counter() - start
+def _collections() -> list:
+    """The cyclic garbage collections so far, one count per generation."""
+    return [stats["collections"] for stats in gc.get_stats()]
 
 
-def measure(doc_path: Path, repeats: int, dialect: str, out: Path, reference) -> dict:
-    """phase -> (ref units per repeat, seconds per repeat), for PHASES and
-    IR_PHASES."""
+def _collected(phase: str, counts: list) -> Counter:
+    """{(phase, generation): the cyclic collections since `counts`}."""
+    return Counter({(phase, generation): now - then
+                    for generation, (now, then) in enumerate(zip(_collections(), counts))})
+
+
+def measure(doc_path: Path, repeats: int, dialect: str, out: Path, reference) -> tuple:
+    """({phase: (ref units per repeat, seconds per repeat)}, {(phase,
+    generation): cyclic collections, summed over the repeats}), for PHASES
+    and IR_PHASES."""
     from netforge import builddoc, exporters
 
     table = exporters.exporter_for(dialect)
@@ -141,37 +152,51 @@ def measure(doc_path: Path, repeats: int, dialect: str, out: Path, reference) ->
     def lay_out(circuit, report):
         return exporters._Render(*exporters._line_frame(table, circuit, report, header))
 
+    def loads(text):
+        with exporters._gc_paused():
+            return json.loads(text)
+
     ratios: dict[str, list[float]] = {phase: [] for phase in PHASES + IR_PHASES}
     seconds: dict[str, list[float]] = {phase: [] for phase in PHASES + IR_PHASES}
+    collections: Counter = Counter()
+
+    def timed(phase, fn, *args):
+        gc.collect()
+        counts = _collections()
+        start = time.perf_counter()
+        result = fn(*args)
+        seconds[phase].append(time.perf_counter() - start)
+        collections.update(_collected(phase, counts))
+        return result
+
     for _ in range(repeats):
         before = reference()
-        doc, t_load = _timed(builddoc.load_doc, doc_path)
-        circuit, t_build = _timed(build, doc)
-        report, t_lint = _timed(lint, circuit)
-        emit, t_layout = _timed(lay_out, circuit, report)
-        text, t_emit = _timed(emit, circuit.rng_seed)
-        _, t_write = _timed(exporters.write_atomic, out, text)
-        ir, t_export_json = _timed(exporters.export_json, circuit)
-        _, t_ir_write = _timed(exporters.write_atomic, out, ir)
-        _, t_loads = _timed(json.loads, ir)
-        _, t_import = _timed(exporters.import_json, ir)
+        doc = timed("load_doc", builddoc.load_doc, doc_path)
+        circuit = timed("build", build, doc)
+        report = timed("lint", lint, circuit)
+        emit = timed("layout", lay_out, circuit, report)
+        text = timed("emit", emit, circuit.rng_seed)
+        timed("write", exporters.write_atomic, out, text)
+        ir = timed("export_json", exporters.export_json, circuit)
+        timed("ir_write", exporters.write_atomic, out, ir)
+        timed("json_loads", loads, ir)
+        timed("import_json", exporters.import_json, ir)
         ref = (before + reference()) / 2
-        times = (t_load, t_build, t_lint, t_layout, t_emit, t_write,
-                 t_export_json, t_ir_write, t_loads, t_import)
-        for phase, elapsed in zip(PHASES + IR_PHASES, times):
-            ratios[phase].append(elapsed / ref)
-            seconds[phase].append(elapsed)
+        for phase in ratios:
+            ratios[phase].append(seconds[phase][-1] / ref)
         del doc, circuit, report, emit, text, ir
-    return {phase: (ratios[phase], seconds[phase]) for phase in ratios}
+    return {phase: (ratios[phase], seconds[phase]) for phase in ratios}, collections
 
 
 class _Spans:
-    """Seconds and calls per phase of the wrapped names. A call inside
-    another wrapped call adds its time only to the outer call's phase, and
-    counts only if it wraps into that same phase."""
+    """Seconds, cyclic collections per generation and calls per phase of the
+    wrapped names. A call inside another wrapped call adds its time and
+    collections only to the outer call's phase, and counts only if it wraps
+    into that same phase."""
 
     def __init__(self):
         self.seconds: Counter = Counter()
+        self.collections: Counter = Counter()  # (phase, generation) -> collections
         self.calls: Counter = Counter()
         self._open: str | None = None  # the phase of the outermost open call
         self._saved: list = []
@@ -186,11 +211,13 @@ class _Spans:
                 return original(*args, **kwargs)
             self.calls[counted or phase] += 1
             self._open = phase
+            counts = _collections()
             start = time.perf_counter()
             try:
                 return original(*args, **kwargs)
             finally:
                 self.seconds[phase] += time.perf_counter() - start
+                self.collections.update(_collected(phase, counts))
                 self._open = None
 
         self._saved.append((owner, name, original))
@@ -202,13 +229,16 @@ class _Spans:
 
 
 def measure_sweep(argv: list, repeats: int, reference) -> tuple:
-    """({phase: (ref units per repeat, seconds per repeat)} for SWEEP_PHASES,
-    and per sweep the variants rendered live, the replayed variants that
-    drew or extended their seed's outputs, and those that only replayed)."""
+    """({phase: (ref units per repeat, seconds per repeat)} and {(phase,
+    generation): cyclic collections, summed over the repeats} for
+    SWEEP_PHASES, and per sweep the variants rendered live, the replayed
+    variants that drew or extended their seed's outputs, and those that only
+    replayed)."""
     from netforge import builddoc, cli, exporters, rng
 
     ratios: dict[str, list[float]] = {phase: [] for phase in SWEEP_PHASES}
     seconds: dict[str, list[float]] = {phase: [] for phase in SWEEP_PHASES}
+    collections: Counter = Counter()
     calls: Counter = Counter()
     for _ in range(repeats):
         spans = _Spans()
@@ -222,9 +252,11 @@ def measure_sweep(argv: list, repeats: int, reference) -> tuple:
         before = reference()
         try:
             gc.collect()
+            counts = _collections()
             start = time.perf_counter()
             code = cli.main(argv)
             total = time.perf_counter() - start
+            other = _collected("other", counts)  # the whole call, less the phases below
         finally:
             spans.unwrap()
         ref = (before + reference()) / 2
@@ -234,9 +266,13 @@ def measure_sweep(argv: list, repeats: int, reference) -> tuple:
         for phase in SWEEP_PHASES:
             ratios[phase].append(spans.seconds[phase] / ref)
             seconds[phase].append(spans.seconds[phase])
+        for (_, generation), n in spans.collections.items():
+            other["other", generation] -= n
+        collections.update(spans.collections)
+        collections.update(other)
         calls = spans.calls
     times = {phase: (ratios[phase], seconds[phase]) for phase in SWEEP_PHASES}
-    return times, calls["live"], calls["drawn"], calls["replayed"] - calls["drawn"]
+    return times, collections, calls["live"], calls["drawn"], calls["replayed"] - calls["drawn"]
 
 
 def _medians(times: dict, phases: tuple) -> dict:
@@ -256,6 +292,17 @@ def report(title: str, medians: dict) -> None:
         share = ref / total_ref * 100 if total_ref else 0.0
         print(f"{phase:12s} {ref:8.3f} {sec * 1e3:9.2f} {share:6.1f}%")
     print(f"{'total':12s} {total_ref:8.3f} {total_ms:9.2f} {100.0:6.1f}%")
+
+
+def report_collections(collections: Counter, phases: dict, repeats: int) -> None:
+    """One line: the cyclic collections per repeat of each phase, by
+    generation; `phases` maps each row's name to its phase."""
+    generations = range(len(gc.get_stats()))
+    cells = ", ".join(
+        f"{row} " + "/".join(f"{round(collections[phase, g] / repeats, 1):g}" for g in generations)
+        for row, phase in phases.items()
+    )
+    print(f"gc collections per repeat, generations 0/1/2: {cells}")
 
 
 def _environment(**changes) -> dict:
@@ -380,14 +427,20 @@ def main(argv=None) -> int:
         if args.sweep:
             argv = ["sweep", str(doc_path), *sweep_args, "--dialect", args.dialect,
                     "--out", str(temp / "sweep")]
-            times, live, drawn, replayed = measure_sweep(argv, args.repeats, reference)
+            times, collections, live, drawn, replayed = measure_sweep(
+                argv, args.repeats, reference
+            )
             report(f"sweep of {title}: medians of {args.repeats} repeats",
                    _medians(times, SWEEP_PHASES))
+            report_collections(collections, dict(zip(SWEEP_PHASES, SWEEP_PHASES)), args.repeats)
             print(f"variants per sweep: {live} live, {drawn} drew and replayed, "
                   f"{replayed} replayed")
             return 0
-        times = measure(doc_path, args.repeats, args.dialect, temp / "out.txt", reference)
+        times, collections = measure(
+            doc_path, args.repeats, args.dialect, temp / "out.txt", reference
+        )
     report(f"{title}: medians of {args.repeats} repeats", _medians(times, PHASES))
+    report_collections(collections, dict(zip(PHASES, PHASES)), args.repeats)
     ir = _medians(times, IR_PHASES)
     loads, whole = ir["json_loads"], ir["import_json"]
     records = (whole[0] - loads[0], whole[1] - loads[1])
@@ -397,6 +450,9 @@ def main(argv=None) -> int:
         {"export_json": ir["export_json"], "write": ir["ir_write"],
          "json_loads": loads, "records": records},
     )
+    report_collections(collections, {"export_json": "export_json", "write": "ir_write",
+                                     "json_loads": "json_loads", "records": "import_json"},
+                       args.repeats)
     return 0
 
 
