@@ -6,11 +6,15 @@ document, 3 build failure, 4 unknown dialect, 5 lint errors. Output bytes
 depend only on the document bytes and the flags given; every command takes
 its seed from --seed, else the document, else NETFORGE_SEED, else 0 (_seed).
 
-A sweep renders each seed in every corner x swept values. When that is more
-than one variant, it draws each seed's random stream once, in one batch,
-and every variant of the seed replays it (_Streams), with the bytes a live
-render gives; it keeps at most STREAM_CAP outputs over all seeds, and drops
-a seed's stream after its last variant.
+A sweep renders each seed in every corner x swept values, at most
+SWEEP_BUDGET variants in all: each --vary step count, --seeds and their
+product with the corners are checked against it before any list of them is
+made or any file written. A seed in more than one variant draws its random
+stream once, in one lane-parallel batch, and every variant of the seed
+replays it (_Streams), with the bytes an export gives; a sweep keeps at
+most STREAM_CAP outputs over all seeds, and drops a seed's stream after its
+last variant. A seed's only variant, and one whose stream would pass the
+cap, draws the stream itself, in chunks, as an export does.
 """
 
 from __future__ import annotations
@@ -53,10 +57,12 @@ EXIT_LINT = 5
 
 _EXTENSIONS = {"spice": "sp", "spectre": "scs", "json-ir": "json"}
 
-# the generator outputs a sweep keeps drawn, over all its seeds (a double of
-# 8 bytes each, so 32 MiB; drawn straight into the arrays, with no list in
-# between); a variant whose seed would need more renders live
+# the generator outputs a sweep keeps drawn, over all its seeds (a 53-bit
+# int in 8 bytes each, so 32 MiB; drawn straight into arrays, with no list
+# in between); a variant whose seed would need more draws its stream again
 STREAM_CAP = 1 << 22
+# the variants (corners x swept values x seeds) one sweep may write
+SWEEP_BUDGET = 100_000
 
 
 def _parse_set(pairs: list[str]) -> dict[str, float]:
@@ -76,7 +82,9 @@ def _parse_set(pairs: list[str]) -> dict[str, float]:
     return out
 
 
-def _parse_vary(specs: list[str]) -> list[tuple[str, list[float]]]:
+def _parse_vary(specs: list[str]) -> list[tuple]:
+    """Each --vary spec as (spec, name, lo, hi, steps), its step count
+    within SWEEP_BUDGET; no value list is made here (_vary_values)."""
     out = []
     for spec in specs or []:
         name, sep, rest = spec.partition("=")
@@ -90,15 +98,27 @@ def _parse_vary(specs: list[str]) -> list[tuple[str, list[float]]]:
             raise SchemaError(f"--vary expects numbers in {spec!r}", "--vary") from None
         if steps < 1:
             raise SchemaError("--vary needs at least one step", "--vary")
-        if steps == 1:
-            values = [lo]
-        else:
-            values = [lo + k * (hi - lo) / (steps - 1) for k in range(steps)]
-        if not all(math.isfinite(v) for v in (lo, hi, *values)):
-            raise SchemaError(f"--vary values must be finite, got {spec!r}", "--vary")
-        values = [int(v) if v == int(v) else v for v in values]
-        out.append((name, values))
+        _within_budget(steps, f"--vary {spec!r}", "--vary")
+        out.append((spec, name, lo, hi, steps))
     return out
+
+
+def _vary_values(spec: str, name: str, lo: float, hi: float, steps: int) -> tuple:
+    """(name, the swept values) of one parsed --vary spec, evenly from lo to hi."""
+    if steps == 1:
+        values = [lo]
+    else:
+        values = [lo + k * (hi - lo) / (steps - 1) for k in range(steps)]
+    if not all(math.isfinite(v) for v in (lo, hi, *values)):
+        raise SchemaError(f"--vary values must be finite, got {spec!r}", "--vary")
+    return name, [int(v) if v == int(v) else v for v in values]
+
+
+def _within_budget(variants: int, what: str, path: str) -> None:
+    if variants > SWEEP_BUDGET:
+        raise SchemaError(
+            f"{what} makes {variants} variants, more than SWEEP_BUDGET ({SWEEP_BUDGET})", path
+        )
 
 
 def _seed(args, doc: dict) -> int:
@@ -165,37 +185,38 @@ def _variant_name(stem, corner, var_values, seed, ext) -> str:
 
 
 class _Streams:
-    """The random streams a sweep keeps: seed -> (array('d') of the random()
-    doubles of its generator's outputs, the generator after them), drawn on
-    a seed's first need, in one batch (Xoshiro256StarStar.randoms), and
-    extended when a variant steps through more outputs
-    (exporters._Render.outputs). `kept` counts the doubles kept over all
-    seeds, at most STREAM_CAP."""
+    """The random streams a sweep keeps: seed -> (array('Q') of its
+    generator's 53-bit outputs, the generator after them), drawn in one
+    lane-parallel batch (Xoshiro256StarStar.batch) on the first variant
+    that will not be the seed's last, and extended when a variant takes
+    more outputs (exporters._Render.outputs). `kept` counts the outputs kept
+    over all seeds, at most STREAM_CAP."""
 
     def __init__(self):
         self.seeds: dict = {}
         self.kept = 0
 
-    def render(self, emit, seed: int) -> str:
-        """emit(seed), replayed from the seed's stream. The live emit(seed)
-        when emit draws nothing or cannot replay, or the doubles kept would
-        pass STREAM_CAP."""
+    def render(self, emit, seed: int, last: bool) -> str:
+        """emit(seed), replayed from the seed's kept stream; `last` says
+        that no later variant renders this seed, so its stream is dropped.
+        emit(seed) itself, which draws the stream in chunks, when nothing
+        is kept for the seed's last variant, when emit draws nothing or
+        cannot replay, or when the outputs kept would pass STREAM_CAP."""
         need = getattr(emit, "outputs", 0)
-        randoms, generator = self.seeds.get(seed, ((), None))
-        more = need - len(randoms)
-        if need == 0 or self.kept + more > STREAM_CAP:
-            return emit(seed)
-        if more > 0:
-            if generator is None:
-                randoms, generator = self.seeds[seed] = (array("d"), Xoshiro256StarStar(seed))
-            generator.randoms(more, randoms)
-            self.kept += more
-        return emit.replay(randoms)
-
-    def drop(self, seed: int) -> None:
-        """Forget the seed's stream, after its last variant."""
-        randoms, _ = self.seeds.pop(seed, ((), None))
-        self.kept -= len(randoms)
+        outputs, generator = self.seeds.get(seed, ((), None))
+        more = need - len(outputs)
+        if need == 0 or (last and not outputs) or self.kept + more > STREAM_CAP:
+            text = emit(seed)
+        else:
+            if more > 0:
+                if generator is None:
+                    outputs, generator = self.seeds[seed] = (array("Q"), Xoshiro256StarStar(seed))
+                outputs += generator.batch(more)  # in place
+                self.kept += more
+            text = emit.replay(outputs)
+        if last:
+            self.kept -= len(self.seeds.pop(seed, ((), None))[0])
+        return text
 
 
 def _cmd_sweep(args) -> int:
@@ -210,9 +231,14 @@ def _cmd_sweep(args) -> int:
     # only the document's corner can be other than text; it names the files
     if not isinstance(corners[0], str):
         raise SchemaError("corner must be a string", "corner")
-    vary = _parse_vary(args.vary)
+    axes = _parse_vary(args.vary)
     if args.seeds < 1:
         raise SchemaError("--seeds needs at least one seed", "--seeds")
+    _within_budget(args.seeds, "--seeds", "--seeds")
+    sizes = len(corners) * math.prod(axis[-1] for axis in axes)
+    _within_budget(sizes * args.seeds, "corners x values x seeds",
+                   "--seeds" if args.seeds > 1 else "--vary" if axes else "--corner")
+    vary = [_vary_values(*axis) for axis in axes]
     seeds = [base_seed + i for i in range(args.seeds)]
     ext = _EXTENSIONS.get(args.dialect, "txt")
     stem = Path(args.doc).stem
@@ -225,10 +251,8 @@ def _cmd_sweep(args) -> int:
     for name, values in vary:
         combos = [combo + [(name, value)] for combo in combos for value in values]
 
-    # a seed in more than one variant draws its outputs once; seeds vary
-    # fastest, so each seed's last variant is in the last corner x values
-    replay = len(corners) * len(combos) > 1
-    last = (len(corners) * len(combos) - 1) * len(seeds)
+    # seeds vary fastest, so each seed's last variant is in the last corner x values
+    last = (sizes - 1) * len(seeds)
     streams = _Streams()
     variants = []
     failure: Exception | None = None
@@ -251,13 +275,11 @@ def _cmd_sweep(args) -> int:
                 emit = _seed_exporter(circuit, args.dialect)
             # export_json writes rng_seed and ignores the seed argument
             circuit.rng_seed = seed
-            text = streams.render(emit, seed) if replay else emit(seed)
+            text = streams.render(emit, seed, index >= last)
         except NetforgeError as exc:
             variant["error"] = str(exc)
             failure = exc
             break
-        if index >= last:
-            streams.drop(seed)
         write_atomic(out_dir / file_name, text)
 
     manifest = {

@@ -15,10 +15,11 @@ stretch of consecutive lines with drawn or computed values that share a
 ParamPlan becomes one entry, the plan's run function (ParamPlan.run: the plan's
 generated kernel, with draws, formulas and number formatting inline) with
 the text before each of its lines; then, for each seed, call the run
-functions in line order with one rng seeded explicitly (_Render), each
-rendering all of its lines in one call. The frame also knows how many raw
-generator outputs a seed's text steps through, so a caller that renders one
-seed many times can draw their random() doubles once and replay them
+functions in line order with one stream of the seed's generator outputs
+(_Render), each rendering all of its lines in one call. The frame knows
+how many generator outputs a seed's text takes, so a call draws exactly
+those, lane-parallel, a chunk at a time (rng.stream), and a caller that
+renders one seed many times can draw them once and replay them
 (_Render.replay), with the same bytes. A table holds only what a dialect
 changes: header, keyword prefix, parameter and net formats, and footer. So
 equal (circuit, seed) pairs always produce byte-identical output, every
@@ -83,7 +84,7 @@ from collections import Counter
 from itertools import accumulate, chain, compress, count, islice, repeat
 from pathlib import Path
 
-from . import names
+from . import names, rng
 from .core import (
     Circuit,
     Component,
@@ -116,7 +117,6 @@ from .io_readers import ParamFile, _checked, _key_path, read_json, value_from_js
 # through ParamPlan.run
 from .numfmt import format_number  # noqa: F401
 from .params import Params, RandomSpec, eval_params, plan_of  # noqa: F401
-from .rng import Xoshiro256StarStar
 
 __all__ = [
     "Finding",
@@ -585,41 +585,39 @@ def _text_exporter(dialect: _TextDialect, circuit: Circuit, options: dict):
 
 class _Render:
     """seed -> text for a laid-out netlist (see _line_frame): each call
-    draws with one rng through the frame in line order, so every text
-    dialect draws the same random values in the same order.
+    takes one stream of the seed's generator outputs through the frame in
+    line order, so every text dialect draws the same random values in the
+    same order.
 
-    `outputs` is the number of generator outputs that one call steps
-    through, and replay(randoms) renders from the random() doubles of at
-    least that many outputs, drawn before (rng.Xoshiro256StarStar.randoms),
-    with each plan's replay kernel (ParamPlan.replay): given the doubles of
-    a seed's generator, it returns the text, or raises the error, of a call
-    with that seed. So a sweep that renders one seed in many variants draws
-    the seed's outputs once. The replay kernels are made on the first
-    replay, so a render that is never replayed compiles none."""
+    `outputs` is the number of generator outputs that one call takes, and a
+    call draws exactly those, lane-parallel, in chunks of rng.CHUNK as the
+    kernels reach them (rng.stream), so it holds one chunk at a time.
+    replay(outputs) renders from outputs drawn before
+    (rng.Xoshiro256StarStar.batch), at least that many: given a seed's, it
+    returns the text, or raises the error, of a call with that seed. So a
+    sweep that renders one seed in many variants draws the seed's outputs
+    once. Either way the same kernels (ParamPlan.run) render."""
 
-    __slots__ = ("_frame", "_tail", "_runs", "_replays", "outputs")
+    __slots__ = ("_runs", "_tail", "outputs")
 
     def __init__(self, frame: list, tail: str):
-        self._frame, self._tail = frame, tail
         self._runs = [(plan.run(), befores, contexts) for plan, befores, contexts in frame]
-        self._replays = None
+        self._tail = tail
         self.outputs = sum(plan.outputs() * len(befores) for plan, befores, _ in frame)
 
-    def _text(self, runs, rng) -> str:
+    def _lines(self, outputs) -> list:
+        # the stream dies when this returns, before the caller joins the lines
         out: list[str] = []
-        for run, befores, contexts in runs:
-            run(befores, contexts, rng, out)
+        for run, befores, contexts in self._runs:
+            run(befores, contexts, outputs, out)
         out.append(self._tail)
-        return "".join(out)
+        return out
 
     def __call__(self, seed: int) -> str:
-        return self._text(self._runs, Xoshiro256StarStar(seed))
+        return "".join(self._lines(rng.stream(seed, self.outputs)))
 
-    def replay(self, randoms) -> str:
-        if self._replays is None:
-            self._replays = [(plan.replay(), befores, contexts)
-                             for plan, befores, contexts in self._frame]
-        return self._text(self._replays, iter(randoms))
+    def replay(self, outputs) -> str:
+        return "".join(self._lines(iter(outputs)))
 
 
 # --- JSON intermediate representation ------------------------------------------------

@@ -27,10 +27,11 @@ lines inline (ParamPlan._kernel), with RandomSpec.sample's and
 Formula.evaluate's checks, error types and messages, and format_number's
 rule (numfmt.line_source). Kernels are cached by plan shape, so plans that
 differ only in their values, such as the merged maps of many primitive
-instances with overrides, share one compile(). A kernel also has a replay
-form (ParamPlan.replay), compiled only when asked for, whose draws read the
-random() doubles of a generator's outputs drawn before instead of stepping
-the generator, with the same bytes and errors. ParamPlan.evaluate (and
+instances with overrides, share one compile(). A kernel has one form: its
+draws take the generator's 53-bit outputs from an iterator, such as a
+stream drawn lane-parallel in chunks (rng.stream), a seed's outputs drawn
+once and replayed, or a generator stepped one output at a time, and each
+gives the bytes and errors of that generator. ParamPlan.evaluate (and
 eval_params), RandomSpec.sample and Formula.evaluate are the per-value API,
 and the reference that kernels are tested against.
 Params, ParamSet and io_readers.ParamFile share one base, CheckedDict, whose
@@ -59,16 +60,7 @@ from .errors import (
 from .formula import NAMESPACE, Formula, read_context, splice
 from .names import identifier, nonempty_text
 from .numfmt import format_number, line_formats, line_source
-from .rng import (
-    GAUSS,
-    REPLAY_UNIT,
-    REPLAY_UNIT_OPEN,
-    STEP,
-    UNIT,
-    UNIT_OPEN,
-    Xoshiro256StarStar,
-    as_generator,
-)
+from .rng import GAUSS, UNIT, UNIT_OPEN, Xoshiro256StarStar, as_generator
 
 __all__ = [
     "Params",
@@ -84,11 +76,9 @@ __all__ = [
 
 
 _DRAW_KINDS = ("gauss", "uniform", "lognormal")
-# how a draw takes each output, and the uniforms it makes of it: the live
-# kernel steps the generator (rng.STEP), the replay form reads the next
-# random() double drawn before
-_LIVE = (STEP, UNIT, UNIT_OPEN)
-_REPLAY = (("x = take()",), REPLAY_UNIT, REPLAY_UNIT_OPEN)
+# how a draw takes each generator output: the next 53-bit one from the
+# kernel's stream
+_TAKE = "x = take()"
 
 
 class RandomSpec(Record):
@@ -313,22 +303,21 @@ def _formula_order(params: Params) -> list[str]:
     return order
 
 
-def _draw(kind: str, i: int, form: tuple) -> tuple[list[str], list[str]]:
+def _draw(kind: str, i: int) -> tuple[list[str], list[str]]:
     """Source for RandomSpec.sample of the spec `d{i}` into the local `v{i}`,
     with the same arithmetic, checks and messages, taking each of its
-    outputs (_OUTPUTS[kind]) as `form` says (_LIVE: rng.STEP on the generator
-    state in the locals s0..s3, or _REPLAY). Returns (the lines that read
-    the spec's arguments once per plan, the lines of the draw)."""
-    step, unit, unit_open = form
+    outputs (_OUTPUTS[kind]) from the kernel's stream (_TAKE) and making
+    its uniforms with rng.UNIT and rng.UNIT_OPEN. Returns (the lines that
+    read the spec's arguments once per plan, the lines of the draw)."""
     a, b, target, spec = f"a{i}", f"b{i}", f"v{i}", f"d{i}"
-    lines = list(step)
+    lines = [_TAKE]
     if kind == "uniform":
         # the span, as sample computes it; __post_init__ made sure it is finite
         arguments = [f"{a}, {b} = {spec}.a, {spec}.b - {spec}.a"]
-        lines.append(f"{target} = {a} + {b} * ({unit})")
+        lines.append(f"{target} = {a} + {b} * ({UNIT})")
     else:
         arguments = [f"{a}, {b} = {spec}.a, {spec}.b"]
-        lines += [f"u1 = {unit_open}", *step, f"u2 = {unit}", f"z = {GAUSS}"]
+        lines += [f"u1 = {UNIT_OPEN}", _TAKE, f"u2 = {UNIT}", f"z = {GAUSS}"]
         if kind == "gauss":
             # a + b * generator.gauss(0.0, 1.0)
             lines.append(f"{target} = {a} + {b} * (0.0 + 1.0 * z)")
@@ -348,9 +337,8 @@ def _draw(kind: str, i: int, form: tuple) -> tuple[list[str], list[str]]:
     return arguments, lines
 
 
-# distribution kind -> the generator outputs one draw takes: the reads that
-# _draw splices into its replay form
-_OUTPUTS = {kind: _draw(kind, 0, _REPLAY)[1].count(_REPLAY[0][0]) for kind in _DRAW_KINDS}
+# distribution kind -> the generator outputs one draw takes
+_OUTPUTS = {kind: _draw(kind, 0)[1].count(_TAKE) for kind in _DRAW_KINDS}
 
 
 def _source(shape: tuple) -> tuple[str, tuple]:
@@ -358,11 +346,8 @@ def _source(shape: tuple) -> tuple[str, tuple]:
     and the names of the constants that its formulas read, in the order the
     factory takes them. The factory takes the line formats of the plan's
     layout (numfmt.line_formats) first: `fast` is None unless the shape's
-    `plain` item says the line text lets a line format at once. Its last
-    item is the form: the live kernel steps the generator `rng`, the replay
-    form takes the random() double of each output from the iterator `rng`
-    instead."""
-    names, kinds, order, plain, replay = shape
+    last item, `plain`, says the line text lets a line format at once."""
+    names, kinds, order, plain = shape
     kind_of = dict(zip(names, kinds))
     # drawn and computed values and the constants formulas read -> their variables
     local: dict[str, str] = {}
@@ -370,7 +355,7 @@ def _source(shape: tuple) -> tuple[str, tuple]:
     body: list[str] = []
     draws = sorted(name for name in names if kind_of[name] in _DRAW_KINDS)
     for i, name in enumerate(draws):
-        read_arguments, lines = _draw(kind_of[name], i, _REPLAY if replay else _LIVE)
+        read_arguments, lines = _draw(kind_of[name], i)
         arguments += read_arguments
         body += lines
         local[name] = f"v{i}"
@@ -406,16 +391,8 @@ def _source(shape: tuple) -> tuple[str, tuple]:
     else:
         loop = ["for before in befores:"]
     loop += ["    " + line for line in body]
-    if draws and replay:
+    if draws:
         loop = ["take = rng.__next__", *loop]
-    elif draws:
-        loop = [
-            "s0, s1, s2, s3 = rng._s0, rng._s1, rng._s2, rng._s3",
-            "try:",
-            *("    " + line for line in loop),
-            "finally:",
-            "    rng._s0, rng._s1, rng._s2, rng._s3 = s0, s1, s2, s3",
-        ]
     parameters = ["text", "fast", *(f"d{i}" for i in range(len(draws))),
                   *(f"c{i}" for i in range(len(read_constants)))]
     source = "\n".join([
@@ -444,12 +421,12 @@ class ParamPlan:
     the constants, the random specs in name order, and the formulas in
     dependency order. Building one raises CyclicDependencyError on a cycle."""
 
-    __slots__ = ("names", "constants", "randoms", "formulas", "_layout", "_run", "_replay")
+    __slots__ = ("names", "constants", "randoms", "formulas", "_layout", "_run")
 
     def __init__(self, params):
         self.names = tuple(params)
         self._layout = None
-        self._run = self._replay = None
+        self._run = None
         self.constants = {}
         randoms = []
         for name, value in params.items():
@@ -487,51 +464,41 @@ class ParamPlan:
         """This plan's kernel (_kernel), made on the first call and kept:
         `(befores, contexts, rng, out)` appends to `out` one netlist line per
         text in `befores`, that text followed by the tokens of layout(), with
-        each drawn or computed value drawn from the generator `rng` and
-        formatted by format_number's rule. `contexts` holds each line's
-        context (a mapping, or None for an empty one). Each line draws and
-        computes exactly what evaluate does, in the same order, with the same
-        checks and errors; the lines before one that raises stay in `out`."""
+        each drawn or computed value drawn from `rng`, an iterator over a
+        generator's 53-bit outputs (rng.stream, an array of
+        Xoshiro256StarStar.batch, or the generator itself), and formatted
+        by format_number's rule. `contexts` holds each line's context (a
+        mapping, or None for an empty one). Each line takes outputs() of
+        them, and draws and computes exactly what evaluate does with that
+        generator, in the same order, with the same checks and errors; the
+        lines before one that raises stay in `out`."""
         if self._run is None:
             self._run = self._kernel()
         return self._run
 
-    def replay(self):
-        """This plan's kernel in replay form, made on the first call and
-        kept: run() with `rng` an iterator over the random() doubles of a
-        generator's outputs (rng.Xoshiro256StarStar.randoms), from which
-        each draw takes the next one instead of stepping a generator. Given
-        the doubles of the outputs that a generator would step through, it
-        appends the lines, and raises the errors, that run() appends and
-        raises with that generator, bit for bit (rng.REPLAY_UNIT_OPEN);
-        each line takes outputs() of them."""
-        if self._replay is None:
-            self._replay = self._kernel(replay=True)
-        return self._replay
-
     def outputs(self) -> int:
-        """The raw generator outputs that one line of run() steps through."""
+        """The generator outputs that one line of run() takes."""
         return sum(_OUTPUTS[spec.kind] for _, spec in self.randoms)
 
-    def _kernel(self, replay: bool = False):
+    def _kernel(self):
         """This plan's kernel: one generated function that renders a run of
-        lines. It loads the generator's state into locals once, and for
-        each line steps it (rng.STEP) and transforms the output in place for
-        each draw, in name order, with RandomSpec.sample's arithmetic,
-        checks and messages; runs each formula's program (Formula.program)
-        in dependency order, reading this plan's drawn and computed values
-        from locals, its constants from the factory's arguments, and only
-        other names from the line's context; and formats the line's values
-        into the layout's text at once (numfmt.line_source, format_number's
-        rule), after the line's `before`, which is never searched or mended.
-        It stores the state back when the run ends or raises. In replay
-        form, each draw reads the next output's double instead (replay).
+        lines. For each line it takes each draw's outputs from the stream
+        and makes the draw in place, in name order, with RandomSpec.sample's
+        arithmetic, checks and messages (rng.UNIT, rng.UNIT_OPEN and
+        rng.GAUSS on the 53-bit output); runs each formula's program
+        (Formula.program) in dependency order, reading this plan's drawn and
+        computed values from locals, its constants from the factory's
+        arguments, and only other names from the line's context; and
+        formats the line's values into the layout's text at once
+        (numfmt.line_source, format_number's rule), after the line's
+        `before`, which is never searched or mended. It holds no generator
+        state: what it has taken from the stream is gone from it.
 
         The source depends only on the plan's shape: its names, the kind of
         each value (a number or text constant, a distribution kind, or a
-        formula's program), the formulas' order, whether the layout's
+        formula's program), the formulas' order and whether the layout's
         text lets a line format at once (numfmt.line_formats, decided here
-        once per plan) and the form, so plans of one shape share one compile()
+        once per plan), so plans of one shape share one compile()
         (_factory). Every user value (the layout text, the specs, the
         constants) is an argument of the factory, which each plan calls
         once; user text reaches the source only as repr() literals of
@@ -546,7 +513,7 @@ class ParamPlan:
         order = tuple(name for name, _ in self.formulas)
         head, slots = self.layout()
         text, fast = line_formats([head, *(tail for _, tail in slots)])
-        factory, constants = _factory((self.names, kinds, order, fast is not None, replay))
+        factory, constants = _factory((self.names, kinds, order, fast is not None))
         return factory(
             text, fast, *[spec for _, spec in self.randoms],
             *[float(self.constants[name]) for name in constants],

@@ -620,6 +620,37 @@ def test_a_count_over_the_build_budget_exits_2_from_export_and_3_from_sweep(
     assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
 
 
+# sweeps past cli.SWEEP_BUDGET (100 000 variants), by one argument or by the
+# product corners x values x seeds; each size stays small enough that a sweep
+# that built its lists first would peak at tens of MB, not more
+_HUGE_SWEEPS = {
+    "vary steps": (["--vary", "X=0:1:200000"], "--vary"),
+    "seeds": (["--seeds", "200000"], "--seeds"),
+    "two varies": (["--vary", "X=0:1:400", "--vary", "Y=0:1:400"], "--vary"),
+    "corners x vary": (["--corner", "A", "--corner", "B", "--vary", "X=0:1:60000"], "--vary"),
+    "vary x seeds": (["--vary", "X=0:1:400", "--seeds", "400"], "--seeds"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HUGE_SWEEPS))
+def test_a_sweep_over_the_sweep_budget_exits_2_before_it_allocates(tmp_path, capsys, case):
+    import tracemalloc
+
+    # the first variant's build would fail (exit 3), so nothing else runs
+    doc = _count_doc(tmp_path, '{"op": "chain", "template": "missing", "n": 2}')
+    args, path = _HUGE_SWEEPS[case]
+    out_dir = tmp_path / "sweep"
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["sweep", doc, *args, "--out", out_dir], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and "SWEEP_BUDGET" in err
+    assert peak < 2e6 and not out_dir.exists()
+
+
 def test_sweep_rejects_a_corner_that_is_not_a_string(tmp_path, capsys):
     doc = _count_doc(tmp_path, '{"op": "chain", "template": "res", "n": 2}')
     doc.write_text(doc.read_text().replace('"seed": 1', '"seed": 1, "corner": 5'))

@@ -96,7 +96,7 @@ _INLINE_EDGES = _EDGES + [
 def test_the_plan_kernel_formats_inline():
     assert _INLINE.run().__name__ == "run"
     for plain in (True, False):
-        shape = (("y",), (Formula("x").program(),), ("y",), plain, False)
+        shape = (("y",), (Formula("x").program(),), ("y",), plain)
         source = [line.strip() for line in params._source(shape)[0].splitlines()]
         expected = [line.strip() for line in line_source(["r0"], plain)]
         start = source.index(expected[0])

@@ -1,7 +1,8 @@
 """tools/phase_times.py prints one row per export phase, in ref units, and
 a table of the JSON IR export and import of the built circuit; with --sweep,
-one row per phase of a sweep and its live and replayed variants. Under each
-table, one line gives each phase's cyclic collections per repeat."""
+one row per phase of a sweep and its drawing and replayed variants. The
+batch draws of generator outputs are a phase of their own in both. Under
+each table, one line gives each phase's cyclic collections per repeat."""
 
 import importlib.util
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "phase_times.py"
-PHASES = ("load_doc", "build", "lint", "layout", "emit", "write")
+PHASES = ("load_doc", "build", "lint", "layout", "draw", "emit", "write")
 IR_PHASES = ("export_json", "write", "json_loads", "records")
 
 
@@ -110,13 +111,13 @@ def test_phase_times_sweep_reports_every_phase_and_counts_replayed_variants(tmp_
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "== sweep of tiny.json, spice: medians of 2 repeats =="
     rows = {line.split()[0]: line.split()[1:] for line in lines[2:-2]}
-    assert list(rows) == ["build", "lint_layout", "emit", "write", "other", "total"]
-    _collections(lines[-2], ["build", "lint_layout", "emit", "write", "other"])
-    for phase in ("build", "lint_layout", "emit", "write"):
+    assert list(rows) == ["build", "lint_layout", "draw", "emit", "write", "other", "total"]
+    _collections(lines[-2], ["build", "lint_layout", "draw", "emit", "write", "other"])
+    for phase in ("build", "lint_layout", "draw", "emit", "write"):
         ref, ms, share = rows[phase]
         assert float(ref) > 0 and float(ms) > 0 and share.endswith("%")
     # each seed draws its outputs in its first corner and replays them in the second
-    assert lines[-1] == "variants per sweep: 0 live, 2 drew and replayed, 2 replayed"
+    assert lines[-1] == "variants per sweep: 0 drew their own stream, 2 drew and replayed, 2 replayed"
     assert list(tmp_path.iterdir()) == [doc]  # the output went to a temporary directory
 
 

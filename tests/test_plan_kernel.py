@@ -23,7 +23,7 @@ from netforge.core import Circuit
 from netforge.errors import CyclicDependencyError
 from netforge.numfmt import format_number
 from netforge.params import ParamPlan, Params, RandomSpec, gauss, lognormal, uniform
-from netforge.rng import STEP, UNIT, Xoshiro256StarStar, _randoms_loop, _randoms_source
+from netforge.rng import STEP, Xoshiro256StarStar, _batch_kernel, _batch_source, _lanes
 
 SEEDS = (0, 42, 2**64 - 1)
 FACTORY = params._factory  # the cache of compiled kernels, one per plan shape
@@ -138,14 +138,20 @@ def test_next_u64_runs_the_step_that_kernels_splice_in():
     body = inspect.getsource(Xoshiro256StarStar.next_u64)
     positions = [body.index("\n        " + line + "\n") for line in STEP]
     assert positions == sorted(positions)
-    # randoms runs the loop compiled from rng's source, STEP once per draw
-    source = _randoms_source()
-    loop = source.index("    for _ in range(n):\n")
-    positions = [source.index("\n        " + line + "\n") for line in STEP]
+    # the batch runs the kernel compiled from rng's source: STEP on the lanes,
+    # with the lane mask, once per output of a lane, before the outputs are stored
+    source = _batch_source()
+    loop = source.index("    for k in range(min(n, LANE)):\n")
+    lines = _lanes(STEP)
+    assert lines != list(STEP) and all("0xFFFFFFFFFFFFFFFF" not in line for line in lines)
+    positions = [source.index("\n        " + line + "\n") for line in lines]
     assert loop < positions[0] and positions == sorted(positions)
-    assert positions[-1] < source.index(f"        append({UNIT})\n")
-    [code] = [c for c in compile(source, "<rng randoms>", "exec").co_consts if inspect.iscode(c)]
-    assert _randoms_loop().__code__.co_code == code.co_code
+    assert positions[-1] < source.index("        out[k::LANE] = ")
+    [code] = [c for c in compile(source, "<rng batch>", "exec").co_consts if inspect.iscode(c)]
+    assert _batch_kernel().__code__.co_code == code.co_code
+    # no plan kernel steps a generator: each takes its outputs from a stream
+    kernel, _ = params._source((("u",), ("uniform",), (), True))
+    assert "take = rng.__next__" in kernel and not any(line in kernel for line in STEP[3:])
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,10 +1,14 @@
 import hashlib
+import math
 import subprocess
 import sys
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from netforge import rng
 from netforge.rng import Xoshiro256StarStar, as_generator, derive_seed
 
 # frozen output of this implementation; guards against accidental edits to
@@ -161,25 +165,97 @@ def test_importing_netforge_compiles_no_randoms_loop():
     script = (
         "import netforge\n"
         "from netforge import rng\n"
-        "assert rng._randoms_loop.cache_info().currsize == 0\n"
+        "assert rng._batch_kernel.cache_info().currsize == 0\n"
         "rng.Xoshiro256StarStar(1).randoms(2)\n"
-        "assert rng._randoms_loop.cache_info().currsize == 1\n"
+        "assert rng._batch_kernel.cache_info().currsize == 1\n"
     )
     # a fresh process, as the import of a command-line run is
     subprocess.run([sys.executable, "-c", script], check=True)
 
 
-def test_the_replay_uniforms_equal_unit_and_unit_open_bit_for_bit():
-    # a kernel in replay form reads an output's random() double, UNIT, and
-    # makes UNIT_OPEN of it as that double plus 2**-53, with no rounding
-    from netforge.rng import REPLAY_UNIT, REPLAY_UNIT_OPEN, UNIT, UNIT_OPEN
+def test_importing_netforge_builds_no_jump_table():
+    script = (
+        "import netforge\n"
+        "from netforge import rng\n"
+        "assert rng._jump_tables.cache_info().currsize == 0\n"
+        "rng.Xoshiro256StarStar(1).batch(rng.LANE)\n"  # one lane
+        "assert rng._jump_tables.cache_info().currsize == 0\n"
+        "rng.Xoshiro256StarStar(1).batch(rng.LANE + 1)\n"
+        "assert rng._jump_tables.cache_info().currsize == 1\n"
+    )
+    subprocess.run([sys.executable, "-c", script], check=True)
 
-    unit, unit_open = (eval(f"lambda x: {expr}") for expr in (UNIT, UNIT_OPEN))
-    replay_unit, replay_open = (eval(f"lambda x: {e}") for e in (REPLAY_UNIT, REPLAY_UNIT_OPEN))
-    # the 53-bit values k = x >> 11 at both ends, and generated outputs
-    ks = [*range(1 << 16), *range((1 << 53) - (1 << 16), 1 << 53)]
-    gen = Xoshiro256StarStar(3)
-    outputs = [k << 11 | 0x7FF for k in ks] + [gen.next_u64() for _ in range(1 << 16)]
-    for x in outputs:
-        u = unit(x)
-        assert replay_unit(u) == u and replay_open(u).hex() == unit_open(x).hex()
+
+def test_the_replay_uniforms_equal_unit_and_unit_open_bit_for_bit():
+    # a kernel makes random()'s double and gauss's uniforms of a 53-bit
+    # output x, as the generator does of x = next_u64() >> 11
+    unit, unit_open = (eval(f"lambda x: {expr}") for expr in (rng.UNIT, rng.UNIT_OPEN))
+    gauss = eval(f"lambda u1, u2: {rng.GAUSS}", {"math": math})
+    # exact: the 53-bit values at both ends, against true division
+    for x in [*range(1 << 12), *range((1 << 53) - (1 << 12), 1 << 53)]:
+        assert unit(x) == x / 2**53 and unit_open(x) == (x + 1) / 2**53
+    outputs, reference = Xoshiro256StarStar(3), Xoshiro256StarStar(3)
+    for _ in range(1 << 13):
+        assert unit(next(outputs)).hex() == reference.random().hex()
+        u1 = unit_open(next(outputs))
+        z = gauss(u1, unit(next(outputs)))
+        assert (0.0 + 1.0 * z).hex() == reference.gauss(0.0, 1.0).hex()
+
+
+# --- the lane-parallel batch -----------------------------------------------------------
+
+BATCH_SEEDS = (0, 1, 2**63, 2**64 - 1)
+
+
+def _state(generator) -> tuple:
+    return (generator._s0, generator._s1, generator._s2, generator._s3)
+
+
+@given(
+    n=st.integers(0, 4 * rng.LANE + 1),
+    m=st.integers(0, 2 * rng.LANE + 1),
+    seed=st.sampled_from(BATCH_SEEDS) | st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_a_batch_equals_that_many_next_u64_calls(n, m, seed):
+    batch, reference = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    # one batch, then another from where the first left the generator
+    for count in (n, m):
+        outputs = batch.batch(count)
+        assert outputs.typecode == "Q"
+        assert outputs.tolist() == [reference.next_u64() >> 11 for _ in range(count)]
+        assert _state(batch) == _state(reference)
+
+
+@pytest.mark.parametrize("seed", BATCH_SEEDS)
+def test_a_large_batch_equals_that_many_next_u64_calls(seed):
+    n = 3 * rng.CHUNK + rng.LANE // 2 + 1  # many lanes, the last one short
+    batch, reference = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    assert batch.batch(n).tolist() == [reference.next_u64() >> 11 for _ in range(n)]
+    assert _state(batch) == _state(reference)
+
+
+@given(st.integers(1, 2**256 - 1))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_the_jump_tables_step_a_state_one_lane_ahead(state):
+    generator = Xoshiro256StarStar()
+    generator._s0, generator._s1, generator._s2, generator._s3 = (
+        state >> 64 * w & (2**64 - 1) for w in range(4)
+    )
+    for _ in range(rng.LANE):
+        generator.next_u64()
+    jumped = int.from_bytes(rng._jump(state.to_bytes(32, "little")), "little")
+    assert jumped == sum(word << 64 * w for w, word in enumerate(_state(generator)))
+
+
+@pytest.mark.parametrize("n", [0, 1, rng.CHUNK, rng.CHUNK + 1, 2 * rng.CHUNK + 5])
+def test_a_stream_draws_in_chunks_the_outputs_of_one_batch(monkeypatch, n):
+    expected = Xoshiro256StarStar(5).batch(n).tolist()
+    sizes = []
+    batch = Xoshiro256StarStar.batch
+    monkeypatch.setattr(Xoshiro256StarStar, "batch",
+                        lambda self, count: sizes.append(count) or batch(self, count))
+    stream = rng.stream(5, n)
+    assert sizes == []  # nothing is drawn before it is taken
+    assert list(stream) == expected
+    assert sizes == [min(rng.CHUNK, n - k) for k in range(0, n, rng.CHUNK)]

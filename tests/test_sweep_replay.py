@@ -1,15 +1,17 @@
-"""A seed's outputs drawn once and replayed render what a live render does.
+"""A seed's outputs drawn once and replayed render what evaluation does.
 
-A sweep that renders one seed in several variants (corners x swept values)
-draws the random() doubles of the seed's generator outputs once, in one
-batch (Xoshiro256StarStar.randoms), and renders every variant of the seed with
-the replay form of each plan's kernel (ParamPlan.replay, through
-exporters._Render.replay and cli._Streams). These tests hold that path to
-the live one: a replay kernel against the live kernel on generated plans,
-a replayed emit against the live emit on the generated circuits of
+Every text export takes its generator outputs from a stream: drawn
+lane-parallel, in chunks, as the kernels reach them (rng.stream, through
+exporters._Render), or, in a sweep that renders one seed in several
+variants (corners x swept values), drawn once in one batch
+(Xoshiro256StarStar.batch) and replayed by every variant of the seed
+(exporters._Render.replay, cli._Streams). These tests hold both to the
+sequential reference, ParamPlan.evaluate with a generator stepped one
+output at a time and format_number: a kernel on generated plans and at a
+chunk boundary, an emit and a replayed emit on the generated circuits of
 test_acceptance, and a whole sweep against one `netforge export` per
 variant, with the cap on kept outputs patched low, and through a value
-error that stops it. An export compiles no replay kernel.
+error that stops it. No kernel touches a generator's state.
 """
 
 import json
@@ -19,9 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _random_circuit
-from test_plan_kernel import SEEDS, _contexts, _plans
+from test_plan_kernel import SEEDS, _call_through, _contexts, _plans
+from test_render_reference import reference_text
 
-from netforge import cli, exporters, params
+from netforge import Formula, cli, exporters, params, rng
 from netforge.cli import main
 from netforge.errors import (
     CyclicDependencyError,
@@ -30,16 +33,16 @@ from netforge.errors import (
     NonFiniteResultError,
 )
 from netforge.exporters import _seed_exporter, lint
-from netforge.params import ParamPlan
-from netforge.rng import Xoshiro256StarStar
+from netforge.params import ParamPlan, gauss, uniform
+from netforge.rng import STEP, Xoshiro256StarStar
 
 BEFORES = ["X1 a b ", "\nX2 b c "]
 
 
-def _outcome(run, contexts, rng) -> tuple:
+def _outcome(run, befores, contexts, outputs) -> tuple:
     out = []
     try:
-        run(BEFORES, contexts, rng, out)
+        run(befores, contexts, outputs, out)
     except Exception as exc:  # compared by class and message
         return ("error", type(exc), str(exc), out)
     return ("text", out)
@@ -47,17 +50,43 @@ def _outcome(run, contexts, rng) -> tuple:
 
 @given(values=_plans, context=_contexts, seed=st.sampled_from(SEEDS))
 @settings(max_examples=250, derandomize=True, deadline=None)
-def test_the_replay_kernel_renders_what_the_live_kernel_does(values, context, seed):
+def test_the_kernel_renders_what_evaluate_does_from_a_drawn_stream(values, context, seed):
     try:
         plan = ParamPlan(values)
     except CyclicDependencyError:
         return
     contexts = [context, context]
-    live = _outcome(plan.run(), contexts, Xoshiro256StarStar(seed))
-    taken = iter(Xoshiro256StarStar(seed).randoms(len(BEFORES) * plan.outputs()))
-    assert _outcome(plan.replay(), contexts, taken) == live
-    if live[0] == "text":  # each line took exactly outputs() of them
+    reference = _outcome(_call_through(values), BEFORES, contexts, Xoshiro256StarStar(seed))
+    taken = iter(Xoshiro256StarStar(seed).batch(len(BEFORES) * plan.outputs()))
+    assert _outcome(plan.run(), BEFORES, contexts, taken) == reference
+    if reference[0] == "text":  # each line took exactly outputs() of them
         assert next(taken, None) is None
+
+
+@pytest.mark.parametrize("chunk", [rng.CHUNK, rng.LANE + 3])
+@pytest.mark.parametrize("failing", [False, True])
+def test_a_gauss_draw_across_a_chunk_boundary_renders_what_evaluate_does(
+    monkeypatch, chunk, failing
+):
+    monkeypatch.setattr(rng, "CHUNK", chunk)
+    # g takes two outputs and u one, in that order, so line i takes outputs
+    # 3i..3i+2, and the gauss draw of line (chunk - 1) // 3 takes the last
+    # output of the first chunk and the first of the second
+    assert chunk % 3 == 1
+    straddling = (chunk - 1) // 3
+    values = {"g": gauss(0.4, 0.05), "u": uniform(1.0, 2.0), "q": Formula("g * u / (_i - _k)")}
+    # the line that straddles divides by zero, or none does
+    k = straddling if failing else -1
+    befores = [f"\nX{i} a b " for i in range(straddling + 3)]
+    contexts = [{"_i": i, "_k": k} for i in range(len(befores))]
+    plan = ParamPlan(values)
+    seed = 2**63
+    reference = _outcome(_call_through(values), befores, contexts, Xoshiro256StarStar(seed))
+    drawn = rng.stream(seed, len(befores) * plan.outputs())
+    assert _outcome(plan.run(), befores, contexts, drawn) == reference
+    if failing:
+        assert reference[:2] == ("error", DivisionByZeroError)
+        assert len(reference[3]) == straddling  # the lines before it
 
 
 def _lint_clean_circuits():
@@ -67,35 +96,42 @@ def _lint_clean_circuits():
             yield circuit
 
 
+def _text(render, *args) -> tuple:
+    try:
+        return ("text", render(*args))
+    except (NonFiniteResultError, DivisionByZeroError) as exc:
+        return ("error", type(exc), str(exc))
+
+
 @pytest.mark.parametrize("dialect", ["spice", "spectre"])
-def test_a_replayed_emit_equals_the_live_emit_on_generated_circuits(dialect):
+def test_a_replayed_emit_equals_the_reference_on_generated_circuits(dialect):
     replayed = drawing = 0
     for circuit in _lint_clean_circuits():
         emit = _seed_exporter(circuit, dialect)
         for seed in (circuit.rng_seed, circuit.rng_seed + 1):
-            try:
-                live = ("text", emit(seed))
-            except (NonFiniteResultError, DivisionByZeroError) as exc:
-                live = ("error", type(exc), str(exc))
-            randoms = Xoshiro256StarStar(seed).randoms(emit.outputs)
-            try:
-                replay = ("text", emit.replay(randoms))
-            except (NonFiniteResultError, DivisionByZeroError) as exc:
-                replay = ("error", type(exc), str(exc))
-            assert replay == live
+            reference = _text(reference_text, circuit, dialect, seed)
+            assert _text(emit, seed) == reference
+            outputs = Xoshiro256StarStar(seed).batch(emit.outputs)
+            assert _text(emit.replay, outputs) == reference
             replayed += 1
-            if live[0] == "text" and emit.outputs:
+            if reference[0] == "text" and emit.outputs:
                 drawing += 1
                 # the count is exact: one output fewer runs out
                 with pytest.raises(StopIteration):
-                    emit.replay(randoms[:-1])
+                    emit.replay(outputs[:-1])
     assert replayed >= 300 and drawing >= 100
 
 
-def test_an_export_compiles_no_replay_kernel(monkeypatch, data_dir):
-    forms = []
+def test_no_kernel_loads_or_stores_generator_state(monkeypatch):
+    sources = []
     source = params._source
-    monkeypatch.setattr(params, "_source", lambda shape: forms.append(shape[-1]) or source(shape))
+
+    def spy(shape):
+        result = source(shape)
+        sources.append(result[0])
+        return result
+
+    monkeypatch.setattr(params, "_source", spy)
     params._factory.cache_clear()
     for number in range(40):
         for dialect in ("spice", "spectre"):
@@ -103,7 +139,10 @@ def test_an_export_compiles_no_replay_kernel(monkeypatch, data_dir):
                 exporters.export(_random_circuit(number), dialect)
             except NetforgeError:
                 pass
-    assert forms and not any(forms)
+    drawing = [text for text in sources if "take = rng.__next__" in text]
+    assert drawing
+    for text in sources:
+        assert "rng._s" not in text and not any(line in text for line in STEP)
     params._factory.cache_clear()
 
 
@@ -162,13 +201,14 @@ def _sweep(tmp_path, dialect, corners=CORNERS, name="sweep") -> tuple:
 
 
 def _counted_renders(monkeypatch) -> dict:
-    """The live and replayed renders from here on, counted."""
-    calls = {"live": 0, "replay": 0}
+    """The renders from here on that drew their own stream (emit(seed)) and
+    those that replayed a kept one, counted."""
+    calls = {"drawn": 0, "replay": 0}
 
     def counted(kind, method):
         return lambda *args: calls.__setitem__(kind, calls[kind] + 1) or method(*args)
 
-    for kind, name in (("live", "__call__"), ("replay", "replay")):
+    for kind, name in (("drawn", "__call__"), ("replay", "replay")):
         monkeypatch.setattr(exporters._Render, name, counted(kind, getattr(exporters._Render, name)))
     return calls
 
@@ -179,7 +219,7 @@ def test_a_sweep_writes_the_bytes_of_one_export_per_variant(
 ):
     calls = _counted_renders(monkeypatch)
     code, files = _sweep(tmp_path, dialect)
-    assert code == 0 and calls == {"live": 0, "replay": 2 * 2 * SEED_COUNT}
+    assert code == 0 and calls == {"drawn": 0, "replay": 2 * 2 * SEED_COUNT}
     ext = cli._EXTENSIONS[dialect]
     expected = {}
     for corner in CORNERS:
@@ -204,13 +244,13 @@ def test_a_sweep_writes_the_bytes_of_one_export_per_variant(
 def test_a_sweep_past_the_cap_on_kept_outputs_writes_the_same_bytes(
     tmp_path, monkeypatch, capsys, dialect, cap
 ):
-    # 0 renders every variant live; the others keep some seeds' outputs and
-    # render the variants whose seed would pass the cap live
+    # 0 has every variant draw its own stream; the others keep some seeds'
+    # outputs, and the variants whose seed would pass the cap draw their own
     reference = _sweep(tmp_path, dialect, name="reference")
     calls = _counted_renders(monkeypatch)
     monkeypatch.setattr(cli, "STREAM_CAP", cap)
     assert _sweep(tmp_path, dialect) == reference
-    assert calls["live"] > 0 and (calls["replay"] > 0) == (cap > 0)
+    assert calls["drawn"] > 0 and (calls["replay"] > 0) == (cap > 0)
 
 
 @pytest.mark.parametrize("dialect", ["spice", "spectre"])
@@ -221,10 +261,11 @@ def test_a_value_error_in_a_replayed_variant_stops_the_sweep_where_a_live_one_do
     replayed = _sweep(tmp_path, dialect, corners=("TT", "SS", "FF"), name="replayed")
     replayed_err = capsys.readouterr().err
     # every variant replayed, the failing SS one too
-    assert calls == {"live": 0, "replay": 2 * SEED_COUNT + 1}
+    assert calls == {"drawn": 0, "replay": 2 * SEED_COUNT + 1}
+    # with nothing kept, every variant draws its own stream, the failing one too
     monkeypatch.setattr(cli, "STREAM_CAP", 0)
-    live = _sweep(tmp_path, dialect, corners=("TT", "SS", "FF"), name="live")
-    assert replayed == live and capsys.readouterr().err == replayed_err
+    drawn = _sweep(tmp_path, dialect, corners=("TT", "SS", "FF"), name="drawn")
+    assert replayed == drawn and capsys.readouterr().err == replayed_err
     code, files = replayed
     assert code == 3 and replayed_err.startswith("sweep failed: sample from lognormal(800.0")
     variants = json.loads(files.pop("manifest.json"))["variants"]
@@ -234,33 +275,38 @@ def test_a_value_error_in_a_replayed_variant_stops_the_sweep_where_a_live_one_do
 
 
 class _Emit:
-    """An emit that takes `outputs` doubles per render and shows them."""
+    """An emit that takes `outputs` outputs per render and shows them."""
 
     def __init__(self, outputs):
         self.outputs = outputs
 
     def __call__(self, seed):
-        return "live"
+        return "drawn"
 
-    def replay(self, randoms):
-        return list(randoms[: self.outputs])
+    def replay(self, outputs):
+        return outputs[: self.outputs].tolist()
+
+
+def _batch(seed, n):
+    return Xoshiro256StarStar(seed).batch(n).tolist()
 
 
 def test_the_streams_count_the_doubles_they_keep(monkeypatch):
     monkeypatch.setattr(cli, "STREAM_CAP", 10)
     streams = cli._Streams()
-    assert streams.render(_Emit(3), 1) == Xoshiro256StarStar(1).randoms(3)
-    assert streams.render(_Emit(3), 2) == Xoshiro256StarStar(2).randoms(3)
+    assert streams.render(_Emit(3), 1, False) == _batch(1, 3)
+    assert streams.render(_Emit(3), 2, False) == _batch(2, 3)
     # extended by two, from where the generator stopped
-    assert streams.render(_Emit(5), 1) == Xoshiro256StarStar(1).randoms(5)
+    assert streams.render(_Emit(5), 1, False) == _batch(1, 5)
     assert streams.kept == 8
-    # three more would pass the cap: live, and nothing kept
-    assert streams.render(_Emit(3), 3) == "live" and streams.kept == 8
-    assert streams.render(_Emit(0), 4) == "live"
-    streams.drop(1)
-    streams.drop(3)
-    assert streams.kept == 3
-    assert streams.render(_Emit(7), 3) == Xoshiro256StarStar(3).randoms(7)
-    streams.drop(2)
-    streams.drop(3)
+    # three more would pass the cap: the emit draws its own, and nothing is kept
+    assert streams.render(_Emit(3), 3, False) == "drawn" and streams.kept == 8
+    assert streams.render(_Emit(0), 4, False) == "drawn"
+    # a seed's last variant replays what is kept, then drops it
+    assert streams.render(_Emit(5), 1, True) == _batch(1, 5) and streams.kept == 3
+    # a seed with nothing kept draws its own on its last variant, and keeps nothing
+    assert streams.render(_Emit(7), 3, True) == "drawn" and streams.kept == 3
+    assert streams.render(_Emit(7), 3, False) == _batch(3, 7) and streams.kept == 10
+    assert streams.render(_Emit(2), 2, True) == _batch(2, 2) and streams.kept == 7
+    assert streams.render(_Emit(0), 3, True) == "drawn"
     assert streams.kept == 0 and streams.seeds == {}

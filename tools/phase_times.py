@@ -21,7 +21,10 @@ process, in order, each timed on its own after a garbage collection:
     layout    exporters._line_frame, the layout of every line, from lint's
               report, and the seed -> text function of that layout
               (exporters._Render), which makes each plan's kernel
-    emit      one call of that seed -> text function
+    draw      the batches of generator outputs that one call of that
+              function draws, lane-parallel, a chunk at a time
+              (rng.Xoshiro256StarStar.batch, timed by wrapping it)
+    emit      the rest of that call: the kernels render the lines
     write     exporters.write_atomic of that text, to the temporary directory
 
 These are the steps of exporters._seed_exporter and its seed -> text
@@ -49,14 +52,18 @@ by wrapping the names the sweep calls:
 
     build        builddoc.build_circuit
     lint_layout  cli._seed_exporter: lint, layout and kernels
-    emit         each variant's text: a live render, or the seed's outputs
-                 drawn or extended and replayed (cli._Streams.render)
+    draw         every batch of generator outputs (rng.Xoshiro256StarStar.batch):
+                 a seed's kept stream, drawn or extended, and the chunks of
+                 a variant that draws its own
+    emit         the rest of each variant's text (cli._Streams.render)
     write        cli.write_atomic, of every variant and of the manifest
     other        the rest of the call: arguments, load_doc, the manifest's JSON
 
-and a line under the table counts, per sweep, the variants rendered live,
-those that drew (or extended) their seed's outputs and replayed them, and
-those that replayed outputs drawn before.
+A wrapped call inside another takes its time out of the outer call's phase,
+so draw is split out of emit. A line under the table counts, per sweep, the
+variants that drew their own stream in chunks (exporters._Render called with
+a seed), those that drew (or extended) their seed's kept stream and
+replayed it, and those that replayed a stream drawn before.
 
 A phase's time counts in multiples of perfbench/run.py:reference(), the
 mean of one pass just before and one just after its repeat, as the
@@ -104,9 +111,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
-PHASES = ("load_doc", "build", "lint", "layout", "emit", "write")
+PHASES = ("load_doc", "build", "lint", "layout", "draw", "emit", "write")
 IR_PHASES = ("export_json", "ir_write", "json_loads", "import_json")
-SWEEP_PHASES = ("build", "lint_layout", "emit", "write", "other")
+SWEEP_PHASES = ("build", "lint_layout", "draw", "emit", "write", "other")
 
 
 def _perfbench(name: str):
@@ -134,7 +141,7 @@ def measure(doc_path: Path, repeats: int, dialect: str, out: Path, reference) ->
     """({phase: (ref units per repeat, seconds per repeat)}, {(phase,
     generation): cyclic collections, summed over the repeats}), for PHASES
     and IR_PHASES."""
-    from netforge import builddoc, exporters
+    from netforge import builddoc, exporters, rng
 
     table = exporters.exporter_for(dialect)
     header = [line.format(title="Generated netlist") for line in table.header]
@@ -175,7 +182,17 @@ def measure(doc_path: Path, repeats: int, dialect: str, out: Path, reference) ->
         circuit = timed("build", build, doc)
         report = timed("lint", lint, circuit)
         emit = timed("layout", lay_out, circuit, report)
-        text = timed("emit", emit, circuit.rng_seed)
+        spans = _Spans()
+        spans.wrap(rng.Xoshiro256StarStar, "batch", "draw")
+        try:
+            text = timed("emit", emit, circuit.rng_seed)
+        finally:
+            spans.unwrap()
+        # the batches drawn inside the emit are the draw phase
+        seconds["draw"].append(spans.seconds["draw"])
+        seconds["emit"][-1] -= spans.seconds["draw"]
+        collections.subtract({("emit", g): n for (_, g), n in spans.collections.items()})
+        collections.update(spans.collections)
         timed("write", exporters.write_atomic, out, text)
         ir = timed("export_json", exporters.export_json, circuit)
         timed("ir_write", exporters.write_atomic, out, ir)
@@ -190,35 +207,43 @@ def measure(doc_path: Path, repeats: int, dialect: str, out: Path, reference) ->
 
 class _Spans:
     """Seconds, cyclic collections per generation and calls per phase of the
-    wrapped names. A call inside another wrapped call adds its time and
-    collections only to the outer call's phase, and counts only if it wraps
-    into that same phase."""
+    wrapped names. A wrapped call inside another takes its time and
+    collections out of the outer call's phase into its own, so each phase
+    counts its own time only. A call counts under `counted` (by default its
+    phase), and with `within`, only when the innermost wrapped call around
+    it is that name."""
 
     def __init__(self):
         self.seconds: Counter = Counter()
         self.collections: Counter = Counter()  # (phase, generation) -> collections
         self.calls: Counter = Counter()
-        self._open: str | None = None  # the phase of the outermost open call
+        self._open: list = []  # (name, phase) of each open call, innermost last
         self._saved: list = []
 
-    def wrap(self, owner, name: str, phase: str, counted: str | None = None) -> None:
+    def wrap(self, owner, name: str, phase: str, counted: str | None = None,
+             within: str | None = None) -> None:
         original = getattr(owner, name)
 
         def timed(*args, **kwargs):
-            if self._open is not None:
-                if self._open == phase:
-                    self.calls[counted or phase] += 1
-                return original(*args, **kwargs)
-            self.calls[counted or phase] += 1
-            self._open = phase
+            outer = self._open[-1] if self._open else None
+            if within is None or (outer is not None and outer[0] == within):
+                self.calls[counted or phase] += 1
+            self._open.append((name, phase))
             counts = _collections()
             start = time.perf_counter()
             try:
                 return original(*args, **kwargs)
             finally:
-                self.seconds[phase] += time.perf_counter() - start
-                self.collections.update(_collected(phase, counts))
-                self._open = None
+                elapsed = time.perf_counter() - start
+                collected = _collected(phase, counts)
+                self._open.pop()
+                self.seconds[phase] += elapsed
+                self.collections.update(collected)
+                if outer is not None:
+                    self.seconds[outer[1]] -= elapsed
+                    self.collections.subtract(
+                        {(outer[1], g): n for (_, g), n in collected.items()}
+                    )
 
         self._saved.append((owner, name, original))
         setattr(owner, name, timed)
@@ -231,9 +256,9 @@ class _Spans:
 def measure_sweep(argv: list, repeats: int, reference) -> tuple:
     """({phase: (ref units per repeat, seconds per repeat)} and {(phase,
     generation): cyclic collections, summed over the repeats} for
-    SWEEP_PHASES, and per sweep the variants rendered live, the replayed
-    variants that drew or extended their seed's outputs, and those that only
-    replayed)."""
+    SWEEP_PHASES, and per sweep the variants that drew their own stream,
+    the replayed variants that drew or extended their seed's kept stream,
+    and those that only replayed)."""
     from netforge import builddoc, cli, exporters, rng
 
     ratios: dict[str, list[float]] = {phase: [] for phase in SWEEP_PHASES}
@@ -245,9 +270,9 @@ def measure_sweep(argv: list, repeats: int, reference) -> tuple:
         spans.wrap(builddoc, "build_circuit", "build")
         spans.wrap(cli, "_seed_exporter", "lint_layout")
         spans.wrap(cli._Streams, "render", "emit")
-        spans.wrap(exporters._Render, "__call__", "emit", "live")
+        spans.wrap(exporters._Render, "__call__", "emit", "own")
         spans.wrap(exporters._Render, "replay", "emit", "replayed")
-        spans.wrap(rng.Xoshiro256StarStar, "randoms", "emit", "drawn")
+        spans.wrap(rng.Xoshiro256StarStar, "batch", "draw", "kept", within="render")
         spans.wrap(cli, "write_atomic", "write")
         before = reference()
         try:
@@ -272,7 +297,7 @@ def measure_sweep(argv: list, repeats: int, reference) -> tuple:
         collections.update(other)
         calls = spans.calls
     times = {phase: (ratios[phase], seconds[phase]) for phase in SWEEP_PHASES}
-    return times, collections, calls["live"], calls["drawn"], calls["replayed"] - calls["drawn"]
+    return times, collections, calls["own"], calls["kept"], calls["replayed"] - calls["kept"]
 
 
 def _medians(times: dict, phases: tuple) -> dict:
@@ -427,14 +452,14 @@ def main(argv=None) -> int:
         if args.sweep:
             argv = ["sweep", str(doc_path), *sweep_args, "--dialect", args.dialect,
                     "--out", str(temp / "sweep")]
-            times, collections, live, drawn, replayed = measure_sweep(
+            times, collections, own, drawn, replayed = measure_sweep(
                 argv, args.repeats, reference
             )
             report(f"sweep of {title}: medians of {args.repeats} repeats",
                    _medians(times, SWEEP_PHASES))
             report_collections(collections, dict(zip(SWEEP_PHASES, SWEEP_PHASES)), args.repeats)
-            print(f"variants per sweep: {live} live, {drawn} drew and replayed, "
-                  f"{replayed} replayed")
+            print(f"variants per sweep: {own} drew their own stream, {drawn} drew and "
+                  f"replayed, {replayed} replayed")
             return 0
         times, collections = measure(
             doc_path, args.repeats, args.dialect, temp / "out.txt", reference
